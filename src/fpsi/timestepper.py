@@ -13,6 +13,18 @@ iteration.  Convergence is measured in a scaled residual norm: the infinity
 norm of every block row divided by a row scale derived from the diagonal of
 its leading operator, so the tolerance is meaningful across parameter
 regimes and mesh sizes.
+
+The Newton matrix is the linear Stokes-Darcy-Biot operator plus the
+convection Jacobian, which is a small perturbation of it in the small-data
+regime the analysis covers.  A :class:`NewtonSolver`, built once per
+trajectory, therefore factors the exact Newton matrix with sparse LU only on
+its first correction and keeps that factor as the preconditioner of GMRES
+for every later one; the matrix itself is applied matrix-free as the linear
+part plus the current convection Jacobian.  GMRES solves to a relative
+tolerance of 1e-12, so the iteration stays an exact Newton method.  If GMRES
+does not converge within one restart cycle, the current Newton matrix is
+factored, solved directly and becomes the new preconditioner (inexact
+Newton-Krylov, Dembo, Eisenstat & Steihaug 1982; Knoll & Keyes 2004).
 """
 
 from __future__ import annotations
@@ -27,6 +39,11 @@ from .assembly import (DEFAULT_LOAD_ORDER, StateVector, assemble_loads,
                        sparse_sum)
 
 SCHEMES = ("euler", "midpoint")
+
+# one GMRES cycle per Newton correction; a cycle that does not reach the
+# tolerance triggers a fresh factorisation
+GMRES_RESTART = 30
+GMRES_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -79,6 +96,8 @@ class StepDiagnostics:
     iterations: int
     residual_norms: list
     converged: bool
+    krylov_iterations: int = 0
+    factorizations: int = 0
 
 
 @dataclass
@@ -190,37 +209,104 @@ def _jacobian(blocks, scheme, dt, stage_alpha):
     return sp.bmat(rows, format="csc")
 
 
-def step(blocks, data, state0, cfg, loads=None):
-    """Advance one time step; returns (new_state, StepDiagnostics)."""
+class NewtonSolver:
+    """Newton corrections for one ``(blocks, scheme, dt)``.
+
+    Holds the row scales of the convergence test, the sparse LU factor of
+    the last Newton matrix it factored, which preconditions GMRES for later
+    corrections, and the linear part of the Newton matrix (assembled at zero
+    velocity, so its stored pattern is the full dof coupling graph).  The
+    old factor is released before a new one is made, and the linear part is
+    assembled only at the first GMRES solve: the first ``splu``, which sets
+    the memory peak of a run, runs with neither alive.
+    """
+
+    def __init__(self, blocks, scheme, dt):
+        self.blocks = blocks
+        self.scheme = scheme
+        self.dt = dt
+        self.s = 1.0 if scheme == "euler" else 0.5
+        self.scales = _row_scales(blocks, dt)
+        self.lu = None
+        self.J_lin = None
+
+    def correction(self, rhs, stage_alpha):
+        """Solve J(stage) dz = rhs; returns (dz, GMRES iterations, factored).
+
+        ``factored`` says whether the Newton matrix was factored for this
+        correction (first correction, or GMRES missed its tolerance).
+        """
+        krylov = 0
+        if self.lu is not None:
+            if self.J_lin is None:
+                self.J_lin = _jacobian(self.blocks, self.scheme, self.dt,
+                                       np.zeros(self.blocks.n_alpha))
+            _, Jn = self.blocks.convection(stage_alpha, jac=True)
+            na, s, J_lin = self.blocks.n_alpha, self.s, self.J_lin
+
+            def matvec(v):
+                out = J_lin @ v
+                out[:na] += s * (Jn @ v[:na])
+                return out
+            J = spla.LinearOperator(J_lin.shape, matvec=matvec,
+                                    dtype=J_lin.dtype)
+            M = spla.LinearOperator(J_lin.shape, matvec=self.lu.solve,
+                                    dtype=J_lin.dtype)
+            residuals = []
+            dz, info = spla.gmres(J, rhs, M=M, rtol=GMRES_RTOL, atol=0.0,
+                                  restart=GMRES_RESTART, maxiter=1,
+                                  callback=residuals.append,
+                                  callback_type="pr_norm")
+            krylov = len(residuals)
+            if info == 0:
+                return dz, krylov, False
+        self.lu = None  # see the class docstring
+        self.lu = spla.splu(_jacobian(self.blocks, self.scheme, self.dt,
+                                      stage_alpha))
+        return self.lu.solve(rhs), krylov, True
+
+
+def step(blocks, data, state0, cfg, loads=None, newton=None):
+    """Advance one time step; returns (new_state, StepDiagnostics).
+
+    ``newton`` is the trajectory's :class:`NewtonSolver`; a fresh one is
+    built when it is omitted, so a lone step's first correction is a direct
+    sparse LU solve.
+    """
     dt = cfg.dt
     t1 = state0.t + dt
     t_load = t1 if cfg.scheme == "euler" else state0.t + 0.5 * dt
     if loads is None:
         loads = assemble_loads(t_load, data, blocks.dm,
                                load_order=cfg.load_order)
-    scales = _row_scales(blocks, dt)
+    if newton is None:
+        newton = NewtonSolver(blocks, cfg.scheme, dt)
 
     z = _pack(state0)
     rows, stage = _residual_rows(blocks, cfg.scheme, state0, z, dt, loads)
-    norms = [_scaled_norm(rows, scales)]
-    iterations = 0
+    norms = [_scaled_norm(rows, newton.scales)]
+    iterations = krylov_iterations = factorizations = 0
     while norms[-1] > cfg.newton_tol:
         if iterations >= cfg.newton_max:
             raise StepError(
                 "Newton iteration did not converge at t = %.6g "
                 "(residual %.3e after %d iterations)"
                 % (t1, norms[-1], iterations), norms[-1], iterations)
-        J = _jacobian(blocks, cfg.scheme, dt, stage.alpha)
-        lu = spla.splu(J)
-        z = z - lu.solve(np.concatenate(rows))
+        dz, krylov, factored = newton.correction(np.concatenate(rows),
+                                                 stage.alpha)
+        z = z - dz
         iterations += 1
+        krylov_iterations += krylov
+        factorizations += factored
         rows, stage = _residual_rows(blocks, cfg.scheme, state0, z, dt, loads)
-        norms.append(_scaled_norm(rows, scales))
+        norms.append(_scaled_norm(rows, newton.scales))
 
     a1, b1, g1, th1, p1 = _unpack(blocks, z)
     state1 = StateVector(t1, a1, b1, g1, th1, p1)
     diag = StepDiagnostics(t=t1, iterations=iterations,
-                           residual_norms=norms, converged=True)
+                           residual_norms=norms, converged=True,
+                           krylov_iterations=krylov_iterations,
+                           factorizations=factorizations)
     return state1, diag
 
 
@@ -229,10 +315,11 @@ def run(blocks, data, cfg, initial_state=None, on_step=None):
     n = cfg.n_steps()
     state = initial_state if initial_state is not None \
         else make_initial_state(blocks)
+    newton = NewtonSolver(blocks, cfg.scheme, cfg.dt)
     states = [state]
     diagnostics = []
     for _ in range(n):
-        state, diag = step(blocks, data, state, cfg)
+        state, diag = step(blocks, data, state, cfg, newton=newton)
         states.append(state)
         diagnostics.append(diag)
         if on_step is not None:

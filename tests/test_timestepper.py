@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
-from fpsi.assembly import PhysicalParams, ProblemData, assemble_loads, assemble_system
+from fpsi import timestepper
+from fpsi.assembly import (PhysicalParams, ProblemData, StateVector,
+                           assemble_loads, assemble_system)
 from fpsi.expressions import parse_expression
 from fpsi.fem import interpolate_vector
 from fpsi.timestepper import (
@@ -198,3 +201,90 @@ def test_on_step_callback_sees_every_state():
     seen = []
     run(blocks, _driven_data(), cfg, on_step=lambda s, d: seen.append(s.t))
     np.testing.assert_allclose(seen, [0.1, 0.2, 0.3], atol=1e-12)
+
+
+def _direct_newton_run(blocks, data, cfg):
+    """Reference states and Newton iteration counts from a fresh splu of
+    the exact Jacobian at every iteration."""
+    from fpsi.timestepper import (_jacobian, _pack, _residual_rows,
+                                  _row_scales, _scaled_norm, _unpack)
+    scales = _row_scales(blocks, cfg.dt)
+    state = make_initial_state(blocks)
+    states, iterations = [state], []
+    for _ in range(cfg.n_steps()):
+        t1 = state.t + cfg.dt
+        t_load = t1 if cfg.scheme == "euler" else state.t + 0.5 * cfg.dt
+        loads = assemble_loads(t_load, data, blocks.dm)
+        z = _pack(state)
+        rows, stage = _residual_rows(blocks, cfg.scheme, state, z, cfg.dt,
+                                     loads)
+        iterations.append(0)
+        while _scaled_norm(rows, scales) > cfg.newton_tol:
+            J = _jacobian(blocks, cfg.scheme, cfg.dt, stage.alpha)
+            z = z - spla.splu(J).solve(np.concatenate(rows))
+            rows, stage = _residual_rows(blocks, cfg.scheme, state, z,
+                                         cfg.dt, loads)
+            iterations[-1] += 1
+        state = StateVector(t1, *_unpack(blocks, z))
+        states.append(state)
+    return states, iterations
+
+
+def _max_relative_difference(states, reference):
+    worst = 0.0
+    for s, r in zip(states, reference):
+        for name in ("alpha", "beta", "gamma", "theta", "pi"):
+            a, b = getattr(s, name), getattr(r, name)
+            worst = max(worst, np.linalg.norm(a - b)
+                        / max(np.linalg.norm(b), 1e-300))
+    return worst
+
+
+@pytest.mark.parametrize("scheme", ["euler", "midpoint"])
+def test_preconditioned_newton_matches_direct_newton(scheme):
+    blocks = _blocks(convection=True)
+    data = _driven_data()
+    cfg = SchemeConfig(scheme=scheme, dt=0.1, t_final=0.3)
+    traj = run(blocks, data, cfg)
+    reference, iterations = _direct_newton_run(blocks, data, cfg)
+    assert len(traj.states) == len(reference)
+    assert _max_relative_difference(traj.states, reference) <= 1e-9
+    # exact Newton: the same iteration count at every step
+    assert [d.iterations for d in traj.diagnostics] == iterations
+    # the GMRES path ran, preconditioned by the trajectory's single factor
+    assert sum(d.krylov_iterations for d in traj.diagnostics) > 0
+    assert sum(d.factorizations for d in traj.diagnostics) == 1
+
+
+def test_linear_trajectory_is_factored_once():
+    blocks = _blocks(convection=False)
+    cfg = SchemeConfig(scheme="midpoint", dt=0.05, t_final=0.2)
+    traj = run(blocks, _driven_data(), cfg)
+    assert [d.factorizations for d in traj.diagnostics] == [1, 0, 0, 0]
+    assert all(d.krylov_iterations >= 1 for d in traj.diagnostics[1:])
+
+
+def test_gmres_stall_refactors_and_converges(monkeypatch):
+    blocks = _blocks(convection=True)
+    data = _driven_data()
+    cfg = SchemeConfig(scheme="euler", dt=0.1, t_final=0.3)
+    baseline = run(blocks, data, cfg)
+    monkeypatch.setattr(timestepper, "GMRES_RESTART", 1)
+    stalled = run(blocks, data, cfg)
+    factorizations = sum(d.factorizations for d in stalled.diagnostics)
+    assert factorizations > 1
+    # every correction after the first tried one GMRES iteration
+    iterations = sum(d.iterations for d in stalled.diagnostics)
+    assert sum(d.krylov_iterations for d in stalled.diagnostics) \
+        == iterations - 1
+    assert _max_relative_difference(stalled.states, baseline.states) <= 1e-9
+
+
+def test_reruns_give_bitwise_equal_states():
+    blocks = _blocks(convection=True)
+    cfg = SchemeConfig(scheme="midpoint", dt=0.1, t_final=0.3)
+    first = run(blocks, _driven_data(), cfg)
+    second = run(blocks, _driven_data(), cfg)
+    for a, b in zip(first.states, second.states):
+        for name in ("alpha", "beta", "gamma", "theta", "pi"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
