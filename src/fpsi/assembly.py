@@ -27,6 +27,15 @@ symmetrically to the unconstrained dofs of their test/trial spaces.
 Constant-coefficient volume blocks (mass, gradient products, divergence)
 are affine geometry factors times exact reference-triangle matrices;
 quadrature remains only for convection, loads and facet terms.
+
+Every facet term (the interface blocks ``C``, ``D``, ``E``, ``F`` and the
+slip part of ``Bf``, and the inlet, outlet, interface and boundary loads)
+goes through one batched kernel, :func:`facet_trace`: for a batch of facets,
+each seen from one adjacent triangle, it gives the Gauss points, their
+reference coordinates in that triangle, the weights times the facet length
+and the outward normal.  :func:`facet_matrix` and the ``load_facet_*``
+functions contract basis values at those points in one step and scatter the
+per-facet results with the triangles' dofs.
 """
 
 from __future__ import annotations
@@ -457,112 +466,79 @@ def div_pressure(vector_space, scalar_space, order=DEFAULT_VOLUME_ORDER):
 # facet (trace) assembly
 # ---------------------------------------------------------------------------
 
-def _facet_frame(mesh, facet):
-    a, b = mesh.facets[facet]
-    pa, pb = mesh.vertices[a], mesh.vertices[b]
-    length = float(np.hypot(*(pb - pa)))
-    return pa, pb, length
+def facet_trace(mesh, facets, tris, order):
+    """Gauss points of a batch of facets, each seen from one adjacent triangle.
+
+    Returns ``(x, ref, wts, normals)``: the physical points ``x`` (nf, nq, 2),
+    their reference coordinates inside ``tris[f]`` (nf, nq, 2), the interval
+    rule's weights times the facet length (nf, nq) and the unit normal of
+    each facet pointing out of its triangle (nf, 2).
+    """
+    facets = np.asarray(facets, dtype=int)
+    tris = np.asarray(tris, dtype=int)
+    s, w = interval_rule(order)
+    pa = mesh.vertices[mesh.facets[facets, 0]]
+    e = mesh.vertices[mesh.facets[facets, 1]] - pa
+    x = pa[:, None, :] + s[None, :, None] * e[:, None, :]
+    length = np.hypot(e[:, 0], e[:, 1])
+    tri = mesh.triangles[tris]
+    v0 = mesh.vertices[tri[:, 0]]
+    e1 = (mesh.vertices[tri[:, 1]] - v0)[:, None, :]
+    e2 = (mesh.vertices[tri[:, 2]] - v0)[:, None, :]
+    det = e1[..., 0] * e2[..., 1] - e1[..., 1] * e2[..., 0]
+    d = x - v0[:, None, :]
+    # Cramer's rule on the edge vectors: a pull-back through _geometry's Jinv
+    # rounds differently in the last bits
+    ref = np.stack([(e2[..., 1] * d[..., 0] - e2[..., 0] * d[..., 1]) / det,
+                    (-e1[..., 1] * d[..., 0] + e1[..., 0] * d[..., 1]) / det],
+                   axis=-1)
+    normals = mesh.facet_normals(facets, tris)
+    return x, ref, w[None, :] * length[:, None], normals
 
 
-def _trace_points(mesh, facet, triangle, svals):
-    """Reference coordinates inside ``triangle`` of facet points x(s)."""
-    pa, pb, _ = _facet_frame(mesh, facet)
-    x = pa[None, :] + svals[:, None] * (pb - pa)[None, :]
-    tri = mesh.triangles[triangle]
-    v0 = mesh.vertices[tri[0]]
-    e1 = mesh.vertices[tri[1]] - v0
-    e2 = mesh.vertices[tri[2]] - v0
-    det = e1[0] * e2[1] - e1[1] * e2[0]
-    d = x - v0[None, :]
-    xi = (e2[1] * d[:, 0] - e2[0] * d[:, 1]) / det
-    eta = (-e1[1] * d[:, 0] + e1[0] * d[:, 1]) / det
-    return np.column_stack([xi, eta]), x
+def _cell_dofs(space, tris):
+    """Global dofs of each triangle of ``tris`` in ``space`` (nf, nloc).
 
-
-def _local_dofs(space, triangle):
+    Vector spaces give both components, component-blocked like the basis.
+    """
     sc = _scalar_space_of(space)
-    pos = np.searchsorted(sc.tri_ids, triangle)
-    if pos >= len(sc.tri_ids) or sc.tri_ids[pos] != triangle:
-        raise ValueError("triangle %d is not in the space's subdomain" % triangle)
-    dofs = sc.cell_dofs[pos]
+    tris = np.asarray(tris, dtype=int)
+    outside = ~np.isin(tris, sc.tri_ids)
+    if np.any(outside):
+        raise ValueError("triangle %d is not in the space's subdomain"
+                         % tris[outside][0])
+    dofs = sc.cell_dofs[np.searchsorted(sc.tri_ids, tris)]
     if isinstance(space, VectorSpace):
-        return np.concatenate([dofs, dofs + sc.ndof])
+        return np.concatenate([dofs, dofs + sc.ndof], axis=1)
     return dofs
 
 
-def facet_vector_vector(test_space, trial_space, facets, test_tris, trial_tris,
-                        directions, order=DEFAULT_FACET_ORDER):
-    """sum_f int_f (phi_i . d_f)(psi_j . d_f) ds over the given facets."""
+def _trace_basis(kind, ref):
+    """``basis_eval`` at trace points ``ref`` (nf, nq, 2), keeping both axes."""
+    vals, grads = basis_eval(kind, ref.reshape(-1, 2))
+    return (vals.reshape(ref.shape[:2] + vals.shape[1:]),
+            grads.reshape(ref.shape[:2] + grads.shape[1:]))
+
+
+def facet_matrix(test_space, trial_space, facets, test_tris, trial_tris,
+                 directions=None, order=DEFAULT_FACET_ORDER):
+    """sum_f int_f phi_i psi_j ds over the given facets.
+
+    Each space is traced from its own triangle of every facet; a vector
+    basis function enters through its component along ``directions[f]``.
+    """
     mesh = test_space.mesh
-    s, w = interval_rule(order)
-    rows, cols, vals = [], [], []
-    for f, tt, ts, d in zip(facets, test_tris, trial_tris, directions):
-        _, _, length = _facet_frame(mesh, f)
-        ref_t, _ = _trace_points(mesh, f, tt, s)
-        ref_s, _ = _trace_points(mesh, f, ts, s)
-        vt, _ = basis_eval(test_space.kind, ref_t)
-        vs, _ = basis_eval(trial_space.kind, ref_s)
-        pt = vt @ d  # (nq, nloc)
-        ps = vs @ d
-        local = np.einsum("q,qi,qj->ij", w * length, pt, ps)
-        dt = _local_dofs(test_space, tt)
-        ds = _local_dofs(trial_space, ts)
-        rows.append(np.repeat(dt, len(ds)))
-        cols.append(np.tile(ds, len(dt)))
-        vals.append(local.ravel())
-    mat = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(test_space.ndof, trial_space.ndof))
-    return mat.tocsr()
-
-
-def facet_vector_scalar(test_space, trial_space, facets, test_tris, trial_tris,
-                        directions, order=DEFAULT_FACET_ORDER):
-    """sum_f int_f (phi_i . d_f) psi_j ds, vector test x scalar trial."""
-    mesh = test_space.mesh
-    s, w = interval_rule(order)
-    rows, cols, vals = [], [], []
-    for f, tt, ts, d in zip(facets, test_tris, trial_tris, directions):
-        _, _, length = _facet_frame(mesh, f)
-        ref_t, _ = _trace_points(mesh, f, tt, s)
-        ref_s, _ = _trace_points(mesh, f, ts, s)
-        vt, _ = basis_eval(test_space.kind, ref_t)
-        vs, _ = basis_eval(trial_space.kind, ref_s)
-        pt = vt @ d
-        local = np.einsum("q,qi,qj->ij", w * length, pt, vs)
-        dt = _local_dofs(test_space, tt)
-        ds = _local_dofs(trial_space, ts)
-        rows.append(np.repeat(dt, len(ds)))
-        cols.append(np.tile(ds, len(dt)))
-        vals.append(local.ravel())
-    mat = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(test_space.ndof, trial_space.ndof))
-    return mat.tocsr()
-
-
-def facet_scalar_scalar(test_space, trial_space, facets, test_tris, trial_tris,
-                        order=DEFAULT_FACET_ORDER):
-    """sum_f int_f phi_i psi_j ds for two scalar spaces."""
-    mesh = test_space.mesh
-    s, w = interval_rule(order)
-    rows, cols, vals = [], [], []
-    for f, tt, ts in zip(facets, test_tris, trial_tris):
-        _, _, length = _facet_frame(mesh, f)
-        ref_t, _ = _trace_points(mesh, f, tt, s)
-        ref_s, _ = _trace_points(mesh, f, ts, s)
-        vt, _ = basis_eval(test_space.kind, ref_t)
-        vs, _ = basis_eval(trial_space.kind, ref_s)
-        local = np.einsum("q,qi,qj->ij", w * length, vt, vs)
-        dt = _local_dofs(test_space, tt)
-        ds = _local_dofs(trial_space, ts)
-        rows.append(np.repeat(dt, len(ds)))
-        cols.append(np.tile(ds, len(dt)))
-        vals.append(local.ravel())
-    mat = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(test_space.ndof, trial_space.ndof))
-    return mat.tocsr()
+    values = []
+    for space, tris in ((test_space, test_tris), (trial_space, trial_tris)):
+        _, ref, wts, _ = facet_trace(mesh, facets, tris, order)
+        vals, _ = _trace_basis(space.kind, ref)
+        if isinstance(space, VectorSpace):
+            vals = np.einsum("fqik,fk->fqi", vals, directions)
+        values.append(vals)
+    cells = np.einsum("fq,fqi,fqj->fij", wts, *values)
+    return _scatter(_cell_dofs(test_space, test_tris),
+                    _cell_dofs(trial_space, trial_tris), cells,
+                    (test_space.ndof, trial_space.ndof))
 
 
 def interface_tangents(normals):
@@ -575,12 +551,12 @@ def interface_tangents(normals):
 # load vectors
 # ---------------------------------------------------------------------------
 
+def _eval_scalar(expr, x, y, t):
+    return np.broadcast_to(np.asarray(expr(x, y, t), dtype=float), x.shape)
+
+
 def _eval_pair(exprs, x, y, t):
-    fx = np.asarray(exprs[0](x, y, t), dtype=float)
-    fy = np.asarray(exprs[1](x, y, t), dtype=float)
-    fx = np.broadcast_to(fx, x.shape)
-    fy = np.broadcast_to(fy, x.shape)
-    return fx, fy
+    return _eval_scalar(exprs[0], x, y, t), _eval_scalar(exprs[1], x, y, t)
 
 
 def load_volume_vector(space, exprs, t, order=DEFAULT_LOAD_ORDER):
@@ -605,8 +581,7 @@ def load_volume_scalar(space, expr, t, order=DEFAULT_LOAD_ORDER):
     rule = triangle_rule(order)
     _, _, det = _geometry(mesh, space.tri_ids)
     x = _quad_points(mesh, space.tri_ids, rule)
-    fv = np.broadcast_to(np.asarray(expr(x[..., 0], x[..., 1], t), dtype=float),
-                         x.shape[:2])
+    fv = _eval_scalar(expr, x[..., 0], x[..., 1], t)
     vt, _ = basis_eval(space.kind, rule.points)
     out = np.zeros(space.ndof)
     cells = np.einsum("q,c,cq,qi->ci", rule.weights, det, fv, vt, optimize=True)
@@ -614,87 +589,63 @@ def load_volume_scalar(space, expr, t, order=DEFAULT_LOAD_ORDER):
     return out
 
 
-def _facet_loop(space, facets, tris, order):
-    """Yield per-facet trace data: facet, tri, ref pts, phys pts, weights."""
-    mesh = space.mesh
-    s, w = interval_rule(order)
-    for f, tri in zip(facets, tris):
-        _, _, length = _facet_frame(mesh, f)
-        ref, x = _trace_points(mesh, f, tri, s)
-        yield f, tri, ref, x, w * length
+def _scatter_facet_load(space, tris, local):
+    """Sum per-facet local load vectors (nf, nloc) into a full-dof vector."""
+    out = np.zeros(space.ndof)
+    np.add.at(out, _cell_dofs(space, tris), local)
+    return out
 
 
 def load_facet_vector(space, facets, tris, exprs, t, order=DEFAULT_LOAD_ORDER):
     """<g, v> over facets for a vector test space."""
-    out = np.zeros(space.ndof)
-    for f, tri, ref, x, wts in _facet_loop(space, facets, tris, order):
-        gx, gy = _eval_pair(exprs, x[:, 0], x[:, 1], t)
-        vals, _ = basis_eval(space.kind, ref)
-        g = np.column_stack([gx, gy])
-        local = np.einsum("q,qik,qk->i", wts, vals, g)
-        np.add.at(out, _local_dofs(space, tri), local)
-    return out
+    x, ref, wts, _ = facet_trace(space.mesh, facets, tris, order)
+    g = np.stack(_eval_pair(exprs, x[..., 0], x[..., 1], t), axis=-1)
+    vals, _ = _trace_basis(space.kind, ref)
+    local = np.einsum("fq,fqik,fqk->fi", wts, vals, g)
+    return _scatter_facet_load(space, tris, local)
 
 
 def load_facet_scalar(space, facets, tris, expr, t, order=DEFAULT_LOAD_ORDER):
     """<g, r> over facets for a scalar test space."""
-    out = np.zeros(space.ndof)
-    for f, tri, ref, x, wts in _facet_loop(space, facets, tris, order):
-        g = np.broadcast_to(np.asarray(expr(x[:, 0], x[:, 1], t), dtype=float),
-                            x[:, 0].shape)
-        vals, _ = basis_eval(space.kind, ref)
-        local = np.einsum("q,qi,q->i", wts, vals, g)
-        np.add.at(out, _local_dofs(space, tri), local)
-    return out
+    x, ref, wts, _ = facet_trace(space.mesh, facets, tris, order)
+    g = _eval_scalar(expr, x[..., 0], x[..., 1], t)
+    vals, _ = _trace_basis(space.kind, ref)
+    local = np.einsum("fq,fqi,fq->fi", wts, vals, g)
+    return _scatter_facet_load(space, tris, local)
 
 
 def load_facet_pressure_normal(space, facets, tris, expr, t,
-                               order=DEFAULT_LOAD_ORDER, normals=None):
+                               order=DEFAULT_LOAD_ORDER):
     """<P n, v> with n the outward normal seen from each facet's triangle."""
-    mesh = space.mesh
-    out = np.zeros(space.ndof)
-    for k, (f, tri, ref, x, wts) in enumerate(
-            _facet_loop(space, facets, tris, order)):
-        n = normals[k] if normals is not None else mesh.facet_normal(f, tri)
-        p = np.broadcast_to(np.asarray(expr(x[:, 0], x[:, 1], t), dtype=float),
-                            x[:, 0].shape)
-        vals, _ = basis_eval(space.kind, ref)
-        local = np.einsum("q,qik,k->i", wts * p, vals, n)
-        np.add.at(out, _local_dofs(space, tri), local)
-    return out
+    x, ref, wts, n = facet_trace(space.mesh, facets, tris, order)
+    p = _eval_scalar(expr, x[..., 0], x[..., 1], t)
+    vals, _ = _trace_basis(space.kind, ref)
+    local = np.einsum("fq,fqik,fk->fi", wts * p, vals, n)
+    return _scatter_facet_load(space, tris, local)
 
 
 def load_facet_normal_stress(space, facets, tris, tensor, t,
                              order=DEFAULT_LOAD_ORDER):
     """<(n.S n)(n.v)> with S a 2x2 expression tensor, n outward per facet."""
-    mesh = space.mesh
-    out = np.zeros(space.ndof)
-    for f, tri, ref, x, wts in _facet_loop(space, facets, tris, order):
-        n = mesh.facet_normal(f, tri)
-        snn = np.zeros(len(x))
-        for a in range(2):
-            for b in range(2):
-                snn += n[a] * n[b] * np.broadcast_to(
-                    np.asarray(tensor[a][b](x[:, 0], x[:, 1], t), dtype=float),
-                    snn.shape)
-        vals, _ = basis_eval(space.kind, ref)
-        local = np.einsum("q,qik,k->i", wts * snn, vals, n)
-        np.add.at(out, _local_dofs(space, tri), local)
-    return out
+    x, ref, wts, n = facet_trace(space.mesh, facets, tris, order)
+    snn = np.zeros(wts.shape)
+    for a in range(2):
+        for b in range(2):
+            snn += (n[:, a] * n[:, b])[:, None] * _eval_scalar(
+                tensor[a][b], x[..., 0], x[..., 1], t)
+    vals, _ = _trace_basis(space.kind, ref)
+    local = np.einsum("fq,fqik,fk->fi", wts * snn, vals, n)
+    return _scatter_facet_load(space, tris, local)
 
 
 def load_facet_flux(space, facets, tris, exprs, t, order=DEFAULT_LOAD_ORDER):
     """<g.n, r> with n the outward normal, scalar test space."""
-    mesh = space.mesh
-    out = np.zeros(space.ndof)
-    for f, tri, ref, x, wts in _facet_loop(space, facets, tris, order):
-        n = mesh.facet_normal(f, tri)
-        gx, gy = _eval_pair(exprs, x[:, 0], x[:, 1], t)
-        gn = gx * n[0] + gy * n[1]
-        vals, _ = basis_eval(space.kind, ref)
-        local = np.einsum("q,qi->i", wts * gn, vals)
-        np.add.at(out, _local_dofs(space, tri), local)
-    return out
+    x, ref, wts, n = facet_trace(space.mesh, facets, tris, order)
+    gx, gy = _eval_pair(exprs, x[..., 0], x[..., 1], t)
+    gn = gx * n[:, 0, None] + gy * n[:, 1, None]
+    vals, _ = _trace_basis(space.kind, ref)
+    local = np.einsum("fq,fqi->fi", wts * gn, vals)
+    return _scatter_facet_load(space, tris, local)
 
 
 # ---------------------------------------------------------------------------
@@ -918,16 +869,11 @@ def assemble_system(mesh, params, convection=True, skew=False,
     normals = mesh.interface_normals
     tangents = interface_tangents(normals)
 
-    slip_uu = facet_vector_vector(V, V, ifacets, iftri, iftri, tangents,
-                                  facet_order)
-    slip_ud = facet_vector_vector(V, W, ifacets, iftri, iptri, tangents,
-                                  facet_order)
-    slip_dd = facet_vector_vector(W, W, ifacets, iptri, iptri, tangents,
-                                  facet_order)
-    dface = facet_vector_scalar(V, R, ifacets, iftri, iptri, normals,
-                                facet_order)
-    cface = facet_vector_scalar(W, R, ifacets, iptri, iptri, normals,
-                                facet_order)
+    slip_uu = facet_matrix(V, V, ifacets, iftri, iftri, tangents, facet_order)
+    slip_ud = facet_matrix(V, W, ifacets, iftri, iptri, tangents, facet_order)
+    slip_dd = facet_matrix(W, W, ifacets, iptri, iptri, tangents, facet_order)
+    dface = facet_matrix(V, R, ifacets, iftri, iptri, normals, facet_order)
+    cface = facet_matrix(W, R, ifacets, iptri, iptri, normals, facet_order)
     cvol = div_pressure(W, R, volume_order)
 
     raw = {

@@ -44,13 +44,13 @@ from .assembly import (
     _boundary_facet_tris,
     _geometry,
     assemble_system,
-    facet_scalar_scalar,
-    facet_vector_vector,
+    facet_matrix,
     restrict,
     scalar_mass,
     scalar_stiffness,
 )
-from .fem import ElementKind, basis_eval, make_scalar_space, triangle_rule
+from .fem import (ElementKind, VectorSpace, basis_eval, make_scalar_space,
+                  triangle_rule)
 
 CONSTANT_KINDS = ("T1", "T2", "T3", "T4", "T5",
                   "P1c", "P2c", "P3c", "Sf", "Kf", "Kappa", "Cj")
@@ -128,13 +128,13 @@ def quotient_min(A, B, zero_tol=1e-12):
     return float(ev[0])
 
 
-def _facet_vector_mass(space, facets, tris, order=DEFAULT_FACET_ORDER):
-    """Full (both components) facet mass matrix for a vector space."""
-    ex = np.tile(np.array([1.0, 0.0]), (len(facets), 1))
-    ey = np.tile(np.array([0.0, 1.0]), (len(facets), 1))
-    mx = facet_vector_vector(space, space, facets, tris, tris, ex, order)
-    my = facet_vector_vector(space, space, facets, tris, tris, ey, order)
-    return (mx + my).tocsr()
+def _facet_mass(space, facets, tris, order=DEFAULT_FACET_ORDER):
+    """Facet mass matrix; a vector space gets one block per component."""
+    if not isinstance(space, VectorSpace):
+        return facet_matrix(space, space, facets, tris, tris, order=order)
+    m = facet_matrix(space.scalar, space.scalar, facets, tris, tris,
+                     order=order)
+    return sp.block_diag([m, m]).tocsr()
 
 
 def _interface_trace_positions(space):
@@ -309,9 +309,8 @@ def pore_trace_constant(blocks, facet_order=DEFAULT_FACET_ORDER):
     Kfree = restrict(blocks.raw["stiff_p"], R, R)
     trace, pos = _interface_trace_positions(R)
     S = _schur_onto(Kfree, pos)
-    mg = facet_scalar_scalar(R, R, mesh.interface_facets,
-                             mesh.interface_poro_tri,
-                             mesh.interface_poro_tri, facet_order)
+    mg = _facet_mass(R, mesh.interface_facets, mesh.interface_poro_tri,
+                     facet_order)
     Mfree = restrict(mg, R, R)
     Mtt = Mfree[pos][:, pos].toarray()
     value = float(np.sqrt(1.0 + quotient_max(Mtt, S)))
@@ -336,35 +335,32 @@ def infsup_constant(blocks):
     return float(np.sqrt(lam))
 
 
-def _trace_pencils(blocks):
-    """Matrices (A, B) of the simple trace/Poincare/Korn quotients."""
+def _trace_pencil(blocks, kind):
+    """Matrices (A, B) of one simple trace/Poincare/Korn quotient."""
     dm = blocks.dm
     mesh = dm.mesh
     V, W, R = dm.velocity, dm.displacement, dm.pressure_p
-    out = {}
-
     ifacets = mesh.interface_facets
-    mi_u = _facet_vector_mass(V, ifacets, mesh.interface_fluid_tri)
-    out["T1"] = (restrict(mi_u, V, V), blocks.h1_u)
-
     inlet = mesh.facets_with_tag(meshmod.FLUID_INLET)
-    itris = _boundary_facet_tris(mesh, inlet)
-    min_u = _facet_vector_mass(V, inlet, itris)
-    out["T2"] = (restrict(min_u, V, V), blocks.h1_u)
-
-    mi_r = facet_scalar_scalar(R, R, ifacets, mesh.interface_poro_tri,
-                               mesh.interface_poro_tri)
-    out["T4"] = (restrict(mi_r, R, R), blocks.h1_p)
-
-    mi_d = _facet_vector_mass(W, ifacets, mesh.interface_poro_tri)
-    out["T5"] = (restrict(mi_d, W, W), blocks.h1_d)
-
-    out["P1c"] = (blocks.mass_u, restrict(blocks.raw["stiff_u"], V, V))
-    out["P2c"] = (blocks.mass_d, restrict(blocks.raw["stiff_d"], W, W))
-    out["P3c"] = (blocks.mass_p, restrict(blocks.raw["stiff_p"], R, R))
-    out["Kf"] = (restrict(blocks.raw["stiff_u"], V, V),
-                 restrict(blocks.raw["visc_u"], V, V))
-    return out
+    traces = {
+        "T1": (V, ifacets, mesh.interface_fluid_tri, blocks.h1_u),
+        "T2": (V, inlet, _boundary_facet_tris(mesh, inlet), blocks.h1_u),
+        "T4": (R, ifacets, mesh.interface_poro_tri, blocks.h1_p),
+        "T5": (W, ifacets, mesh.interface_poro_tri, blocks.h1_d),
+    }
+    if kind in traces:
+        space, facets, tris, h1 = traces[kind]
+        return restrict(_facet_mass(space, facets, tris), space, space), h1
+    if kind == "P1c":
+        return blocks.mass_u, restrict(blocks.raw["stiff_u"], V, V)
+    if kind == "P2c":
+        return blocks.mass_d, restrict(blocks.raw["stiff_d"], W, W)
+    if kind == "P3c":
+        return blocks.mass_p, restrict(blocks.raw["stiff_p"], R, R)
+    if kind == "Kf":
+        return (restrict(blocks.raw["stiff_u"], V, V),
+                restrict(blocks.raw["visc_u"], V, V))
+    raise ValueError(f"unknown constant kind {kind!r}")
 
 
 def estimate(kind, blocks, level=0, seed=0, sf_starts=20, sf_maxit=400):
@@ -391,10 +387,7 @@ def estimate(kind, blocks, level=0, seed=0, sf_starts=20, sf_maxit=400):
         value, ntrace = pore_trace_constant(blocks)
         meta.update(trace_dofs=ntrace)
         return ConstantEstimate(kind, value, level, ntrace, meta)
-    pencils = _trace_pencils(blocks)
-    if kind not in pencils:
-        raise ValueError(f"unknown constant kind {kind!r}")
-    A, B = pencils[kind]
+    A, B = _trace_pencil(blocks, kind)
     value = float(np.sqrt(quotient_max(A, B)))
     return ConstantEstimate(kind, value, level, B.shape[0], meta)
 

@@ -147,9 +147,9 @@ class Mesh:
                     self.interface_fluid_tri[k] = c
                 elif self.tri_tags[c] == PORO and self.interface_poro_tri[k] < 0:
                     self.interface_poro_tri[k] = c
-            tf = self.interface_fluid_tri[k]
-            if tf >= 0:
-                self.interface_normals[k] = self.facet_normal(f, tf)
+        has_fluid = self.interface_fluid_tri >= 0
+        self.interface_normals[has_fluid] = self.facet_normals(
+            iface[has_fluid], self.interface_fluid_tri[has_fluid])
         self.interface_normals.setflags(write=False)
 
     # -- basic queries -------------------------------------------------------
@@ -182,25 +182,22 @@ class Mesh:
         d = self.vertices[self.facets[ids, 1]] - self.vertices[self.facets[ids, 0]]
         return np.hypot(d[:, 0], d[:, 1])
 
-    def facet_normal(self, facet, triangle):
-        """Unit normal of ``facet`` pointing out of ``triangle``."""
-        a, b = self.facets[facet]
-        e = self.vertices[b] - self.vertices[a]
-        n = np.array([e[1], -e[0]])
-        n /= np.hypot(n[0], n[1])
-        centroid = self.vertices[self.triangles[triangle]].mean(axis=0)
-        mid = 0.5 * (self.vertices[a] + self.vertices[b])
-        if np.dot(n, mid - centroid) < 0.0:
-            n = -n
+    def facet_normals(self, facets, triangles):
+        """Unit normals of ``facets`` pointing out of the matching ``triangles``."""
+        ends = self.vertices[self.facets[np.asarray(facets, dtype=int)]]
+        e = ends[:, 1] - ends[:, 0]
+        n = np.column_stack([e[:, 1], -e[:, 0]])
+        n /= np.hypot(n[:, 0], n[:, 1])[:, None]
+        tri = self.triangles[np.asarray(triangles, dtype=int)]
+        centroid = self.vertices[tri].mean(axis=1)
+        mid = 0.5 * (ends[:, 0] + ends[:, 1])
+        inward = np.einsum("fk,fk->f", n, mid - centroid) < 0.0
+        n[inward] = -n[inward]
         return n
 
-    def boundary_normals(self, facet_ids):
-        """Outward normals for boundary facets (single adjacent triangle)."""
-        out = np.empty((len(facet_ids), 2))
-        for k, f in enumerate(facet_ids):
-            tri = self.facet_tris[f, 0]
-            out[k] = self.facet_normal(f, tri)
-        return out
+    def facet_normal(self, facet, triangle):
+        """Unit normal of ``facet`` pointing out of ``triangle``."""
+        return self.facet_normals([facet], [triangle])[0]
 
 
 def build_rect_two_domain(nx, ny, split):

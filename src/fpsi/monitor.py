@@ -34,13 +34,15 @@ from . import mesh as meshmod
 from .assembly import (
     DEFAULT_LOAD_ORDER,
     StateVector,
+    _boundary_facet_tris,
     _geometry,
     _quad_points,
     assemble_loads,
+    facet_trace,
     restrict,
 )
 from .constants import ConstantEstimate, InletLifting
-from .fem import interval_rule, triangle_rule
+from .fem import triangle_rule
 
 
 def constants_dict(values):
@@ -106,15 +108,10 @@ class _InletNorm:
 
     def __init__(self, mesh, order):
         facets = mesh.facets_with_tag(meshmod.FLUID_INLET)
-        s, w = interval_rule(order)
-        pts, wts = [], []
-        for f in facets:
-            a, b = mesh.vertices[mesh.facets[f]]
-            length = float(np.hypot(*(b - a)))
-            pts.append(a[None, :] + s[:, None] * (b - a)[None, :])
-            wts.append(w * length)
-        self.x = np.concatenate(pts)
-        self.w = np.concatenate(wts)
+        x, _, w, _ = facet_trace(mesh, facets,
+                                 _boundary_facet_tris(mesh, facets), order)
+        self.x = x.reshape(-1, 2)
+        self.w = w.ravel()
 
     def norm_sq(self, expr, t):
         v = np.broadcast_to(expr(self.x[:, 0], self.x[:, 1], t),

@@ -36,7 +36,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .assembly import (DEFAULT_LOAD_ORDER, StateVector, assemble_loads,
-                       sparse_sum)
+                       residual, sparse_sum)
 
 SCHEMES = ("euler", "midpoint")
 
@@ -175,17 +175,7 @@ def _residual_rows(blocks, scheme, state0, z1, dt, loads):
             0.5 * (th1 + state0.theta),
             p1,
         )
-    a, b, c = loads
-    nl, _ = blocks.convection(stage.alpha)
-    r_mom = (blocks.Af @ dot.alpha + blocks.Bf @ stage.alpha + nl
-             + blocks.D @ stage.gamma - blocks.E @ stage.theta
-             - blocks.Gdiv.T @ stage.pi - a)
-    r_kin = dot.beta - stage.theta
-    r_dar = (blocks.Ap @ dot.gamma + blocks.Bp @ stage.gamma
-             + blocks.C.T @ stage.theta - blocks.D.T @ stage.alpha - c)
-    r_str = (blocks.As @ dot.theta + blocks.Bs @ stage.beta
-             - blocks.C @ stage.gamma - blocks.E.T @ stage.alpha
-             + blocks.F @ stage.theta - b)
+    r_mom, r_kin, r_dar, r_str, _ = residual(blocks, stage, dot, loads)
     # the constraint is enforced at the new time level for both schemes
     r_con = blocks.Gdiv @ a1
     return (r_mom, r_kin, r_dar, r_str, r_con), stage

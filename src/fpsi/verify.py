@@ -40,21 +40,22 @@ from .assembly import (
     PhysicalParams,
     ProblemData,
     StateVector,
-    _facet_frame,
+    _cell_dofs,
     _geometry,
-    _local_dofs,
     _phys_grads,
     _quad_points,
-    _trace_points,
+    _trace_basis,
     assemble_loads,
     assemble_system,
+    facet_trace,
+    interface_tangents,
 )
 from .expressions import Cos, PI, Sin, T, X, Y, div, dt, sym_grad
 from .fem import (
+    VectorSpace,
     basis_eval,
     interpolate_scalar,
     interpolate_vector,
-    interval_rule,
     triangle_rule,
 )
 from .timestepper import (SchemeConfig, StepError, _jacobian, _pack,
@@ -397,26 +398,22 @@ def compute_errors(case, system, state, order=10):
 # interface residuals of a discrete state
 # ---------------------------------------------------------------------------
 
-def _eval_scalar_on(space, coeffs, triangle, refpts):
-    vals, grads = basis_eval(space.kind, refpts)
-    _, jinv, _ = _geometry(space.mesh, np.array([triangle]))
-    gphys = np.einsum("qik,kj->qij", grads, jinv[0], optimize=True)
-    co = coeffs[_local_dofs(space, triangle)]
-    return vals @ co, np.einsum("qij,i->qj", gphys, co, optimize=True)
+def _trace_field(space, full, tris, ref):
+    """Values and physical gradients of a field at reference points of ``tris``.
 
-
-def _eval_vector_on(space, coeffs, triangle, refpts):
-    sc = space.scalar
-    vals, grads = basis_eval(sc.kind, refpts)
-    _, jinv, _ = _geometry(sc.mesh, np.array([triangle]))
-    gphys = np.einsum("qik,kj->qij", grads, jinv[0], optimize=True)
-    co = coeffs[_local_dofs(space, triangle)]
-    nloc = vals.shape[1]
-    parts = (co[:nloc], co[nloc:])
-    u = np.stack([vals @ p for p in parts], axis=1)
-    gu = np.stack([np.einsum("qij,i->qj", gphys, p, optimize=True)
-                   for p in parts], axis=1)
-    return u, gu  # (nq, 2), (nq, 2, 2) with gu[q, comp, deriv]
+    Scalar spaces give (nf, nq) and (nf, nq, 2); vector spaces (nf, nq, 2)
+    and (nf, nq, 2, 2) with ``grad[..., comp, deriv]``.
+    """
+    vector = isinstance(space, VectorSpace)
+    sc = space.scalar if vector else space
+    vals, grads = _trace_basis(sc.kind, ref)
+    _, jinv, _ = _geometry(sc.mesh, tris)
+    co = full[_cell_dofs(space, tris)].reshape(len(tris), -1, vals.shape[-1])
+    u = np.einsum("fqi,fci->fqc", vals, co)
+    gu = np.einsum("fqik,fkj,fci->fqcj", grads, jinv, co, optimize=True)
+    if vector:
+        return u, gu
+    return u[..., 0], gu[..., 0, :]
 
 
 def interface_residuals(blocks, state, order=8):
@@ -430,53 +427,45 @@ def interface_residuals(blocks, state, order=8):
     dm = blocks.dm
     mesh = dm.mesh
     p = blocks.params
-    s, wq = interval_rule(order)
     eye = np.eye(2)
+    facets = mesh.interface_facets
+    tf, tp = mesh.interface_fluid_tri, mesh.interface_poro_tri
+    _, ref_f, wl, n = facet_trace(mesh, facets, tf, order)
+    _, ref_p, _, _ = facet_trace(mesh, facets, tp, order)
+    tau = interface_tangents(n)
 
-    u_full = _full(dm.velocity, state.alpha)
-    eta_full = _full(dm.displacement, state.beta)
-    th_full = _full(dm.displacement, state.theta)
-    pf_full = _full(dm.pressure_f, state.pi)
-    w_full = _full(dm.pressure_p, state.gamma)
+    u, gu = _trace_field(dm.velocity, _full(dm.velocity, state.alpha),
+                         tf, ref_f)
+    pf, _ = _trace_field(dm.pressure_f, _full(dm.pressure_f, state.pi),
+                         tf, ref_f)
+    etad, _ = _trace_field(dm.displacement,
+                           _full(dm.displacement, state.theta), tp, ref_p)
+    _, geta = _trace_field(dm.displacement,
+                           _full(dm.displacement, state.beta), tp, ref_p)
+    w, gw = _trace_field(dm.pressure_p, _full(dm.pressure_p, state.gamma),
+                         tp, ref_p)
 
-    acc = dict.fromkeys(RESIDUAL_KEYS, 0.0)
-    for k, f in enumerate(mesh.interface_facets):
-        tf = int(mesh.interface_fluid_tri[k])
-        tp = int(mesh.interface_poro_tri[k])
-        n = mesh.interface_normals[k]
-        tau = np.array([-n[1], n[0]])
-        _, _, length = _facet_frame(mesh, f)
+    du = 0.5 * (gu + np.swapaxes(gu, -1, -2))
+    sig_f = 2.0 * p.mu_f * du - pf[..., None, None] * eye
+    de = 0.5 * (geta + np.swapaxes(geta, -1, -2))
+    tre = geta[..., 0, 0] + geta[..., 1, 1]
+    sig_t = (2.0 * p.mu_s * de
+             + (p.lambda_s * tre - p.alpha_bw * w)[..., None, None] * eye)
+    sfn = np.einsum("fqij,fj->fqi", sig_f, n)
+    stn = np.einsum("fqij,fj->fqi", sig_t, n)
+    kgw = gw @ p.K.T
 
-        ref_f, _ = _trace_points(mesh, f, tf, s)
-        u, gu = _eval_vector_on(dm.velocity, u_full, tf, ref_f)
-        pf, _ = _eval_scalar_on(dm.pressure_f, pf_full, tf, ref_f)
+    def along(v, d):
+        return np.einsum("fqi,fi->fq", v, d)
 
-        ref_p, _ = _trace_points(mesh, f, tp, s)
-        etad, _ = _eval_vector_on(dm.displacement, th_full, tp, ref_p)
-        _, geta = _eval_vector_on(dm.displacement, eta_full, tp, ref_p)
-        w, gw = _eval_scalar_on(dm.pressure_p, w_full, tp, ref_p)
-
-        du = 0.5 * (gu + gu.transpose(0, 2, 1))
-        sig_f = 2.0 * p.mu_f * du - pf[:, None, None] * eye
-        de = 0.5 * (geta + geta.transpose(0, 2, 1))
-        tre = geta[:, 0, 0] + geta[:, 1, 1]
-        sig_t = (2.0 * p.mu_s * de
-                 + (p.lambda_s * tre - p.alpha_bw * w)[:, None, None] * eye)
-        sfn = sig_f @ n
-        stn = sig_t @ n
-        kgw = gw @ p.K.T
-
-        r_mass = (u - etad + kgw) @ n
-        r_nstr = sfn @ n + w
-        r_bjs = sfn @ tau + p.beta_slip * ((u - etad) @ tau)
-        r_cont = sfn - stn
-
-        wl = wq * length
-        acc["mass"] += float(wl @ r_mass ** 2)
-        acc["normal_stress"] += float(wl @ r_nstr ** 2)
-        acc["bjs"] += float(wl @ r_bjs ** 2)
-        acc["stress_continuity"] += float(wl @ np.sum(r_cont ** 2, axis=1))
-    return {key: math.sqrt(val) for key, val in acc.items()}
+    squares = {
+        "mass": along(u - etad + kgw, n) ** 2,
+        "normal_stress": (along(sfn, n) + w) ** 2,
+        "bjs": (along(sfn, tau) + p.beta_slip * along(u - etad, tau)) ** 2,
+        "stress_continuity": np.sum((sfn - stn) ** 2, axis=-1),
+    }
+    return {key: math.sqrt(float(np.sum(wl * sq)))
+            for key, sq in squares.items()}
 
 
 # ---------------------------------------------------------------------------

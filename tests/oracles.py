@@ -159,3 +159,36 @@ def interface_pressure_flux(mesh, dm, u_full, p_full, npts=12):
         length = mesh.facet_lengths([f])[0]
         total += length * (wts * wp * (uf @ n)).sum()
     return total
+
+
+def _outward_normal(mesh, facet, triangle):
+    """Unit normal of ``facet`` pointing away from the triangle's third vertex."""
+    a, b = mesh.facets[facet]
+    pa, pb = mesh.vertices[a], mesh.vertices[b]
+    (opposite,) = [v for v in mesh.triangles[triangle] if v not in (a, b)]
+    tangent = (pb - pa) / np.linalg.norm(pb - pa)
+    n = np.array([tangent[1], -tangent[0]])
+    if n @ (mesh.vertices[opposite] - pa) > 0.0:
+        n = -n
+    return n
+
+
+def facet_functional(mesh, space, coeffs, facets, tris, integrand, t,
+                     npts=12):
+    """sum_f int_f integrand(x, y, t, n, v) ds by direct Gauss quadrature.
+
+    ``v`` is the discrete field with full coefficients ``coeffs`` traced
+    from ``tris[f]`` ((nq, 2) for a vector space, (nq,) for a scalar one)
+    and ``n`` the unit normal pointing out of that triangle.
+    """
+    g, w = np.polynomial.legendre.leggauss(npts)
+    svals = 0.5 * (g + 1.0)
+    wts = 0.5 * w
+    trace = _trace_eval if hasattr(space, "scalar") else _scalar_trace_eval
+    total = 0.0
+    for f, tri in zip(facets, tris):
+        v, x = trace(mesh, space, coeffs, f, tri, svals)
+        n = _outward_normal(mesh, f, tri)
+        length = mesh.facet_lengths([f])[0]
+        total += length * (wts * integrand(x[:, 0], x[:, 1], t, n, v)).sum()
+    return total

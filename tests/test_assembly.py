@@ -5,13 +5,18 @@ import oracles
 from fpsi import mesh as meshmod
 from fpsi.assembly import (
     ExtraLoads,
+    _boundary_facet_tris,
     ParameterError,
     PhysicalParams,
     ProblemData,
     StateVector,
     assemble_loads,
     assemble_system,
+    facet_matrix,
+    load_facet_flux,
+    load_facet_normal_stress,
     load_facet_pressure_normal,
+    load_facet_vector,
     load_volume_scalar,
     load_volume_vector,
     mixed_div,
@@ -254,6 +259,61 @@ def test_inlet_pressure_load_totals():
     # n = (-1, 0) on the inlet, inlet length = 1/2
     assert load[:ns].sum() == pytest.approx(-0.5, rel=1e-13)
     assert abs(load[ns:]).max() < 1e-15
+
+
+def test_facet_loads_against_direct_quadrature():
+    m = build_rect_two_domain(4, 4, 0.5)
+    dm = build_dofmaps(m)
+    V, W, R = dm.velocity, dm.displacement, dm.pressure_p
+    t = 0.3
+    g = (parse_expression("sin(3*x)*cos(y + t)"),
+         parse_expression("exp(x*y) - t"))
+    S = ((parse_expression("cos(2*y) + x"), parse_expression("sin(x*y)")),
+         (parse_expression("sin(x*y)"), parse_expression("exp(-x) * y")))
+
+    def gdotv(x, y, t, n, v):
+        return g[0](x, y, t) * v[:, 0] + g[1](x, y, t) * v[:, 1]
+
+    def normal_stress(x, y, t, n, v):
+        snn = sum(n[a] * n[b] * S[a][b](x, y, t)
+                  for a in range(2) for b in range(2))
+        return snn * (v @ n)
+
+    def flux(x, y, t, n, r):
+        return (g[0](x, y, t) * n[0] + g[1](x, y, t) * n[1]) * r
+
+    # the oracle's 12-point Gauss rule, so non-polynomial data agree to
+    # round-off
+    order = 22
+    pext = m.facets_with_tag(meshmod.PORO_EXTERNAL)
+    psol = m.facets_with_tag(meshmod.PORO_SOLID)
+    cases = [
+        (load_facet_vector, V, m.interface_facets, m.interface_fluid_tri, g,
+         gdotv),
+        (load_facet_normal_stress, W, pext, _boundary_facet_tris(m, pext), S,
+         normal_stress),
+        (load_facet_flux, R, psol, _boundary_facet_tris(m, psol), g, flux),
+    ]
+    rng = np.random.default_rng(5)
+    for load, space, facets, tris, data, integrand in cases:
+        vec = load(space, facets, tris, data, t, order)
+        for _ in range(3):
+            coeffs = rng.standard_normal(space.ndof)
+            ref = oracles.facet_functional(m, space, coeffs, facets, tris,
+                                           integrand, t)
+            assert coeffs @ vec == pytest.approx(ref, rel=1e-12)
+
+
+def test_triangle_outside_the_space_is_rejected():
+    m = build_rect_two_domain(4, 4, 0.5)
+    dm = build_dofmaps(m)
+    fluid_tris = m.interface_fluid_tri
+    with pytest.raises(ValueError, match="not in the space's subdomain"):
+        facet_matrix(dm.velocity, dm.pressure_p, m.interface_facets,
+                     fluid_tris, fluid_tris, m.interface_normals)
+    with pytest.raises(ValueError, match="not in the space's subdomain"):
+        load_facet_vector(dm.displacement, m.interface_facets, fluid_tris,
+                          (ONE, ONE), t=0.0)
 
 
 def test_volume_load_resultant():

@@ -108,7 +108,7 @@ def test_infsup_constant_stable_under_refinement(blocks4, blocks8):
 
 
 def test_quotient_dense_and_sparse_paths_agree(blocks8):
-    A, B = cst._trace_pencils(blocks8)["T1"]
+    A, B = cst._trace_pencil(blocks8, "T1")
     dense = cst.quotient_max(A, B, dense_limit=10_000)
     sparse = cst.quotient_max(A, B, dense_limit=10)
     assert sparse == pytest.approx(dense, rel=1e-9)
