@@ -70,8 +70,6 @@ KIND_DESCRIPTIONS = {
     "Cj": "inlet lifting constant (H1 of extension vs trace energy)",
 }
 
-DENSE_EIG_LIMIT = 1500
-
 
 class ConstantError(RuntimeError):
     """Raised when an estimator cannot produce a trustworthy value."""
@@ -92,24 +90,23 @@ class ConstantEstimate:
             raise ValueError(f"unknown constant kind {self.kind!r}")
 
 
-def quotient_max(A, B, dense_limit=DENSE_EIG_LIMIT):
+def quotient_max(A, B):
     """Largest lambda of A x = lambda B x (A sym PSD, B sym PD).
 
-    Dense pencils are solved exactly; larger ones with a Lanczos
-    iteration started from the constant vector so the result is
-    deterministic.
+    A sparse pencil is solved by implicitly restarted Lanczos (ARPACK)
+    started from the constant vector, a dense one (the small Schur
+    complements) by LAPACK's ``eigh``.  ARPACK restarts from a random
+    vector once the Krylov space fills a tiny pencil (2 x 2 mesh), so its
+    seed is fixed to keep reruns bitwise equal.
     """
-    n = B.shape[0]
     if A.shape != B.shape:
         raise ValueError("pencil matrices must have matching shapes")
-    if n <= dense_limit:
-        Ad = A.toarray() if sp.issparse(A) else np.asarray(A)
-        Bd = B.toarray() if sp.issparse(B) else np.asarray(B)
-        ev = la.eigh(Ad, Bd, eigvals_only=True)
-        return float(ev[-1])
-    vals = spla.eigsh(A.tocsc(), k=1, M=B.tocsc(), which="LA",
-                      v0=np.ones(n), return_eigenvectors=False)
-    return float(vals[0])
+    if sp.issparse(A) and sp.issparse(B):
+        vals = spla.eigsh(A.tocsc(), k=1, M=B.tocsc(), which="LA",
+                          v0=np.ones(B.shape[0]), rng=0,
+                          return_eigenvectors=False)
+        return float(vals[0])
+    return float(la.eigh(A, B, eigvals_only=True)[-1])
 
 
 def quotient_min(A, B, zero_tol=1e-12):
@@ -118,9 +115,7 @@ def quotient_min(A, B, zero_tol=1e-12):
     Raises ConstantError when the pencil has a (numerically) zero mode,
     since the corresponding inf-sup constant would then be meaningless.
     """
-    Ad = A.toarray() if sp.issparse(A) else np.asarray(A)
-    Bd = B.toarray() if sp.issparse(B) else np.asarray(B)
-    ev = la.eigh(Ad, Bd, eigvals_only=True)
+    ev = la.eigh(A, B, eigvals_only=True)
     if ev[-1] <= 0.0 or ev[0] <= zero_tol * ev[-1]:
         raise ConstantError(
             f"pencil has a numerically zero mode (min {ev[0]:.3e}, "
@@ -254,7 +249,7 @@ class _QuarticForm:
         return value, gfull[self.free]
 
 
-def sobolev_l4_constant(blocks, seed=0, starts=20, maxit=400, order=8):
+def sobolev_l4_constant(blocks, seed=0, starts=0, maxit=400, order=8):
     """max |v|_{L4} / |grad v|_{L2} over the discrete velocity space.
 
     The quartic functional Q(z) = |v|_{L4}^4 is convex, so the
@@ -262,9 +257,10 @@ def sobolev_l4_constant(blocks, seed=0, starts=20, maxit=400, order=8):
     maximiser ``K^-1 grad Q / |.|_K`` of its linearisation -- is a
     guaranteed monotone ascent: Q(w) >= Q(z) + g.(w - z) and w maximises
     g.w over the sphere.  One deterministic smooth start (the constant-load
-    stiffness solve) is always used, plus ``starts`` seeded random states;
-    the best value gives ``Sf = Q^(1/4)``, a certified lower bound of the
-    discrete supremum.
+    stiffness solve) is always used; ``starts > 0`` opts in to that many
+    extra random states drawn from ``seed`` (on the meshes tested they
+    gained at most round-off).  The best value gives ``Sf = Q^(1/4)``, a
+    certified lower bound of the discrete supremum.
     """
     V = blocks.dm.velocity
     K = restrict(blocks.raw["stiff_u"], V, V)
@@ -330,7 +326,7 @@ def infsup_constant(blocks):
     X = spla.splu(H).solve(G.T.toarray())
     S = G @ X
     S = 0.5 * (S + S.T)
-    Mq = restrict(blocks.raw["mass_q"], Q, Q)
+    Mq = restrict(blocks.raw["mass_q"], Q, Q).toarray()
     lam = quotient_min(S, Mq)
     return float(np.sqrt(lam))
 
@@ -363,37 +359,38 @@ def _trace_pencil(blocks, kind):
     raise ValueError(f"unknown constant kind {kind!r}")
 
 
-def estimate(kind, blocks, level=0, seed=0, sf_starts=20, sf_maxit=400):
-    """Estimate one constant on an assembled system."""
+def estimate(kind, blocks, level=0, seed=0, sf_starts=0, sf_maxit=400):
+    """Estimate one constant on an assembled system.
+
+    ``meta["method"]`` records the path taken: ``eigsh`` (sparse Lanczos on
+    the assembled pencil), ``schur+eigh`` (dense ``eigh`` on a Schur
+    complement) or ``ascent`` (the Sobolev quotient).
+    """
     if kind not in CONSTANT_KINDS:
         raise ValueError(f"unknown constant kind {kind!r}")
     dm = blocks.dm
-    meta = {"description": KIND_DESCRIPTIONS[kind]}
+    meta = {"description": KIND_DESCRIPTIONS[kind], "method": "schur+eigh"}
     if kind == "Sf":
         value, iters = sobolev_l4_constant(blocks, seed=seed,
                                            starts=sf_starts, maxit=sf_maxit)
-        meta.update(starts=sf_starts, best_iterations=iters)
-        return ConstantEstimate(kind, value, level, dm.velocity.n_free, meta)
-    if kind == "Kappa":
-        value = infsup_constant(blocks)
-        return ConstantEstimate(kind, value, level, dm.pressure_f.n_free,
-                                meta)
-    if kind == "Cj":
+        dofs = dm.velocity.n_free
+        meta.update(method="ascent", starts=sf_starts, best_iterations=iters)
+    elif kind == "Kappa":
+        value, dofs = infsup_constant(blocks), dm.pressure_f.n_free
+    elif kind == "Cj":
         lifting = InletLifting(dm.mesh)
-        meta.update(inlet_dofs=len(lifting.inlet_dofs))
-        return ConstantEstimate(kind, lifting.cj, level,
-                                len(lifting.inlet_dofs), meta)
-    if kind == "T3":
-        value, ntrace = pore_trace_constant(blocks)
-        meta.update(trace_dofs=ntrace)
-        return ConstantEstimate(kind, value, level, ntrace, meta)
-    A, B = _trace_pencil(blocks, kind)
-    value = float(np.sqrt(quotient_max(A, B)))
-    return ConstantEstimate(kind, value, level, B.shape[0], meta)
+        value, dofs = lifting.cj, len(lifting.inlet_dofs)
+    elif kind == "T3":
+        value, dofs = pore_trace_constant(blocks)
+    else:
+        A, B = _trace_pencil(blocks, kind)
+        value, dofs = float(np.sqrt(quotient_max(A, B))), B.shape[0]
+        meta.update(method="eigsh")
+    return ConstantEstimate(kind, value, level, dofs, meta)
 
 
 def estimate_all(blocks, level=0, kinds=CONSTANT_KINDS, seed=0,
-                 sf_starts=20, sf_maxit=400):
+                 sf_starts=0, sf_maxit=400):
     """Estimate several constants on one assembled system."""
     return [estimate(kind, blocks, level=level, seed=seed,
                      sf_starts=sf_starts, sf_maxit=sf_maxit)
@@ -401,7 +398,7 @@ def estimate_all(blocks, level=0, kinds=CONSTANT_KINDS, seed=0,
 
 
 def report(levels, split=0.5, params=None, kinds=CONSTANT_KINDS, seed=0,
-           sf_starts=20, sf_maxit=400):
+           sf_starts=0, sf_maxit=400):
     """Estimate all requested constants on a sequence of n x n meshes.
 
     Returns a flat list of estimates ordered level-major so successive

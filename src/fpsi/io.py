@@ -68,14 +68,16 @@ def _parse_cell(text):
 # ---------------------------------------------------------------------------
 
 def write_constants(path, estimates):
-    """Write a list of :class:`ConstantEstimate` as CSV."""
+    """Write :class:`ConstantEstimate` rows as CSV, ``meta["method"]`` last."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["kind", "value", "mesh_level", "dofs", "description"])
+        writer.writerow(["kind", "value", "mesh_level", "dofs", "description",
+                         "method"])
         for est in estimates:
             writer.writerow([est.kind, _fmt(float(est.value)),
                              est.mesh_level, est.dofs,
-                             KIND_DESCRIPTIONS[est.kind]])
+                             KIND_DESCRIPTIONS[est.kind],
+                             est.meta.get("method", "")])
 
 
 def read_constants(path):

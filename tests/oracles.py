@@ -2,11 +2,12 @@
 
 Everything here is deliberately written against a different code path than
 the package: element matrices come from exact symbolic integration, trace
-integrals from a hand-rolled Gauss loop.  Tests compare the production
-assembly against these.
+integrals from a hand-rolled Gauss loop, extremal pencil eigenvalues from a
+dense LAPACK solve.  Tests compare the production code against these.
 """
 
 import numpy as np
+import scipy.linalg as la
 import sympy as sym
 
 from fpsi import mesh as meshmod
@@ -192,3 +193,8 @@ def facet_functional(mesh, space, coeffs, facets, tris, integrand, t,
         length = mesh.facet_lengths([f])[0]
         total += length * (wts * integrand(x[:, 0], x[:, 1], t, n, v)).sum()
     return total
+
+
+def dense_quotient_max(A, B):
+    """Largest lambda of the sparse pencil A x = lambda B x, densely."""
+    return float(la.eigh(A.toarray(), B.toarray(), eigvals_only=True)[-1])

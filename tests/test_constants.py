@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+import oracles
 from fpsi import constants as cst
 from fpsi import mesh as meshmod
 from fpsi.assembly import PhysicalParams, assemble_system, restrict
@@ -107,15 +109,53 @@ def test_infsup_constant_stable_under_refinement(blocks4, blocks8):
     assert k8 >= 0.95 * k4
 
 
-def test_quotient_dense_and_sparse_paths_agree(blocks8):
-    A, B = cst._trace_pencil(blocks8, "T1")
-    dense = cst.quotient_max(A, B, dense_limit=10_000)
-    sparse = cst.quotient_max(A, B, dense_limit=10)
-    assert sparse == pytest.approx(dense, rel=1e-9)
+PENCIL_KINDS = ("T1", "T2", "T4", "T5", "P1c", "P2c", "P3c", "Kf")
+
+
+def test_quotient_dense_and_sparse_paths_agree(blocks4, blocks8):
+    """Lanczos on every sparse pencil matches the dense LAPACK oracle."""
+    for blocks in (blocks4, blocks8):
+        for kind in PENCIL_KINDS:
+            A, B = cst._trace_pencil(blocks, kind)
+            assert sp.issparse(A) and sp.issparse(B), kind
+            assert cst.quotient_max(A, B) == pytest.approx(
+                oracles.dense_quotient_max(A, B), rel=1e-9), (kind, B.shape)
+
+
+def test_quotient_max_reproducible_when_lanczos_fills_the_space():
+    """On 2x2-mesh pencils ARPACK restarts from a random vector."""
+    mesh = meshmod.build_rect_two_domain(2, 2, 0.5)
+    blocks = assemble_system(mesh, PhysicalParams(), convection=False)
+    for kind in ("T1", "T2", "P1c"):
+        A, B = cst._trace_pencil(blocks, kind)
+        assert len({cst.quotient_max(A, B) for _ in range(8)}) == 1, kind
+
+
+def test_estimate_all_takes_the_sparse_path_and_one_sobolev_start(
+        blocks8, monkeypatch):
+    """Dense eigh only for the three Schur complements; Sf from one start."""
+    calls = {"eigh": 0, "eigsh": 0}
+
+    def counted(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(cst.la, "eigh")
+    counted(cst.spla, "eigsh")
+    ests = {e.kind: e for e in cst.estimate_all(blocks8, level=8)}
+    assert calls == {"eigh": 3, "eigsh": 8}
+    assert ests["Sf"].meta["starts"] == 0
+    assert {k: e.meta["method"] for k, e in ests.items()} == {
+        **{k: "eigsh" for k in PENCIL_KINDS},
+        "T3": "schur+eigh", "Kappa": "schur+eigh", "Cj": "schur+eigh",
+        "Sf": "ascent"}
 
 
 def test_quotient_max_validates_shapes():
-    import scipy.sparse as sp
     with pytest.raises(ValueError, match="matching shapes"):
         cst.quotient_max(sp.eye(3).tocsr(), sp.eye(4).tocsr())
 

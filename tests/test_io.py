@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 
@@ -51,8 +52,11 @@ def _zero_state(dm):
 # ---------------------------------------------------------------------------
 
 def test_constants_round_trip(tmp_path):
-    estimates = [ConstantEstimate(kind, 0.1 * (i + 1) * math.pi, 8, 100 + i)
-                 for i, kind in enumerate(CONSTANT_KINDS)]
+    # the last estimate carries no method, as one read from a table
+    methods = ["eigsh", "schur+eigh", "ascent"] * 3 + ["eigsh", "eigsh", ""]
+    estimates = [ConstantEstimate(kind, 0.1 * (i + 1) * math.pi, 8, 100 + i,
+                                  {"method": m} if m else {})
+                 for i, (kind, m) in enumerate(zip(CONSTANT_KINDS, methods))]
     path = tmp_path / "constants.csv"
     fio.write_constants(path, estimates)
     back = fio.read_constants(path)
@@ -61,6 +65,10 @@ def test_constants_round_trip(tmp_path):
         assert loaded.value == orig.value  # repr() round-trips exactly
         assert loaded.mesh_level == orig.mesh_level
         assert loaded.dofs == orig.dofs
+    with open(path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert list(rows[0])[-1] == "method"
+    assert [row["method"] for row in rows] == methods
 
 
 def test_constants_reader_rejects_foreign_tables(tmp_path):
