@@ -43,7 +43,7 @@ from .assembly import ParameterError, PhysicalParams, ProblemData, assemble_syst
 from .constants import estimate_all
 from .expressions import ExpressionError, parse_expression
 from .mesh import MeshFormatError, build_rect_two_domain, read_mesh, validate
-from .monitor import check_small_data, energy_report
+from .monitor import DataFunctionals, check_small_data, energy_report
 from .timestepper import SchemeConfig, StepError
 from .timestepper import run as run_scheme
 from .verify import CASE_IDS, StudyError, convergence_study
@@ -355,7 +355,13 @@ def _cmd_run(ns):
 
     report = None
     if cfg.emit_certificate:
-        report = energy_report(traj, blocks, cfg.data, constants,
+        # the certificate reuses the inlet lifting that estimated Cj; a
+        # constants table carries none, so DataFunctionals builds its own
+        lifting = next((e.meta["lifting"] for e in constants
+                        if "lifting" in e.meta), None)
+        funcs = DataFunctionals(mesh, blocks.params, cfg.data, constants,
+                                lifting=lifting)
+        report = energy_report(traj, blocks, cfg.data, constants, funcs=funcs,
                                newton_tol=cfg.scheme.newton_tol,
                                load_order=cfg.scheme.load_order)
         fio.write_certificate(os.path.join(outdir, "certificate.csv"),

@@ -2,16 +2,19 @@
 
 Every constant is realised as the square root of an extremal generalised
 eigenvalue ``A x = lambda B x`` over a discrete space, except ``Sf`` (a
-quartic/quadratic quotient maximised by projected gradient ascent) and the
-two lifted trace norms (``Cj``, ``T3``) which involve a Schur complement.
+quartic/quadratic quotient maximised by projected gradient ascent).  Every
+pencil on a mesh-sized space is solved by one Lanczos routine (ARPACK
+``eigsh``); only ``Cj``, whose pencil lives on the inlet trace dofs (one of
+them on a 2 x 2 mesh, too few for ARPACK), is solved by LAPACK ``eigh``.
 
 ========  ==================================================================
 kind      quotient (constant = sqrt of extremal value)
 ========  ==================================================================
 T1        velocity interface trace:   |v|_{L2(I)}^2   / |v|_{H1(F)}^2
 T2        velocity inlet trace:       |v|_{L2(in)}^2  / |v|_{H1(F)}^2
-T3        pore-pressure interface trace against the interface-trace energy
-          (Schur complement of the pore stiffness), 1 + max eig
+T3        pore-pressure interface trace against the trace energy,
+          1 + max |r|_{L2(I)}^2 / |grad r|_{L2(P)}^2 (the minimum over
+          extensions of a trace, so no Schur complement is formed)
 T4        pore-pressure interface trace: |r|_{L2(I)}^2 / |r|_{H1(P)}^2
 T5        displacement interface trace: |xi|_{L2(I)}^2 / |xi|_{H1(P)}^2
 P1c       velocity Poincare:          |v|_{L2}^2 / |grad v|_{L2}^2
@@ -20,9 +23,10 @@ P3c       pore-pressure Poincare:     |r|_{L2}^2 / |grad r|_{L2}^2
 Sf        L4 Sobolev embedding:       max |v|_{L4} / |grad v|_{L2}
 Kf        Korn-type:                  |grad v|_{L2}^2 / |D(v)|_{L2}^2
 Kappa     inf-sup of the divergence coupling (minimal eigenvalue of the
-          pressure Schur complement against the pressure mass)
+          pressure Schur complement, applied matrix-free, against the
+          pressure mass)
 Cj        inlet lifting: harmonic zero-extension of inlet traces,
-          1 + max eig of lifted mass against lifted stiffness
+          1 + max eig of lifted mass against lifted stiffness (dense)
 ========  ==================================================================
 
 All quotients are taken over the constrained (free) degrees of freedom of
@@ -90,37 +94,43 @@ class ConstantEstimate:
             raise ValueError(f"unknown constant kind {self.kind!r}")
 
 
-def quotient_max(A, B):
-    """Largest lambda of A x = lambda B x (A sym PSD, B sym PD).
+def _lanczos(A, B, which):
+    """One extremal lambda of A x = lambda B x by Lanczos (ARPACK mode 2).
 
-    A sparse pencil is solved by implicitly restarted Lanczos (ARPACK)
-    started from the constant vector, a dense one (the small Schur
-    complements) by LAPACK's ``eigh``.  ARPACK restarts from a random
-    vector once the Krylov space fills a tiny pencil (2 x 2 mesh), so its
-    seed is fixed to keep reruns bitwise equal.
+    ``A`` may be a matrix or a LinearOperator; ARPACK factors ``B`` to
+    apply its inverse.  The iteration starts from the constant
+    vector, and ARPACK restarts from a random vector once the Krylov space
+    fills a tiny pencil (2 x 2 mesh), so its seed is fixed to keep reruns
+    bitwise equal.
+    """
+    vals = spla.eigsh(A, k=1, M=B, which=which, v0=np.ones(B.shape[0]),
+                      rng=0, return_eigenvectors=False)
+    return float(vals[0])
+
+
+def quotient_max(A, B):
+    """Largest lambda of the sparse pencil A x = lambda B x.
+
+    A is symmetric positive semidefinite and B symmetric positive definite.
     """
     if A.shape != B.shape:
         raise ValueError("pencil matrices must have matching shapes")
-    if sp.issparse(A) and sp.issparse(B):
-        vals = spla.eigsh(A.tocsc(), k=1, M=B.tocsc(), which="LA",
-                          v0=np.ones(B.shape[0]), rng=0,
-                          return_eigenvectors=False)
-        return float(vals[0])
-    return float(la.eigh(A, B, eigvals_only=True)[-1])
+    return _lanczos(A.tocsc(), B.tocsc(), "LA")
 
 
 def quotient_min(A, B, zero_tol=1e-12):
-    """Smallest lambda of the dense pencil A x = lambda B x.
+    """Smallest lambda of the pencil A x = lambda B x (A may be matrix-free).
 
     Raises ConstantError when the pencil has a (numerically) zero mode,
-    since the corresponding inf-sup constant would then be meaningless.
+    since the corresponding inf-sup constant would then be meaningless;
+    the largest lambda, found by a second Lanczos run, sets the scale.
     """
-    ev = la.eigh(A, B, eigvals_only=True)
-    if ev[-1] <= 0.0 or ev[0] <= zero_tol * ev[-1]:
+    lo, hi = _lanczos(A, B, "SA"), _lanczos(A, B, "LA")
+    if hi <= 0.0 or lo <= zero_tol * hi:
         raise ConstantError(
-            f"pencil has a numerically zero mode (min {ev[0]:.3e}, "
-            f"max {ev[-1]:.3e})")
-    return float(ev[0])
+            f"pencil has a numerically zero mode (min {lo:.3e}, "
+            f"max {hi:.3e})")
+    return lo
 
 
 def _facet_mass(space, facets, tris, order=DEFAULT_FACET_ORDER):
@@ -132,33 +142,13 @@ def _facet_mass(space, facets, tris, order=DEFAULT_FACET_ORDER):
     return sp.block_diag([m, m]).tocsr()
 
 
-def _interface_trace_positions(space):
-    """Positions (within ``space.free``) of the free interface dofs."""
+def _free_interface_dof_count(space):
+    """Number of free dofs of ``space`` on the interface."""
     trace = space.facet_dofs(space.mesh.interface_facets)
-    trace = trace[np.isin(trace, space.free)]
-    if len(trace) == 0:
+    count = int(np.count_nonzero(np.isin(trace, space.free)))
+    if count == 0:
         raise ConstantError("no free interface dofs on this space")
-    pos = np.searchsorted(space.free, trace)
-    return trace, pos
-
-
-def _schur_onto(K, pos):
-    """Dense Schur complement of csr matrix ``K`` onto index set ``pos``.
-
-    ``S = K_tt - K_ti K_ii^-1 K_it`` for the partition t = ``pos``,
-    i = the remaining indices.
-    """
-    n = K.shape[0]
-    mask = np.zeros(n, dtype=bool)
-    mask[pos] = True
-    rest = np.flatnonzero(~mask)
-    Ktt = K[pos][:, pos].toarray()
-    Kti = K[pos][:, rest].tocsr()
-    Kit = K[rest][:, pos].toarray()
-    Kii = K[rest][:, rest].tocsc()
-    X = spla.splu(Kii).solve(Kit)
-    S = Ktt - Kti @ X
-    return 0.5 * (S + S.T)
+    return count
 
 
 class InletLifting:
@@ -204,7 +194,8 @@ class InletLifting:
         self.inlet_coords = space.dof_coords[inlet]
         self.S00 = 0.5 * (S00 + S00.T)
         self._M00 = 0.5 * (M00 + M00.T)
-        self.cj = float(np.sqrt(1.0 + quotient_max(self._M00, self.S00)))
+        lam = la.eigh(self._M00, self.S00, eigvals_only=True)[-1]
+        self.cj = float(np.sqrt(1.0 + lam))
 
     def norm00(self, values):
         """Trace norm of inlet values given at ``inlet_coords``."""
@@ -298,37 +289,21 @@ def sobolev_l4_constant(blocks, seed=0, starts=0, maxit=400, order=8):
     return float(best ** 0.25), best_iters
 
 
-def pore_trace_constant(blocks, facet_order=DEFAULT_FACET_ORDER):
-    """Lifted interface trace constant of the pore pressure space (T3)."""
-    mesh = blocks.dm.mesh
-    R = blocks.dm.pressure_p
-    Kfree = restrict(blocks.raw["stiff_p"], R, R)
-    trace, pos = _interface_trace_positions(R)
-    S = _schur_onto(Kfree, pos)
-    mg = _facet_mass(R, mesh.interface_facets, mesh.interface_poro_tri,
-                     facet_order)
-    Mfree = restrict(mg, R, R)
-    Mtt = Mfree[pos][:, pos].toarray()
-    value = float(np.sqrt(1.0 + quotient_max(Mtt, S)))
-    return value, len(trace)
-
-
 def infsup_constant(blocks):
     """Smallest eigenvalue sqrt of the pressure Schur complement pencil.
 
     The Schur complement ``G H^-1 G^T`` of the divergence coupling against
-    the full H1 velocity matrix is formed densely (the pressure space is
-    small) and compared with the pressure mass matrix.
+    the full H1 velocity matrix is applied matrix-free, from one
+    factorisation of ``H``, and compared with the pressure mass matrix.
     """
-    Q, V = blocks.dm.pressure_f, blocks.dm.velocity
+    Q = blocks.dm.pressure_f
     G = blocks.Gdiv
-    H = blocks.h1_u.tocsc()
-    X = spla.splu(H).solve(G.T.toarray())
-    S = G @ X
-    S = 0.5 * (S + S.T)
-    Mq = restrict(blocks.raw["mass_q"], Q, Q).toarray()
-    lam = quotient_min(S, Mq)
-    return float(np.sqrt(lam))
+    GT = G.T
+    H = spla.splu(blocks.h1_u.tocsc())
+    S = spla.LinearOperator((G.shape[0], G.shape[0]), dtype=float,
+                            matvec=lambda v: G @ H.solve(GT @ v))
+    Mq = restrict(blocks.raw["mass_q"], Q, Q).tocsc()
+    return float(np.sqrt(quotient_min(S, Mq)))
 
 
 def _trace_pencil(blocks, kind):
@@ -362,14 +337,15 @@ def _trace_pencil(blocks, kind):
 def estimate(kind, blocks, level=0, seed=0, sf_starts=0, sf_maxit=400):
     """Estimate one constant on an assembled system.
 
-    ``meta["method"]`` records the path taken: ``eigsh`` (sparse Lanczos on
-    the assembled pencil), ``schur+eigh`` (dense ``eigh`` on a Schur
-    complement) or ``ascent`` (the Sobolev quotient).
+    ``meta["method"]`` records the path taken: ``eigsh`` (Lanczos on a
+    mesh-sized pencil), ``eigh`` (dense LAPACK on the inlet trace pencil of
+    ``Cj``) or ``ascent`` (the Sobolev quotient).  ``Cj`` also leaves its
+    :class:`InletLifting` in ``meta["lifting"]`` for the certificate.
     """
     if kind not in CONSTANT_KINDS:
         raise ValueError(f"unknown constant kind {kind!r}")
     dm = blocks.dm
-    meta = {"description": KIND_DESCRIPTIONS[kind], "method": "schur+eigh"}
+    meta = {"description": KIND_DESCRIPTIONS[kind], "method": "eigsh"}
     if kind == "Sf":
         value, iters = sobolev_l4_constant(blocks, seed=seed,
                                            starts=sf_starts, maxit=sf_maxit)
@@ -380,12 +356,19 @@ def estimate(kind, blocks, level=0, seed=0, sf_starts=0, sf_maxit=400):
     elif kind == "Cj":
         lifting = InletLifting(dm.mesh)
         value, dofs = lifting.cj, len(lifting.inlet_dofs)
+        meta.update(method="eigh", lifting=lifting)
     elif kind == "T3":
-        value, dofs = pore_trace_constant(blocks)
+        # the trace energy of t is the least pore stiffness energy over the
+        # extensions of t, so the interface mass against the whole free
+        # pore stiffness has the top eigenvalue of the trace pencil
+        R = dm.pressure_p
+        dofs = _free_interface_dof_count(R)
+        A = _trace_pencil(blocks, "T4")[0]
+        K = restrict(blocks.raw["stiff_p"], R, R)
+        value = float(np.sqrt(1.0 + quotient_max(A, K)))
     else:
         A, B = _trace_pencil(blocks, kind)
         value, dofs = float(np.sqrt(quotient_max(A, B))), B.shape[0]
-        meta.update(method="eigsh")
     return ConstantEstimate(kind, value, level, dofs, meta)
 
 

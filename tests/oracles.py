@@ -3,7 +3,9 @@
 Everything here is deliberately written against a different code path than
 the package: element matrices come from exact symbolic integration, trace
 integrals from a hand-rolled Gauss loop, extremal pencil eigenvalues from a
-dense LAPACK solve.  Tests compare the production code against these.
+dense LAPACK solve (on explicitly formed Schur complements where the package
+works matrix-free or on the full space).  Tests compare the production code
+against these.
 """
 
 import numpy as np
@@ -11,6 +13,7 @@ import scipy.linalg as la
 import sympy as sym
 
 from fpsi import mesh as meshmod
+from fpsi.assembly import facet_matrix, restrict
 from fpsi.fem import basis_eval
 from fpsi.mesh import Mesh
 
@@ -198,3 +201,34 @@ def facet_functional(mesh, space, coeffs, facets, tris, integrand, t,
 def dense_quotient_max(A, B):
     """Largest lambda of the sparse pencil A x = lambda B x, densely."""
     return float(la.eigh(A.toarray(), B.toarray(), eigvals_only=True)[-1])
+
+
+def dense_pore_trace_constant(blocks):
+    """T3 from the dense Schur complement of the free pore stiffness.
+
+    ``S = K_tt - K_ti K_ii^-1 K_it`` onto the free interface trace dofs t,
+    then ``sqrt(1 + max eig(M_tt, S))`` with the interface trace mass.
+    """
+    mesh = blocks.dm.mesh
+    R = blocks.dm.pressure_p
+    K = restrict(blocks.raw["stiff_p"], R, R).toarray()
+    tris = mesh.interface_poro_tri
+    M = restrict(facet_matrix(R, R, mesh.interface_facets, tris, tris),
+                 R, R).toarray()
+    trace = R.facet_dofs(mesh.interface_facets)
+    t = np.searchsorted(R.free, trace[np.isin(trace, R.free)])
+    i = np.setdiff1d(np.arange(len(R.free)), t)
+    S = K[np.ix_(t, t)] - K[np.ix_(t, i)] @ la.solve(K[np.ix_(i, i)],
+                                                     K[np.ix_(i, t)])
+    lam = la.eigh(M[np.ix_(t, t)], 0.5 * (S + S.T), eigvals_only=True)[-1]
+    return float(np.sqrt(1.0 + lam))
+
+
+def dense_infsup_constant(blocks):
+    """Kappa from the dense pressure Schur complement ``G H^-1 G^T``."""
+    Q = blocks.dm.pressure_f
+    G = blocks.Gdiv.toarray()
+    S = G @ la.solve(blocks.h1_u.toarray(), G.T)
+    Mq = restrict(blocks.raw["mass_q"], Q, Q).toarray()
+    lam = la.eigh(0.5 * (S + S.T), Mq, eigvals_only=True)[0]
+    return float(np.sqrt(lam))

@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from fpsi import cli, io as fio
+from fpsi import cli, constants as cst, io as fio
 from fpsi.cli import ConfigError, RunConfig, main, parse_config
 from fpsi.constants import CONSTANT_KINDS, ConstantEstimate
 from fpsi.mesh import build_rect_two_domain, write_mesh
@@ -375,3 +375,77 @@ def test_mms_solver_failure_exits_two(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cli, "convergence_study", failing_study)
     assert main(["mms", "smooth-trig", "3", "--out", str(tmp_path)]) == 2
     assert "solver failure" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# golden values of the README example (16 x 16, Euler, 100 steps)
+# ---------------------------------------------------------------------------
+
+README_EXAMPLE = """\
+[mesh]
+nx = 16
+ny = 16
+split = 0.5
+
+[data]
+f_f_x = 0.4*sin(pi*x)*cos(t)
+f_f_y = 0.2*cos(pi*y)*sin(t)
+f_p   = 0.3*cos(pi*x)*cos(t)
+p_in  = 0.2*(1 + 0.5*sin(t))
+
+[scheme]
+scheme  = euler
+dt      = 0.005
+t_final = 0.5
+"""
+
+GOLDEN_CONSTANTS = {
+    "T1": 0.6797919890227416, "T2": 0.5514913932138803,
+    "T3": 1.160629050944669, "T4": 0.571504104910528,
+    "T5": 0.6797919890227359, "P1c": 0.31830956282483164,
+    "P2c": 0.31830956282483047, "P3c": 0.3183095672733596,
+    "Sf": 0.44412617636491236, "Kf": 2.931815027794804,
+    "Kappa": 0.6137355609949448, "Cj": 1.0063131187387002,
+}
+GOLDEN_SUMMARY = {
+    "c3": 0.4903747510465406, "final_energy": 0.0007837550570100786,
+    "max_du_norm": 0.06774287904433793,
+    "total_dissipation": 0.0037936157040942106,
+}
+GOLDEN_FLAGS = {
+    "identity_ok": True, "mainbound1_ok": True, "mb2_root_ok": False,
+    "mb2_squared_ok": False, "dumbound_ok": False, "pfbound_ok": True,
+    "pfbound_linf_ok": True, "uniqueness_ok": True,
+    "gronwall_premise_ok": True, "gronwall_conclusion_ok": True,
+}
+
+
+def test_readme_example_golden_values(tmp_path, monkeypatch, capsys):
+    """The documented example keeps its constants, summary and flags, and
+    the certificate reuses the Cj estimator's inlet lifting (the only dense
+    eigen-solve of the run)."""
+    eigh_calls = []
+    eigh = cst.la.eigh
+
+    def counted(*args, **kwargs):
+        eigh_calls.append(1)
+        return eigh(*args, **kwargs)
+    monkeypatch.setattr(cst.la, "eigh", counted)
+    monkeypatch.chdir(tmp_path)
+    path = _config(tmp_path, README_EXAMPLE)
+    assert main(["run", path]) == 0
+    assert "completed 100 steps" in capsys.readouterr().out
+    assert len(eigh_calls) == 1
+
+    constants = {e.kind: e.value
+                 for e in fio.read_constants(tmp_path / "out/constants.csv")}
+    assert set(constants) == set(GOLDEN_CONSTANTS)
+    for kind, value in GOLDEN_CONSTANTS.items():
+        assert constants[kind] == pytest.approx(value, rel=1e-10), kind
+    summary = json.loads(
+        (tmp_path / "out/certificate_summary.json").read_text())
+    assert summary["n_steps"] == 100
+    for key, value in GOLDEN_SUMMARY.items():
+        assert summary[key] == pytest.approx(value, rel=1e-8), key
+    assert {k: v for k, v in summary.items() if k.endswith("_ok")} \
+        == GOLDEN_FLAGS

@@ -1,5 +1,7 @@
 """Tests for the stability-constant estimators."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -133,7 +135,7 @@ def test_quotient_max_reproducible_when_lanczos_fills_the_space():
 
 def test_estimate_all_takes_the_sparse_path_and_one_sobolev_start(
         blocks8, monkeypatch):
-    """Dense eigh only for the three Schur complements; Sf from one start."""
+    """Dense eigh only for the inlet lifting (Cj); Sf from one start."""
     calls = {"eigh": 0, "eigsh": 0}
 
     def counted(module, name):
@@ -147,12 +149,36 @@ def test_estimate_all_takes_the_sparse_path_and_one_sobolev_start(
     counted(cst.la, "eigh")
     counted(cst.spla, "eigsh")
     ests = {e.kind: e for e in cst.estimate_all(blocks8, level=8)}
-    assert calls == {"eigh": 3, "eigsh": 8}
+    # eight plain pencils, T3, and Kappa's smallest and largest eigenvalue
+    assert calls == {"eigh": 1, "eigsh": 11}
     assert ests["Sf"].meta["starts"] == 0
     assert {k: e.meta["method"] for k, e in ests.items()} == {
         **{k: "eigsh" for k in PENCIL_KINDS},
-        "T3": "schur+eigh", "Kappa": "schur+eigh", "Cj": "schur+eigh",
-        "Sf": "ascent"}
+        "T3": "eigsh", "Kappa": "eigsh", "Cj": "eigh", "Sf": "ascent"}
+    assert isinstance(ests["Cj"].meta["lifting"], cst.InletLifting)
+
+
+@pytest.mark.parametrize("n", (2, 4, 8))
+def test_trace_and_infsup_constants_match_dense_schur_oracles(n):
+    """T3 without a Schur complement and matrix-free Kappa agree with the
+    dense Schur complements they replace (Kappa on 2 x 2 has 6 dofs)."""
+    mesh = meshmod.build_rect_two_domain(n, n, 0.5)
+    blocks = assemble_system(mesh, PhysicalParams(), convection=False)
+    t3 = cst.estimate("T3", blocks)
+    assert t3.value == pytest.approx(
+        oracles.dense_pore_trace_constant(blocks), rel=1e-12)
+    assert t3.dofs == 2 * n - 1
+    assert cst.estimate("Kappa", blocks).value == pytest.approx(
+        oracles.dense_infsup_constant(blocks), rel=1e-12)
+
+
+def test_infsup_detects_matrix_free_zero_mode(blocks4):
+    """G H^-1 G^T loses a pressure dof when its row of G is zeroed."""
+    keep = np.ones(blocks4.Gdiv.shape[0])
+    keep[len(keep) // 2] = 0.0
+    broken = dataclasses.replace(blocks4, Gdiv=sp.diags(keep) @ blocks4.Gdiv)
+    with pytest.raises(cst.ConstantError, match="zero mode"):
+        cst.estimate("Kappa", broken)
 
 
 def test_quotient_max_validates_shapes():

@@ -161,7 +161,8 @@ def test_format_convergence_mentions_rates():
 
 def _read_vtk(path):
     """Parse the emitted file back into plain arrays, section by section."""
-    lines = open(path).read().splitlines()
+    with open(path) as fh:
+        lines = fh.read().splitlines()
     assert lines[0] == "# vtk DataFile Version 2.0"
     assert "downsampled" in lines[1]  # header documents midpoint-dof dropping
     assert lines[2] == "ASCII"
