@@ -24,9 +24,10 @@ pointing out of the fluid subdomain and ``t`` the interface tangent.
 
 All operators are assembled over full space dofs and then restricted
 symmetrically to the unconstrained dofs of their test/trial spaces.
-Constant-coefficient volume blocks (mass, gradient products, divergence)
-are affine geometry factors times exact reference-triangle matrices;
-quadrature remains only for convection, loads and facet terms.
+Every volume operator (mass, gradient products, divergence and the
+convection term with its Jacobian) is an affine geometry factor contracted
+with exact reference-triangle tables; quadrature remains only where the
+integrand is data: the loads and the facet terms.
 
 Every facet term (the interface blocks ``C``, ``D``, ``E``, ``F`` and the
 slip part of ``Bf``, and the inlet, outlet, interface and boundary loads)
@@ -274,6 +275,11 @@ def _scatter(cells_test, cells_trial, values, shape):
     return mat.tocsr()
 
 
+def _scatter_vector(dofs, values, n):
+    """Sum ``values`` into a length-``n`` vector at ``dofs`` in index order."""
+    return np.bincount(np.ravel(dofs), weights=np.ravel(values), minlength=n)
+
+
 def sparse_sum(*terms):
     """Sum of sparse matrices stored on the union of their patterns.
 
@@ -302,26 +308,32 @@ def _quad_points(mesh, tri_ids, rule):
 
 
 # Every entry of a P1/P2 reference-triangle table below is an integer
-# multiple of 1/360 (Lagrange products of total degree <= 4 integrated over
-# the triangle of area 1/2), so quadrature sums are snapped to that grid.
-_TABLE_DENOMINATOR = 360
+# multiple of 1/2520: the integrands are integer polynomials of total degree
+# <= 5 in the barycentric coordinates, and int l0^a l1^b l2^c over the
+# reference triangle is a! b! c! / (a + b + c + 2)!.  Quadrature sums are
+# snapped to that grid.
+_TABLE_DENOMINATOR = 2520
 _POLY_DEGREE = {ElementKind.P1: 1, ElementKind.P2: 2}
-_TABLE_DERIVATIVES = {"mass": 0, "grad": 1, "gradgrad": 2}
+# (trial factors, derivatives) of each table's integrand
+_TABLE_FORM = {"mass": (1, 0), "grad": (1, 1), "gradgrad": (1, 2),
+               "trilinear": (2, 1)}
 
 
 @lru_cache(maxsize=None)
 def _reference_table(table, test_kind, trial_kind, order):
-    """Exact reference-triangle matrix of two scalar element kinds.
+    """Exact reference-triangle table of two scalar element kinds.
 
     ``"mass"`` is ``M[i, j] = int N_i M_j`` (test ``N``, trial ``M``),
-    ``"grad"`` is ``G[k, i, j] = int N_i d_k M_j`` and ``"gradgrad"`` is
-    ``S[k, l, i, j] = int d_k N_i d_l M_j``, with ``d_k`` the derivative in
+    ``"grad"`` is ``G[k, i, j] = int N_i d_k M_j``, ``"gradgrad"`` is
+    ``S[k, l, i, j] = int d_k N_i d_l M_j`` and ``"trilinear"`` is
+    ``T[k, i, j, l] = int N_i M_j d_k M_l``, with ``d_k`` the derivative in
     reference coordinate ``k``.  The table is summed with
     ``triangle_rule(order)`` and snapped to its exact rational value; a rule
     too low to integrate the products exactly raises ``ValueError``.
     """
-    degree = (_POLY_DEGREE[test_kind] + _POLY_DEGREE[trial_kind]
-              - _TABLE_DERIVATIVES[table])
+    factors, derivatives = _TABLE_FORM[table]
+    degree = (_POLY_DEGREE[test_kind] + factors * _POLY_DEGREE[trial_kind]
+              - derivatives)
     if order < degree:
         raise ValueError(
             "quadrature order %d cannot integrate the %s %s x %s table "
@@ -334,8 +346,10 @@ def _reference_table(table, test_kind, trial_kind, order):
         summed = np.einsum("q,qi,qj->ij", rule.weights, vt, vs)
     elif table == "grad":
         summed = np.einsum("q,qi,qjk->kij", rule.weights, vt, gs)
-    else:
+    elif table == "gradgrad":
         summed = np.einsum("q,qik,qjl->klij", rule.weights, gt, gs)
+    else:
+        summed = np.einsum("q,qi,qj,qlk->kijl", rule.weights, vt, vs, gs)
     scaled = summed * _TABLE_DENOMINATOR
     snapped = np.rint(scaled)
     if np.abs(scaled - snapped).max() > 1e-9:
@@ -559,41 +573,27 @@ def _eval_pair(exprs, x, y, t):
     return _eval_scalar(exprs[0], x, y, t), _eval_scalar(exprs[1], x, y, t)
 
 
+def _volume_cells(space, exprs, t, order):
+    """(f, N_i) on every cell of a scalar space, one array per expression."""
+    rule = triangle_rule(order)
+    _, _, det = _geometry(space.mesh, space.tri_ids)
+    x = _quad_points(space.mesh, space.tri_ids, rule)
+    vt, _ = basis_eval(space.kind, rule.points)
+    wdet = rule.weights * det[:, None]
+    return [(wdet * _eval_scalar(e, x[..., 0], x[..., 1], t)) @ vt
+            for e in exprs]
+
+
 def load_volume_vector(space, exprs, t, order=DEFAULT_LOAD_ORDER):
     """(f, v) for a vector expression pair over a vector space."""
-    mesh = space.mesh
-    rule = triangle_rule(order)
-    _, _, det = _geometry(mesh, space.tri_ids)
-    x = _quad_points(mesh, space.tri_ids, rule)
-    fx, fy = _eval_pair(exprs, x[..., 0], x[..., 1], t)
-    vt, _ = basis_eval(space.scalar.kind, rule.points)
-    out = np.zeros(space.ndof)
-    cx = np.einsum("q,c,cq,qi->ci", rule.weights, det, fx, vt, optimize=True)
-    cy = np.einsum("q,c,cq,qi->ci", rule.weights, det, fy, vt, optimize=True)
-    np.add.at(out, space.scalar.cell_dofs, cx)
-    np.add.at(out, space.scalar.cell_dofs + space.scalar.ndof, cy)
-    return out
+    cells = np.stack(_volume_cells(space.scalar, exprs, t, order), axis=1)
+    return _scatter_vector(space.cell_dofs_vector(), cells, space.ndof)
 
 
 def load_volume_scalar(space, expr, t, order=DEFAULT_LOAD_ORDER):
     """(f, r) for a scalar expression over a scalar space."""
-    mesh = space.mesh
-    rule = triangle_rule(order)
-    _, _, det = _geometry(mesh, space.tri_ids)
-    x = _quad_points(mesh, space.tri_ids, rule)
-    fv = _eval_scalar(expr, x[..., 0], x[..., 1], t)
-    vt, _ = basis_eval(space.kind, rule.points)
-    out = np.zeros(space.ndof)
-    cells = np.einsum("q,c,cq,qi->ci", rule.weights, det, fv, vt, optimize=True)
-    np.add.at(out, space.cell_dofs, cells)
-    return out
-
-
-def _scatter_facet_load(space, tris, local):
-    """Sum per-facet local load vectors (nf, nloc) into a full-dof vector."""
-    out = np.zeros(space.ndof)
-    np.add.at(out, _cell_dofs(space, tris), local)
-    return out
+    cells, = _volume_cells(space, [expr], t, order)
+    return _scatter_vector(space.cell_dofs, cells, space.ndof)
 
 
 def load_facet_vector(space, facets, tris, exprs, t, order=DEFAULT_LOAD_ORDER):
@@ -602,7 +602,7 @@ def load_facet_vector(space, facets, tris, exprs, t, order=DEFAULT_LOAD_ORDER):
     g = np.stack(_eval_pair(exprs, x[..., 0], x[..., 1], t), axis=-1)
     vals, _ = _trace_basis(space.kind, ref)
     local = np.einsum("fq,fqik,fqk->fi", wts, vals, g)
-    return _scatter_facet_load(space, tris, local)
+    return _scatter_vector(_cell_dofs(space, tris), local, space.ndof)
 
 
 def load_facet_scalar(space, facets, tris, expr, t, order=DEFAULT_LOAD_ORDER):
@@ -611,7 +611,7 @@ def load_facet_scalar(space, facets, tris, expr, t, order=DEFAULT_LOAD_ORDER):
     g = _eval_scalar(expr, x[..., 0], x[..., 1], t)
     vals, _ = _trace_basis(space.kind, ref)
     local = np.einsum("fq,fqi,fq->fi", wts, vals, g)
-    return _scatter_facet_load(space, tris, local)
+    return _scatter_vector(_cell_dofs(space, tris), local, space.ndof)
 
 
 def load_facet_pressure_normal(space, facets, tris, expr, t,
@@ -621,7 +621,7 @@ def load_facet_pressure_normal(space, facets, tris, expr, t,
     p = _eval_scalar(expr, x[..., 0], x[..., 1], t)
     vals, _ = _trace_basis(space.kind, ref)
     local = np.einsum("fq,fqik,fk->fi", wts * p, vals, n)
-    return _scatter_facet_load(space, tris, local)
+    return _scatter_vector(_cell_dofs(space, tris), local, space.ndof)
 
 
 def load_facet_normal_stress(space, facets, tris, tensor, t,
@@ -635,7 +635,7 @@ def load_facet_normal_stress(space, facets, tris, tensor, t,
                 tensor[a][b], x[..., 0], x[..., 1], t)
     vals, _ = _trace_basis(space.kind, ref)
     local = np.einsum("fq,fqik,fk->fi", wts * snn, vals, n)
-    return _scatter_facet_load(space, tris, local)
+    return _scatter_vector(_cell_dofs(space, tris), local, space.ndof)
 
 
 def load_facet_flux(space, facets, tris, exprs, t, order=DEFAULT_LOAD_ORDER):
@@ -645,7 +645,7 @@ def load_facet_flux(space, facets, tris, exprs, t, order=DEFAULT_LOAD_ORDER):
     gn = gx * n[:, 0, None] + gy * n[:, 1, None]
     vals, _ = _trace_basis(space.kind, ref)
     local = np.einsum("fq,fqi->fi", wts * gn, vals)
-    return _scatter_facet_load(space, tris, local)
+    return _scatter_vector(_cell_dofs(space, tris), local, space.ndof)
 
 
 # ---------------------------------------------------------------------------
@@ -667,88 +667,88 @@ def _boundary_facet_tris(mesh, facet_ids):
 
 
 class _Convection:
-    """Precomputed data for the fluid convection term and its Jacobian."""
+    """The convection term ``rho_f ((u . grad) u, v)`` and its Jacobian.
+
+    On an affine cell both are contractions of the exact reference table
+    ``T[r, i, j, l] = int N_i N_j d_r N_l`` with ``G = |det J| Jinv`` and the
+    cell's velocity coefficients ``U[j, m]`` (scalar dof ``j``, component
+    ``m``).  ``W[r, j] = sum_m G[r, m] U[j, m]`` is the convecting velocity
+    along reference direction ``r``, and the cell operator
+    ``A[i, l] = sum_rj T[r, i, j, l] W[r, j]`` is ``int N_i (u . grad) N_l``,
+    so the cell residual is ``rho_f A U``.  The skew form adds
+    ``(div u) u / 2``, i.e. ``sum_rl T[r, i, j, l] W[r, l] / 2`` to ``A``.
+    The Jacobian is ``A`` on both diagonal component blocks plus the
+    derivative through ``W``.
+
+    The Jacobian's free-dof CSR pattern and the map from element entries to
+    its slots are built once: the pattern is the full velocity coupling
+    graph, exact zeros included, so the LU ordering of the Newton matrix
+    never depends on the velocity, and a call fills only ``data``.
+    """
 
     def __init__(self, space, rho_f, order, skew):
         self.space = space
         self.rho_f = rho_f
-        self.skew = skew
-        mesh = space.mesh
-        rule = triangle_rule(order)
         sc = space.scalar
-        _, jinv, det = _geometry(mesh, sc.tri_ids)
-        vals, _ = basis_eval(sc.kind, rule.points)
-        self.vals = vals                                # (nq, nloc)
-        self.gphys = _phys_grads(sc, jinv, rule)        # (nc, nq, nloc, 2)
-        self.wdet = rule.weights[None, :] * det[:, None]  # (nc, nq)
-        self.cell_dofs = sc.cell_dofs                   # (nc, nloc)
-        self.ns = sc.ndof
-        free_lookup = np.full(space.ndof, -1, dtype=int)
-        free_lookup[space.free] = np.arange(space.n_free)
-        self.free_lookup = free_lookup
+        _, jinv, det = _geometry(space.mesh, sc.tri_ids)
+        self.geom = det[:, None, None] * jinv            # G[c, r, m]
+        table = _reference_table("trilinear", sc.kind, sc.kind, int(order))
+        nloc = table.shape[1]
+        # A = W (rows (r, j)) times the operator table (columns (i, l));
+        # the Jacobian through W contracts U against the last axis of the
+        # Jacobian table (rows (r, i, l'))
+        op = table.transpose(0, 2, 1, 3)
+        jac = table
+        if skew:
+            op = op + 0.5 * table.transpose(0, 3, 1, 2)
+            jac = jac + 0.5 * table.transpose(0, 1, 3, 2)
+        self.op_table = op.reshape(2 * nloc, nloc * nloc)
+        self.jac_table = jac.reshape(2 * nloc * nloc, nloc)
+        self.nloc = nloc
+        self.cell_dofs = space.cell_dofs_vector()       # (nc, 2 * nloc)
 
-    def _full(self, alpha):
-        u = np.zeros(self.space.ndof)
-        u[self.space.free] = alpha
-        return u
-
-    def __call__(self, alpha, jac=False):
-        """Return (N(alpha), J) restricted to free dofs; J is None if not asked."""
-        u = self._full(alpha)
-        ux = u[self.cell_dofs]                 # (nc, nloc)
-        uy = u[self.cell_dofs + self.ns]
-        ucof = np.stack([ux, uy], axis=2)      # (nc, nloc, 2)
-        # u and grad u at quadrature points
-        uq = np.einsum("qd,cdk->cqk", self.vals, ucof, optimize=True)
-        gq = np.einsum("cqdm,cdk->cqkm", self.gphys, ucof, optimize=True)
-        conv = np.einsum("cqm,cqkm->cqk", uq, gq, optimize=True)
-        if self.skew:
-            divu = gq[:, :, 0, 0] + gq[:, :, 1, 1]
-            conv = conv + 0.5 * divu[:, :, None] * uq
-        cells = self.rho_f * np.einsum("cq,qi,cqk->cik", self.wdet,
-                                       self.vals, conv, optimize=True)
-        # cells[c, i, k]: load on scalar dof i of component k
-        full = np.zeros(self.space.ndof)
-        np.add.at(full, self.cell_dofs, cells[:, :, 0])
-        np.add.at(full, self.cell_dofs + self.ns, cells[:, :, 1])
-        residual = full[self.space.free]
-        if not jac:
-            return residual, None
-
-        # d/du_j of (u . grad) u, component-blocked: with phi_j = e_d N_j,
-        #   (phi_j . grad) u = N_j d_d u     -> N_i N_j (d_d u)_k
-        #   (u . grad) phi_j = e_d (u . grad N_j) -> delta_kd N_i (u . grad N_j)
-        nloc = self.vals.shape[1]
-        t1 = np.einsum("cq,qi,qj,cqkd->cikjd", self.wdet, self.vals,
-                       self.vals, gq, optimize=True)
-        ugradn = np.einsum("cqm,cqjm->cqj", uq, self.gphys, optimize=True)
-        t2d = np.einsum("cq,qi,cqj->cij", self.wdet, self.vals, ugradn,
-                        optimize=True)
-        if self.skew:
-            divu = gq[:, :, 0, 0] + gq[:, :, 1, 1]
-            # 0.5 [(div phi_j) u_k + (div u) delta_kd N_j] N_i
-            t1 = t1 + 0.5 * np.einsum("cq,qi,cqjd,cqk->cikjd", self.wdet,
-                                      self.vals, self.gphys, uq, optimize=True)
-            t2d = t2d + 0.5 * np.einsum("cq,cq,qi,qj->cij", self.wdet, divu,
-                                        self.vals, self.vals, optimize=True)
-        nc = len(self.cell_dofs)
-        local = np.zeros((nc, 2 * nloc, 2 * nloc))
-        for k in range(2):
-            for d in range(2):
-                block = t1[:, :, k, :, d]
-                if k == d:
-                    block = block + t2d
-                local[:, k * nloc:(k + 1) * nloc, d * nloc:(d + 1) * nloc] = block
-        local *= self.rho_f
-        vdofs = np.concatenate([self.cell_dofs, self.cell_dofs + self.ns],
-                               axis=1)
-        fdofs = self.free_lookup[vdofs]        # (nc, 2*nloc); -1 marks fixed
+        n = space.n_free
+        free_lookup = np.full(space.ndof, -1)
+        free_lookup[space.free] = np.arange(n)
+        fdofs = free_lookup[self.cell_dofs]
         rows = np.repeat(fdofs[:, :, None], 2 * nloc, axis=2)
         cols = np.repeat(fdofs[:, None, :], 2 * nloc, axis=1)
         keep = (rows >= 0) & (cols >= 0)
-        jmat = sp.coo_matrix(
-            (local[keep], (rows[keep], cols[keep])),
-            shape=(self.space.n_free, self.space.n_free)).tocsr()
+        self.jac_take = np.flatnonzero(keep)
+        keys, self.jac_slot = np.unique(rows[keep] * n + cols[keep],
+                                        return_inverse=True)
+        indptr = np.searchsorted(keys, np.arange(n + 1) * n)
+        self.pattern = sp.csr_matrix((np.zeros(len(keys)), keys % n, indptr),
+                                     shape=(n, n))
+        self.pattern.indices.setflags(write=False)
+        self.pattern.indptr.setflags(write=False)
+
+    def __call__(self, alpha, jac=False):
+        """Return (N(alpha), J) restricted to free dofs; J is None if not asked."""
+        space, nloc = self.space, self.nloc
+        u = np.zeros(space.ndof)
+        u[space.free] = alpha
+        ucomp = u[self.cell_dofs].reshape(-1, 2, nloc)    # U[c, m, j]
+        nc = len(ucomp)
+        w = (self.geom @ ucomp).reshape(nc, 2 * nloc)     # W[c, (r, j)]
+        op = (w @ self.op_table).reshape(nc, nloc, nloc)  # A[c, i, l]
+        cells = self.rho_f * (ucomp @ op.transpose(0, 2, 1))  # [c, k, i]
+        full = _scatter_vector(self.cell_dofs, cells, space.ndof)
+        residual = full[space.free]
+        if not jac:
+            return residual, None
+
+        # through W: sum_r G[r, d] T[r, i, l', l] U[l, k] as [c, (i, l', k), d]
+        tw = self.jac_table @ ucomp.transpose(0, 2, 1)    # [c, (r, i, l'), k]
+        tw = tw.reshape(nc, 2, -1).transpose(0, 2, 1) @ self.geom
+        local = tw.reshape(nc, nloc, nloc, 2, 2).transpose(0, 3, 1, 4, 2)
+        for k in range(2):
+            local[:, k, :, k, :] += op
+        local = self.rho_f * local.reshape(nc, 4 * nloc * nloc)
+        data = np.bincount(self.jac_slot, weights=local.ravel()[self.jac_take],
+                           minlength=self.pattern.nnz)
+        jmat = sp.csr_matrix((data, self.pattern.indices, self.pattern.indptr),
+                             shape=self.pattern.shape)
         return residual, jmat
 
 

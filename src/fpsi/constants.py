@@ -47,6 +47,7 @@ from .assembly import (
     PhysicalParams,
     _boundary_facet_tris,
     _geometry,
+    _scatter_vector,
     assemble_system,
     facet_matrix,
     restrict,
@@ -235,8 +236,7 @@ class _QuarticForm:
         value = float(np.einsum("cq,cq->", self.wdet, s * s))
         gcell = 4.0 * np.einsum("cq,cq,cqd,qkd->ck", self.wdet, s, u,
                                 self.vals)
-        gfull = np.zeros(self.ndof)
-        np.add.at(gfull, self.cell_dofs.ravel(), gcell.ravel())
+        gfull = _scatter_vector(self.cell_dofs, gcell, self.ndof)
         return value, gfull[self.free]
 
 

@@ -117,11 +117,6 @@ class Trajectory:
         return len(self.states)
 
 
-def make_initial_state(blocks, t=0.0):
-    """The zero (rest) state at time ``t``."""
-    return blocks.zero_state(t)
-
-
 def _unpack(blocks, z):
     na, nb = blocks.n_alpha, blocks.n_beta
     ng, npi = blocks.n_gamma, blocks.n_pi
@@ -304,7 +299,7 @@ def run(blocks, data, cfg, initial_state=None, on_step=None):
     """Integrate from t = initial_state.t over ``n_steps`` uniform steps."""
     n = cfg.n_steps()
     state = initial_state if initial_state is not None \
-        else make_initial_state(blocks)
+        else blocks.zero_state()
     newton = NewtonSolver(blocks, cfg.scheme, cfg.dt)
     states = [state]
     diagnostics = []

@@ -1,7 +1,8 @@
 """Independent reference computations used by the test suite.
 
 Everything here is deliberately written against a different code path than
-the package: element matrices come from exact symbolic integration, trace
+the package: element matrices and reference tables come from exact symbolic
+integration, the convection term from per-cell Gauss quadrature, trace
 integrals from a hand-rolled Gauss loop, extremal pencil eigenvalues from a
 dense LAPACK solve (on explicitly formed Schur complements where the package
 works matrix-free or on the full space).  Tests compare the production code
@@ -10,11 +11,12 @@ against these.
 
 import numpy as np
 import scipy.linalg as la
+import scipy.sparse as sp
 import sympy as sym
 
 from fpsi import mesh as meshmod
-from fpsi.assembly import facet_matrix, restrict
-from fpsi.fem import basis_eval
+from fpsi.assembly import _geometry, _phys_grads, facet_matrix, restrict
+from fpsi.fem import basis_eval, triangle_rule
 from fpsi.mesh import Mesh
 
 
@@ -44,6 +46,43 @@ def random_rational_triangle(rng, denom=8):
             return [[sym.Rational(int(n), denom) for n in row] for row in nums]
 
 
+def _sympy_basis(degree, xi, eta):
+    """P1/P2 Lagrange basis on the reference triangle, in the package order."""
+    l0, l1, l2 = 1 - xi - eta, xi, eta
+    if degree == 1:
+        return [l0, l1, l2]
+    if degree == 2:
+        return [
+            l0 * (2 * l0 - 1), l1 * (2 * l1 - 1), l2 * (2 * l2 - 1),
+            4 * l0 * l1, 4 * l1 * l2, 4 * l2 * l0,
+        ]
+    raise ValueError(degree)
+
+
+def sympy_trilinear_table():
+    """Exact ``T[r, i, j, l] = int N_i N_j d_r N_l`` of P2 on the reference
+    triangle, by symbolic integration of each monomial."""
+    xi, eta = sym.symbols("xi eta", nonnegative=True)
+    basis = _sympy_basis(2, xi, eta)
+
+    def integral(expr):
+        # int_0^1 int_0^(1-xi) xi^a eta^b = a! b! / (a + b + 2)!
+        return sum(c * sym.factorial(a) * sym.factorial(b)
+                   / sym.factorial(a + b + 2)
+                   for (a, b), c in sym.Poly(expr, xi, eta).terms())
+
+    n = len(basis)
+    table = np.zeros((2, n, n, n))
+    for r, var in enumerate((xi, eta)):
+        for l in range(n):
+            dl = sym.diff(basis[l], var)
+            for i in range(n):
+                for j in range(i, n):
+                    v = float(integral(sym.expand(basis[i] * basis[j] * dl)))
+                    table[r, i, j, l] = table[r, j, i, l] = v
+    return table
+
+
 def sympy_element_matrices(coords, degree):
     """Exact mass and stiffness matrices of P1/P2 on one triangle.
 
@@ -52,16 +91,7 @@ def sympy_element_matrices(coords, degree):
     """
     xi, eta = sym.symbols("xi eta", nonnegative=True)
     (x0, y0), (x1, y1), (x2, y2) = coords
-    l0, l1, l2 = 1 - xi - eta, xi, eta
-    if degree == 1:
-        basis = [l0, l1, l2]
-    elif degree == 2:
-        basis = [
-            l0 * (2 * l0 - 1), l1 * (2 * l1 - 1), l2 * (2 * l2 - 1),
-            4 * l0 * l1, 4 * l1 * l2, 4 * l2 * l0,
-        ]
-    else:
-        raise ValueError(degree)
+    basis = _sympy_basis(degree, xi, eta)
     jac = sym.Matrix([[x1 - x0, x2 - x0], [y1 - y0, y2 - y0]])
     det = jac.det()
     jinv_t = jac.inv().T
@@ -232,3 +262,64 @@ def dense_infsup_constant(blocks):
     Mq = restrict(blocks.raw["mass_q"], Q, Q).toarray()
     lam = la.eigh(0.5 * (S + S.T), Mq, eigvals_only=True)[0]
     return float(np.sqrt(lam))
+
+
+def quadrature_convection(space, rho_f, alpha, skew, order=6):
+    """``rho_f ((u . grad) u, v)`` and its Jacobian on free dofs, by Gauss
+    quadrature of basis values and physical gradients on every cell.
+
+    The skew form adds ``(div u) u / 2``.  The Jacobian is a COO scatter of
+    the element matrices over every pair of free dofs of a cell, so it is
+    stored on the full velocity coupling graph.
+    """
+    rule = triangle_rule(order)
+    sc = space.scalar
+    _, jinv, det = _geometry(space.mesh, sc.tri_ids)
+    vals, _ = basis_eval(sc.kind, rule.points)            # (nq, nloc)
+    gphys = _phys_grads(sc, jinv, rule)                   # (nc, nq, nloc, 2)
+    wdet = rule.weights[None, :] * det[:, None]           # (nc, nq)
+    cell_dofs, ns = sc.cell_dofs, sc.ndof
+    u = np.zeros(space.ndof)
+    u[space.free] = alpha
+    ucof = np.stack([u[cell_dofs], u[cell_dofs + ns]], axis=2)
+    uq = np.einsum("qd,cdk->cqk", vals, ucof)
+    gq = np.einsum("cqdm,cdk->cqkm", gphys, ucof)
+    conv = np.einsum("cqm,cqkm->cqk", uq, gq)
+    divu = gq[:, :, 0, 0] + gq[:, :, 1, 1]
+    if skew:
+        conv = conv + 0.5 * divu[:, :, None] * uq
+    cells = rho_f * np.einsum("cq,qi,cqk->cik", wdet, vals, conv)
+    full = np.zeros(space.ndof)
+    np.add.at(full, cell_dofs, cells[:, :, 0])
+    np.add.at(full, cell_dofs + ns, cells[:, :, 1])
+
+    # d/du_j of (u . grad) u, component-blocked: with phi_j = e_d N_j,
+    #   (phi_j . grad) u = N_j d_d u          -> N_i N_j (d_d u)_k
+    #   (u . grad) phi_j = e_d (u . grad N_j) -> delta_kd N_i (u . grad N_j)
+    nloc = vals.shape[1]
+    t1 = np.einsum("cq,qi,qj,cqkd->cikjd", wdet, vals, vals, gq)
+    ugradn = np.einsum("cqm,cqjm->cqj", uq, gphys)
+    t2d = np.einsum("cq,qi,cqj->cij", wdet, vals, ugradn)
+    if skew:
+        # 0.5 [(div phi_j) u_k + (div u) delta_kd N_j] N_i
+        t1 = t1 + 0.5 * np.einsum("cq,qi,cqjd,cqk->cikjd", wdet, vals,
+                                  gphys, uq)
+        t2d = t2d + 0.5 * np.einsum("cq,cq,qi,qj->cij", wdet, divu, vals,
+                                    vals)
+    local = np.zeros((len(cell_dofs), 2 * nloc, 2 * nloc))
+    for k in range(2):
+        for d in range(2):
+            block = t1[:, :, k, :, d]
+            if k == d:
+                block = block + t2d
+            local[:, k * nloc:(k + 1) * nloc, d * nloc:(d + 1) * nloc] = block
+    local *= rho_f
+    free_lookup = np.full(space.ndof, -1, dtype=int)
+    free_lookup[space.free] = np.arange(space.n_free)
+    fdofs = free_lookup[np.concatenate([cell_dofs, cell_dofs + ns], axis=1)]
+    rows = np.repeat(fdofs[:, :, None], 2 * nloc, axis=2)
+    cols = np.repeat(fdofs[:, None, :], 2 * nloc, axis=1)
+    keep = (rows >= 0) & (cols >= 0)
+    jmat = sp.coo_matrix((local[keep], (rows[keep], cols[keep])),
+                         shape=(space.n_free, space.n_free)).tocsr()
+    return full[space.free], jmat

@@ -10,6 +10,7 @@ from fpsi.assembly import (
     PhysicalParams,
     ProblemData,
     StateVector,
+    _reference_table,
     assemble_loads,
     assemble_system,
     facet_matrix,
@@ -126,6 +127,9 @@ def test_quadrature_order_sufficient_for_all_operators():
     assert abs(g6 - g8).max() < 1e-13
     with pytest.raises(ValueError):
         scalar_mass(dm.pressure_p, dm.pressure_p, 3)
+    # the convection table is of degree 5
+    with pytest.raises(ValueError):
+        assemble_system(m, PhysicalParams(), convection=True, volume_order=4)
 
 
 def test_operator_symmetry():
@@ -340,6 +344,29 @@ def test_convection_jacobian_matches_finite_differences():
             nm_, _ = blocks.convection(alpha - h * delta)
             fd = (np_ - nm_) / (2 * h)
             np.testing.assert_allclose(jac @ delta, fd, rtol=2e-7, atol=1e-8)
+
+
+def test_trilinear_table_matches_symbolic_integration():
+    table = _reference_table("trilinear", ElementKind.P2, ElementKind.P2, 5)
+    np.testing.assert_allclose(table, oracles.sympy_trilinear_table(),
+                               rtol=0.0, atol=1e-16)
+
+
+@pytest.mark.parametrize("skew", [False, True])
+def test_convection_matches_quadrature_oracle(skew):
+    for n in (4, 8):
+        m = build_rect_two_domain(n, n, 0.5)
+        blocks = assemble_system(m, PhysicalParams(rho_f=1.3),
+                                 convection=True, skew=skew)
+        alpha = np.random.default_rng(n).standard_normal(blocks.n_alpha)
+        nl, jac = blocks.convection(alpha, jac=True)
+        nl_ref, jac_ref = oracles.quadrature_convection(
+            blocks.dm.velocity, 1.3, alpha, skew)
+        assert np.abs(nl - nl_ref).max() < 1e-13 * np.abs(nl_ref).max()
+        assert np.array_equal(jac.indptr, jac_ref.indptr)
+        assert np.array_equal(jac.indices, jac_ref.indices)
+        assert (np.abs(jac.data - jac_ref.data).max()
+                < 1e-13 * np.abs(jac_ref.data).max())
 
 
 def test_skew_form_is_energy_neutral_for_interior_fields():

@@ -222,9 +222,8 @@ def test_identity_flag_detects_tampered_state(blocks, consts, small_run):
 def test_gronwall_fails_honestly_without_data(blocks, consts):
     """An energetic start with zero data violates the premise at n = 0."""
     from fpsi.expressions import ZERO
-    from fpsi.timestepper import make_initial_state
 
-    state0 = make_initial_state(blocks)
+    state0 = blocks.zero_state()
     W = blocks.dm.displacement
     theta = interpolate_vector(W, (pe("x*(1-x)*y"), ZERO))
     state0.theta = theta[W.free]

@@ -10,7 +10,6 @@ from fpsi.fem import interpolate_vector
 from fpsi.timestepper import (
     SchemeConfig,
     StepError,
-    make_initial_state,
     run,
     step,
 )
@@ -89,7 +88,7 @@ def test_zero_data_from_rest_stays_at_rest():
 
 def _energetic_initial_state(blocks):
     dm = blocks.dm
-    state = make_initial_state(blocks)
+    state = blocks.zero_state()
     u = interpolate_vector(
         dm.velocity,
         (lambda x, y, t: np.sin(np.pi * x) * (1.0 - y) * (y - 0.5),
@@ -209,7 +208,7 @@ def _direct_newton_run(blocks, data, cfg):
     from fpsi.timestepper import (_jacobian, _pack, _residual_rows,
                                   _row_scales, _scaled_norm, _unpack)
     scales = _row_scales(blocks, cfg.dt)
-    state = make_initial_state(blocks)
+    state = blocks.zero_state()
     states, iterations = [state], []
     for _ in range(cfg.n_steps()):
         t1 = state.t + cfg.dt
