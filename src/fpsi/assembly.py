@@ -41,6 +41,8 @@ per-facet results with the triangles' dofs.
 
 from __future__ import annotations
 
+import weakref
+from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -296,15 +298,43 @@ def sparse_sum(*terms):
         shape=coo[0].shape).tocsr()
 
 
-def _quad_points(mesh, tri_ids, rule):
-    """Physical coordinates of the rule's points on every triangle."""
-    v0, _, _ = _geometry(mesh, tri_ids)
-    tri = mesh.triangles[tri_ids]
-    e1 = mesh.vertices[tri[:, 1]] - v0
-    e2 = mesh.vertices[tri[:, 2]] - v0
-    x = (v0[:, None, :] + rule.points[None, :, 0, None] * e1[:, None, :]
-         + rule.points[None, :, 1, None] * e2[:, None, :])
-    return x  # (nc, nq, 2)
+CellQuadrature = namedtuple("CellQuadrature", "x y wdet jinv rule")
+_CELL_QUADRATURE = weakref.WeakKeyDictionary()
+
+
+def cell_quadrature(mesh, subdomain, order):
+    """The rule of ``order`` on the cells of ``subdomain`` (None: all cells).
+
+    Physical points ``x``, ``y`` and weights times |det J| ``wdet``, all
+    (nc, nq), and the inverse Jacobian ``jinv`` of every cell.  They are
+    fixed for a mesh, so they are built on first use, read-only, and kept as
+    long as the mesh lives: every load, data norm and error norm at that
+    order reads the same arrays.
+    """
+    per_mesh = _CELL_QUADRATURE.setdefault(mesh, {})
+    key = (subdomain, int(order))
+    if key not in per_mesh:
+        tri_ids = (np.arange(mesh.num_triangles) if subdomain is None
+                   else mesh.triangles_with_tag(subdomain))
+        rule = triangle_rule(order)
+        v0, jinv, det = _geometry(mesh, tri_ids)
+        tri = mesh.triangles[tri_ids]
+        e1, e2 = (mesh.vertices[tri[:, k]] - v0 for k in (1, 2))
+        x, y = (v0[:, None, d] + rule.points[:, 0] * e1[:, None, d]
+                + rule.points[:, 1] * e2[:, None, d] for d in range(2))
+        per_mesh[key] = CellQuadrature(x, y, rule.weights * det[:, None],
+                                       jinv, rule)
+        for array in per_mesh[key][:4]:
+            array.setflags(write=False)
+    return per_mesh[key]
+
+
+@lru_cache(maxsize=None)
+def _rule_values(kind, order):
+    """Basis values of ``kind`` at the points of ``triangle_rule(order)``."""
+    vals, _ = basis_eval(kind, triangle_rule(order).points)
+    vals.setflags(write=False)
+    return vals
 
 
 # Every entry of a P1/P2 reference-triangle table below is an integer
@@ -575,13 +605,9 @@ def _eval_pair(exprs, x, y, t):
 
 def _volume_cells(space, exprs, t, order):
     """(f, N_i) on every cell of a scalar space, one array per expression."""
-    rule = triangle_rule(order)
-    _, _, det = _geometry(space.mesh, space.tri_ids)
-    x = _quad_points(space.mesh, space.tri_ids, rule)
-    vt, _ = basis_eval(space.kind, rule.points)
-    wdet = rule.weights * det[:, None]
-    return [(wdet * _eval_scalar(e, x[..., 0], x[..., 1], t)) @ vt
-            for e in exprs]
+    q = cell_quadrature(space.mesh, space.subdomain, order)
+    vt = _rule_values(space.kind, order)
+    return [(q.wdet * _eval_scalar(e, q.x, q.y, t)) @ vt for e in exprs]
 
 
 def load_volume_vector(space, exprs, t, order=DEFAULT_LOAD_ORDER):
@@ -820,23 +846,30 @@ class BlockSystem:
 
     def energy(self, state):
         """E = (alpha'Af alpha + theta'As theta + gamma'Ap gamma + beta'Bs beta)/2."""
-        return 0.5 * (state.alpha @ (self.Af @ state.alpha)
-                      + state.theta @ (self.As @ state.theta)
-                      + state.gamma @ (self.Ap @ state.gamma)
-                      + state.beta @ (self.Bs @ state.beta))
+        return 0.5 * (_dots(state.alpha, self.Af @ state.alpha)
+                      + _dots(state.theta, self.As @ state.theta)
+                      + _dots(state.gamma, self.Ap @ state.gamma)
+                      + _dots(state.beta, self.Bs @ state.beta))
 
     def dissipation(self, state):
         """2 mu_f |D(u)|^2 + beta |(u - eta_t).t|^2_I + |K^1/2 grad w|^2."""
         a, th, g = state.alpha, state.theta, state.gamma
-        visc = a @ (self.visc2 @ a)
-        slip = (a @ (self.slip_uu_beta @ a) - 2.0 * (a @ (self.E @ th))
-                + th @ (self.F @ th))
-        darcy = g @ (self.Bp @ g)
+        visc = _dots(a, self.visc2 @ a)
+        slip = (_dots(a, self.slip_uu_beta @ a) - 2.0 * _dots(a, self.E @ th)
+                + _dots(th, self.F @ th))
+        darcy = _dots(g, self.Bp @ g)
         return visc + slip + darcy
 
     def work(self, loads, state):
         a, b, c = loads
-        return a @ state.alpha + b @ state.theta + c @ state.gamma
+        return (_dots(a, state.alpha) + _dots(b, state.theta)
+                + _dots(c, state.gamma))
+
+
+def _dots(x, y):
+    """x . y, column by column when x and y hold one vector per column, so
+    the forms above also take a stack of states and give one per column."""
+    return np.einsum("i...,i...->...", x, y)
 
 
 def assemble_system(mesh, params, convection=True, skew=False,

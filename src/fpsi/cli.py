@@ -393,6 +393,11 @@ def _cmd_run(ns):
                  report.summary["total_dissipation"]))
         for name in STRICT_FLAGS:
             print("  %s: %s" % (name, report.summary[name]))
+        for name, detail in report.summary["flag_detail"].items():
+            if detail["first_fail_step"] is not None:
+                print("  %s fails from step %d, worst margin %.6g at step %d"
+                      % (name, detail["first_fail_step"],
+                         detail["worst_margin"], detail["worst_step"]))
     print("outputs written to %s" % outdir)
 
     if ns.strict and report is not None:

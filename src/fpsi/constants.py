@@ -46,16 +46,16 @@ from .assembly import (
     DEFAULT_FACET_ORDER,
     PhysicalParams,
     _boundary_facet_tris,
-    _geometry,
+    _rule_values,
     _scatter_vector,
     assemble_system,
+    cell_quadrature,
     facet_matrix,
     restrict,
     scalar_mass,
     scalar_stiffness,
 )
-from .fem import (ElementKind, VectorSpace, basis_eval, make_scalar_space,
-                  triangle_rule)
+from .fem import ElementKind, VectorSpace, make_scalar_space
 
 CONSTANT_KINDS = ("T1", "T2", "T3", "T4", "T5",
                   "P1c", "P2c", "P3c", "Sf", "Kf", "Kappa", "Cj")
@@ -217,12 +217,9 @@ class _QuarticForm:
     """Integral of |v|^4 over the cells of a vector space, with gradient."""
 
     def __init__(self, space, order=8):
-        mesh = space.mesh
-        rule = triangle_rule(order)
-        vals, _ = basis_eval(space.kind, rule.points)
-        _, _, det = _geometry(mesh, space.tri_ids)
-        self.vals = vals
-        self.wdet = rule.weights[None, :] * det[:, None]
+        self.vals = _rule_values(space.kind, order)
+        self.wdet = cell_quadrature(space.mesh, space.scalar.subdomain,
+                                    order).wdet
         self.cell_dofs = space.cell_dofs_vector()
         self.ndof = space.ndof
         self.free = space.free

@@ -13,16 +13,18 @@ trajectory:
   ``C2`` (same structure on the time-differentiated data with the first two
   coefficients doubled) and ``C3`` (initial-data functional built on the
   lifted inlet trace norm), together with their L2(0,T) and Linf(0,T)
-  envelopes by composite Gauss quadrature in time.
+  envelopes by composite Gauss quadrature in time, the fields evaluated at
+  a block of quadrature times per call.
 
 - :func:`check_small_data` compares the combined data functional against
   the threshold ``mu_f^3 / (9 rho_f^2 Sf^4 Kf^6)`` and locates the critical
   data scaling ``s*`` by bisection.
 
-- :func:`energy_report` walks a trajectory and emits one row per time step
-  with the discrete energy identity defect, the first and second energy
-  bounds, the dissipation smallness conditions, the multiplier bound and a
-  Gronwall self-check, plus a run-level summary of all flags.
+- :func:`energy_report` stacks a trajectory one column per state and emits
+  one row per time step with the discrete energy identity defect, the first
+  and second energy bounds, the dissipation smallness conditions, the
+  multiplier bound and a Gronwall self-check, plus a run-level summary of
+  all flags with the first failing step and worst margin of each.
 """
 
 import math
@@ -35,14 +37,14 @@ from .assembly import (
     DEFAULT_LOAD_ORDER,
     StateVector,
     _boundary_facet_tris,
-    _geometry,
-    _quad_points,
+    _dots,
     assemble_loads,
+    cell_quadrature,
     facet_trace,
     restrict,
 )
 from .constants import ConstantEstimate, InletLifting
-from .fem import triangle_rule
+from .expressions import Const
 
 
 def constants_dict(values):
@@ -69,58 +71,52 @@ def _require(constants, *kinds):
     return [constants[k] for k in kinds]
 
 
-def _gauss_panels(t0, t1, panels, npts=6):
-    """Composite Gauss nodes and weights on [t0, t1]."""
-    x, w = np.polynomial.legendre.leggauss(npts)
-    edges = np.linspace(t0, t1, panels + 1)
-    h = np.diff(edges)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    times = (mid[:, None] + 0.5 * h[:, None] * x[None, :]).ravel()
-    weights = (0.5 * h[:, None] * w[None, :]).ravel()
-    return times, weights
+# the 6-point Gauss-Legendre rule on [-1, 1] of every time panel
+_GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(6)
+# times per field evaluation: one step's nodes, so that a (times, cells,
+# points) block stays about 0.4 MB at order 10 on a 16 x 16 mesh
+_TIME_BLOCK = 6
 
 
-class _VolumeNorm:
-    """L2 norm of expressions over one subdomain, precomputed geometry."""
+def _gauss_nodes(edges):
+    """Gauss nodes and weights, (panels, 6), of each [edges[k], edges[k+1]]."""
+    edges = np.asarray(edges, dtype=float)
+    h = np.diff(edges)[:, None]
+    mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
+    return mid + 0.5 * h * _GAUSS_X, 0.5 * h * _GAUSS_W
 
-    def __init__(self, mesh, subdomain, order):
-        tri_ids = mesh.triangles_with_tag(subdomain)
-        rule = triangle_rule(order)
-        _, _, det = _geometry(mesh, tri_ids)
-        self.x = _quad_points(mesh, tri_ids, rule)
-        self.wdet = rule.weights[None, :] * det[:, None]
+
+class _FieldNorm:
+    """Squared L2 norm of data fields at fixed points with weights ``w``.
+
+    ``t`` is one time or an array of times (the result has its shape); the
+    fields are evaluated ``_TIME_BLOCK`` times per call, the time as leading
+    broadcast axis.  A constant field adds ``c^2`` times the measure.
+    """
+
+    def __init__(self, x, y, w):
+        self.x, self.y, self.w = x, y, w.ravel()
+        self.measure = float(np.sum(w))
 
     def norm_sq(self, fields, t):
-        x, y = self.x[..., 0], self.x[..., 1]
-        if isinstance(fields, tuple):
-            total = np.zeros_like(self.wdet)
-            for f in fields:
-                v = np.broadcast_to(f(x, y, t), self.wdet.shape)
-                total = total + v * v
-        else:
-            v = np.broadcast_to(fields(x, y, t), self.wdet.shape)
-            total = v * v
-        return float(np.sum(self.wdet * total))
-
-
-class _InletNorm:
-    """L2 norm of a scalar expression over the inlet boundary."""
-
-    def __init__(self, mesh, order):
-        facets = mesh.facets_with_tag(meshmod.FLUID_INLET)
-        x, _, w, _ = facet_trace(mesh, facets,
-                                 _boundary_facet_tris(mesh, facets), order)
-        self.x = x.reshape(-1, 2)
-        self.w = w.ravel()
-
-    def norm_sq(self, expr, t):
-        v = np.broadcast_to(expr(self.x[:, 0], self.x[:, 1], t),
-                            self.w.shape)
-        return float(np.sum(self.w * v * v))
+        fields = fields if isinstance(fields, tuple) else (fields,)
+        times = np.asarray(t, dtype=float)
+        column = times.reshape((-1,) + (1,) * self.x.ndim)
+        out = np.full(len(column), self.measure * sum(
+            f.value ** 2 for f in fields if isinstance(f, Const)))
+        varying = [f for f in fields if not isinstance(f, Const)]
+        for k in range(0, len(column) if varying else 0, _TIME_BLOCK):
+            block = column[k:k + _TIME_BLOCK]
+            sq = sum(f(self.x, self.y, block) ** 2 for f in varying)
+            out[k:k + _TIME_BLOCK] += sq.reshape(len(block), -1) @ self.w
+        return float(out[0]) if times.ndim == 0 else out.reshape(times.shape)
 
 
 class DataFunctionals:
-    """Evaluates the data functionals C1, C2, C3 for one data set."""
+    """Evaluates the data functionals C1, C2, C3 for one data set.
+
+    The norms and C1, C2 at time ``t`` also take an array of times.
+    """
 
     def __init__(self, mesh, params, data, constants, lifting=None,
                  volume_order=10, inlet_order=10, panels=64):
@@ -131,9 +127,13 @@ class DataFunctionals:
         self.constants = constants_dict(constants)
         self.panels = panels
         self._lifting = lifting
-        self._fluid = _VolumeNorm(mesh, meshmod.FLUID, volume_order)
-        self._poro = _VolumeNorm(mesh, meshmod.PORO, volume_order)
-        self._inlet = _InletNorm(mesh, inlet_order)
+        self._fluid, self._poro = (
+            _FieldNorm(*cell_quadrature(mesh, part, volume_order)[:3])
+            for part in (meshmod.FLUID, meshmod.PORO))
+        facets = mesh.facets_with_tag(meshmod.FLUID_INLET)
+        x, _, w, _ = facet_trace(
+            mesh, facets, _boundary_facet_tris(mesh, facets), inlet_order)
+        self._inlet = _FieldNorm(x[..., 0], x[..., 1], w)
         t2, kf, p1c, p3c = _require(self.constants, "T2", "Kf", "P1c", "P3c")
         mu = params.mu_f
         self._w_pin = 3.0 * t2 ** 2 * kf ** 2 / (4.0 * mu)
@@ -172,7 +172,7 @@ class DataFunctionals:
         return sum(self.c1_terms(t).values())
 
     def c1(self, t):
-        return math.sqrt(self.c1_sq(t))
+        return np.sqrt(self.c1_sq(t))
 
     def c2_terms(self, t):
         d = self.data_dot
@@ -187,7 +187,7 @@ class DataFunctionals:
         return sum(self.c2_terms(t).values())
 
     def c2(self, t):
-        return math.sqrt(self.c2_sq(t))
+        return np.sqrt(self.c2_sq(t))
 
     def c3_terms(self):
         p = self.params
@@ -205,18 +205,22 @@ class DataFunctionals:
 
     # -- envelopes in time ---------------------------------------------
 
+    def _panels(self, t_final, panels):
+        return _gauss_nodes(np.linspace(0.0, t_final,
+                                        (panels or self.panels) + 1))
+
     def l2_c1_sq(self, t_final, panels=None):
-        times, weights = _gauss_panels(0.0, t_final, panels or self.panels)
-        return float(sum(w * self.c1_sq(t) for t, w in zip(times, weights)))
+        times, weights = self._panels(t_final, panels)
+        return float(np.sum(weights * self.c1_sq(times)))
 
     def l2_c2_sq(self, t_final, panels=None):
-        times, weights = _gauss_panels(0.0, t_final, panels or self.panels)
-        return float(sum(w * self.c2_sq(t) for t, w in zip(times, weights)))
+        times, weights = self._panels(t_final, panels)
+        return float(np.sum(weights * self.c2_sq(times)))
 
     def linf_c1(self, t_final, panels=None):
-        times, _ = _gauss_panels(0.0, t_final, panels or self.panels)
-        samples = np.concatenate([[0.0], times, [t_final]])
-        return float(max(self.c1(t) for t in samples))
+        times, _ = self._panels(t_final, panels)
+        samples = np.concatenate([[0.0], times.ravel(), [t_final]])
+        return float(np.max(self.c1(samples)))
 
     def cumulative_c1_sq(self, times):
         return self._cumulative(self.c1_sq, times)
@@ -230,13 +234,9 @@ class DataFunctionals:
         One 6-point Gauss panel per consecutive interval, so the values
         line up exactly with the time steps of a trajectory.
         """
-        times = np.asarray(times, dtype=float)
-        out = np.zeros(len(times))
-        for n in range(1, len(times)):
-            nodes, weights = _gauss_panels(times[n - 1], times[n], 1)
-            out[n] = out[n - 1] + sum(
-                w * func(t) for t, w in zip(nodes, weights))
-        return out
+        nodes, weights = _gauss_nodes(times)
+        steps = np.sum(weights * func(nodes), axis=1)
+        return np.concatenate([[0.0], np.cumsum(steps)])
 
 
 def smallness_threshold(params, constants):
@@ -359,9 +359,29 @@ class CertificateReport:
     summary: dict
 
 
-def _all_flags(rows, attr):
-    flags = [getattr(r, attr) for r in rows if getattr(r, attr) is not None]
-    return bool(all(flags)) if flags else True
+_STATE_FIELDS = ("alpha", "beta", "gamma", "theta", "pi")
+# steps stacked at once, so that the stacked copies stay about 1 MB on a
+# 16 x 16 mesh however long the trajectory is
+_STEP_BLOCK = 8
+# the row flags whose run-level summary flag has another name
+_SUMMARY_FLAG = {"mb1_ok": "mainbound1_ok", "pf_ok": "pfbound_ok"}
+
+
+def _map(fn, *states, t):
+    """The state at times ``t`` whose fields are ``fn`` of the given ones."""
+    return StateVector(t=t, **{name: fn(*(getattr(s, name) for s in states))
+                               for name in _STATE_FIELDS})
+
+
+def _flag_detail(first, margin, ok):
+    """First failing step, worst step and worst margin of one row flag
+    whose values start at step ``first``."""
+    if len(margin) == 0:
+        return dict.fromkeys(("first_fail_step", "worst_step", "worst_margin"))
+    worst, failing = int(np.argmin(margin)), np.flatnonzero(~ok)
+    return {"first_fail_step": first + int(failing[0]) if len(failing)
+            else None,
+            "worst_step": first + worst, "worst_margin": float(margin[worst])}
 
 
 def energy_report(traj, blocks, data, constants, funcs=None,
@@ -373,26 +393,70 @@ def energy_report(traj, blocks, data, constants, funcs=None,
     the implicit Euler scheme, at the averaged stage for the midpoint
     scheme).  All bound evaluations use the surrogate constants given in
     ``constants`` and the data functionals of ``data``.
+
+    The states are stacked one column per state, ``_STEP_BLOCK`` steps at
+    a time: a quadratic form is one sparse-times-dense product and
+    column-wise dots.  Only the convection term and the loads are computed
+    step by step.  ``summary["flag_detail"]`` gives, per row flag, the first
+    failing step (or None), the worst step and the worst margin (the bound
+    minus the checked quantity, negative where the flag fails).
     """
     constants = constants_dict(constants)
     p = blocks.params
     dm = blocks.dm
-    mesh = dm.mesh
     if funcs is None:
-        funcs = DataFunctionals(mesh, p, data, constants)
+        funcs = DataFunctionals(dm.mesh, p, data, constants)
     sf, kf, kappa, t1, t2, t3, t5 = _require(
         constants, "Sf", "Kf", "Kappa", "T1", "T2", "T3", "T5")
-
     mass_q = restrict(blocks.raw["mass_q"], dm.pressure_f, dm.pressure_f)
     stiff_u = restrict(blocks.raw["stiff_u"], dm.velocity, dm.velocity)
 
+    def form(matrix, x):
+        return _dots(x, matrix @ x)
+
+    def window(states):
+        """Forms of every state, and of every step between the states."""
+        every = _map(lambda *v: np.column_stack(v), *states,
+                     t=np.array([s.t for s in states]))
+        prev = _map(lambda v: v[:, :-1], every, t=every.t[:-1])
+        cur = _map(lambda v: v[:, 1:], every, t=every.t[1:])
+        delta = _map(np.subtract, cur, prev, t=cur.t)
+        # the stage at which the scheme evaluates its right-hand side
+        stage = cur if traj.scheme == "euler" else _map(
+            lambda a, b: 0.5 * (a + b), prev, cur, t=0.5 * (prev.t + cur.t))
+        nterm, work = np.zeros(len(cur.t)), np.zeros(len(cur.t))
+        for k, t_eval in enumerate(stage.t):
+            column = _map(lambda v: v[:, k], stage, t=t_eval)
+            conv, _ = blocks.convection(column.alpha, jac=False)
+            nterm[k] = _dots(column.alpha, conv)
+            work[k] = blocks.work(
+                assemble_loads(t_eval, data, dm, load_order), column)
+        return ({"energy": blocks.energy(every),
+                 "visc": form(blocks.visc2, every.alpha),
+                 "zeta": form(blocks.mass_d, every.theta),
+                 "mass_q": form(mass_q, every.pi),
+                 "stiff_u": form(stiff_u, every.alpha),
+                 "h1_u": form(blocks.h1_u, every.alpha),
+                 "h1_p": form(blocks.h1_p, every.gamma),
+                 "h1_d": form(blocks.h1_d, every.theta)},
+                {"diss": blocks.dissipation(stage), "nterm": nterm,
+                 "work": work, "delta_energy": blocks.energy(delta),
+                 "delta_diss": blocks.dissipation(delta),
+                 "delta_mass_u": form(blocks.mass_u, delta.alpha)})
+
     states = traj.states
+    windows = [window(states[k:k + _STEP_BLOCK + 1])
+               for k in range(0, max(len(states) - 1, 1), _STEP_BLOCK)]
+    at_state = {key: np.concatenate([windows[0][0][key]] + [
+        w[key][1:] for w, _ in windows[1:]]) for key in windows[0][0]}
+    at_step = {key: np.concatenate([w[key] for _, w in windows])
+               for key in windows[0][1]}
+
     dt = traj.dt
-    times = [s.t for s in states]
+    times = np.array([s.t for s in states])
     cum_c1 = funcs.cumulative_c1_sq(times)
     cum_c2 = funcs.cumulative_c2_sq(times)
     c3 = funcs.c3()
-
     du_limit = p.mu_f / (3.0 * p.rho_f * sf ** 2 * kf ** 3)
     uniq_limit = p.mu_f / (sf ** 2 * kf ** 3)
     gron_b = (2.0 / p.rho_s) * funcs.l2_c1_sq(times[-1]) if len(times) > 1 \
@@ -400,143 +464,99 @@ def energy_report(traj, blocks, data, constants, funcs=None,
     gron_c = 1.0 / p.rho_s
     identity_rel = 1e-5 * newton_tol / 1e-10
 
-    rows = []
-    cum_diss = 0.0
-    cum_dot_diss = 0.0
-    gron_rightsum = 0.0
+    def root(x):
+        return np.sqrt(np.maximum(x, 0.0))
 
-    for n, state in enumerate(states):
-        row = CertificateRow(n=n, t=state.t, energy=blocks.energy(state))
+    energy, zeta = at_state["energy"], at_state["zeta"]
+    du_norm = root(at_state["visc"] / (2.0 * p.mu_f))
+    gron_premise = gron_b + gron_c * np.concatenate(
+        [[0.0], np.cumsum(dt * zeta[1:])])
+    gron_conclusion = gron_b * np.exp(gron_c * times)
 
-        row.du_norm = math.sqrt(max(
-            state.alpha @ (blocks.visc2 @ state.alpha), 0.0) / (2.0 * p.mu_f))
-        row.dumbound_ok = bool(row.du_norm < du_limit)
-        row.uniqueness_ok = bool(row.du_norm <= uniq_limit)
+    jump = at_step["delta_energy"] if traj.scheme == "euler" else 0.0
+    diss, nterm, work = at_step["diss"], at_step["nterm"], at_step["work"]
+    defect = (energy[1:] - energy[:-1] + jump) / dt + diss + nterm - work
+    scale = ((np.abs(energy[1:]) + np.abs(energy[:-1]) + jump) / dt
+             + np.abs(diss) + np.abs(nterm) + np.abs(work))
+    identity_bound = np.maximum(1e-9, identity_rel * scale)
+    cum_diss = np.concatenate([[0.0], np.cumsum(dt * diss)])
+    mb1_lhs = energy + cum_diss
+    mb1_rhs = (1.0 + (times / p.rho_s) * np.exp(times / p.rho_s)) * cum_c1
 
-        row.zeta = float(state.theta @ (blocks.mass_d @ state.theta))
-        if n > 0:
-            gron_rightsum += dt * row.zeta
-        row.gronwall_premise_rhs = gron_b + gron_c * gron_rightsum
-        row.gronwall_conclusion_rhs = gron_b * math.exp(gron_c * state.t)
-        row.gronwall_premise_ok = bool(row.zeta <= row.gronwall_premise_rhs)
-        row.gronwall_conclusion_ok = bool(
-            row.zeta <= row.gronwall_conclusion_rhs)
+    # the discrete time derivative of the state is delta / dt
+    dot_energy = at_step["delta_energy"] / dt ** 2
+    cum_dot_diss = np.cumsum(at_step["delta_diss"] / dt)
+    mb2_lhs = dot_energy + cum_dot_diss
+    t = times[1:]
+    tgrow = np.exp(2.0 * t / p.rho_s ** 2)
+    base = (1.0 + (t / p.rho_s) * tgrow) * cum_c2[1:]
+    mb2_rhs_root = base + 0.5 * t * tgrow * c3
+    mb2_rhs_squared = base + 0.5 * t * tgrow * c3 ** 2
 
-        if n > 0:
-            prev = states[n - 1]
-            if traj.scheme == "euler":
-                stage = state
-                t_eval = state.t
-                jump = 0.5 * (
-                    (state.alpha - prev.alpha)
-                    @ (blocks.Af @ (state.alpha - prev.alpha))
-                    + (state.theta - prev.theta)
-                    @ (blocks.As @ (state.theta - prev.theta))
-                    + (state.gamma - prev.gamma)
-                    @ (blocks.Ap @ (state.gamma - prev.gamma))
-                    + (state.beta - prev.beta)
-                    @ (blocks.Bs @ (state.beta - prev.beta)))
-            else:
-                stage = StateVector(
-                    t=0.5 * (prev.t + state.t),
-                    alpha=0.5 * (prev.alpha + state.alpha),
-                    beta=0.5 * (prev.beta + state.beta),
-                    gamma=0.5 * (prev.gamma + state.gamma),
-                    theta=0.5 * (prev.theta + state.theta),
-                    pi=state.pi)
-                t_eval = stage.t
-                jump = 0.0
+    pf_lhs = root(at_state["mass_q"][1:])
+    pf_rhs = (p.rho_f * root(at_step["delta_mass_u"]) / dt
+              + 2.0 * p.mu_f * du_norm[1:]
+              + p.rho_f * sf ** 2 * at_state["stiff_u"][1:]
+              + t1 * t3 * root(at_state["h1_p"][1:])
+              + p.beta_slip * t1 ** 2 * root(at_state["h1_u"][1:])
+              + p.beta_slip * t1 * t5 * root(at_state["h1_d"][1:])
+              + t2 * np.sqrt(funcs.pin_sq(t))
+              + np.sqrt(funcs.ff_sq(t))) / kappa
 
-            loads = assemble_loads(t_eval, data, dm, load_order)
-            diss = blocks.dissipation(stage)
-            conv, _ = blocks.convection(stage.alpha, jac=False)
-            nterm = float(stage.alpha @ conv)
-            work = blocks.work(loads, stage)
-            e_prev = blocks.energy(prev)
-            defect = ((row.energy - e_prev + jump) / dt + diss + nterm
-                      - work)
-            scale = ((abs(row.energy) + abs(e_prev) + jump) / dt
-                     + abs(diss) + abs(nterm) + abs(work))
-            row.dissipation = diss
-            row.work = work
-            cum_diss += dt * diss
-            row.identity_defect = defect
-            row.identity_scale = scale
-            row.identity_ok = bool(
-                abs(defect) <= max(1e-9, identity_rel * scale))
+    # row flag -> (first step, bound minus checked quantity, flag)
+    margins = {
+        "identity_ok": (1, identity_bound - np.abs(defect),
+                        np.abs(defect) <= identity_bound),
+        "mb1_ok": (0, mb1_rhs - mb1_lhs, mb1_lhs <= mb1_rhs),
+        "dumbound_ok": (0, du_limit - du_norm, du_norm < du_limit),
+        "uniqueness_ok": (0, uniq_limit - du_norm, du_norm <= uniq_limit),
+        "mb2_root_ok": (1, mb2_rhs_root - mb2_lhs, mb2_lhs <= mb2_rhs_root),
+        "mb2_squared_ok": (1, mb2_rhs_squared - mb2_lhs,
+                           mb2_lhs <= mb2_rhs_squared),
+        "pf_ok": (1, pf_rhs - pf_lhs, pf_lhs <= pf_rhs),
+        "gronwall_premise_ok": (0, gron_premise - zeta, zeta <= gron_premise),
+        "gronwall_conclusion_ok": (0, gron_conclusion - zeta,
+                                   zeta <= gron_conclusion),
+    }
+    # CertificateRow field -> (first step, values)
+    columns = {name: (first, ok) for name, (first, _, ok) in margins.items()}
+    columns.update({name: (0, v) for name, v in dict(
+        t=times, energy=energy, cum_dissipation=cum_diss, cum_c1_sq=cum_c1,
+        mb1_lhs=mb1_lhs, mb1_rhs=mb1_rhs, du_norm=du_norm, zeta=zeta,
+        gronwall_premise_rhs=gron_premise,
+        gronwall_conclusion_rhs=gron_conclusion).items()})
+    columns.update({name: (1, v) for name, v in dict(
+        dissipation=diss, work=work, identity_defect=defect,
+        identity_scale=scale, dot_energy=dot_energy,
+        cum_dot_dissipation=cum_dot_diss, mb2_lhs=mb2_lhs,
+        mb2_rhs_root=mb2_rhs_root, mb2_rhs_squared=mb2_rhs_squared,
+        pf_lhs=pf_lhs, pf_rhs=pf_rhs).items()})
+    rows = [CertificateRow(n=n, **{name: v[n - first].item()
+                                   for name, (first, v) in columns.items()
+                                   if n >= first})
+            for n in range(len(times))]
 
-            da = (state.alpha - prev.alpha) / dt
-            db = (state.beta - prev.beta) / dt
-            dg = (state.gamma - prev.gamma) / dt
-            dth = (state.theta - prev.theta) / dt
-            dot = StateVector(t=state.t, alpha=da, beta=db, gamma=dg,
-                              theta=dth, pi=np.zeros_like(state.pi))
-            row.dot_energy = blocks.energy(dot)
-            cum_dot_diss += dt * blocks.dissipation(dot)
-            row.cum_dot_dissipation = cum_dot_diss
-            row.mb2_lhs = row.dot_energy + cum_dot_diss
-            tgrow = math.exp(2.0 * state.t / p.rho_s ** 2)
-            base = (1.0 + (state.t / p.rho_s) * tgrow) * cum_c2[n]
-            tail = 0.5 * state.t * tgrow
-            row.mb2_rhs_root = base + tail * c3
-            row.mb2_rhs_squared = base + tail * c3 ** 2
-            row.mb2_root_ok = bool(row.mb2_lhs <= row.mb2_rhs_root)
-            row.mb2_squared_ok = bool(row.mb2_lhs <= row.mb2_rhs_squared)
-
-            row.pf_lhs = math.sqrt(max(state.pi @ (mass_q @ state.pi), 0.0))
-            du_mass = math.sqrt(max(da @ (blocks.mass_u @ da), 0.0))
-            h1_u = math.sqrt(max(state.alpha @ (blocks.h1_u @ state.alpha),
-                                 0.0))
-            semi_u_sq = float(state.alpha @ (stiff_u @ state.alpha))
-            h1_p = math.sqrt(max(state.gamma @ (blocks.h1_p @ state.gamma),
-                                 0.0))
-            h1_dth = math.sqrt(max(state.theta @ (blocks.h1_d @ state.theta),
-                                   0.0))
-            row.pf_rhs = (p.rho_f * du_mass
-                          + 2.0 * p.mu_f * row.du_norm
-                          + p.rho_f * sf ** 2 * semi_u_sq
-                          + t1 * t3 * h1_p
-                          + p.beta_slip * t1 ** 2 * h1_u
-                          + p.beta_slip * t1 * t5 * h1_dth
-                          + t2 * math.sqrt(funcs.pin_sq(state.t))
-                          + math.sqrt(funcs.ff_sq(state.t))) / kappa
-            row.pf_ok = bool(row.pf_lhs <= row.pf_rhs)
-
-        row.cum_dissipation = cum_diss
-        row.cum_c1_sq = cum_c1[n]
-        row.mb1_lhs = row.energy + cum_diss
-        row.mb1_rhs = (1.0 + (state.t / p.rho_s)
-                       * math.exp(state.t / p.rho_s)) * cum_c1[n]
-        row.mb1_ok = bool(row.mb1_lhs <= row.mb1_rhs)
-        rows.append(row)
-
-    pf_rows = [r for r in rows if r.pf_ok is not None]
+    flags, detail = {}, {}
+    for name, (first, margin, ok) in margins.items():
+        flag = _SUMMARY_FLAG.get(name, name)
+        flags[flag] = bool(np.all(ok))
+        detail[flag.removesuffix("_ok")] = _flag_detail(first, margin, ok)
     summary = {
         "scheme": traj.scheme,
         "dt": dt,
-        "n_steps": len(states) - 1,
-        "t_final": times[-1],
-        "identity_ok": _all_flags(rows, "identity_ok"),
-        "identity_max_defect": max(
-            (abs(r.identity_defect) for r in rows[1:]), default=0.0),
-        "mainbound1_ok": _all_flags(rows, "mb1_ok"),
-        "dumbound_ok": _all_flags(rows, "dumbound_ok"),
-        "uniqueness_ok": _all_flags(rows, "uniqueness_ok"),
-        "mb2_root_ok": _all_flags(rows, "mb2_root_ok"),
-        "mb2_squared_ok": _all_flags(rows, "mb2_squared_ok"),
-        "pfbound_ok": _all_flags(rows, "pf_ok"),
-        "pfbound_linf_ok": bool(
-            max((r.pf_lhs for r in pf_rows), default=0.0)
-            <= max((r.pf_rhs for r in pf_rows), default=0.0))
-        if pf_rows else True,
-        "gronwall_premise_ok": _all_flags(rows, "gronwall_premise_ok"),
-        "gronwall_conclusion_ok": _all_flags(rows, "gronwall_conclusion_ok"),
-        "max_energy": max(r.energy for r in rows),
-        "final_energy": rows[-1].energy,
-        "total_dissipation": rows[-1].cum_dissipation,
-        "max_du_norm": max(r.du_norm for r in rows),
+        "n_steps": len(times) - 1,
+        "t_final": times[-1].item(),
+        "identity_max_defect": float(np.max(np.abs(defect), initial=0.0)),
+        "pfbound_linf_ok": bool(np.max(pf_lhs, initial=0.0)
+                                <= np.max(pf_rhs, initial=0.0)),
+        "max_energy": float(np.max(energy)),
+        "final_energy": energy[-1].item(),
+        "total_dissipation": cum_diss[-1].item(),
+        "max_du_norm": float(np.max(du_norm)),
         "du_limit": du_limit,
         "uniqueness_limit": uniq_limit,
         "c3": c3,
+        "flag_detail": detail,
+        **flags,
     }
     return CertificateReport(rows=rows, summary=summary)

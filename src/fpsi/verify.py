@@ -43,20 +43,19 @@ from .assembly import (
     _cell_dofs,
     _geometry,
     _phys_grads,
-    _quad_points,
+    _rule_values,
     _trace_basis,
     assemble_loads,
     assemble_system,
+    cell_quadrature,
     facet_trace,
     interface_tangents,
 )
 from .expressions import Cos, PI, Sin, T, X, Y, div, dt, sym_grad
 from .fem import (
     VectorSpace,
-    basis_eval,
     interpolate_scalar,
     interpolate_vector,
-    triangle_rule,
 )
 from .timestepper import (SchemeConfig, StepError, _jacobian, _pack,
                           _residual_rows, run, step)
@@ -323,41 +322,32 @@ def _full(space, free_values):
     return out
 
 
-def _error_sq(space, coeffs, expr, t, rule):
+def _error_sq(space, coeffs, expr, t, order):
     """(L2^2, H1-seminorm^2) of (discrete - expr) on a scalar space."""
-    mesh = space.mesh
-    _, jinv, det = _geometry(mesh, space.tri_ids)
-    vals, _ = basis_eval(space.kind, rule.points)
-    gphys = _phys_grads(space, jinv, rule)
-    x = _quad_points(mesh, space.tri_ids, rule)
+    q = cell_quadrature(space.mesh, space.subdomain, order)
+    vals = _rule_values(space.kind, order)
+    gphys = _phys_grads(space, q.jinv, q.rule)
     co = coeffs[space.cell_dofs]
     uh = np.einsum("qi,ci->cq", vals, co, optimize=True)
     guh = np.einsum("cqid,ci->cqd", gphys, co, optimize=True)
-    xs, ys = x[..., 0], x[..., 1]
-    ue = np.broadcast_to(np.asarray(expr(xs, ys, t), dtype=float), uh.shape)
-    ge = np.stack([
-        np.broadcast_to(np.asarray(expr.diff("x")(xs, ys, t), dtype=float),
-                        uh.shape),
-        np.broadcast_to(np.asarray(expr.diff("y")(xs, ys, t), dtype=float),
-                        uh.shape),
-    ], axis=-1)
-    wdet = rule.weights[None, :] * det[:, None]
-    l2 = float(np.sum(wdet * (uh - ue) ** 2))
-    h1 = float(np.sum(wdet * np.sum((guh - ge) ** 2, axis=-1)))
+    ue = expr(q.x, q.y, t)
+    ge = np.stack([expr.diff(v)(q.x, q.y, t) for v in "xy"], axis=-1)
+    l2 = float(np.sum(q.wdet * (uh - ue) ** 2))
+    h1 = float(np.sum(q.wdet * np.sum((guh - ge) ** 2, axis=-1)))
     return l2, h1
 
 
-def _scalar_error(space, coeffs, expr, t, rule):
-    l2, h1 = _error_sq(space, coeffs, expr, t, rule)
+def _scalar_error(space, coeffs, expr, t, order):
+    l2, h1 = _error_sq(space, coeffs, expr, t, order)
     return math.sqrt(l2), math.sqrt(h1)
 
 
-def _vector_error(space, coeffs, exprs, t, rule):
+def _vector_error(space, coeffs, exprs, t, order):
     sc = space.scalar
     l2 = h1 = 0.0
     for comp in (0, 1):
         part = coeffs[comp * sc.ndof:(comp + 1) * sc.ndof]
-        a, b = _error_sq(sc, part, exprs[comp], t, rule)
+        a, b = _error_sq(sc, part, exprs[comp], t, order)
         l2 += a
         h1 += b
     return math.sqrt(l2), math.sqrt(h1)
@@ -371,19 +361,18 @@ def compute_errors(case, system, state, order=10):
     state's own time.  ``system`` may be a block system or a dof map.
     """
     dm = _dofmap_of(system)
-    rule = triangle_rule(order)
     t = state.t
     vel_l2, vel_h1 = _vector_error(
-        dm.velocity, _full(dm.velocity, state.alpha), case.velocity, t, rule)
+        dm.velocity, _full(dm.velocity, state.alpha), case.velocity, t, order)
     _, disp_h1 = _vector_error(
         dm.displacement, _full(dm.displacement, state.beta),
-        case.displacement, t, rule)
+        case.displacement, t, order)
     pf_l2, _ = _scalar_error(
         dm.pressure_f, _full(dm.pressure_f, state.pi), case.pressure_f, t,
-        rule)
+        order)
     pore_l2, pore_h1 = _scalar_error(
         dm.pressure_p, _full(dm.pressure_p, state.gamma), case.pressure_p, t,
-        rule)
+        order)
     return {
         "vel_l2": vel_l2,
         "vel_h1": vel_h1,

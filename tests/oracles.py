@@ -5,8 +5,9 @@ the package: element matrices and reference tables come from exact symbolic
 integration, the convection term from per-cell Gauss quadrature, trace
 integrals from a hand-rolled Gauss loop, extremal pencil eigenvalues from a
 dense LAPACK solve (on explicitly formed Schur complements where the package
-works matrix-free or on the full space).  Tests compare the production code
-against these.
+works matrix-free or on the full space), and the energy certificate from a
+loop over states with one scalar data-norm call per time.  Tests compare
+the production code against these.
 """
 
 import numpy as np
@@ -15,9 +16,11 @@ import scipy.sparse as sp
 import sympy as sym
 
 from fpsi import mesh as meshmod
-from fpsi.assembly import _geometry, _phys_grads, facet_matrix, restrict
+from fpsi.assembly import (DEFAULT_LOAD_ORDER, StateVector, _geometry,
+                           _phys_grads, assemble_loads, facet_matrix, restrict)
 from fpsi.fem import basis_eval, triangle_rule
 from fpsi.mesh import Mesh
+from fpsi.monitor import CertificateReport, CertificateRow
 
 
 def one_triangle_mesh(coords):
@@ -323,3 +326,197 @@ def quadrature_convection(space, rho_f, alpha, skew, order=6):
     jmat = sp.coo_matrix((local[keep], (rows[keep], cols[keep])),
                          shape=(space.n_free, space.n_free)).tocsr()
     return full[space.free], jmat
+
+
+def _gauss_panels(t0, t1, panels, npts=6):
+    """Composite Gauss nodes and weights on [t0, t1]."""
+    x, w = np.polynomial.legendre.leggauss(npts)
+    edges = np.linspace(t0, t1, panels + 1)
+    h = np.diff(edges)
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    times = (mid[:, None] + 0.5 * h[:, None] * x[None, :]).ravel()
+    weights = (0.5 * h[:, None] * w[None, :]).ravel()
+    return times, weights
+
+
+def scalar_cumulative(func, times):
+    """Integral of ``func`` from 0 to each entry of ``times``, one scalar
+    call per Gauss node: one 6-point panel per consecutive interval."""
+    out = np.zeros(len(times))
+    for n in range(1, len(times)):
+        nodes, weights = _gauss_panels(times[n - 1], times[n], 1)
+        out[n] = out[n - 1] + sum(w * func(t) for t, w in zip(nodes, weights))
+    return out
+
+
+def rowwise_energy_report(traj, blocks, data, constants, funcs,
+                          newton_tol=1e-10, load_order=DEFAULT_LOAD_ORDER):
+    """The certificate rows and summary flags, one state at a time.
+
+    Every quadratic form is a vector dot of one state, every data norm one
+    scalar call per time (C1, C2 by :func:`scalar_cumulative`), and the
+    identity is checked with the jump term for the implicit Euler scheme
+    and at the averaged stage for the midpoint scheme.
+    """
+    p = blocks.params
+    dm = blocks.dm
+
+    def energy(s):
+        return 0.5 * (s.alpha @ (blocks.Af @ s.alpha)
+                      + s.theta @ (blocks.As @ s.theta)
+                      + s.gamma @ (blocks.Ap @ s.gamma)
+                      + s.beta @ (blocks.Bs @ s.beta))
+
+    def dissipation(s):
+        a, th, g = s.alpha, s.theta, s.gamma
+        return (a @ (blocks.visc2 @ a) + a @ (blocks.slip_uu_beta @ a)
+                - 2.0 * (a @ (blocks.E @ th)) + th @ (blocks.F @ th)
+                + g @ (blocks.Bp @ g))
+
+    sf, kf, kappa, t1, t2, t3, t5 = (constants[k] for k in (
+        "Sf", "Kf", "Kappa", "T1", "T2", "T3", "T5"))
+    mass_q = restrict(blocks.raw["mass_q"], dm.pressure_f, dm.pressure_f)
+    stiff_u = restrict(blocks.raw["stiff_u"], dm.velocity, dm.velocity)
+
+    states = traj.states
+    dt = traj.dt
+    times = [s.t for s in states]
+    cum_c1 = scalar_cumulative(funcs.c1_sq, times)
+    cum_c2 = scalar_cumulative(funcs.c2_sq, times)
+    c3 = funcs.c3()
+
+    du_limit = p.mu_f / (3.0 * p.rho_f * sf ** 2 * kf ** 3)
+    uniq_limit = p.mu_f / (sf ** 2 * kf ** 3)
+    gron_b = 0.0
+    if len(times) > 1:
+        nodes, weights = _gauss_panels(0.0, times[-1], funcs.panels)
+        gron_b = (2.0 / p.rho_s) * sum(
+            w * funcs.c1_sq(t) for t, w in zip(nodes, weights))
+    gron_c = 1.0 / p.rho_s
+    identity_rel = 1e-5 * newton_tol / 1e-10
+
+    rows = []
+    cum_diss = 0.0
+    cum_dot_diss = 0.0
+    gron_rightsum = 0.0
+    for n, state in enumerate(states):
+        row = CertificateRow(n=n, t=state.t, energy=energy(state))
+        row.du_norm = np.sqrt(max(
+            state.alpha @ (blocks.visc2 @ state.alpha), 0.0) / (2.0 * p.mu_f))
+        row.dumbound_ok = bool(row.du_norm < du_limit)
+        row.uniqueness_ok = bool(row.du_norm <= uniq_limit)
+
+        row.zeta = float(state.theta @ (blocks.mass_d @ state.theta))
+        if n > 0:
+            gron_rightsum += dt * row.zeta
+        row.gronwall_premise_rhs = gron_b + gron_c * gron_rightsum
+        row.gronwall_conclusion_rhs = gron_b * np.exp(gron_c * state.t)
+        row.gronwall_premise_ok = bool(row.zeta <= row.gronwall_premise_rhs)
+        row.gronwall_conclusion_ok = bool(
+            row.zeta <= row.gronwall_conclusion_rhs)
+
+        if n > 0:
+            prev = states[n - 1]
+            if traj.scheme == "euler":
+                stage = state
+                jump = energy(StateVector(
+                    t=state.t, alpha=state.alpha - prev.alpha,
+                    beta=state.beta - prev.beta,
+                    gamma=state.gamma - prev.gamma,
+                    theta=state.theta - prev.theta, pi=state.pi))
+            else:
+                stage = StateVector(
+                    t=0.5 * (prev.t + state.t),
+                    alpha=0.5 * (prev.alpha + state.alpha),
+                    beta=0.5 * (prev.beta + state.beta),
+                    gamma=0.5 * (prev.gamma + state.gamma),
+                    theta=0.5 * (prev.theta + state.theta),
+                    pi=state.pi)
+                jump = 0.0
+
+            a, b, c = assemble_loads(stage.t, data, dm, load_order)
+            diss = dissipation(stage)
+            conv, _ = blocks.convection(stage.alpha, jac=False)
+            nterm = float(stage.alpha @ conv)
+            work = a @ stage.alpha + b @ stage.theta + c @ stage.gamma
+            e_prev = energy(prev)
+            defect = ((row.energy - e_prev + jump) / dt + diss + nterm
+                      - work)
+            scale = ((abs(row.energy) + abs(e_prev) + jump) / dt
+                     + abs(diss) + abs(nterm) + abs(work))
+            row.dissipation = diss
+            row.work = work
+            cum_diss += dt * diss
+            row.identity_defect = defect
+            row.identity_scale = scale
+            row.identity_ok = bool(
+                abs(defect) <= max(1e-9, identity_rel * scale))
+
+            dot = StateVector(
+                t=state.t, alpha=(state.alpha - prev.alpha) / dt,
+                beta=(state.beta - prev.beta) / dt,
+                gamma=(state.gamma - prev.gamma) / dt,
+                theta=(state.theta - prev.theta) / dt,
+                pi=np.zeros_like(state.pi))
+            row.dot_energy = energy(dot)
+            cum_dot_diss += dt * dissipation(dot)
+            row.cum_dot_dissipation = cum_dot_diss
+            row.mb2_lhs = row.dot_energy + cum_dot_diss
+            tgrow = np.exp(2.0 * state.t / p.rho_s ** 2)
+            base = (1.0 + (state.t / p.rho_s) * tgrow) * cum_c2[n]
+            tail = 0.5 * state.t * tgrow
+            row.mb2_rhs_root = base + tail * c3
+            row.mb2_rhs_squared = base + tail * c3 ** 2
+            row.mb2_root_ok = bool(row.mb2_lhs <= row.mb2_rhs_root)
+            row.mb2_squared_ok = bool(row.mb2_lhs <= row.mb2_rhs_squared)
+
+            def norm(matrix, x):
+                return np.sqrt(max(x @ (matrix @ x), 0.0))
+
+            row.pf_lhs = norm(mass_q, state.pi)
+            row.pf_rhs = (p.rho_f * norm(blocks.mass_u, dot.alpha)
+                          + 2.0 * p.mu_f * row.du_norm
+                          + p.rho_f * sf ** 2
+                          * (state.alpha @ (stiff_u @ state.alpha))
+                          + t1 * t3 * norm(blocks.h1_p, state.gamma)
+                          + p.beta_slip * t1 ** 2
+                          * norm(blocks.h1_u, state.alpha)
+                          + p.beta_slip * t1 * t5
+                          * norm(blocks.h1_d, state.theta)
+                          + t2 * np.sqrt(funcs.pin_sq(state.t))
+                          + np.sqrt(funcs.ff_sq(state.t))) / kappa
+            row.pf_ok = bool(row.pf_lhs <= row.pf_rhs)
+
+        row.cum_dissipation = cum_diss
+        row.cum_c1_sq = cum_c1[n]
+        row.mb1_lhs = row.energy + cum_diss
+        row.mb1_rhs = (1.0 + (state.t / p.rho_s)
+                       * np.exp(state.t / p.rho_s)) * cum_c1[n]
+        row.mb1_ok = bool(row.mb1_lhs <= row.mb1_rhs)
+        rows.append(row)
+
+    def all_of(attr):
+        return all(getattr(r, attr) for r in rows
+                   if getattr(r, attr) is not None)
+
+    pf_rows = [r for r in rows if r.pf_ok is not None]
+    summary = {
+        "identity_ok": all_of("identity_ok"),
+        "mainbound1_ok": all_of("mb1_ok"),
+        "dumbound_ok": all_of("dumbound_ok"),
+        "uniqueness_ok": all_of("uniqueness_ok"),
+        "mb2_root_ok": all_of("mb2_root_ok"),
+        "mb2_squared_ok": all_of("mb2_squared_ok"),
+        "pfbound_ok": all_of("pf_ok"),
+        "pfbound_linf_ok": bool(max(r.pf_lhs for r in pf_rows)
+                                <= max(r.pf_rhs for r in pf_rows))
+        if pf_rows else True,
+        "gronwall_premise_ok": all_of("gronwall_premise_ok"),
+        "gronwall_conclusion_ok": all_of("gronwall_conclusion_ok"),
+        "max_energy": max(r.energy for r in rows),
+        "final_energy": rows[-1].energy,
+        "total_dissipation": rows[-1].cum_dissipation,
+        "max_du_norm": max(r.du_norm for r in rows),
+        "c3": c3,
+    }
+    return CertificateReport(rows=rows, summary=summary)

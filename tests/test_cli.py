@@ -1,6 +1,10 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -449,3 +453,90 @@ def test_readme_example_golden_values(tmp_path, monkeypatch, capsys):
         assert summary[key] == pytest.approx(value, rel=1e-8), key
     assert {k: v for k, v in summary.items() if k.endswith("_ok")} \
         == GOLDEN_FLAGS
+
+
+def test_readme_example_explains_its_failing_flags(tmp_path, monkeypatch,
+                                                   capsys):
+    """``flag_detail`` and the run's output say which flag fails, from which
+    step and by how much: ``dumbound`` by max |D(u)| 0.067743 against the
+    limit 0.067059, ``mb2_*`` from step 1 (the run starts from rest while the
+    data at t = 0 is nonzero)."""
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", _config(tmp_path, README_EXAMPLE)]) == 0
+    out = capsys.readouterr().out
+    summary = json.loads(
+        (tmp_path / "out/certificate_summary.json").read_text())
+    detail = summary["flag_detail"]
+    assert not [k for k in detail if k.endswith("_ok")]
+    assert not [k for d in detail.values() for k in d if k.endswith("_ok")]
+    failing = {name for name, d in detail.items()
+               if d["first_fail_step"] is not None}
+    assert failing == {"dumbound", "mb2_root", "mb2_squared"}
+    assert failing == {name[:-3] for name, ok in GOLDEN_FLAGS.items()
+                       if not ok}
+
+    du = detail["dumbound"]
+    assert summary["max_du_norm"] == pytest.approx(0.067743, abs=5e-7)
+    assert summary["du_limit"] == pytest.approx(0.067059, abs=5e-7)
+    assert du["worst_margin"] == pytest.approx(
+        summary["du_limit"] - summary["max_du_norm"], rel=1e-12)
+    assert du["worst_margin"] < 0.0
+    assert 1 < du["first_fail_step"] <= du["worst_step"] == 100
+    assert detail["mb2_root"]["first_fail_step"] == 1
+    assert detail["mb2_root"]["worst_margin"] < 0.0
+    assert detail["uniqueness"]["worst_margin"] > 0.0
+
+    lines = [line for line in out.splitlines() if " fails from step " in line]
+    assert len(lines) == 3
+    assert any(line.startswith("  dumbound fails from step %d,"
+                               % du["first_fail_step"]) for line in lines)
+    assert "  mb2_root fails from step 1," in "\n".join(lines)
+
+
+# ---------------------------------------------------------------------------
+# the benchmark's probes still attach (perfbench/probes.py)
+# ---------------------------------------------------------------------------
+
+_PROBED_RUN = """\
+import json, os, sys
+root = sys.argv[1]
+sys.path.insert(0, os.path.join(root, "src"))
+sys.path.insert(1, os.path.join(root, "perfbench"))
+import probes
+import fpsi.cli as cli
+timing = probes.Timing()
+finish = probes.install_timing(timing, 0)
+tracer = probes.Tracer(run_id="probed")
+probes.install_spans(tracer)
+rc = cli.main(["run", sys.argv[2]])
+finish()
+print(json.dumps({"rc": rc, "step_ms": timing.step_ms,
+                  "spans": sorted({s["name"] for s in tracer.spans}),
+                  "layers": probes.layer_metrics(tracer, 0.0, timing)}))
+"""
+
+
+def test_benchmark_probes_wrap_a_certified_run(tmp_path):
+    """perfbench's timing and span probes wrap ``run_scheme``'s
+    ``on_step(state, diag)``, the monitor's scalar-``t`` ``assemble_loads``,
+    ``BlockSystem.convection`` and the ``DataFunctionals`` methods by name;
+    a certified run under them must still complete."""
+    root = Path(__file__).resolve().parents[1]
+    cfg = _config(tmp_path, "[mesh]\nnx = 4\nny = 4\n\n[data]\n"
+                  "f_f_x = sin(pi*x)*cos(t)\nf_f_y = 0\np_in = 1 + t\n\n"
+                  "[scheme]\ndt = 0.005\nt_final = 0.01\n")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", _PROBED_RUN, str(root), cfg],
+                          cwd=tmp_path, env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["rc"] == 0
+    assert len(result["step_ms"]) == 2
+    assert "monitor.energy_report" in result["spans"]
+    assert "monitor.datafunc" in result["spans"]
+    layers = result["layers"]
+    assert layers["monitor.loads_calls"] == 2
+    assert layers["assembly.loads_calls"] == 4
+    assert layers["assembly.convection_calls"] > 2
+    assert layers["monitor.energy_report_s"] > 0.0

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from fpsi import constants as cst
 from fpsi import mesh as meshmod
 from fpsi import monitor as mon
@@ -165,6 +166,17 @@ def small_run(blocks, consts):
     return data, traj, report
 
 
+@pytest.fixture(scope="module")
+def midpoint_run(blocks, consts):
+    data = _driven_data()
+    cfg = SchemeConfig(scheme="midpoint", dt=0.05, t_final=0.2,
+                       newton_tol=1e-12)
+    traj = run(blocks, data, cfg)
+    report = mon.energy_report(traj, blocks, data, consts,
+                               newton_tol=cfg.newton_tol)
+    return data, traj, report
+
+
 def test_energy_report_flags_on_small_data_run(small_run):
     _, traj, report = small_run
     s = report.summary
@@ -219,8 +231,9 @@ def test_identity_flag_detects_tampered_state(blocks, consts, small_run):
     assert not report.summary["identity_ok"]
 
 
-def test_gronwall_fails_honestly_without_data(blocks, consts):
-    """An energetic start with zero data violates the premise at n = 0."""
+@pytest.fixture(scope="module")
+def gronwall_run(blocks, consts):
+    """Zero data from an energetic start."""
     from fpsi.expressions import ZERO
 
     state0 = blocks.zero_state()
@@ -229,7 +242,12 @@ def test_gronwall_fails_honestly_without_data(blocks, consts):
     state0.theta = theta[W.free]
     cfg = SchemeConfig(scheme="euler", dt=0.05, t_final=0.1)
     traj = run(blocks, ProblemData(), cfg, initial_state=state0)
-    report = mon.energy_report(traj, blocks, ProblemData(), consts)
+    return traj, mon.energy_report(traj, blocks, ProblemData(), consts)
+
+
+def test_gronwall_fails_honestly_without_data(gronwall_run):
+    """An energetic start with zero data violates the premise at n = 0."""
+    _, report = gronwall_run
     assert report.rows[0].zeta > 0.0
     assert not report.rows[0].gronwall_premise_ok
     assert not report.rows[0].gronwall_conclusion_ok
@@ -238,12 +256,128 @@ def test_gronwall_fails_honestly_without_data(blocks, consts):
     assert report.rows[0].gronwall_conclusion_ok is False
 
 
-def test_midpoint_identity_in_report(blocks, consts):
-    data = _driven_data()
-    cfg = SchemeConfig(scheme="midpoint", dt=0.05, t_final=0.2,
-                       newton_tol=1e-12)
-    traj = run(blocks, data, cfg)
-    report = mon.energy_report(traj, blocks, data, consts,
-                               newton_tol=cfg.newton_tol)
+def test_midpoint_identity_in_report(midpoint_run):
+    _, _, report = midpoint_run
     assert report.summary["identity_ok"]
     assert report.summary["identity_max_defect"] <= 1e-10
+
+
+# ---------------------------------------------------------------------------
+# the stacked certificate against the row-by-row oracle
+# ---------------------------------------------------------------------------
+
+def _assert_matches_rowwise_oracle(report, expected):
+    """Numeric columns within 1e-12 of their column maximum (the identity
+    defect within 1e-12 of its row's scale), every flag identical."""
+    rows, ref = report.rows, expected.rows
+    assert len(rows) == len(ref)
+    for name in mon.CertificateRow.__dataclass_fields__:
+        got = [getattr(r, name) for r in rows]
+        want = [getattr(r, name) for r in ref]
+        if any(isinstance(v, bool) or v is None for v in want):
+            assert got == want, name
+            continue
+        got, want = np.array(got, float), np.array(want, float)
+        assert np.array_equal(np.isnan(got), np.isnan(want)), name
+        known = ~np.isnan(want)
+        if name == "identity_defect":
+            tol = 1e-12 * np.array([r.identity_scale for r in ref])[known]
+        else:
+            tol = 1e-12 * np.max(np.abs(want[known]), initial=0.0)
+        assert np.all(np.abs(got[known] - want[known]) <= tol), name
+    for key, value in expected.summary.items():
+        if key.endswith("_ok"):
+            assert report.summary[key] is value, key
+        else:
+            assert report.summary[key] == pytest.approx(value, rel=1e-12), key
+
+
+def _check_against_rowwise_oracle(monkeypatch, report, traj, blocks, data,
+                                  consts, newton_tol=1e-10):
+    """The report, and the report stacked in windows of 3 steps, against
+    the row-by-row oracle."""
+    funcs = mon.DataFunctionals(blocks.dm.mesh, PARAMS, data, consts)
+    expected = oracles.rowwise_energy_report(traj, blocks, data, consts,
+                                             funcs, newton_tol=newton_tol)
+    _assert_matches_rowwise_oracle(report, expected)
+    monkeypatch.setattr(mon, "_STEP_BLOCK", 3)
+    _assert_matches_rowwise_oracle(mon.energy_report(
+        traj, blocks, data, consts, newton_tol=newton_tol), expected)
+
+
+def test_euler_report_matches_rowwise_oracle(monkeypatch, blocks, consts,
+                                             small_run):
+    data, traj, report = small_run
+    _check_against_rowwise_oracle(monkeypatch, report, traj, blocks, data,
+                                  consts)
+
+
+def test_midpoint_report_matches_rowwise_oracle(monkeypatch, blocks, consts,
+                                                midpoint_run):
+    data, traj, report = midpoint_run
+    _check_against_rowwise_oracle(monkeypatch, report, traj, blocks, data,
+                                  consts, newton_tol=1e-12)
+
+
+def test_zero_data_gronwall_report_matches_rowwise_oracle(
+        monkeypatch, blocks, consts, gronwall_run):
+    traj, report = gronwall_run
+    _check_against_rowwise_oracle(monkeypatch, report, traj, blocks,
+                                  ProblemData(), consts)
+
+
+def test_flag_detail_locates_failures(gronwall_run, small_run):
+    _, report = gronwall_run
+    detail = report.summary["flag_detail"]
+    assert set(detail) == {
+        "identity", "mainbound1", "dumbound", "uniqueness", "mb2_root",
+        "mb2_squared", "pfbound", "gronwall_premise", "gronwall_conclusion"}
+    premise = detail["gronwall_premise"]
+    assert premise["first_fail_step"] == 0
+    assert premise["worst_margin"] < 0.0
+    worst = report.rows[premise["worst_step"]]
+    assert premise["worst_margin"] == worst.gronwall_premise_rhs - worst.zeta
+    # a flag that holds everywhere has no failing step and a margin >= 0
+    _, _, passing = small_run
+    identity = passing.summary["flag_detail"]["identity"]
+    assert identity["first_fail_step"] is None
+    assert identity["worst_margin"] >= 0.0
+    assert identity["worst_step"] >= 1
+
+
+# ---------------------------------------------------------------------------
+# data norms at many times at once
+# ---------------------------------------------------------------------------
+
+def test_data_norms_at_an_array_of_times_match_scalar_calls(mesh8, consts):
+    """Time-nonseparable, constant and zero fields, more times than one
+    evaluation block."""
+    data = ProblemData(f_f=(pe("sin(pi*x*t)"), pe("0")),
+                       f_s=(pe("0.3"), pe("-0.2")),
+                       f_p=pe("cos(pi*y)*t^2 + x"),
+                       P_in=pe("sin(pi*y*t) + 1"))
+    funcs = mon.DataFunctionals(mesh8, PARAMS, data, consts)
+    times = np.linspace(0.0, 1.3, 20)
+    for name in ("pin_sq", "ff_sq", "fp_sq", "fs_sq", "c1_sq", "c2_sq"):
+        batched = getattr(funcs, name)(times)
+        single = np.array([getattr(funcs, name)(t) for t in times])
+        assert batched.shape == times.shape
+        assert isinstance(getattr(funcs, name)(0.4), float)
+        assert np.allclose(batched, single, rtol=1e-14, atol=0.0), name
+    # a constant field is c^2 |Omega_p| in closed form; its derivative is 0
+    assert funcs.fs_sq(times) == pytest.approx((0.3 ** 2 + 0.2 ** 2) * 0.5,
+                                               rel=1e-14)
+    assert np.all(funcs._poro.norm_sq(funcs.data_dot.f_s, times) == 0.0)
+    assert funcs.ff_sq(0.0) == 0.0
+
+
+def test_cumulative_c1_on_nonuniform_times_is_a_per_interval_sum(mesh8,
+                                                                 consts):
+    funcs = mon.DataFunctionals(mesh8, PARAMS, _driven_data(), consts)
+    times = np.array([0.0, 0.01, 0.05, 0.06, 0.2, 0.45, 0.47])
+    expected = oracles.scalar_cumulative(funcs.c1_sq, times)
+    got = funcs.cumulative_c1_sq(times)
+    assert got[0] == 0.0
+    assert got == pytest.approx(expected, rel=1e-14)
+    assert funcs.cumulative_c2_sq(times) == pytest.approx(
+        oracles.scalar_cumulative(funcs.c2_sq, times), rel=1e-14)
