@@ -564,6 +564,30 @@ def _trace_basis(kind, ref):
             grads.reshape(ref.shape[:2] + grads.shape[1:]))
 
 
+FacetQuadrature = namedtuple("FacetQuadrature", "x wts normals vals dofs")
+_FACET_QUADRATURE = weakref.WeakKeyDictionary()
+
+
+def facet_quadrature(space, facets, tris, order):
+    """:func:`facet_trace` plus the space's basis values ``vals`` at the
+    points and the ``dofs`` of every ``tris[f]``; built once per (element
+    kind, subdomain, facets, tris, order) and read-only, like
+    :func:`cell_quadrature`, so a facet load only evaluates its data."""
+    facets = np.asarray(facets, dtype=int)
+    tris = np.asarray(tris, dtype=int)
+    per_mesh = _FACET_QUADRATURE.setdefault(space.mesh, {})
+    key = (space.kind, _scalar_space_of(space).subdomain, facets.tobytes(),
+           tris.tobytes(), int(order))
+    if key not in per_mesh:
+        x, ref, wts, normals = facet_trace(space.mesh, facets, tris, order)
+        vals, _ = _trace_basis(space.kind, ref)
+        per_mesh[key] = FacetQuadrature(x, wts, normals, vals,
+                                        _cell_dofs(space, tris))
+        for array in per_mesh[key]:
+            array.setflags(write=False)
+    return per_mesh[key]
+
+
 def facet_matrix(test_space, trial_space, facets, test_tris, trial_tris,
                  directions=None, order=DEFAULT_FACET_ORDER):
     """sum_f int_f phi_i psi_j ds over the given facets.
@@ -571,18 +595,14 @@ def facet_matrix(test_space, trial_space, facets, test_tris, trial_tris,
     Each space is traced from its own triangle of every facet; a vector
     basis function enters through its component along ``directions[f]``.
     """
-    mesh = test_space.mesh
-    values = []
+    values, dofs = [], []
     for space, tris in ((test_space, test_tris), (trial_space, trial_tris)):
-        _, ref, wts, _ = facet_trace(mesh, facets, tris, order)
-        vals, _ = _trace_basis(space.kind, ref)
-        if isinstance(space, VectorSpace):
-            vals = np.einsum("fqik,fk->fqi", vals, directions)
-        values.append(vals)
-    cells = np.einsum("fq,fqi,fqj->fij", wts, *values)
-    return _scatter(_cell_dofs(test_space, test_tris),
-                    _cell_dofs(trial_space, trial_tris), cells,
-                    (test_space.ndof, trial_space.ndof))
+        q = facet_quadrature(space, facets, tris, order)
+        values.append(np.einsum("fqik,fk->fqi", q.vals, directions)
+                      if isinstance(space, VectorSpace) else q.vals)
+        dofs.append(q.dofs)
+    cells = np.einsum("fq,fqi,fqj->fij", q.wts, *values)
+    return _scatter(*dofs, cells, (test_space.ndof, trial_space.ndof))
 
 
 def interface_tangents(normals):
@@ -624,54 +644,50 @@ def load_volume_scalar(space, expr, t, order=DEFAULT_LOAD_ORDER):
 
 def load_facet_vector(space, facets, tris, exprs, t, order=DEFAULT_LOAD_ORDER):
     """<g, v> over facets for a vector test space."""
-    x, ref, wts, _ = facet_trace(space.mesh, facets, tris, order)
-    g = np.stack(_eval_pair(exprs, x[..., 0], x[..., 1], t), axis=-1)
-    vals, _ = _trace_basis(space.kind, ref)
-    local = np.einsum("fq,fqik,fqk->fi", wts, vals, g)
-    return _scatter_vector(_cell_dofs(space, tris), local, space.ndof)
+    q = facet_quadrature(space, facets, tris, order)
+    g = np.stack(_eval_pair(exprs, q.x[..., 0], q.x[..., 1], t), axis=-1)
+    local = np.einsum("fq,fqik,fqk->fi", q.wts, q.vals, g)
+    return _scatter_vector(q.dofs, local, space.ndof)
 
 
 def load_facet_scalar(space, facets, tris, expr, t, order=DEFAULT_LOAD_ORDER):
     """<g, r> over facets for a scalar test space."""
-    x, ref, wts, _ = facet_trace(space.mesh, facets, tris, order)
-    g = _eval_scalar(expr, x[..., 0], x[..., 1], t)
-    vals, _ = _trace_basis(space.kind, ref)
-    local = np.einsum("fq,fqi,fq->fi", wts, vals, g)
-    return _scatter_vector(_cell_dofs(space, tris), local, space.ndof)
+    q = facet_quadrature(space, facets, tris, order)
+    g = _eval_scalar(expr, q.x[..., 0], q.x[..., 1], t)
+    local = np.einsum("fq,fqi,fq->fi", q.wts, q.vals, g)
+    return _scatter_vector(q.dofs, local, space.ndof)
 
 
 def load_facet_pressure_normal(space, facets, tris, expr, t,
                                order=DEFAULT_LOAD_ORDER):
     """<P n, v> with n the outward normal seen from each facet's triangle."""
-    x, ref, wts, n = facet_trace(space.mesh, facets, tris, order)
-    p = _eval_scalar(expr, x[..., 0], x[..., 1], t)
-    vals, _ = _trace_basis(space.kind, ref)
-    local = np.einsum("fq,fqik,fk->fi", wts * p, vals, n)
-    return _scatter_vector(_cell_dofs(space, tris), local, space.ndof)
+    q = facet_quadrature(space, facets, tris, order)
+    p = _eval_scalar(expr, q.x[..., 0], q.x[..., 1], t)
+    local = np.einsum("fq,fqik,fk->fi", q.wts * p, q.vals, q.normals)
+    return _scatter_vector(q.dofs, local, space.ndof)
 
 
 def load_facet_normal_stress(space, facets, tris, tensor, t,
                              order=DEFAULT_LOAD_ORDER):
     """<(n.S n)(n.v)> with S a 2x2 expression tensor, n outward per facet."""
-    x, ref, wts, n = facet_trace(space.mesh, facets, tris, order)
-    snn = np.zeros(wts.shape)
+    q = facet_quadrature(space, facets, tris, order)
+    n = q.normals
+    snn = np.zeros(q.wts.shape)
     for a in range(2):
         for b in range(2):
             snn += (n[:, a] * n[:, b])[:, None] * _eval_scalar(
-                tensor[a][b], x[..., 0], x[..., 1], t)
-    vals, _ = _trace_basis(space.kind, ref)
-    local = np.einsum("fq,fqik,fk->fi", wts * snn, vals, n)
-    return _scatter_vector(_cell_dofs(space, tris), local, space.ndof)
+                tensor[a][b], q.x[..., 0], q.x[..., 1], t)
+    local = np.einsum("fq,fqik,fk->fi", q.wts * snn, q.vals, n)
+    return _scatter_vector(q.dofs, local, space.ndof)
 
 
 def load_facet_flux(space, facets, tris, exprs, t, order=DEFAULT_LOAD_ORDER):
     """<g.n, r> with n the outward normal, scalar test space."""
-    x, ref, wts, n = facet_trace(space.mesh, facets, tris, order)
-    gx, gy = _eval_pair(exprs, x[..., 0], x[..., 1], t)
-    gn = gx * n[:, 0, None] + gy * n[:, 1, None]
-    vals, _ = _trace_basis(space.kind, ref)
-    local = np.einsum("fq,fqi->fi", wts * gn, vals)
-    return _scatter_vector(_cell_dofs(space, tris), local, space.ndof)
+    q = facet_quadrature(space, facets, tris, order)
+    gx, gy = _eval_pair(exprs, q.x[..., 0], q.x[..., 1], t)
+    gn = gx * q.normals[:, 0, None] + gy * q.normals[:, 1, None]
+    local = np.einsum("fq,fqi->fi", q.wts * gn, q.vals)
+    return _scatter_vector(q.dofs, local, space.ndof)
 
 
 # ---------------------------------------------------------------------------

@@ -47,13 +47,17 @@ class Expr:
 
     def __call__(self, x=0.0, y=0.0, t=0.0):
         shape = np.broadcast_shapes(np.shape(x), np.shape(y), np.shape(t))
-        value = self._ev(np.asarray(x, dtype=float), np.asarray(y, dtype=float),
-                         np.asarray(t, dtype=float))
-        if np.shape(value) != shape:
-            value = np.broadcast_to(np.asarray(value, dtype=float), shape)
+        args = [np.asarray(v, dtype=float) for v in (x, y, t)]
+        value = self._ev(*args)
         if shape == ():
             return float(value)
-        return np.array(value, dtype=float, copy=True)
+        # a fresh ufunc result is the caller's; a broadcast constant or an
+        # argument passed through is not
+        if (isinstance(value, np.ndarray) and value.shape == shape
+                and value.base is None and value.flags.writeable
+                and not any(value is a for a in args)):
+            return value
+        return np.array(np.broadcast_to(value, shape), dtype=float)
 
     def diff(self, var):
         """Partial derivative with respect to ``var`` in {'x','y','t'}."""

@@ -14,17 +14,17 @@ norm of every block row divided by a row scale derived from the diagonal of
 its leading operator, so the tolerance is meaningful across parameter
 regimes and mesh sizes.
 
-The Newton matrix is the linear Stokes-Darcy-Biot operator plus the
-convection Jacobian, which is a small perturbation of it in the small-data
-regime the analysis covers.  A :class:`NewtonSolver`, built once per
-trajectory, therefore factors the exact Newton matrix with sparse LU only on
-its first correction and keeps that factor as the preconditioner of GMRES
-for every later one; the matrix itself is applied matrix-free as the linear
-part plus the current convection Jacobian.  GMRES solves to a relative
-tolerance of 1e-12, so the iteration stays an exact Newton method.  If GMRES
-does not converge within one restart cycle, the current Newton matrix is
-factored, solved directly and becomes the new preconditioner (inexact
-Newton-Krylov, Dembo, Eisenstat & Steihaug 1982; Knoll & Keyes 2004).
+The structure displacement enters the Newton system only through the
+kinematic row, an identity block, and the structure row, so each correction
+eliminates it exactly (Benzi, Golub & Liesen 2005) and recovers it by one
+axpy.  A :class:`NewtonSolver`, built once per trajectory, factors the
+condensed matrix with sparse LU only on its first correction; the factor
+right-preconditions one GMRES(30) cycle, one LU solve per iteration, for
+every later one, with the matrix applied as its linear part plus the current
+convection Jacobian.  Unless the cycle's estimate and the correction's true
+residual both fall below 1e-12 relative (an exact Newton method), the
+current matrix is factored and becomes the new preconditioner (Saad 2003,
+9.3; Knoll & Keyes 2004).
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg as la
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -118,15 +119,9 @@ class Trajectory:
 
 
 def _unpack(blocks, z):
-    na, nb = blocks.n_alpha, blocks.n_beta
-    ng, npi = blocks.n_gamma, blocks.n_pi
-    i0 = 0
-    alpha = z[i0:i0 + na]; i0 += na
-    beta = z[i0:i0 + nb]; i0 += nb
-    gamma = z[i0:i0 + ng]; i0 += ng
-    theta = z[i0:i0 + nb]; i0 += nb
-    pi = z[i0:i0 + npi]
-    return alpha, beta, gamma, theta, pi
+    """Views of the (alpha, beta, gamma, theta, pi) blocks of ``z``."""
+    nb = blocks.n_beta
+    return np.split(z, np.cumsum([blocks.n_alpha, nb, blocks.n_gamma, nb]))
 
 
 def _pack(state):
@@ -177,33 +172,74 @@ def _residual_rows(blocks, scheme, state0, z1, dt, loads):
 
 
 def _jacobian(blocks, scheme, dt, stage_alpha):
+    """Newton matrix on (alpha, gamma, theta, pi), kinematic row condensed.
+
+    ``dbeta / dt - s dtheta = r_kin`` gives ``dbeta = dt (r_kin + s dtheta)``;
+    in the structure row (beta block ``s Bs``) it adds ``s^2 dt Bs`` to the
+    theta block and ``-s dt Bs r_kin`` to the right-hand side.
+    """
     s = 1.0 if scheme == "euler" else 0.5
     _, Jn = blocks.convection(stage_alpha, jac=True)
-    nb = blocks.n_beta
-    I = sp.identity(nb, format="csr")
     rows = [
-        [sparse_sum(blocks.Af / dt, s * blocks.Bf, s * Jn), None, s * blocks.D,
+        [sparse_sum(blocks.Af / dt, s * blocks.Bf, s * Jn), s * blocks.D,
          -s * blocks.E, -blocks.Gdiv.T],
-        [None, I / dt, None, -s * I, None],
-        [-s * blocks.D.T, None, sparse_sum(blocks.Ap / dt, s * blocks.Bp),
+        [-s * blocks.D.T, sparse_sum(blocks.Ap / dt, s * blocks.Bp),
          s * blocks.C.T, None],
-        [-s * blocks.E.T, s * blocks.Bs, -s * blocks.C,
-         sparse_sum(blocks.As / dt, s * blocks.F), None],
-        [blocks.Gdiv, None, None, None, None],
+        [-s * blocks.E.T, -s * blocks.C,
+         sparse_sum(blocks.As / dt, s * blocks.F, (s * s * dt) * blocks.Bs),
+         None],
+        [blocks.Gdiv, None, None, None],
     ]
     return sp.bmat(rows, format="csc")
+
+
+def _gmres_cycle(matvec, psolve, b, restart, tol):
+    """One right-preconditioned GMRES cycle from x = 0 (Saad 2003, 9.3.2).
+
+    Modified Gram-Schmidt Arnoldi on ``J M^-1`` keeps ``z_j = M^-1 v_j``, so
+    ``k`` iterations make ``k`` preconditioner solves; Givens rotations keep
+    the least-squares problem triangular, and ``|g_k|`` estimates
+    ``|b - J x_k|``.  Returns ``(x, k)``, x None if ``tol`` was not reached.
+    """
+    beta = np.linalg.norm(b)
+    if beta == 0.0:
+        return np.zeros_like(b), 0
+    V, Z = np.empty((restart + 1, len(b))), np.empty((restart, len(b)))
+    H, g = np.zeros((restart + 1, restart)), np.zeros(restart + 1)
+    cs, sn = np.empty(restart), np.empty(restart)
+    V[0], g[0] = b / beta, beta
+    for k in range(restart):
+        Z[k] = psolve(V[k])
+        w = matvec(Z[k])
+        for i in range(k + 1):
+            H[i, k] = V[i] @ w
+            w -= H[i, k] * V[i]
+        h_next = np.linalg.norm(w)
+        for i in range(k):
+            H[i, k], H[i + 1, k] = (cs[i] * H[i, k] + sn[i] * H[i + 1, k],
+                                    cs[i] * H[i + 1, k] - sn[i] * H[i, k])
+        r = np.hypot(H[k, k], h_next)
+        cs[k], sn[k] = H[k, k] / r, h_next / r
+        H[k, k] = r
+        g[k + 1], g[k] = -sn[k] * g[k], cs[k] * g[k]
+        if abs(g[k + 1]) <= tol:
+            y = la.solve_triangular(H[:k + 1, :k + 1], g[:k + 1])
+            return y @ Z[:k + 1], k + 1
+        V[k + 1] = w / h_next
+    return None, restart
 
 
 class NewtonSolver:
     """Newton corrections for one ``(blocks, scheme, dt)``.
 
     Holds the row scales of the convergence test, the sparse LU factor of
-    the last Newton matrix it factored, which preconditions GMRES for later
-    corrections, and the linear part of the Newton matrix (assembled at zero
-    velocity, so its stored pattern is the full dof coupling graph).  The
-    old factor is released before a new one is made, and the linear part is
-    assembled only at the first GMRES solve: the first ``splu``, which sets
-    the memory peak of a run, runs with neither alive.
+    the last condensed Newton matrix it factored, which right-preconditions
+    GMRES for later corrections, and the linear part of that matrix
+    (assembled at zero velocity, so its stored pattern is the full dof
+    coupling graph).  The old factor is released before a new one is made,
+    and the linear part is assembled only at the first GMRES solve: the
+    first ``splu``, which sets the memory peak of a run, runs with neither
+    alive.
     """
 
     def __init__(self, blocks, scheme, dt):
@@ -218,9 +254,19 @@ class NewtonSolver:
     def correction(self, rhs, stage_alpha):
         """Solve J(stage) dz = rhs; returns (dz, GMRES iterations, factored).
 
-        ``factored`` says whether the Newton matrix was factored for this
-        correction (first correction, or GMRES missed its tolerance).
+        ``rhs`` and ``dz`` hold all five block rows.  ``factored`` says
+        whether the condensed matrix was factored for this correction.
         """
+        blocks, s, dt = self.blocks, self.s, self.dt
+        r_mom, r_kin, r_dar, r_str, r_con = _unpack(blocks, rhs)
+        b = np.concatenate([r_mom, r_dar,
+                            r_str - (s * dt) * (blocks.Bs @ r_kin), r_con])
+        x, krylov, factored = self._solve(b, stage_alpha)
+        na, ng, nb = blocks.n_alpha, blocks.n_gamma, blocks.n_beta
+        d_beta = dt * (r_kin + s * x[na + ng:na + ng + nb])
+        return np.concatenate([x[:na], d_beta, x[na:]]), krylov, factored
+
+    def _solve(self, b, stage_alpha):
         krylov = 0
         if self.lu is not None:
             if self.J_lin is None:
@@ -233,22 +279,15 @@ class NewtonSolver:
                 out = J_lin @ v
                 out[:na] += s * (Jn @ v[:na])
                 return out
-            J = spla.LinearOperator(J_lin.shape, matvec=matvec,
-                                    dtype=J_lin.dtype)
-            M = spla.LinearOperator(J_lin.shape, matvec=self.lu.solve,
-                                    dtype=J_lin.dtype)
-            residuals = []
-            dz, info = spla.gmres(J, rhs, M=M, rtol=GMRES_RTOL, atol=0.0,
-                                  restart=GMRES_RESTART, maxiter=1,
-                                  callback=residuals.append,
-                                  callback_type="pr_norm")
-            krylov = len(residuals)
-            if info == 0:
-                return dz, krylov, False
+            tol = GMRES_RTOL * np.linalg.norm(b)
+            x, krylov = _gmres_cycle(matvec, self.lu.solve, b, GMRES_RESTART,
+                                     tol)
+            if x is not None and np.linalg.norm(b - matvec(x)) <= tol:
+                return x, krylov, False
         self.lu = None  # see the class docstring
         self.lu = spla.splu(_jacobian(self.blocks, self.scheme, self.dt,
                                       stage_alpha))
-        return self.lu.solve(rhs), krylov, True
+        return self.lu.solve(b), krylov, True
 
 
 def step(blocks, data, state0, cfg, loads=None, newton=None):

@@ -587,8 +587,9 @@ def kernel_oracle(nx=2, ny=2, split=0.5, params=None, dt=0.05, data=None,
     """One implicit-Euler step re-solved on the divergence-free subspace.
 
     Builds an orthonormal basis Z of the null space of the discrete
-    divergence, runs a dense Newton iteration for the constrained unknowns
-    with the velocity parametrised as alpha = Z c (no multiplier), recovers
+    divergence, runs a dense Newton iteration for the unknowns (c, gamma,
+    theta) with the velocity parametrised as alpha = Z c (no multiplier) and
+    beta given by the kinematic identity beta = beta0 + dt theta, recovers
     the multiplier from the momentum defect by least squares, and compares
     everything against the production saddle-point step.  Returns a dict of
     diagnostics; the relative differences should sit at solver tolerance.
@@ -621,28 +622,27 @@ def kernel_oracle(nx=2, ny=2, split=0.5, params=None, dt=0.05, data=None,
     loads = assemble_loads(dt, data, blocks.dm)
 
     def make_state(y):
-        c, rest = y[:null_dim], y[null_dim:]
-        b, g, th = (rest[:nb], rest[nb:nb + ng], rest[nb + ng:])
-        return StateVector(dt, Z @ c, b, g, th, np.zeros(npi))
+        c, g, th = y[:null_dim], y[null_dim:null_dim + ng], y[null_dim + ng:]
+        return StateVector(dt, Z @ c, state0.beta + dt * th, g, th,
+                           np.zeros(npi))
 
     def reduced_residual(y):
         rows, stage = _residual_rows(blocks, "euler", state0,
                                      _pack(make_state(y)), dt, loads)
-        r_mom, r_kin, r_dar, r_str, _ = rows
-        return np.concatenate([Z.T @ r_mom, r_kin, r_dar, r_str]), stage
+        r_mom, _, r_dar, r_str, _ = rows
+        return np.concatenate([Z.T @ r_mom, r_dar, r_str]), stage
 
-    proj = la.block_diag(Z, np.eye(nb), np.eye(ng), np.eye(nb))
-    y = np.zeros(null_dim + 2 * nb + ng)
+    proj = la.block_diag(Z, np.eye(ng), np.eye(nb))
+    y = np.zeros(null_dim + ng + nb)
     r, stage = reduced_residual(y)
     scale = max(1.0, float(np.abs(r).max()))
     iterations = 0
     while np.abs(r).max() > newton_tol * scale:
         if iterations >= newton_max:
             raise RuntimeError("reduced Newton iteration did not converge")
-        full_jac = _jacobian(blocks, "euler", dt, stage.alpha).toarray()
-        head = na + 2 * nb + ng
-        jac = proj.T @ full_jac[:head, :head] @ proj
-        y = y - la.solve(jac, r)
+        jac = _jacobian(blocks, "euler", dt, stage.alpha).toarray()
+        head = na + ng + nb
+        y = y - la.solve(proj.T @ jac[:head, :head] @ proj, r)
         iterations += 1
         r, stage = reduced_residual(y)
     reduced = make_state(y)

@@ -5,9 +5,10 @@ the package: element matrices and reference tables come from exact symbolic
 integration, the convection term from per-cell Gauss quadrature, trace
 integrals from a hand-rolled Gauss loop, extremal pencil eigenvalues from a
 dense LAPACK solve (on explicitly formed Schur complements where the package
-works matrix-free or on the full space), and the energy certificate from a
-loop over states with one scalar data-norm call per time.  Tests compare
-the production code against these.
+works matrix-free or on the full space), the energy certificate from a
+loop over states with one scalar data-norm call per time, and the Newton
+matrix on all five unknowns where the package condenses the kinematic
+row.  Tests compare the production code against these.
 """
 
 import numpy as np
@@ -520,3 +521,22 @@ def rowwise_energy_report(traj, blocks, data, constants, funcs,
         "c3": c3,
     }
     return CertificateReport(rows=rows, summary=summary)
+
+
+def full_newton_matrix(blocks, scheme, dt, stage_alpha):
+    """The Newton matrix on all five unknowns (alpha, beta, gamma, theta,
+    pi), kinematic row included, with the five residual rows in order."""
+    s = 1.0 if scheme == "euler" else 0.5
+    _, Jn = blocks.convection(stage_alpha, jac=True)
+    I = sp.identity(blocks.n_beta, format="csr")
+    rows = [
+        [blocks.Af / dt + s * blocks.Bf + s * Jn, None, s * blocks.D,
+         -s * blocks.E, -blocks.Gdiv.T],
+        [None, I / dt, None, -s * I, None],
+        [-s * blocks.D.T, None, blocks.Ap / dt + s * blocks.Bp,
+         s * blocks.C.T, None],
+        [-s * blocks.E.T, s * blocks.Bs, -s * blocks.C,
+         blocks.As / dt + s * blocks.F, None],
+        [blocks.Gdiv, None, None, None, None],
+    ]
+    return sp.bmat(rows, format="csc")

@@ -308,6 +308,35 @@ def test_facet_loads_against_direct_quadrature():
             assert coeffs @ vec == pytest.approx(ref, rel=1e-12)
 
 
+def test_facet_loads_trace_once_per_mesh(monkeypatch):
+    import fpsi.assembly as asm
+    m = build_rect_two_domain(4, 4, 0.5)
+    V = build_dofmaps(m).velocity
+    inlet = m.facets_with_tag(meshmod.FLUID_INLET)
+    tris = _boundary_facet_tris(m, inlet)
+    p = parse_expression("cos(2*t) * (1 + y^2)")
+    facet_trace, traced = asm.facet_trace, []
+
+    def counted(*args):
+        traced.append(args)
+        return facet_trace(*args)
+    monkeypatch.setattr(asm, "facet_trace", counted)
+    times = (0.1, 0.7)
+    loads = [load_facet_pressure_normal(V, inlet, tris, p, t) for t in times]
+    assert len(traced) == 1
+    # the same load with the trace, basis and dofs rebuilt for each call
+    for t, load in zip(times, loads):
+        x, ref, wts, n = facet_trace(m, inlet, tris, asm.DEFAULT_LOAD_ORDER)
+        vals, _ = asm._trace_basis(V.kind, ref)
+        pv = p(x[..., 0], x[..., 1], t)
+        local = np.einsum("fq,fqik,fk->fi", wts * pv, vals, n)
+        dofs = asm._cell_dofs(V, tris)
+        uncached = np.bincount(dofs.ravel(), weights=local.ravel(),
+                               minlength=V.ndof)
+        assert np.array_equal(load, uncached)
+    assert not np.array_equal(loads[0], loads[1])
+
+
 def test_triangle_outside_the_space_is_rejected():
     m = build_rect_two_domain(4, 4, 0.5)
     dm = build_dofmaps(m)

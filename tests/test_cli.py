@@ -519,8 +519,9 @@ print(json.dumps({"rc": rc, "step_ms": timing.step_ms,
 def test_benchmark_probes_wrap_a_certified_run(tmp_path):
     """perfbench's timing and span probes wrap ``run_scheme``'s
     ``on_step(state, diag)``, the monitor's scalar-``t`` ``assemble_loads``,
-    ``BlockSystem.convection`` and the ``DataFunctionals`` methods by name;
-    a certified run under them must still complete."""
+    ``BlockSystem.convection``, the ``DataFunctionals`` methods and the
+    stepper's ``spla.splu``, ``sp.bmat`` and factor ``solve`` by name; a
+    certified run under them must still complete."""
     root = Path(__file__).resolve().parents[1]
     cfg = _config(tmp_path, "[mesh]\nnx = 4\nny = 4\n\n[data]\n"
                   "f_f_x = sin(pi*x)*cos(t)\nf_f_y = 0\np_in = 1 + t\n\n"
@@ -540,3 +541,10 @@ def test_benchmark_probes_wrap_a_certified_run(tmp_path):
     assert layers["assembly.loads_calls"] == 4
     assert layers["assembly.convection_calls"] > 2
     assert layers["monitor.energy_report_s"] > 0.0
+    # the stepper factors through timestepper.spla.splu, assembles through
+    # timestepper.sp.bmat and solves through the factor's solve: a path
+    # around any of them would read zero here
+    assert layers["timestepper.splu_calls"] == 1
+    assert layers["timestepper.lu_solve_s"] > 0.0
+    assert layers["timestepper.bmat_s"] > 0.0
+    assert layers["timestepper.lu_fill_ratio"] > 1.0

@@ -154,3 +154,21 @@ def test_time_slice_of_cos_data():
     e = parse_expression("cos(2*t)*x")
     assert e.diff("t")(0.5, 0.0, 0.25) == pytest.approx(-2 * math.sin(0.5) * 0.5)
     assert Cos(T)(t=0.0) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("expr", [Const(2.5), X, Sin(PI * X) * Y + T],
+                         ids=["constant", "coordinate", "compound"])
+def test_mutating_a_result_never_changes_a_later_evaluation(expr):
+    # arrays that own their data, as a caller's usually do
+    x = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
+    y = x + 1.0
+    x_ro = x.copy()
+    x_ro.setflags(write=False)
+    for xs in (x, x_ro):
+        first = expr(xs, y, 0.3)
+        expected = first.copy()
+        assert first.flags.writeable
+        first[...] = -7.0
+        np.testing.assert_array_equal(expr(xs, y, 0.3), expected)
+    np.testing.assert_array_equal(x, [0.0, 0.25, 0.5, 0.75, 1.0])
+    np.testing.assert_array_equal(y, [1.0, 1.25, 1.5, 1.75, 2.0])

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
+import oracles
 from fpsi import timestepper
 from fpsi.assembly import (PhysicalParams, ProblemData, StateVector,
                            assemble_loads, assemble_system)
@@ -204,9 +205,9 @@ def test_on_step_callback_sees_every_state():
 
 def _direct_newton_run(blocks, data, cfg):
     """Reference states and Newton iteration counts from a fresh splu of
-    the exact Jacobian at every iteration."""
-    from fpsi.timestepper import (_jacobian, _pack, _residual_rows,
-                                  _row_scales, _scaled_norm, _unpack)
+    the exact five-block Jacobian at every iteration."""
+    from fpsi.timestepper import (_pack, _residual_rows, _row_scales,
+                                  _scaled_norm, _unpack)
     scales = _row_scales(blocks, cfg.dt)
     state = blocks.zero_state()
     states, iterations = [state], []
@@ -219,7 +220,8 @@ def _direct_newton_run(blocks, data, cfg):
                                      loads)
         iterations.append(0)
         while _scaled_norm(rows, scales) > cfg.newton_tol:
-            J = _jacobian(blocks, cfg.scheme, cfg.dt, stage.alpha)
+            J = oracles.full_newton_matrix(blocks, cfg.scheme, cfg.dt,
+                                           stage.alpha)
             z = z - spla.splu(J).solve(np.concatenate(rows))
             rows, stage = _residual_rows(blocks, cfg.scheme, state, z,
                                          cfg.dt, loads)
@@ -227,6 +229,71 @@ def _direct_newton_run(blocks, data, cfg):
         state = StateVector(t1, *_unpack(blocks, z))
         states.append(state)
     return states, iterations
+
+
+def _random_rows(blocks, rng):
+    """The five residual rows, stacked, with random entries."""
+    return rng.standard_normal(blocks.n_alpha + 2 * blocks.n_beta
+                               + blocks.n_gamma + blocks.n_pi)
+
+
+def _block_errors(blocks, dz, reference):
+    """Relative error of each of the five blocks of a correction."""
+    from fpsi.timestepper import _unpack
+    return [np.linalg.norm(a - b) / np.linalg.norm(b)
+            for a, b in zip(_unpack(blocks, dz), _unpack(blocks, reference))]
+
+
+@pytest.mark.parametrize("scheme", ["euler", "midpoint"])
+def test_condensed_correction_matches_the_full_newton_solve(scheme):
+    # the direct path eliminates beta; every block, beta included, must
+    # match a solve of the full five-block Newton matrix
+    blocks = _blocks(4, 4)
+    rng = np.random.default_rng(11)
+    stage_alpha = rng.standard_normal(blocks.n_alpha)
+    rhs = _random_rows(blocks, rng)
+    newton = timestepper.NewtonSolver(blocks, scheme, 0.05)
+    dz, krylov, factored = newton.correction(rhs, stage_alpha)
+    assert (krylov, factored) == (0, True)
+    full = oracles.full_newton_matrix(blocks, scheme, 0.05, stage_alpha)
+    assert max(_block_errors(blocks, dz, spla.splu(full).solve(rhs))) <= 1e-12
+
+
+class _CountedFactor:
+    def __init__(self, lu):
+        self.lu, self.solves = lu, 0
+
+    def solve(self, b):
+        self.solves += 1
+        return self.lu.solve(b)
+
+
+@pytest.mark.parametrize("scheme", ["euler", "midpoint"])
+def test_gmres_cycle_makes_one_solve_per_iteration(scheme):
+    from fpsi.timestepper import _jacobian, _unpack
+    blocks, dt = _blocks(4, 4), 0.05
+    rng = np.random.default_rng(12)
+    newton = timestepper.NewtonSolver(blocks, scheme, dt)
+    stage_alpha = 0.1 * rng.standard_normal(blocks.n_alpha)
+    rhs = _random_rows(blocks, rng)
+    newton.correction(rhs, stage_alpha)
+    newton.lu = factor = _CountedFactor(newton.lu)
+    stage_alpha = stage_alpha + 0.01 * rng.standard_normal(blocks.n_alpha)
+    dz, krylov, factored = newton.correction(rhs, stage_alpha)
+    assert not factored
+    assert krylov > 0 and factor.solves == krylov
+    # the true residual of the condensed system, whose right-hand side
+    # takes -s dt Bs r_kin into the structure row
+    s = newton.s
+    r_mom, r_kin, r_dar, r_str, r_con = _unpack(blocks, rhs)
+    b = np.concatenate([r_mom, r_dar, r_str - s * dt * (blocks.Bs @ r_kin),
+                        r_con])
+    da, _, dg, dth, dp = _unpack(blocks, dz)
+    J = _jacobian(blocks, scheme, dt, stage_alpha)
+    assert np.linalg.norm(b - J @ np.concatenate([da, dg, dth, dp])) \
+        <= timestepper.GMRES_RTOL * np.linalg.norm(b)
+    full = oracles.full_newton_matrix(blocks, scheme, dt, stage_alpha)
+    assert max(_block_errors(blocks, dz, spla.splu(full).solve(rhs))) <= 1e-9
 
 
 def _max_relative_difference(states, reference):

@@ -255,6 +255,23 @@ def test_convergence_study_rates_and_flags():
     assert table.runs[1].n_steps == 16  # euler refines dt like h^2
 
 
+def test_refinement_study_factors_once_per_level(monkeypatch):
+    # the refinement benchmark's first two levels and step counts: every
+    # correction after a level's first is one GMRES cycle on its factor
+    from fpsi import timestepper
+    splu = timestepper.spla.splu
+    sizes = []
+
+    def counted(J, *args, **kwargs):
+        sizes.append(J.shape[0])
+        return splu(J, *args, **kwargs)
+    monkeypatch.setattr(timestepper.spla, "splu", counted)
+    table = verify.convergence_study("smooth-trig", levels=(8, 16),
+                                     t_final=0.0375, steps_coarsest=3)
+    assert [run.n_steps for run in table.runs] == [3, 8]
+    assert len(sizes) == 2 and sizes[0] < sizes[1]
+
+
 def test_under_integration_degrades_rates():
     table = verify.convergence_study(
         "smooth-trig", levels=(4, 8), scheme="euler",
