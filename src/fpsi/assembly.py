@@ -615,19 +615,11 @@ def interface_tangents(normals):
 # load vectors
 # ---------------------------------------------------------------------------
 
-def _eval_scalar(expr, x, y, t):
-    return np.broadcast_to(np.asarray(expr(x, y, t), dtype=float), x.shape)
-
-
-def _eval_pair(exprs, x, y, t):
-    return _eval_scalar(exprs[0], x, y, t), _eval_scalar(exprs[1], x, y, t)
-
-
 def _volume_cells(space, exprs, t, order):
     """(f, N_i) on every cell of a scalar space, one array per expression."""
     q = cell_quadrature(space.mesh, space.subdomain, order)
     vt = _rule_values(space.kind, order)
-    return [(q.wdet * _eval_scalar(e, q.x, q.y, t)) @ vt for e in exprs]
+    return [(q.wdet * e(q.x, q.y, t)) @ vt for e in exprs]
 
 
 def load_volume_vector(space, exprs, t, order=DEFAULT_LOAD_ORDER):
@@ -645,7 +637,7 @@ def load_volume_scalar(space, expr, t, order=DEFAULT_LOAD_ORDER):
 def load_facet_vector(space, facets, tris, exprs, t, order=DEFAULT_LOAD_ORDER):
     """<g, v> over facets for a vector test space."""
     q = facet_quadrature(space, facets, tris, order)
-    g = np.stack(_eval_pair(exprs, q.x[..., 0], q.x[..., 1], t), axis=-1)
+    g = np.stack([e(q.x[..., 0], q.x[..., 1], t) for e in exprs], axis=-1)
     local = np.einsum("fq,fqik,fqk->fi", q.wts, q.vals, g)
     return _scatter_vector(q.dofs, local, space.ndof)
 
@@ -653,7 +645,7 @@ def load_facet_vector(space, facets, tris, exprs, t, order=DEFAULT_LOAD_ORDER):
 def load_facet_scalar(space, facets, tris, expr, t, order=DEFAULT_LOAD_ORDER):
     """<g, r> over facets for a scalar test space."""
     q = facet_quadrature(space, facets, tris, order)
-    g = _eval_scalar(expr, q.x[..., 0], q.x[..., 1], t)
+    g = expr(q.x[..., 0], q.x[..., 1], t)
     local = np.einsum("fq,fqi,fq->fi", q.wts, q.vals, g)
     return _scatter_vector(q.dofs, local, space.ndof)
 
@@ -662,7 +654,7 @@ def load_facet_pressure_normal(space, facets, tris, expr, t,
                                order=DEFAULT_LOAD_ORDER):
     """<P n, v> with n the outward normal seen from each facet's triangle."""
     q = facet_quadrature(space, facets, tris, order)
-    p = _eval_scalar(expr, q.x[..., 0], q.x[..., 1], t)
+    p = expr(q.x[..., 0], q.x[..., 1], t)
     local = np.einsum("fq,fqik,fk->fi", q.wts * p, q.vals, q.normals)
     return _scatter_vector(q.dofs, local, space.ndof)
 
@@ -675,8 +667,8 @@ def load_facet_normal_stress(space, facets, tris, tensor, t,
     snn = np.zeros(q.wts.shape)
     for a in range(2):
         for b in range(2):
-            snn += (n[:, a] * n[:, b])[:, None] * _eval_scalar(
-                tensor[a][b], q.x[..., 0], q.x[..., 1], t)
+            snn += (n[:, a] * n[:, b])[:, None] * tensor[a][b](
+                q.x[..., 0], q.x[..., 1], t)
     local = np.einsum("fq,fqik,fk->fi", q.wts * snn, q.vals, n)
     return _scatter_vector(q.dofs, local, space.ndof)
 
@@ -684,7 +676,7 @@ def load_facet_normal_stress(space, facets, tris, tensor, t,
 def load_facet_flux(space, facets, tris, exprs, t, order=DEFAULT_LOAD_ORDER):
     """<g.n, r> with n the outward normal, scalar test space."""
     q = facet_quadrature(space, facets, tris, order)
-    gx, gy = _eval_pair(exprs, q.x[..., 0], q.x[..., 1], t)
+    gx, gy = (e(q.x[..., 0], q.x[..., 1], t) for e in exprs)
     gn = gx * q.normals[:, 0, None] + gy * q.normals[:, 1, None]
     local = np.einsum("fq,fqi->fi", q.wts * gn, q.vals)
     return _scatter_vector(q.dofs, local, space.ndof)

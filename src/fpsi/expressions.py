@@ -1,4 +1,4 @@
-"""Symbolic expression trees for space- and time-dependent data fields.
+"""Symbolic expressions for space- and time-dependent data fields.
 
 Implements the small closed grammar used by config files and manufactured
 solutions: floating literals, the variables ``x``, ``y``, ``t``, the constant
@@ -7,12 +7,20 @@ solutions: floating literals, the variables ``x``, ``y``, ``t``, the constant
 vectorized over numpy arrays and differentiates symbolically with respect to
 any of the three variables, so time derivatives of data fields are exact
 rather than finite-differenced.
+
+All expressions are nodes of one interned graph (hash-consing): a
+structurally equal subexpression is always the same :class:`Expr`, so a
+call computes each distinct subexpression once, and evaluation,
+differentiation and ``repr`` are tables over the node's operator.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
+import struct
+import weakref
 
 import numpy as np
 
@@ -37,18 +45,81 @@ def _wrap(value):
     raise TypeError("cannot use %r in an expression" % (value,))
 
 
-class Expr:
-    """Base class for expression-tree nodes.
+# live nodes by structure; a constant is keyed by its bits
+_INTERNED = weakref.WeakValueDictionary()
 
-    Nodes are immutable; arithmetic operators build new (lightly
-    constant-folded) trees.  Calling a node evaluates it with numpy
-    broadcasting over the given ``x``, ``y``, ``t`` arrays.
+# the function each operator applies to its operands' values; ``const`` and
+# ``var`` nodes are not applied (their value is the constant or an argument)
+_EVAL = {
+    "add": operator.add, "sub": operator.sub, "mul": operator.mul,
+    "div": operator.truediv, "pow": operator.pow, "neg": operator.neg,
+    "sin": np.sin, "cos": np.cos, "exp": np.exp,
+}
+
+# the derivative of a node with respect to ``v``, from the node's args
+_DIFF = {
+    "const": lambda v, value: ZERO,
+    "var": lambda v, name: ONE if name == v else ZERO,
+    "add": lambda v, a, b: a.diff(v) + b.diff(v),
+    "sub": lambda v, a, b: a.diff(v) - b.diff(v),
+    "mul": lambda v, a, b: a.diff(v) * b + a * b.diff(v),
+    "div": lambda v, a, b: (a.diff(v) * b - a * b.diff(v)) / b ** 2,
+    "pow": lambda v, a, n: Const(n) * a ** (n - 1) * a.diff(v),
+    "neg": lambda v, a: -a.diff(v),
+    "sin": lambda v, a: Cos(a) * a.diff(v),
+    "cos": lambda v, a: -(Sin(a) * a.diff(v)),
+    "exp": lambda v, a: Exp(a) * a.diff(v),
+}
+
+_REPR = {
+    "const": "%r", "var": "%s", "add": "(%r + %r)", "sub": "(%r - %r)",
+    "mul": "(%r * %r)", "div": "(%r / %r)", "pow": "(%r^%d)", "neg": "(-%r)",
+    "sin": "sin(%r)", "cos": "cos(%r)", "exp": "exp(%r)",
+}
+
+
+class Expr:
+    """One node ``(op, args)`` of the interned expression graph.
+
+    ``args`` holds the operand nodes, except that a ``const`` node holds
+    its float value, a ``var`` node its variable name, and a ``pow`` node
+    its integer exponent after the base.  ``Expr(op, args)`` returns the
+    live node of that structure if there is one, so equal subexpressions
+    are one object.  Nodes are immutable; arithmetic operators build new
+    (lightly constant-folded) nodes.  Calling a node evaluates it with
+    numpy broadcasting over the given ``x``, ``y``, ``t`` arrays, computing
+    each distinct node below it once.
     """
+
+    __slots__ = ("op", "args", "_program", "_derivatives", "__weakref__")
+
+    def __new__(cls, op, args):
+        key = (op, struct.pack("<d", args[0])) if op == "const" \
+            else (op,) + args
+        node = _INTERNED.get(key)
+        if node is None:
+            node = super().__new__(cls)
+            node.op, node.args = op, args
+            node._program, node._derivatives = None, {}
+            _INTERNED[key] = node
+        return node
+
+    def __repr__(self):
+        return _REPR[self.op] % self.args
 
     def __call__(self, x=0.0, y=0.0, t=0.0):
         shape = np.broadcast_shapes(np.shape(x), np.shape(y), np.shape(t))
         args = [np.asarray(v, dtype=float) for v in (x, y, t)]
-        value = self._ev(*args)
+        if self._program is None:
+            self._program = _compile(self)
+        initial, steps, root = self._program
+        values = args + initial
+        for slot, op, operands, exponent, dead in steps:
+            values[slot] = _EVAL[op](*[values[k] for k in operands],
+                                     *exponent)
+            for k in dead:
+                values[k] = None
+        value = values[root]
         if shape == ():
             return float(value)
         # a fresh ufunc result is the caller's; a broadcast constant or an
@@ -63,7 +134,9 @@ class Expr:
         """Partial derivative with respect to ``var`` in {'x','y','t'}."""
         if var not in VARIABLES:
             raise ExpressionError("unknown differentiation variable %r" % (var,))
-        return self._diff(var)
+        if var not in self._derivatives:
+            self._derivatives[var] = _DIFF[self.op](var, *self.args)
+        return self._derivatives[var]
 
     # -- operator sugar (with light constant folding) -----------------------
     def __add__(self, other):
@@ -72,9 +145,9 @@ class Expr:
             return other
         if _is_const(other, 0.0):
             return self
-        if isinstance(self, Const) and isinstance(other, Const):
-            return Const(self.value + other.value)
-        return Add(self, other)
+        if self.op == other.op == "const":
+            return Const(self.args[0] + other.args[0])
+        return Expr("add", (self, other))
 
     def __radd__(self, other):
         return _wrap(other) + self
@@ -83,11 +156,11 @@ class Expr:
         other = _wrap(other)
         if _is_const(other, 0.0):
             return self
-        if isinstance(self, Const) and isinstance(other, Const):
-            return Const(self.value - other.value)
+        if self.op == other.op == "const":
+            return Const(self.args[0] - other.args[0])
         if _is_const(self, 0.0):
-            return Neg(other)
-        return Sub(self, other)
+            return Expr("neg", (other,))
+        return Expr("sub", (self, other))
 
     def __rsub__(self, other):
         return _wrap(other) - self
@@ -95,27 +168,29 @@ class Expr:
     def __mul__(self, other):
         other = _wrap(other)
         if _is_const(self, 0.0) or _is_const(other, 0.0):
-            return Const(0.0)
+            return ZERO
         if _is_const(self, 1.0):
             return other
         if _is_const(other, 1.0):
             return self
-        if isinstance(self, Const) and isinstance(other, Const):
-            return Const(self.value * other.value)
-        return Mul(self, other)
+        if self.op == other.op == "const":
+            return Const(self.args[0] * other.args[0])
+        return Expr("mul", (self, other))
 
     def __rmul__(self, other):
         return _wrap(other) * self
 
     def __truediv__(self, other):
         other = _wrap(other)
+        if _is_const(other, 0.0):
+            raise ExpressionError("division by zero")
         if _is_const(other, 1.0):
             return self
-        if _is_const(self, 0.0) and not _is_const(other, 0.0):
-            return Const(0.0)
-        if isinstance(self, Const) and isinstance(other, Const) and other.value != 0.0:
-            return Const(self.value / other.value)
-        return Div(self, other)
+        if _is_const(self, 0.0):
+            return ZERO
+        if self.op == other.op == "const":
+            return Const(self.args[0] / other.args[0])
+        return Expr("div", (self, other))
 
     def __rtruediv__(self, other):
         return _wrap(other) / self
@@ -123,216 +198,88 @@ class Expr:
     def __pow__(self, exponent):
         if not isinstance(exponent, (int, np.integer)):
             raise ExpressionError("exponents must be integers, got %r" % (exponent,))
-        return Pow.make(self, int(exponent))
+        exponent = int(exponent)
+        if exponent == 0:
+            return ONE
+        if exponent == 1:
+            return self
+        if self.op == "const":
+            if exponent < 0 and self.args[0] == 0.0:
+                raise ExpressionError("zero raised to a negative power")
+            return Const(self.args[0] ** exponent)
+        return Expr("pow", (self, exponent))
 
     def __neg__(self):
-        if isinstance(self, Const):
-            return Const(-self.value)
-        if isinstance(self, Neg):
-            return self.arg
-        return Neg(self)
+        if self.op == "const":
+            return Const(-self.args[0])
+        if self.op == "neg":
+            return self.args[0]
+        return Expr("neg", (self,))
 
     def __pos__(self):
         return self
 
 
 def _is_const(node, value):
-    return isinstance(node, Const) and node.value == value
+    return node.op == "const" and node.args[0] == value
 
 
-class Const(Expr):
-    __slots__ = ("value",)
+def _compile(root):
+    """The distinct nodes under ``root`` in post order, as evaluation steps.
 
-    def __init__(self, value):
-        self.value = float(value)
+    Slots 0-2 hold the ``x``, ``y``, ``t`` arrays and a ``var`` node reads
+    its slot; every other node has a slot of its own, preset to the value
+    of a ``const`` node.  Each remaining node is one step ``(slot, op,
+    operand slots, exponent, dead)``, where ``dead`` lists the slots it
+    reads for the last time.  Returns (preset slots, steps, root slot).
+    """
+    slots, initial, steps = {}, [], []
 
-    def _ev(self, x, y, t):
-        return self.value
+    def visit(node):
+        if node in slots:
+            return
+        operands = [a for a in node.args if isinstance(a, Expr)]
+        for a in operands:
+            visit(a)
+        if node.op == "var":
+            slots[node] = VARIABLES.index(node.args[0])
+            return
+        slots[node] = len(VARIABLES) + len(initial)
+        if node.op == "const":
+            initial.append(node.args[0])
+        else:
+            initial.append(None)
+            steps.append((slots[node], node.op,
+                          tuple(slots[a] for a in operands),
+                          node.args[len(operands):], []))
 
-    def _diff(self, var):
-        return Const(0.0)
+    visit(root)
+    last_read = {k: step for step in steps for k in step[2]}
+    for k, step in last_read.items():
+        step[4].append(k)
+    return initial, steps, slots[root]
 
-    def __repr__(self):
-        return repr(self.value)
 
+def Const(value):
+    """The constant node of ``value``."""
+    return Expr("const", (float(value),))
 
-class Var(Expr):
-    __slots__ = ("name",)
 
-    def __init__(self, name):
-        if name not in VARIABLES:
-            raise ExpressionError("unknown variable %r" % (name,))
-        self.name = name
+def Sin(arg):
+    return Expr("sin", (_wrap(arg),))
 
-    def _ev(self, x, y, t):
-        return {"x": x, "y": y, "t": t}[self.name]
 
-    def _diff(self, var):
-        return Const(1.0 if var == self.name else 0.0)
+def Cos(arg):
+    return Expr("cos", (_wrap(arg),))
 
-    def __repr__(self):
-        return self.name
 
+def Exp(arg):
+    return Expr("exp", (_wrap(arg),))
 
-class Add(Expr):
-    __slots__ = ("a", "b")
 
-    def __init__(self, a, b):
-        self.a, self.b = a, b
-
-    def _ev(self, x, y, t):
-        return self.a._ev(x, y, t) + self.b._ev(x, y, t)
-
-    def _diff(self, var):
-        return self.a._diff(var) + self.b._diff(var)
-
-    def __repr__(self):
-        return "(%r + %r)" % (self.a, self.b)
-
-
-class Sub(Expr):
-    __slots__ = ("a", "b")
-
-    def __init__(self, a, b):
-        self.a, self.b = a, b
-
-    def _ev(self, x, y, t):
-        return self.a._ev(x, y, t) - self.b._ev(x, y, t)
-
-    def _diff(self, var):
-        return self.a._diff(var) - self.b._diff(var)
-
-    def __repr__(self):
-        return "(%r - %r)" % (self.a, self.b)
-
-
-class Mul(Expr):
-    __slots__ = ("a", "b")
-
-    def __init__(self, a, b):
-        self.a, self.b = a, b
-
-    def _ev(self, x, y, t):
-        return self.a._ev(x, y, t) * self.b._ev(x, y, t)
-
-    def _diff(self, var):
-        return self.a._diff(var) * self.b + self.a * self.b._diff(var)
-
-    def __repr__(self):
-        return "(%r * %r)" % (self.a, self.b)
-
-
-class Div(Expr):
-    __slots__ = ("a", "b")
-
-    def __init__(self, a, b):
-        self.a, self.b = a, b
-
-    def _ev(self, x, y, t):
-        return self.a._ev(x, y, t) / self.b._ev(x, y, t)
-
-    def _diff(self, var):
-        da, db = self.a._diff(var), self.b._diff(var)
-        return (da * self.b - self.a * db) / Pow.make(self.b, 2)
-
-    def __repr__(self):
-        return "(%r / %r)" % (self.a, self.b)
-
-
-class Pow(Expr):
-    __slots__ = ("base", "exponent")
-
-    def __init__(self, base, exponent):
-        self.base, self.exponent = base, int(exponent)
-
-    @staticmethod
-    def make(base, exponent):
-        if exponent == 0:
-            return Const(1.0)
-        if exponent == 1:
-            return base
-        if isinstance(base, Const):
-            return Const(base.value ** exponent)
-        return Pow(base, exponent)
-
-    def _ev(self, x, y, t):
-        return self.base._ev(x, y, t) ** self.exponent
-
-    def _diff(self, var):
-        return Const(self.exponent) * Pow.make(self.base, self.exponent - 1) \
-            * self.base._diff(var)
-
-    def __repr__(self):
-        return "(%r^%d)" % (self.base, self.exponent)
-
-
-class Neg(Expr):
-    __slots__ = ("arg",)
-
-    def __init__(self, arg):
-        self.arg = arg
-
-    def _ev(self, x, y, t):
-        return -self.arg._ev(x, y, t)
-
-    def _diff(self, var):
-        return -self.arg._diff(var)
-
-    def __repr__(self):
-        return "(-%r)" % (self.arg,)
-
-
-class Sin(Expr):
-    __slots__ = ("arg",)
-
-    def __init__(self, arg):
-        self.arg = _wrap(arg)
-
-    def _ev(self, x, y, t):
-        return np.sin(self.arg._ev(x, y, t))
-
-    def _diff(self, var):
-        return Cos(self.arg) * self.arg._diff(var)
-
-    def __repr__(self):
-        return "sin(%r)" % (self.arg,)
-
-
-class Cos(Expr):
-    __slots__ = ("arg",)
-
-    def __init__(self, arg):
-        self.arg = _wrap(arg)
-
-    def _ev(self, x, y, t):
-        return np.cos(self.arg._ev(x, y, t))
-
-    def _diff(self, var):
-        return -(Sin(self.arg) * self.arg._diff(var))
-
-    def __repr__(self):
-        return "cos(%r)" % (self.arg,)
-
-
-class Exp(Expr):
-    __slots__ = ("arg",)
-
-    def __init__(self, arg):
-        self.arg = _wrap(arg)
-
-    def _ev(self, x, y, t):
-        return np.exp(self.arg._ev(x, y, t))
-
-    def _diff(self, var):
-        return Exp(self.arg) * self.arg._diff(var)
-
-    def __repr__(self):
-        return "exp(%r)" % (self.arg,)
-
-
-X = Var("x")
-Y = Var("y")
-T = Var("t")
+X = Expr("var", ("x",))
+Y = Expr("var", ("y",))
+T = Expr("var", ("t",))
 ZERO = Const(0.0)
 ONE = Const(1.0)
 PI = Const(math.pi)
@@ -365,6 +312,14 @@ def _tokenize(text):
         pos = match.end()
     tokens.append(("end", "", len(text)))
     return tokens
+
+
+def _at(pos, build, operand):
+    """``build(operand)``, with a folding error reported at ``pos``."""
+    try:
+        return build(operand)
+    except ExpressionError as exc:
+        raise ExpressionError(str(exc), pos) from None
 
 
 class _Parser:
@@ -410,11 +365,12 @@ class _Parser:
     def term(self):
         node = self.factor()
         while True:
-            kind, value, _ = self.peek()
+            kind, value, pos = self.peek()
             if kind == "op" and value in "*/":
                 self.advance()
                 rhs = self.factor()
-                node = node * rhs if value == "*" else node / rhs
+                build = node.__mul__ if value == "*" else node.__truediv__
+                node = _at(pos, build, rhs)
             else:
                 return node
 
@@ -426,10 +382,10 @@ class _Parser:
             return inner if value == "+" else -inner
 
         node = self.atom()
-        kind, value, _ = self.peek()
+        kind, value, pos = self.peek()
         if kind == "op" and value == "^":
             self.advance()
-            node = Pow.make(node, self.integer_exponent())
+            node = _at(pos, node.__pow__, self.integer_exponent())
         return node
 
     def integer_exponent(self):

@@ -10,6 +10,8 @@ import hashlib
 import json
 from dataclasses import fields as dataclass_fields
 
+import numpy as np
+
 from .constants import KIND_DESCRIPTIONS, ConstantEstimate
 from .fem import build_dofmaps
 from .monitor import CertificateRow
@@ -211,30 +213,23 @@ def emit_vtk(state, mesh, path):
                 "state does not match mesh: %s has %d free dofs, state "
                 "carries %d" % (name, space.n_free, len(vec)))
 
-    def vertex_scalar(space, free_vals):
-        full = _full_values(space, free_vals)
-        out = []
-        for v in range(mesh.num_vertices):
-            d = space.vertex_dof[v]
-            out.append(full[d] if d >= 0 else 0.0)
-        return out
+    def at_vertices(space, free_vals, vertex_dof, offset=0):
+        full = np.zeros(space.ndof)
+        full[space.free] = free_vals
+        out = np.zeros(mesh.num_vertices)
+        on = vertex_dof >= 0
+        out[on] = full[vertex_dof[on] + offset]
+        return out.tolist()
 
     def vertex_vector(space, free_vals):
-        full = _full_values(space, free_vals)
         sc = space.scalar
-        out = []
-        for v in range(mesh.num_vertices):
-            d = sc.vertex_dof[v]
-            if d >= 0:
-                out.append((full[d], full[d + sc.ndof]))
-            else:
-                out.append((0.0, 0.0))
-        return out
+        return zip(*(at_vertices(space, free_vals, sc.vertex_dof, c * sc.ndof)
+                     for c in (0, 1)))
 
     vel = vertex_vector(dm.velocity, state.alpha)
-    pf = vertex_scalar(dm.pressure_f, state.pi)
+    pf = at_vertices(dm.pressure_f, state.pi, dm.pressure_f.vertex_dof)
     disp = vertex_vector(dm.displacement, state.beta)
-    pp = vertex_scalar(dm.pressure_p, state.gamma)
+    pp = at_vertices(dm.pressure_p, state.gamma, dm.pressure_p.vertex_dof)
 
     lines = [
         "# vtk DataFile Version 2.0",
@@ -263,13 +258,6 @@ def emit_vtk(state, mesh, path):
     lines += [_fmt(v) for v in pp]
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def _full_values(space, free_vals):
-    out = [0.0] * space.ndof
-    for i, d in enumerate(space.free):
-        out[int(d)] = float(free_vals[i])
-    return out
 
 
 # ---------------------------------------------------------------------------

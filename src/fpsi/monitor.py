@@ -44,7 +44,6 @@ from .assembly import (
     restrict,
 )
 from .constants import ConstantEstimate, InletLifting
-from .expressions import Const
 
 
 def constants_dict(values):
@@ -103,8 +102,8 @@ class _FieldNorm:
         times = np.asarray(t, dtype=float)
         column = times.reshape((-1,) + (1,) * self.x.ndim)
         out = np.full(len(column), self.measure * sum(
-            f.value ** 2 for f in fields if isinstance(f, Const)))
-        varying = [f for f in fields if not isinstance(f, Const)]
+            f.args[0] ** 2 for f in fields if f.op == "const"))
+        varying = [f for f in fields if f.op != "const"]
         for k in range(0, len(column) if varying else 0, _TIME_BLOCK):
             block = column[k:k + _TIME_BLOCK]
             sq = sum(f(self.x, self.y, block) ** 2 for f in varying)
@@ -459,8 +458,7 @@ def energy_report(traj, blocks, data, constants, funcs=None,
     c3 = funcs.c3()
     du_limit = p.mu_f / (3.0 * p.rho_f * sf ** 2 * kf ** 3)
     uniq_limit = p.mu_f / (sf ** 2 * kf ** 3)
-    gron_b = (2.0 / p.rho_s) * funcs.l2_c1_sq(times[-1]) if len(times) > 1 \
-        else 0.0
+    gron_b = (2.0 / p.rho_s) * cum_c1[-1]
     gron_c = 1.0 / p.rho_s
     identity_rel = 1e-5 * newton_tol / 1e-10
 

@@ -310,8 +310,9 @@ def step(blocks, data, state0, cfg, loads=None, newton=None):
     rows, stage = _residual_rows(blocks, cfg.scheme, state0, z, dt, loads)
     norms = [_scaled_norm(rows, newton.scales)]
     iterations = krylov_iterations = factorizations = 0
-    while norms[-1] > cfg.newton_tol:
-        if iterations >= cfg.newton_max:
+    # a NaN residual fails both comparisons: it is never converged
+    while not norms[-1] <= cfg.newton_tol:
+        if iterations >= cfg.newton_max or not np.isfinite(norms[-1]):
             raise StepError(
                 "Newton iteration did not converge at t = %.6g "
                 "(residual %.3e after %d iterations)"

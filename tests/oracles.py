@@ -6,10 +6,14 @@ integration, the convection term from per-cell Gauss quadrature, trace
 integrals from a hand-rolled Gauss loop, extremal pencil eigenvalues from a
 dense LAPACK solve (on explicitly formed Schur complements where the package
 works matrix-free or on the full space), the energy certificate from a
-loop over states with one scalar data-norm call per time, and the Newton
+loop over states with one scalar data-norm call per time, the Newton
 matrix on all five unknowns where the package condenses the kinematic
-row.  Tests compare the production code against these.
+row, and data expressions by a recursive tree walk that shares nothing
+where the package evaluates each distinct node once.  Tests compare the
+production code against these.
 """
+
+import operator
 
 import numpy as np
 import scipy.linalg as la
@@ -540,3 +544,35 @@ def full_newton_matrix(blocks, scheme, dt, stage_alpha):
         [blocks.Gdiv, None, None, None, None],
     ]
     return sp.bmat(rows, format="csc")
+
+
+_TREE_OPS = {
+    "add": operator.add, "sub": operator.sub, "mul": operator.mul,
+    "div": operator.truediv, "pow": operator.pow, "neg": operator.neg,
+    "sin": np.sin, "cos": np.cos, "exp": np.exp,
+}
+
+
+def tree_walk_eval(expr, x=0.0, y=0.0, t=0.0):
+    """``expr(x, y, t)`` by a recursive walk of the expression tree.
+
+    Every occurrence of a subexpression is evaluated again, with the same
+    operator and operand order as the package; the result is a float for
+    scalar arguments and a fresh array of the broadcast shape otherwise.
+    """
+    shape = np.broadcast_shapes(np.shape(x), np.shape(y), np.shape(t))
+    env = dict(zip("xyt", (np.asarray(v, dtype=float) for v in (x, y, t))))
+
+    def walk(node):
+        if node.op == "const":
+            return node.args[0]
+        if node.op == "var":
+            return env[node.args[0]]
+        if node.op == "pow":
+            return walk(node.args[0]) ** node.args[1]
+        return _TREE_OPS[node.op](*map(walk, node.args))
+
+    value = walk(expr)
+    if shape == ():
+        return float(value)
+    return np.array(np.broadcast_to(value, shape), dtype=float)

@@ -1,8 +1,12 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+import oracles
+from fpsi import expressions
+from fpsi.assembly import DEFAULT_LOAD_ORDER, cell_quadrature
 from fpsi.expressions import (
     PI,
     T,
@@ -10,6 +14,7 @@ from fpsi.expressions import (
     Y,
     Const,
     Cos,
+    Expr,
     ExpressionError,
     Exp,
     Sin,
@@ -19,6 +24,8 @@ from fpsi.expressions import (
     parse_expression,
     sym_grad,
 )
+from fpsi.mesh import build_rect_two_domain
+from fpsi.verify import CASE_IDS, manufactured_case
 
 
 def test_parse_matches_reference_formulas():
@@ -61,6 +68,10 @@ def test_parse_precedence_and_unary():
     "(x + y",
     "x) ",
     "1 2",
+    "1/0",
+    "x/0",
+    "2*x/(3-3)",
+    "0^-1",
 ])
 def test_parse_errors(text):
     with pytest.raises(ExpressionError):
@@ -172,3 +183,58 @@ def test_mutating_a_result_never_changes_a_later_evaluation(expr):
         np.testing.assert_array_equal(expr(xs, y, 0.3), expected)
     np.testing.assert_array_equal(x, [0.0, 0.25, 0.5, 0.75, 1.0])
     np.testing.assert_array_equal(y, [1.0, 1.25, 1.5, 1.75, 2.0])
+
+
+def _expressions_in(obj):
+    """Every expression held by a manufactured case, its data included."""
+    if isinstance(obj, Expr):
+        yield obj
+    elif isinstance(obj, tuple):
+        for item in obj:
+            yield from _expressions_in(item)
+    elif dataclasses.is_dataclass(obj):
+        for f in dataclasses.fields(obj):
+            yield from _expressions_in(getattr(obj, f.name))
+
+
+# the manufactured cases hold no quotient of non-constant expressions
+QUOTIENTS = ("exp(x*y)/(2 + t)", "sin(pi*x)/(1 + y^2)^2 - t/(3 + x)^-1")
+
+
+@pytest.mark.parametrize("source", CASE_IDS + ("quotients",))
+def test_evaluation_matches_the_tree_walk_oracle(source):
+    q = cell_quadrature(build_rect_two_domain(4, 4, 0.5), None,
+                        DEFAULT_LOAD_ORDER)
+    times = np.array([0.0, 0.3, 1.7])[:, None, None]
+    fields = ([parse_expression(text) for text in QUOTIENTS]
+              if source == "quotients"
+              else list(_expressions_in(manufactured_case(source))))
+    assert fields
+    for field in fields:
+        for e in (field, *(field.diff(v) for v in "xyt")):
+            for t in (0.25, times):
+                assert np.array_equal(e(q.x, q.y, t),
+                                      oracles.tree_walk_eval(e, q.x, q.y, t))
+
+
+def test_equal_subtrees_are_one_object():
+    built = Sin(PI * X) * Y + T ** 2
+    parsed = parse_expression("sin(pi*x)*y + t^2")
+    assert built is parsed
+    assert built.diff("x") is parsed.diff("x")
+    assert Cos(PI * X) is built.diff("x").args[0].args[0]
+    # constants are keyed by their bits
+    assert Const(0.0) is not Const(-0.0)
+    assert repr(Const(-0.0)) == "-0.0"
+
+
+def test_a_call_computes_each_distinct_subtree_once(monkeypatch):
+    # the smooth-trig forcing holds 42 sin/cos nodes, 6 of them distinct
+    f = manufactured_case("smooth-trig").data.f_f[0]
+    calls = []
+    for op in ("sin", "cos"):
+        monkeypatch.setitem(expressions._EVAL, op,
+                            lambda v, fn=expressions._EVAL[op]:
+                            calls.append(fn) or fn(v))
+    f(np.linspace(0.0, 1.0, 7), 0.6, 0.1)
+    assert len(calls) == 6

@@ -195,6 +195,20 @@ def test_step_error_reports_failure():
     assert err.value.residual_norm > 0.0
 
 
+def test_non_finite_residual_is_a_step_error():
+    # NaN compares false against the tolerance, so it must not pass as
+    # converged; the NaN is made directly, without a floating-point warning
+    blocks = _blocks(4, 4, convection=False)
+    cfg = SchemeConfig(scheme="euler", dt=0.1, t_final=0.1)
+    a, b, c = assemble_loads(0.1, _driven_data(), blocks.dm)
+    a[0] = np.nan
+    with pytest.raises(StepError) as err:
+        step(blocks, _driven_data(), blocks.zero_state(), cfg,
+             loads=(a, b, c))
+    assert err.value.iterations == 0
+    assert np.isnan(err.value.residual_norm)
+
+
 def test_on_step_callback_sees_every_state():
     blocks = _blocks(convection=False)
     cfg = SchemeConfig(scheme="euler", dt=0.1, t_final=0.3)
