@@ -34,9 +34,9 @@ slip part of ``Bf``, and the inlet, outlet, interface and boundary loads)
 goes through one batched kernel, :func:`facet_trace`: for a batch of facets,
 each seen from one adjacent triangle, it gives the Gauss points, their
 reference coordinates in that triangle, the weights times the facet length
-and the outward normal.  :func:`facet_matrix` and the ``load_facet_*``
-functions contract basis values at those points in one step and scatter the
-per-facet results with the triangles' dofs.
+and the outward normal.  :func:`facet_matrix` and :func:`load_facet`, which
+applies the normal by the field's rank, contract basis values at those points
+in one step and scatter the per-facet results with the triangles' dofs.
 """
 
 from __future__ import annotations
@@ -138,6 +138,14 @@ def _as_pair(value):
     return (_as_expr(a), _as_expr(b))
 
 
+def _map_nest(fn, field):
+    """``fn`` of every expression of a field (an expression, a pair or a
+    2x2 nest), in the same nesting; None stays None."""
+    if isinstance(field, Expr):
+        return fn(field)
+    return None if field is None else tuple(_map_nest(fn, f) for f in field)
+
+
 @dataclass(frozen=True)
 class ExtraLoads:
     """Additional consistency loads used by manufactured-solution runs.
@@ -151,9 +159,9 @@ class ExtraLoads:
     - ``iface_mom``: vector integrand on the interface (momentum row)
     - ``iface_str``: vector integrand on the interface (structure row)
     - ``iface_darcy``: scalar integrand on the interface (Darcy row)
-    - ``poroext_stress``: 2x2 stress tensor on the outer poroelastic sides;
-      only its normal-normal component acts on the constrained test space,
-      contributing ``<(n.S n)(n.xi)>``
+    - ``poroext_stress``: 2x2 stress tensor on the outer poroelastic sides,
+      loading its traction ``<S n, xi>``; the tangential displacement is
+      fixed there, so only ``(n.S n)(n.xi)`` reaches a free dof
     - ``poros_flux``: vector field whose normal component is the prescribed
       flux on the bottom boundary, contributing ``<g.n, r>``
     """
@@ -168,24 +176,8 @@ class ExtraLoads:
 
     def scaled(self, factor):
         """Every load multiplied by a constant factor."""
-        def one(e):
-            return None if e is None else factor * e
-
-        def pair(p):
-            return None if p is None else (one(p[0]), one(p[1]))
-
-        stress = self.poroext_stress
-        if stress is not None:
-            stress = tuple(tuple(one(e) for e in row) for row in stress)
-        return ExtraLoads(
-            inlet_traction=pair(self.inlet_traction),
-            outlet_traction=pair(self.outlet_traction),
-            iface_mom=pair(self.iface_mom),
-            iface_str=pair(self.iface_str),
-            iface_darcy=one(self.iface_darcy),
-            poroext_stress=stress,
-            poros_flux=pair(self.poros_flux),
-        )
+        return ExtraLoads(*(_map_nest(lambda e: factor * e, v)
+                            for v in vars(self).values()))
 
 
 @dataclass(frozen=True)
@@ -204,24 +196,18 @@ class ProblemData:
         object.__setattr__(self, "f_p", _as_expr(self.f_p))
         object.__setattr__(self, "P_in", _as_expr(self.P_in))
 
+    def _mapped(self, fn, extra=None):
+        return ProblemData(*(_map_nest(fn, f) for f in (
+            self.f_f, self.f_s, self.f_p, self.P_in)), extra=extra)
+
     def time_derivative(self):
         """Data with every field replaced by its exact time derivative."""
-        return ProblemData(
-            f_f=(self.f_f[0].diff("t"), self.f_f[1].diff("t")),
-            f_s=(self.f_s[0].diff("t"), self.f_s[1].diff("t")),
-            f_p=self.f_p.diff("t"),
-            P_in=self.P_in.diff("t"),
-        )
+        return self._mapped(lambda e: e.diff("t"))
 
     def scaled(self, factor):
         """Data (including any extra loads) multiplied by a constant."""
-        return ProblemData(
-            f_f=(factor * self.f_f[0], factor * self.f_f[1]),
-            f_s=(factor * self.f_s[0], factor * self.f_s[1]),
-            f_p=factor * self.f_p,
-            P_in=factor * self.P_in,
-            extra=None if self.extra is None else self.extra.scaled(factor),
-        )
+        extra = None if self.extra is None else self.extra.scaled(factor)
+        return self._mapped(lambda e: factor * e, extra)
 
 
 @dataclass
@@ -615,70 +601,55 @@ def interface_tangents(normals):
 # load vectors
 # ---------------------------------------------------------------------------
 
-def _volume_cells(space, exprs, t, order):
-    """(f, N_i) on every cell of a scalar space, one array per expression."""
-    q = cell_quadrature(space.mesh, space.subdomain, order)
-    vt = _rule_values(space.kind, order)
-    return [(q.wdet * e(q.x, q.y, t)) @ vt for e in exprs]
+def _rank(field):
+    """0 for an expression, 1 for a pair, 2 for a 2x2 nest."""
+    return 0 if isinstance(field, Expr) else 1 + _rank(field[0])
 
 
-def load_volume_vector(space, exprs, t, order=DEFAULT_LOAD_ORDER):
-    """(f, v) for a vector expression pair over a vector space."""
-    cells = np.stack(_volume_cells(space.scalar, exprs, t, order), axis=1)
-    return _scatter_vector(space.cell_dofs_vector(), cells, space.ndof)
+def _rank_excess(field, space, allowed):
+    excess = _rank(field) - isinstance(space, VectorSpace)
+    if excess not in allowed:
+        raise ValueError("a rank-%d field cannot load a %s test space"
+                         % (_rank(field), space.kind.value))
+    return excess
 
 
-def load_volume_scalar(space, expr, t, order=DEFAULT_LOAD_ORDER):
-    """(f, r) for a scalar expression over a scalar space."""
-    cells, = _volume_cells(space, [expr], t, order)
-    return _scatter_vector(space.cell_dofs, cells, space.ndof)
+def _field_values(field, x, y, t):
+    """A field's values at the points ``x``, ``y``, its tensor axes last."""
+    if isinstance(field, Expr):
+        return field(x, y, t)
+    return np.stack([_field_values(f, x, y, t) for f in field], axis=x.ndim)
 
 
-def load_facet_vector(space, facets, tris, exprs, t, order=DEFAULT_LOAD_ORDER):
-    """<g, v> over facets for a vector test space."""
+def load_volume(space, field, t, order=DEFAULT_LOAD_ORDER):
+    """(f, v) over the cells of ``space``, ``f`` of the space's rank."""
+    _rank_excess(field, space, (0,))
+    sc = _scalar_space_of(space)
+    q = cell_quadrature(space.mesh, sc.subdomain, order)
+    vt = _rule_values(sc.kind, order)
+    vector = isinstance(space, VectorSpace)
+    cells = np.stack([(q.wdet * e(q.x, q.y, t)) @ vt
+                      for e in (field if vector else (field,))], axis=1)
+    dofs = space.cell_dofs_vector() if vector else space.cell_dofs
+    return _scatter_vector(dofs, cells, space.ndof)
+
+
+def load_facet(space, facets, tris, field, t, order=DEFAULT_LOAD_ORDER):
+    """<g, v> over facets, each seen from its triangle in ``tris``, with
+    ``g`` the field brought to the space's rank by the outward normal ``n``:
+    contracted with ``n`` from one rank above (``g.n``, ``S n``), multiplied
+    by ``n`` from one rank below (``P n``)."""
+    excess = _rank_excess(field, space, (-1, 0, 1))
     q = facet_quadrature(space, facets, tris, order)
-    g = np.stack([e(q.x[..., 0], q.x[..., 1], t) for e in exprs], axis=-1)
-    local = np.einsum("fq,fqik,fqk->fi", q.wts, q.vals, g)
-    return _scatter_vector(q.dofs, local, space.ndof)
-
-
-def load_facet_scalar(space, facets, tris, expr, t, order=DEFAULT_LOAD_ORDER):
-    """<g, r> over facets for a scalar test space."""
-    q = facet_quadrature(space, facets, tris, order)
-    g = expr(q.x[..., 0], q.x[..., 1], t)
-    local = np.einsum("fq,fqi,fq->fi", q.wts, q.vals, g)
-    return _scatter_vector(q.dofs, local, space.ndof)
-
-
-def load_facet_pressure_normal(space, facets, tris, expr, t,
-                               order=DEFAULT_LOAD_ORDER):
-    """<P n, v> with n the outward normal seen from each facet's triangle."""
-    q = facet_quadrature(space, facets, tris, order)
-    p = expr(q.x[..., 0], q.x[..., 1], t)
-    local = np.einsum("fq,fqik,fk->fi", q.wts * p, q.vals, q.normals)
-    return _scatter_vector(q.dofs, local, space.ndof)
-
-
-def load_facet_normal_stress(space, facets, tris, tensor, t,
-                             order=DEFAULT_LOAD_ORDER):
-    """<(n.S n)(n.v)> with S a 2x2 expression tensor, n outward per facet."""
-    q = facet_quadrature(space, facets, tris, order)
-    n = q.normals
-    snn = np.zeros(q.wts.shape)
-    for a in range(2):
-        for b in range(2):
-            snn += (n[:, a] * n[:, b])[:, None] * tensor[a][b](
-                q.x[..., 0], q.x[..., 1], t)
-    local = np.einsum("fq,fqik,fk->fi", q.wts * snn, q.vals, n)
-    return _scatter_vector(q.dofs, local, space.ndof)
-
-
-def load_facet_flux(space, facets, tris, exprs, t, order=DEFAULT_LOAD_ORDER):
-    """<g.n, r> with n the outward normal, scalar test space."""
-    q = facet_quadrature(space, facets, tris, order)
-    gx, gy = (e(q.x[..., 0], q.x[..., 1], t) for e in exprs)
-    gn = gx * q.normals[:, 0, None] + gy * q.normals[:, 1, None]
-    local = np.einsum("fq,fqi->fi", q.wts * gn, q.vals)
+    g = _field_values(field, q.x[..., 0], q.x[..., 1], t)
+    if excess == 1:
+        g = np.einsum("fq...k,fk->fq...", g, q.normals)
+    elif excess == -1:
+        g = g[..., None] * q.normals[:, None, :]
+    # a scalar space has one component
+    local = np.einsum("fq,fqik,fqk->fi", q.wts,
+                      q.vals.reshape(q.vals.shape[:3] + (-1,)),
+                      g.reshape(q.wts.shape + (-1,)))
     return _scatter_vector(q.dofs, local, space.ndof)
 
 
@@ -794,7 +765,6 @@ class BlockSystem:
     params: PhysicalParams
     convection_enabled: bool
     skew: bool
-    raw: dict
     Af: sp.csr_matrix
     Bf: sp.csr_matrix
     As: sp.csr_matrix
@@ -811,6 +781,11 @@ class BlockSystem:
     mass_u: sp.csr_matrix
     mass_d: sp.csr_matrix
     mass_p: sp.csr_matrix
+    mass_q: sp.csr_matrix
+    visc_u: sp.csr_matrix
+    stiff_u: sp.csr_matrix
+    stiff_d: sp.csr_matrix
+    stiff_p: sp.csr_matrix
     h1_u: sp.csr_matrix
     h1_d: sp.csr_matrix
     h1_p: sp.csr_matrix
@@ -917,19 +892,10 @@ def assemble_system(mesh, params, convection=True, skew=False,
     cface = facet_matrix(W, R, ifacets, iptri, iptri, normals, facet_order)
     cvol = div_pressure(W, R, volume_order)
 
-    raw = {
-        "mass_u": mass_u, "visc_u": visc_u, "stiff_u": stiff_u,
-        "gdiv": gdiv, "mass_q": mass_q,
-        "mass_d": mass_d, "symgrad_d": symgrad_d, "divdiv_d": divdiv_d,
-        "stiff_d": stiff_d,
-        "mass_p": mass_p, "kgrad_p": kgrad_p, "stiff_p": stiff_p,
-        "slip_uu": slip_uu, "slip_ud": slip_ud, "slip_dd": slip_dd,
-        "dface": dface, "cface": cface, "cvol": cvol,
-    }
-
     p = params
+    visc_u = restrict(visc_u, V, V)
     Af = restrict(p.rho_f * mass_u, V, V)
-    visc2 = restrict(2.0 * p.mu_f * visc_u, V, V)
+    visc2 = 2.0 * p.mu_f * visc_u
     slip_uu_beta = restrict(p.beta_slip * slip_uu, V, V)
     Bf = sparse_sum(visc2, slip_uu_beta)
     As = restrict(p.rho_s * mass_d, W, W)
@@ -945,13 +911,17 @@ def assemble_system(mesh, params, convection=True, skew=False,
 
     blocks = BlockSystem(
         dm=dm, params=params, convection_enabled=convection, skew=skew,
-        raw=raw,
         Af=Af, Bf=Bf, As=As, Bs=Bs, Ap=Ap, Bp=Bp,
         C=C, D=D, E=E, F=F, Gdiv=Gdiv,
         visc2=visc2, slip_uu_beta=slip_uu_beta,
         mass_u=restrict(mass_u, V, V),
         mass_d=restrict(mass_d, W, W),
         mass_p=restrict(mass_p, R, R),
+        mass_q=restrict(mass_q, Q, Q),
+        visc_u=visc_u,
+        stiff_u=restrict(stiff_u, V, V),
+        stiff_d=restrict(stiff_d, W, W),
+        stiff_p=restrict(stiff_p, R, R),
         h1_u=restrict(mass_u + stiff_u, V, V),
         h1_d=restrict(mass_d + stiff_d, W, W),
         h1_p=restrict(mass_p + stiff_p, R, R),
@@ -961,58 +931,44 @@ def assemble_system(mesh, params, convection=True, skew=False,
     return blocks
 
 
+# the (dof-map space, facet tag) each ExtraLoads field loads
+_EXTRA_LOAD_SITES = {
+    "inlet_traction": ("velocity", meshmod.FLUID_INLET),
+    "outlet_traction": ("velocity", meshmod.FLUID_OUTLET),
+    "iface_mom": ("velocity", meshmod.INTERFACE),
+    "iface_str": ("displacement", meshmod.INTERFACE),
+    "iface_darcy": ("pressure_p", meshmod.INTERFACE),
+    "poroext_stress": ("displacement", meshmod.PORO_EXTERNAL),
+    "poros_flux": ("pressure_p", meshmod.PORO_SOLID),
+}
+
+
+def _facet_side(mesh, space, tag):
+    """The facets of ``tag`` and, for each, its triangle in ``space``."""
+    facets = mesh.facets_with_tag(tag)
+    if tag != meshmod.INTERFACE:
+        return facets, _boundary_facet_tris(mesh, facets)
+    fluid = _scalar_space_of(space).subdomain == meshmod.FLUID
+    return facets, (mesh.interface_fluid_tri if fluid
+                    else mesh.interface_poro_tri)
+
+
 def assemble_loads(t, data, dm, load_order=DEFAULT_LOAD_ORDER):
     """Assemble the free-dof right-hand sides (a, b, c) at time ``t``."""
-    mesh = dm.mesh
-    V, W, R = dm.velocity, dm.displacement, dm.pressure_p
-
-    a = load_volume_vector(V, data.f_f, t, load_order)
-    inlet = mesh.facets_with_tag(meshmod.FLUID_INLET)
-    if len(inlet):
-        tris = _boundary_facet_tris(mesh, inlet)
-        a -= load_facet_pressure_normal(V, inlet, tris, data.P_in, t, load_order)
-
-    b = load_volume_vector(W, data.f_s, t, load_order)
-    c = load_volume_scalar(R, data.f_p, t, load_order)
-
-    extra = data.extra
-    if extra is not None:
-        ifacets = mesh.interface_facets
-        iftri = mesh.interface_fluid_tri
-        iptri = mesh.interface_poro_tri
-        if extra.inlet_traction is not None and len(inlet):
-            tris = _boundary_facet_tris(mesh, inlet)
-            a += load_facet_vector(V, inlet, tris, extra.inlet_traction, t,
-                                   load_order)
-        outlet = mesh.facets_with_tag(meshmod.FLUID_OUTLET)
-        if extra.outlet_traction is not None and len(outlet):
-            tris = _boundary_facet_tris(mesh, outlet)
-            a += load_facet_vector(V, outlet, tris, extra.outlet_traction, t,
-                                   load_order)
-        if extra.iface_mom is not None:
-            a += load_facet_vector(V, ifacets, iftri, extra.iface_mom, t,
-                                   load_order)
-        if extra.iface_str is not None:
-            b += load_facet_vector(W, ifacets, iptri, extra.iface_str, t,
-                                   load_order)
-        if extra.iface_darcy is not None:
-            c += load_facet_scalar(R, ifacets, iptri, extra.iface_darcy, t,
-                                   load_order)
-        if extra.poroext_stress is not None:
-            pext = mesh.facets_with_tag(meshmod.PORO_EXTERNAL)
-            if len(pext):
-                tris = _boundary_facet_tris(mesh, pext)
-                b += load_facet_normal_stress(W, pext, tris,
-                                              extra.poroext_stress, t,
-                                              load_order)
-        if extra.poros_flux is not None:
-            psol = mesh.facets_with_tag(meshmod.PORO_SOLID)
-            if len(psol):
-                tris = _boundary_facet_tris(mesh, psol)
-                c += load_facet_flux(R, psol, tris, extra.poros_flux, t,
-                                     load_order)
-
-    return a[V.free], b[W.free], c[R.free]
+    names = ("velocity", "displacement", "pressure_p")
+    loads = {name: load_volume(getattr(dm, name), f, t, load_order)
+             for name, f in zip(names, (data.f_f, data.f_s, data.f_p))}
+    extra = vars(data.extra or ExtraLoads())
+    terms = [("velocity", meshmod.FLUID_INLET, -data.P_in)] + [
+        _EXTRA_LOAD_SITES[key] + (field,) for key, field in extra.items()
+        if field is not None]
+    for name, tag, field in terms:
+        space = getattr(dm, name)
+        facets, tris = _facet_side(dm.mesh, space, tag)
+        if len(facets):
+            loads[name] += load_facet(space, facets, tris, field, t,
+                                      load_order)
+    return tuple(loads[name][getattr(dm, name).free] for name in names)
 
 
 def residual(blocks, state, state_dot, loads):

@@ -237,7 +237,10 @@ def parse_config(path):
         f_s=None if fsx is None else (fsx, fsy),
         f_p=f_p, P_in=p_in)
     if scale != 1.0:
-        data = data.scaled(scale)
+        try:
+            data = data.scaled(scale)
+        except ExpressionError as exc:
+            raise ConfigError("data.scale: %s" % exc) from None
 
     skw = {}
     for name, conv in (("scheme", str), ("dt", float), ("t_final", float),

@@ -251,7 +251,7 @@ def sobolev_l4_constant(blocks, seed=0, starts=0, maxit=400, order=8):
     certified lower bound of the discrete supremum.
     """
     V = blocks.dm.velocity
-    K = restrict(blocks.raw["stiff_u"], V, V)
+    K = blocks.stiff_u
     lu = spla.splu(K.tocsc())
     form = _QuarticForm(V, order)
     rng = np.random.default_rng(seed)
@@ -293,13 +293,12 @@ def infsup_constant(blocks):
     the full H1 velocity matrix is applied matrix-free, from one
     factorisation of ``H``, and compared with the pressure mass matrix.
     """
-    Q = blocks.dm.pressure_f
     G = blocks.Gdiv
     GT = G.T
     H = spla.splu(blocks.h1_u.tocsc())
     S = spla.LinearOperator((G.shape[0], G.shape[0]), dtype=float,
                             matvec=lambda v: G @ H.solve(GT @ v))
-    Mq = restrict(blocks.raw["mass_q"], Q, Q).tocsc()
+    Mq = blocks.mass_q.tocsc()
     return float(np.sqrt(quotient_min(S, Mq)))
 
 
@@ -320,14 +319,13 @@ def _trace_pencil(blocks, kind):
         space, facets, tris, h1 = traces[kind]
         return restrict(_facet_mass(space, facets, tris), space, space), h1
     if kind == "P1c":
-        return blocks.mass_u, restrict(blocks.raw["stiff_u"], V, V)
+        return blocks.mass_u, blocks.stiff_u
     if kind == "P2c":
-        return blocks.mass_d, restrict(blocks.raw["stiff_d"], W, W)
+        return blocks.mass_d, blocks.stiff_d
     if kind == "P3c":
-        return blocks.mass_p, restrict(blocks.raw["stiff_p"], R, R)
+        return blocks.mass_p, blocks.stiff_p
     if kind == "Kf":
-        return (restrict(blocks.raw["stiff_u"], V, V),
-                restrict(blocks.raw["visc_u"], V, V))
+        return blocks.stiff_u, blocks.visc_u
     raise ValueError(f"unknown constant kind {kind!r}")
 
 
@@ -361,7 +359,7 @@ def estimate(kind, blocks, level=0, seed=0, sf_starts=0, sf_maxit=400):
         R = dm.pressure_p
         dofs = _free_interface_dof_count(R)
         A = _trace_pencil(blocks, "T4")[0]
-        K = restrict(blocks.raw["stiff_p"], R, R)
+        K = blocks.stiff_p
         value = float(np.sqrt(1.0 + quotient_max(A, K)))
     else:
         A, B = _trace_pencil(blocks, kind)

@@ -206,7 +206,11 @@ class Expr:
         if self.op == "const":
             if exponent < 0 and self.args[0] == 0.0:
                 raise ExpressionError("zero raised to a negative power")
-            return Const(self.args[0] ** exponent)
+            try:
+                return Const(self.args[0] ** exponent)
+            except OverflowError:
+                raise ExpressionError("%r^%d is not finite"
+                                      % (self.args[0], exponent)) from None
         return Expr("pow", (self, exponent))
 
     def __neg__(self):
@@ -261,7 +265,9 @@ def _compile(root):
 
 
 def Const(value):
-    """The constant node of ``value``."""
+    """The constant node of ``value``, which must be finite."""
+    if not math.isfinite(value):
+        raise ExpressionError("the constant %r is not finite" % value)
     return Expr("const", (float(value),))
 
 
@@ -354,11 +360,12 @@ class _Parser:
     def expression(self):
         node = self.term()
         while True:
-            kind, value, _ = self.peek()
+            kind, value, pos = self.peek()
             if kind == "op" and value in "+-":
                 self.advance()
                 rhs = self.term()
-                node = node + rhs if value == "+" else node - rhs
+                build = node.__add__ if value == "+" else node.__sub__
+                node = _at(pos, build, rhs)
             else:
                 return node
 
@@ -407,7 +414,7 @@ class _Parser:
     def atom(self):
         kind, value, pos = self.advance()
         if kind == "number":
-            return Const(float(value))
+            return _at(pos, Const, float(value))
         if kind == "name":
             if value in _NAMES:
                 return _NAMES[value]

@@ -41,7 +41,6 @@ from .assembly import (
     assemble_loads,
     cell_quadrature,
     facet_trace,
-    restrict,
 )
 from .constants import ConstantEstimate, InletLifting
 
@@ -159,13 +158,17 @@ class DataFunctionals:
     def fs_sq(self, t):
         return self._poro.norm_sq(self.data.f_s, t)
 
-    def c1_terms(self, t):
+    def _terms(self, data, t, lead):
+        """C1's terms for ``data``, ``lead`` times the first two."""
         return {
-            "inlet": self._w_pin * self.pin_sq(t),
-            "fluid_force": self._w_ff * self.ff_sq(t),
-            "pore_source": self._w_fp * self.fp_sq(t),
-            "structure_force": 0.5 * self.fs_sq(t),
+            "inlet": lead * self._w_pin * self._inlet.norm_sq(data.P_in, t),
+            "fluid_force": lead * self._w_ff * self._fluid.norm_sq(data.f_f, t),
+            "pore_source": self._w_fp * self._poro.norm_sq(data.f_p, t),
+            "structure_force": 0.5 * self._poro.norm_sq(data.f_s, t),
         }
+
+    def c1_terms(self, t):
+        return self._terms(self.data, t, 1.0)
 
     def c1_sq(self, t):
         return sum(self.c1_terms(t).values())
@@ -174,13 +177,8 @@ class DataFunctionals:
         return np.sqrt(self.c1_sq(t))
 
     def c2_terms(self, t):
-        d = self.data_dot
-        return {
-            "inlet": 2.0 * self._w_pin * self._inlet.norm_sq(d.P_in, t),
-            "fluid_force": 2.0 * self._w_ff * self._fluid.norm_sq(d.f_f, t),
-            "pore_source": self._w_fp * self._poro.norm_sq(d.f_p, t),
-            "structure_force": 0.5 * self._poro.norm_sq(d.f_s, t),
-        }
+        # C1 of the time derivative, inlet and fluid force weighted twice
+        return self._terms(self.data_dot, t, 2.0)
 
     def c2_sq(self, t):
         return sum(self.c2_terms(t).values())
@@ -407,8 +405,6 @@ def energy_report(traj, blocks, data, constants, funcs=None,
         funcs = DataFunctionals(dm.mesh, p, data, constants)
     sf, kf, kappa, t1, t2, t3, t5 = _require(
         constants, "Sf", "Kf", "Kappa", "T1", "T2", "T3", "T5")
-    mass_q = restrict(blocks.raw["mass_q"], dm.pressure_f, dm.pressure_f)
-    stiff_u = restrict(blocks.raw["stiff_u"], dm.velocity, dm.velocity)
 
     def form(matrix, x):
         return _dots(x, matrix @ x)
@@ -433,8 +429,8 @@ def energy_report(traj, blocks, data, constants, funcs=None,
         return ({"energy": blocks.energy(every),
                  "visc": form(blocks.visc2, every.alpha),
                  "zeta": form(blocks.mass_d, every.theta),
-                 "mass_q": form(mass_q, every.pi),
-                 "stiff_u": form(stiff_u, every.alpha),
+                 "mass_q": form(blocks.mass_q, every.pi),
+                 "stiff_u": form(blocks.stiff_u, every.alpha),
                  "h1_u": form(blocks.h1_u, every.alpha),
                  "h1_p": form(blocks.h1_p, every.gamma),
                  "h1_d": form(blocks.h1_d, every.theta)},

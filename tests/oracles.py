@@ -249,7 +249,7 @@ def dense_pore_trace_constant(blocks):
     """
     mesh = blocks.dm.mesh
     R = blocks.dm.pressure_p
-    K = restrict(blocks.raw["stiff_p"], R, R).toarray()
+    K = blocks.stiff_p.toarray()
     tris = mesh.interface_poro_tri
     M = restrict(facet_matrix(R, R, mesh.interface_facets, tris, tris),
                  R, R).toarray()
@@ -264,10 +264,9 @@ def dense_pore_trace_constant(blocks):
 
 def dense_infsup_constant(blocks):
     """Kappa from the dense pressure Schur complement ``G H^-1 G^T``."""
-    Q = blocks.dm.pressure_f
     G = blocks.Gdiv.toarray()
     S = G @ la.solve(blocks.h1_u.toarray(), G.T)
-    Mq = restrict(blocks.raw["mass_q"], Q, Q).toarray()
+    Mq = blocks.mass_q.toarray()
     lam = la.eigh(0.5 * (S + S.T), Mq, eigvals_only=True)[0]
     return float(np.sqrt(lam))
 
@@ -380,8 +379,8 @@ def rowwise_energy_report(traj, blocks, data, constants, funcs,
 
     sf, kf, kappa, t1, t2, t3, t5 = (constants[k] for k in (
         "Sf", "Kf", "Kappa", "T1", "T2", "T3", "T5"))
-    mass_q = restrict(blocks.raw["mass_q"], dm.pressure_f, dm.pressure_f)
-    stiff_u = restrict(blocks.raw["stiff_u"], dm.velocity, dm.velocity)
+    mass_q = blocks.mass_q
+    stiff_u = blocks.stiff_u
 
     states = traj.states
     dt = traj.dt

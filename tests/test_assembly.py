@@ -13,13 +13,10 @@ from fpsi.assembly import (
     _reference_table,
     assemble_loads,
     assemble_system,
+    div_pressure,
     facet_matrix,
-    load_facet_flux,
-    load_facet_normal_stress,
-    load_facet_pressure_normal,
-    load_facet_vector,
-    load_volume_scalar,
-    load_volume_vector,
+    load_facet,
+    load_volume,
     mixed_div,
     residual,
     restrict,
@@ -189,7 +186,7 @@ def test_pressure_coupling_volume_term():
     dm = blocks.dm
     xi = interpolate_vector(dm.displacement, (lambda x, y, t: x, lambda x, y, t: 0 * x))
     w = interpolate_scalar(dm.pressure_p, lambda x, y, t: 1.0 + 0 * x)
-    cvol = blocks.raw["cvol"]
+    cvol = div_pressure(dm.displacement, dm.pressure_p)
     # int_P w * div xi = area(poro) = 1/2
     assert xi @ (cvol @ w) == pytest.approx(0.5, rel=1e-13)
 
@@ -249,7 +246,7 @@ def test_interface_cross_terms_cancel_in_energy_rate():
 def test_constant_load_vector_is_lumped_thirds():
     m = oracles.one_triangle_mesh([[0.0, 0.0], [2.0, 0.0], [0.0, 1.0]])
     space = make_scalar_space(m, ElementKind.P1)
-    load = load_volume_scalar(space, ONE, t=0.0)
+    load = load_volume(space, ONE, t=0.0)
     np.testing.assert_allclose(load, np.full(3, 1.0 / 3.0), rtol=1e-14)
 
 
@@ -258,7 +255,7 @@ def test_inlet_pressure_load_totals():
     V = make_vector_space(m, ElementKind.VECTOR_P2, meshmod.FLUID)
     inlet = m.facets_with_tag(meshmod.FLUID_INLET)
     tris = np.array([m.facet_tris[f][m.facet_tris[f] >= 0][0] for f in inlet])
-    load = load_facet_pressure_normal(V, inlet, tris, ONE, t=0.0)
+    load = load_facet(V, inlet, tris, ONE, t=0.0)
     ns = V.scalar.ndof
     # n = (-1, 0) on the inlet, inlet length = 1/2
     assert load[:ns].sum() == pytest.approx(-0.5, rel=1e-13)
@@ -278,6 +275,10 @@ def test_facet_loads_against_direct_quadrature():
     def gdotv(x, y, t, n, v):
         return g[0](x, y, t) * v[:, 0] + g[1](x, y, t) * v[:, 1]
 
+    def traction(x, y, t, n, v):
+        return sum(S[a][b](x, y, t) * n[b] * v[:, a]
+                   for a in range(2) for b in range(2))
+
     def normal_stress(x, y, t, n, v):
         snn = sum(n[a] * n[b] * S[a][b](x, y, t)
                   for a in range(2) for b in range(2))
@@ -291,21 +292,41 @@ def test_facet_loads_against_direct_quadrature():
     order = 22
     pext = m.facets_with_tag(meshmod.PORO_EXTERNAL)
     psol = m.facets_with_tag(meshmod.PORO_SOLID)
+    pext_tris = _boundary_facet_tris(m, pext)
     cases = [
-        (load_facet_vector, V, m.interface_facets, m.interface_fluid_tri, g,
-         gdotv),
-        (load_facet_normal_stress, W, pext, _boundary_facet_tris(m, pext), S,
-         normal_stress),
-        (load_facet_flux, R, psol, _boundary_facet_tris(m, psol), g, flux),
+        (V, m.interface_facets, m.interface_fluid_tri, g, gdotv),
+        (W, pext, pext_tris, S, traction),
+        (R, psol, _boundary_facet_tris(m, psol), g, flux),
     ]
     rng = np.random.default_rng(5)
-    for load, space, facets, tris, data, integrand in cases:
-        vec = load(space, facets, tris, data, t, order)
+    for space, facets, tris, data, integrand in cases:
+        vec = load_facet(space, facets, tris, data, t, order)
         for _ in range(3):
             coeffs = rng.standard_normal(space.ndof)
             ref = oracles.facet_functional(m, space, coeffs, facets, tris,
                                            integrand, t)
             assert coeffs @ vec == pytest.approx(ref, rel=1e-12)
+    # the tangential displacement is fixed on the outer poroelastic sides,
+    # so on free dofs the traction is its normal-normal part
+    vec = load_facet(W, pext, pext_tris, S, t, order)
+    for _ in range(3):
+        coeffs = np.zeros(W.ndof)
+        coeffs[W.free] = rng.standard_normal(W.n_free)
+        ref = oracles.facet_functional(m, W, coeffs, pext, pext_tris,
+                                       normal_stress, t)
+        assert coeffs @ vec == pytest.approx(ref, rel=1e-12)
+
+
+def test_facet_load_rejects_a_field_of_the_wrong_rank():
+    m = build_rect_two_domain(4, 4, 0.5)
+    dm = build_dofmaps(m)
+    psol = m.facets_with_tag(meshmod.PORO_SOLID)
+    tris = _boundary_facet_tris(m, psol)
+    stress = ((ONE, X), (X, ONE))
+    with pytest.raises(ValueError, match="rank-2 field"):
+        load_facet(dm.pressure_p, psol, tris, stress, t=0.0)
+    with pytest.raises(ValueError, match="rank-1 field"):
+        load_volume(dm.pressure_p, (ONE, X), t=0.0)
 
 
 def test_facet_loads_trace_once_per_mesh(monkeypatch):
@@ -322,14 +343,14 @@ def test_facet_loads_trace_once_per_mesh(monkeypatch):
         return facet_trace(*args)
     monkeypatch.setattr(asm, "facet_trace", counted)
     times = (0.1, 0.7)
-    loads = [load_facet_pressure_normal(V, inlet, tris, p, t) for t in times]
+    loads = [load_facet(V, inlet, tris, p, t) for t in times]
     assert len(traced) == 1
     # the same load with the trace, basis and dofs rebuilt for each call
     for t, load in zip(times, loads):
         x, ref, wts, n = facet_trace(m, inlet, tris, asm.DEFAULT_LOAD_ORDER)
         vals, _ = asm._trace_basis(V.kind, ref)
-        pv = p(x[..., 0], x[..., 1], t)
-        local = np.einsum("fq,fqik,fk->fi", wts * pv, vals, n)
+        pn = p(x[..., 0], x[..., 1], t)[..., None] * n[:, None, :]
+        local = np.einsum("fq,fqik,fqk->fi", wts, vals, pn)
         dofs = asm._cell_dofs(V, tris)
         uncached = np.bincount(dofs.ravel(), weights=local.ravel(),
                                minlength=V.ndof)
@@ -345,14 +366,14 @@ def test_triangle_outside_the_space_is_rejected():
         facet_matrix(dm.velocity, dm.pressure_p, m.interface_facets,
                      fluid_tris, fluid_tris, m.interface_normals)
     with pytest.raises(ValueError, match="not in the space's subdomain"):
-        load_facet_vector(dm.displacement, m.interface_facets, fluid_tris,
-                          (ONE, ONE), t=0.0)
+        load_facet(dm.displacement, m.interface_facets, fluid_tris,
+                   (ONE, ONE), t=0.0)
 
 
 def test_volume_load_resultant():
     m = build_rect_two_domain(4, 4, 0.5)
     V = make_vector_space(m, ElementKind.VECTOR_P2, meshmod.FLUID)
-    load = load_volume_vector(V, (Const(2.0), X), t=0.0)
+    load = load_volume(V, (Const(2.0), X), t=0.0)
     ns = V.scalar.ndof
     assert load[:ns].sum() == pytest.approx(2.0 * 0.5, rel=1e-13)
     assert load[ns:].sum() == pytest.approx(0.25, rel=1e-13)  # int_F x over y>1/2
@@ -466,14 +487,13 @@ def test_extra_loads_are_applied_where_stated():
     _, _, c = assemble_loads(0.0, data, dm)
     # the same integral on an unconstrained pore space sums to the
     # interface length by partition of unity
-    from fpsi.assembly import load_facet_scalar
     R0 = make_scalar_space(m, ElementKind.P2, meshmod.PORO)
     iface = m.interface_facets
-    direct = load_facet_scalar(R0, iface, m.interface_poro_tri, ONE, t=0.0)
+    direct = load_facet(R0, iface, m.interface_poro_tri, ONE, t=0.0)
     assert direct.sum() == pytest.approx(1.0, rel=1e-12)
     # the constrained right-hand side is the restriction of that integral
-    direct_c = load_facet_scalar(dm.pressure_p, iface, m.interface_poro_tri,
-                                 ONE, t=0.0)
+    direct_c = load_facet(dm.pressure_p, iface, m.interface_poro_tri, ONE,
+                          t=0.0)
     np.testing.assert_allclose(c, direct_c[dm.pressure_p.free], atol=1e-15)
     coords = dm.pressure_p.dof_coords[dm.pressure_p.free]
     touched = np.flatnonzero(np.abs(c) > 1e-14)

@@ -174,12 +174,18 @@ def test_config_errors_exit_one(tmp_path, capsys):
     assert "params.mu_f" in capsys.readouterr().err
     assert main(["run", str(tmp_path / "missing.cfg")]) == 1
     assert "missing.cfg" in capsys.readouterr().err
-    # division by a constant zero is caught while the config is parsed
-    for text, column in (("1/0", 8), ("2*x/(3-3)", 10), ("0^-1", 8)):
+    # division by a constant zero and a constant that overflows are caught
+    # while the config is parsed
+    for text, column in (("1/0", 8), ("2*x/(3-3)", 10), ("0^-1", 8),
+                         ("1e200^2", 12), ("1e200*1e200", 12),
+                         ("x + 1e308*10", 16)):
         path = _config(tmp_path, "[data]\nf_p = %s\n" % text)
         assert main(["run", path]) == 1
         err = capsys.readouterr().err
         assert "config error: line 2, column %d: data.f_p" % column in err
+    path = _config(tmp_path, "[data]\nf_p = 1e200\nscale = 1e200\n")
+    assert main(["run", path]) == 1
+    assert "config error: data.scale" in capsys.readouterr().err
 
 
 def test_validate_mesh_command(tmp_path, capsys):

@@ -9,7 +9,7 @@ import scipy.sparse as sp
 import oracles
 from fpsi import constants as cst
 from fpsi import mesh as meshmod
-from fpsi.assembly import PhysicalParams, assemble_system, restrict
+from fpsi.assembly import PhysicalParams, assemble_system
 from fpsi.expressions import ZERO, parse_expression
 from fpsi.fem import interpolate_vector
 
@@ -87,7 +87,7 @@ def test_sobolev_constant_reproducible_and_above_benchmark(blocks8):
     # the ascent result must dominate any explicitly constructed field;
     # this profile vanishes on the clamped top boundary
     V = blocks8.dm.velocity
-    K = restrict(blocks8.raw["stiff_u"], V, V)
+    K = blocks8.stiff_u
     vx = parse_expression("cos(pi*(y - 0.5))")
     z = interpolate_vector(V, (vx, ZERO))[V.free]
     z /= np.sqrt(z @ (K @ z))

@@ -72,6 +72,11 @@ def test_parse_precedence_and_unary():
     "x/0",
     "2*x/(3-3)",
     "0^-1",
+    "1e200^2",
+    "1e200*1e200",
+    "1e308 + 1e308",
+    "1e300/1e-300",
+    "1e999",
 ])
 def test_parse_errors(text):
     with pytest.raises(ExpressionError):

@@ -209,6 +209,34 @@ def test_compatible_interpolant_residuals_decrease():
         assert seq[2] <= 0.6 * seq[1], (key, seq)
 
 
+# The P2-velocity/P1-pressure stress error is O(h^2) in the cells and
+# O(h) in its gradient, so by the trace inequality O(h^(3/2)) on the
+# interface; every interface residual of a discrete solution must fall at
+# that order, less a slack for the pre-asymptotic levels.
+TRACE_RATE, TRACE_SLACK = 1.5, 0.3
+
+
+def _falls_at_trace_order(case_id):
+    study = verify.convergence_study(case_id, levels=(8, 16, 32),
+                                     t_final=0.0375, steps_coarsest=3)
+    levels = [run.residuals for run in study.runs]
+    rates = {key: [math.log2(a[key] / b[key])
+                   for a, b in zip(levels, levels[1:])]
+             for key in verify.RESIDUAL_KEYS}
+    ok = all(r >= TRACE_RATE - TRACE_SLACK for r in sum(rates.values(), []))
+    return ok, rates
+
+
+def test_discrete_interface_residuals_fall_at_trace_order():
+    ok, rates = _falls_at_trace_order("interface-compatible-trig")
+    assert ok, rates
+    # smooth-trig's fields leave their own interface defects, which the
+    # residuals level off at: the check must fail there
+    ok, rates = _falls_at_trace_order("smooth-trig")
+    assert not ok, rates
+    assert max(rates["mass"]) < 0.5 and max(rates["bjs"]) < 0.5, rates
+
+
 def test_one_step_residual_of_exact_interpolants_decreases():
     case = verify.manufactured_case("smooth-trig")
     dt = 0.01
