@@ -21,10 +21,12 @@ P1c       velocity Poincare:          |v|_{L2}^2 / |grad v|_{L2}^2
 P2c       displacement Poincare:      |xi|_{L2}^2 / |grad xi|_{L2}^2
 P3c       pore-pressure Poincare:     |r|_{L2}^2 / |grad r|_{L2}^2
 Sf        L4 Sobolev embedding:       max |v|_{L4} / |grad v|_{L2}
+          (|v|^4 and its derivatives by two matmuls; one Lanczos run on
+          the sphere Hessian where the ascent stops)
 Kf        Korn-type:                  |grad v|_{L2}^2 / |D(v)|_{L2}^2
 Kappa     inf-sup of the divergence coupling (minimal eigenvalue of the
           pressure Schur complement, applied matrix-free, against the
-          pressure mass)
+          pressure mass; one Lanczos run)
 Cj        inlet lifting: harmonic zero-extension of inlet traces,
           1 + max eig of lifted mass against lifted stiffness (dense)
 ========  ==================================================================
@@ -44,11 +46,9 @@ import scipy.sparse.linalg as spla
 from . import mesh as meshmod
 from .assembly import (
     DEFAULT_FACET_ORDER,
-    PhysicalParams,
     _boundary_facet_tris,
     _rule_values,
     _scatter_vector,
-    assemble_system,
     cell_quadrature,
     facet_matrix,
     restrict,
@@ -95,17 +95,18 @@ class ConstantEstimate:
             raise ValueError(f"unknown constant kind {self.kind!r}")
 
 
-def _lanczos(A, B, which):
+def _lanczos(A, B, which, Binv=None):
     """One extremal lambda of A x = lambda B x by Lanczos (ARPACK mode 2).
 
-    ``A`` may be a matrix or a LinearOperator; ARPACK factors ``B`` to
-    apply its inverse.  The iteration starts from the constant
+    ``A`` may be a matrix or a LinearOperator; ARPACK factors ``B`` unless
+    ``Binv`` applies its inverse.  The iteration starts from the constant
     vector, and ARPACK restarts from a random vector once the Krylov space
     fills a tiny pencil (2 x 2 mesh), so its seed is fixed to keep reruns
     bitwise equal.
     """
-    vals = spla.eigsh(A, k=1, M=B, which=which, v0=np.ones(B.shape[0]),
-                      rng=0, return_eigenvectors=False)
+    vals = spla.eigsh(A, k=1, M=B, Minv=Binv, which=which,
+                      v0=np.ones(B.shape[0]), rng=0,
+                      return_eigenvectors=False)
     return float(vals[0])
 
 
@@ -123,14 +124,18 @@ def quotient_min(A, B, zero_tol=1e-12):
     """Smallest lambda of the pencil A x = lambda B x (A may be matrix-free).
 
     Raises ConstantError when the pencil has a (numerically) zero mode,
-    since the corresponding inf-sup constant would then be meaningless;
-    the largest lambda, found by a second Lanczos run, sets the scale.
+    since the corresponding inf-sup constant would then be meaningless.
+    The guard's scale is the Rayleigh quotient r of the constant vector:
+    r is at most the largest lambda, and r = 0 makes that vector a zero mode.
     """
-    lo, hi = _lanczos(A, B, "SA"), _lanczos(A, B, "LA")
-    if hi <= 0.0 or lo <= zero_tol * hi:
+    ones = np.ones(B.shape[0])
+    scale = float(ones @ (A @ ones)) / float(ones @ (B @ ones))
+    Binv = spla.LinearOperator(B.shape, spla.splu(sp.csc_matrix(B)).solve)
+    lo = _lanczos(A, B, "SA", Binv) if scale > 0.0 else 0.0
+    if not lo > zero_tol * scale:
         raise ConstantError(
             f"pencil has a numerically zero mode (min {lo:.3e}, "
-            f"max {hi:.3e})")
+            f"Rayleigh quotient of the constant vector {scale:.3e})")
     return lo
 
 
@@ -214,27 +219,78 @@ class InletLifting:
 
 
 class _QuarticForm:
-    """Integral of |v|^4 over the cells of a vector space, with gradient."""
+    """Integral of |v|^4 over the cells of a vector space, with derivatives.
+
+    With the basis table held as ``V2`` of shape (k, q*d), the values at all
+    Gauss points are one matmul, ``coeffs @ V2``, and a gradient or
+    Hessian-vector product one more, ``weights @ V2.T``."""
 
     def __init__(self, space, order=8):
-        self.vals = _rule_values(space.kind, order)
+        vals = _rule_values(space.kind, order)
+        nq, k, d = vals.shape
+        self.V2 = np.ascontiguousarray(vals.transpose(1, 0, 2).reshape(k, -1))
         self.wdet = cell_quadrature(space.mesh, space.scalar.subdomain,
                                     order).wdet
+        self.shape = (len(self.wdet), nq, d)
         self.cell_dofs = space.cell_dofs_vector()
         self.ndof = space.ndof
         self.free = space.free
 
-    def value_and_grad(self, z_free):
+    def _fields(self, z_free):
         full = np.zeros(self.ndof)
         full[self.free] = z_free
-        coeffs = full[self.cell_dofs]
-        u = np.einsum("qkd,ck->cqd", self.vals, coeffs)
-        s = np.einsum("cqd,cqd->cq", u, u)
-        value = float(np.einsum("cq,cq->", self.wdet, s * s))
-        gcell = 4.0 * np.einsum("cq,cq,cqd,qkd->ck", self.wdet, s, u,
-                                self.vals)
-        gfull = _scatter_vector(self.cell_dofs, gcell, self.ndof)
-        return value, gfull[self.free]
+        u = (full[self.cell_dofs] @ self.V2).reshape(self.shape)
+        return u, u[..., 0] * u[..., 0] + u[..., 1] * u[..., 1]
+
+    def _pull(self, weights):
+        gcell = weights.reshape(self.shape[0], -1) @ self.V2.T
+        return _scatter_vector(self.cell_dofs, gcell, self.ndof)[self.free]
+
+    def value_and_grad(self, z_free):
+        u, s = self._fields(z_free)
+        ws = self.wdet * s
+        return float(np.sum(ws * s)), self._pull(4.0 * ws[..., None] * u)
+
+    def hessian(self, z_free):
+        """w -> grad^2 Q(z) w, with weights 4 wdet (|v|^2 w + 2 (v.w) v)."""
+        u, s = self._fields(z_free)
+        w4 = 4.0 * self.wdet[..., None]
+
+        def product(w_free):
+            uw, _ = self._fields(w_free)
+            uu = np.sum(u * uw, axis=-1, keepdims=True)
+            return self._pull(w4 * (s[..., None] * uw + 2.0 * uu * u))
+        return product
+
+
+# times the Sobolev ascent may leave a saddle before it gives up
+SF_ESCAPES = 3
+
+
+def _top_curvature(form, K, Kinv, z, q):
+    """Top eigenpair of Q's Riemannian Hessian on the K-unit sphere at z.
+
+    The Hessian is ``P^T (grad^2 Q - 4 Q K) P``, ``P = I - z z^T K``,
+    against ``K`` (Absil, Mahony & Sepulchre 2008, 5.5), all eigenvalues
+    >= -4Q as grad^2 Q is semidefinite.  The radial ``z`` and, if the space
+    rotates, the rotation of ``z`` (along an orbit of stationary points)
+    have eigenvalue 0 by construction and are moved to -8Q.  Lanczos
+    starts from a seeded random vector, unconfined by any symmetry of z.
+    """
+    hessp, half = form.hessian(z), len(z) // 2
+    # v -> (-v_y, v_x) keeps |v|, and K if both components share free dofs
+    rotates = np.array_equal(form.free[:half] + form.ndof // 2,
+                             form.free[half:])
+    Kz = K @ z
+    flat = [Kz, K @ np.r_[-z[half:], z[:half]]] if rotates else [Kz]
+
+    def matvec(w):
+        pw = w - z * (Kz @ w)
+        y = hessp(pw) - (4.0 * q) * (K @ pw)
+        return y - Kz * (z @ y) - sum((8.0 * q * (Kd @ w)) * Kd for Kd in flat)
+    vals, vecs = spla.eigsh(spla.LinearOperator(K.shape, matvec), k=1, M=K,
+                            Minv=Kinv, which="LA", rng=0)
+    return float(vals[0]), vecs[:, 0]
 
 
 def sobolev_l4_constant(blocks, seed=0, starts=0, maxit=400, order=8):
@@ -244,29 +300,25 @@ def sobolev_l4_constant(blocks, seed=0, starts=0, maxit=400, order=8):
     conditional-gradient step on the unit stiffness sphere -- move to the
     maximiser ``K^-1 grad Q / |.|_K`` of its linearisation -- is a
     guaranteed monotone ascent: Q(w) >= Q(z) + g.(w - z) and w maximises
-    g.w over the sphere.  One deterministic smooth start (the constant-load
-    stiffness solve) is always used; ``starts > 0`` opts in to that many
-    extra random states drawn from ``seed`` (on the meshes tested they
-    gained at most round-off).  The best value gives ``Sf = Q^(1/4)``, a
-    certified lower bound of the discrete supremum.
+    g.w over the sphere.  Where it stops gaining (or after ``maxit``
+    steps) the top curvature of Q on the sphere is checked: while positive,
+    at most ``SF_ESCAPES`` times, the ascent resumes along its eigenvector
+    above the stopping value; a saddle after that raises ConstantError.
+    One deterministic smooth start (the constant-load stiffness solve) is
+    always used; ``starts > 0`` adds that many random states from ``seed``.
+    The best value gives ``Sf = Q^(1/4)``, a certified lower bound of the
+    discrete supremum, returned with its start's ``best_iterations`` and
+    final ``curvature``.
     """
-    V = blocks.dm.velocity
-    K = blocks.stiff_u
+    V, K = blocks.dm.velocity, blocks.stiff_u
     lu = spla.splu(K.tocsc())
+    Kinv = spla.LinearOperator(K.shape, lu.solve)
     form = _QuarticForm(V, order)
-    rng = np.random.default_rng(seed)
-    n = V.n_free
 
     def normalize(z):
         return z / np.sqrt(z @ (K @ z))
 
-    initial = [lu.solve(blocks.mass_u @ np.ones(n))]
-    initial.extend(rng.standard_normal(n) for _ in range(starts))
-
-    best = 0.0
-    best_iters = 0
-    for z0 in initial:
-        z = normalize(z0)
+    def ascend(z):
         q, g = form.value_and_grad(z)
         it = 0
         for it in range(1, maxit + 1):
@@ -278,12 +330,33 @@ def sobolev_l4_constant(blocks, seed=0, starts=0, maxit=400, order=8):
             z, q, g = z_new, q_new, g_new
             if gain <= 1e-13 * q:
                 break
+        return z, q, it
+
+    initial = [lu.solve(blocks.mass_u @ np.ones(V.n_free))]
+    initial.extend(np.random.default_rng(seed).standard_normal(
+        (starts, V.n_free)))
+
+    best, info = 0.0, {}
+    for z0 in initial:
+        z, iters = normalize(z0), 0
+        for escape in range(SF_ESCAPES + 1):
+            z, q, it = ascend(z)
+            iters += it
+            curvature, w = _top_curvature(form, K, Kinv, z, q)
+            if curvature <= 1e-9 * q or escape == SF_ESCAPES:
+                break
+            for t in 0.5 ** np.arange(30):  # Q gains curvature t^2 / 2
+                if form.value_and_grad(normalize(z + t * w))[0] > q:
+                    z = normalize(z + t * w)
+                    break
         if q > best:
-            best = q
-            best_iters = it
+            best, info = q, {"best_iterations": iters,
+                             "curvature": curvature}
     if best <= 0.0:
         raise ConstantError("ascent failed to find a positive quartic value")
-    return float(best ** 0.25), best_iters
+    if info["curvature"] > 1e-9 * best:
+        raise ConstantError(f"Sf ascent ends at a saddle ({info})")
+    return float(best ** 0.25), info
 
 
 def infsup_constant(blocks):
@@ -298,8 +371,7 @@ def infsup_constant(blocks):
     H = spla.splu(blocks.h1_u.tocsc())
     S = spla.LinearOperator((G.shape[0], G.shape[0]), dtype=float,
                             matvec=lambda v: G @ H.solve(GT @ v))
-    Mq = blocks.mass_q.tocsc()
-    return float(np.sqrt(quotient_min(S, Mq)))
+    return float(np.sqrt(quotient_min(S, blocks.mass_q)))
 
 
 def _trace_pencil(blocks, kind):
@@ -334,7 +406,9 @@ def estimate(kind, blocks, level=0, seed=0, sf_starts=0, sf_maxit=400):
 
     ``meta["method"]`` records the path taken: ``eigsh`` (Lanczos on a
     mesh-sized pencil), ``eigh`` (dense LAPACK on the inlet trace pencil of
-    ``Cj``) or ``ascent`` (the Sobolev quotient).  ``Cj`` also leaves its
+    ``Cj``) or ``ascent`` (the Sobolev quotient, with ``best_iterations``
+    and the final sphere-Hessian ``curvature``, negative at a local
+    maximum).  ``Cj`` also leaves its
     :class:`InletLifting` in ``meta["lifting"]`` for the certificate.
     """
     if kind not in CONSTANT_KINDS:
@@ -342,10 +416,10 @@ def estimate(kind, blocks, level=0, seed=0, sf_starts=0, sf_maxit=400):
     dm = blocks.dm
     meta = {"description": KIND_DESCRIPTIONS[kind], "method": "eigsh"}
     if kind == "Sf":
-        value, iters = sobolev_l4_constant(blocks, seed=seed,
-                                           starts=sf_starts, maxit=sf_maxit)
+        value, info = sobolev_l4_constant(blocks, seed=seed,
+                                          starts=sf_starts, maxit=sf_maxit)
         dofs = dm.velocity.n_free
-        meta.update(method="ascent", starts=sf_starts, best_iterations=iters)
+        meta.update(method="ascent", starts=sf_starts, **info)
     elif kind == "Kappa":
         value, dofs = infsup_constant(blocks), dm.pressure_f.n_free
     elif kind == "Cj":
@@ -356,11 +430,9 @@ def estimate(kind, blocks, level=0, seed=0, sf_starts=0, sf_maxit=400):
         # the trace energy of t is the least pore stiffness energy over the
         # extensions of t, so the interface mass against the whole free
         # pore stiffness has the top eigenvalue of the trace pencil
-        R = dm.pressure_p
-        dofs = _free_interface_dof_count(R)
+        dofs = _free_interface_dof_count(dm.pressure_p)
         A = _trace_pencil(blocks, "T4")[0]
-        K = blocks.stiff_p
-        value = float(np.sqrt(1.0 + quotient_max(A, K)))
+        value = float(np.sqrt(1.0 + quotient_max(A, blocks.stiff_p)))
     else:
         A, B = _trace_pencil(blocks, kind)
         value, dofs = float(np.sqrt(quotient_max(A, B))), B.shape[0]
@@ -373,44 +445,3 @@ def estimate_all(blocks, level=0, kinds=CONSTANT_KINDS, seed=0,
     return [estimate(kind, blocks, level=level, seed=seed,
                      sf_starts=sf_starts, sf_maxit=sf_maxit)
             for kind in kinds]
-
-
-def report(levels, split=0.5, params=None, kinds=CONSTANT_KINDS, seed=0,
-           sf_starts=0, sf_maxit=400):
-    """Estimate all requested constants on a sequence of n x n meshes.
-
-    Returns a flat list of estimates ordered level-major so successive
-    values of the same kind can be compared across refinements.
-    """
-    if params is None:
-        params = PhysicalParams()
-    out = []
-    for n in levels:
-        mesh = meshmod.build_rect_two_domain(n, n, split)
-        blocks = assemble_system(mesh, params, convection=False)
-        out.extend(estimate_all(blocks, level=n, kinds=kinds, seed=seed,
-                                sf_starts=sf_starts, sf_maxit=sf_maxit))
-    return out
-
-
-def dirichlet_poincare_square(n):
-    """Poincare constant of the unit square with full Dirichlet boundary.
-
-    Computed from the piecewise-linear eigenvalue quotient on an n x n
-    mesh; converges from below to 1/sqrt(2 pi^2) at second order in h,
-    which makes it a convenient calibration target for the estimators.
-    """
-    mesh = meshmod.build_rect_two_domain(n, n, 0.5)
-    tags = (meshmod.FLUID_INLET, meshmod.FLUID_OUTLET,
-            meshmod.FLUID_EXTERNAL, meshmod.PORO_SOLID,
-            meshmod.PORO_EXTERNAL)
-    space = make_scalar_space(mesh, ElementKind.P1, dirichlet_tags=tags)
-    M = restrict(scalar_mass(space, space), space, space)
-    K = restrict(scalar_stiffness(space), space, space)
-    return float(np.sqrt(quotient_max(M, K)))
-
-
-def richardson(coarse, fine, rate=2):
-    """Extrapolate two values computed at h and h/2 assuming O(h^rate)."""
-    w = 2.0 ** rate
-    return (w * fine - coarse) / (w - 1.0)

@@ -48,38 +48,22 @@ def _fmt(value):
     return str(value)
 
 
-def _parse_cell(text):
-    if text == "":
-        return None
-    if text == "true":
-        return True
-    if text == "false":
-        return False
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        return text
-
-
 # ---------------------------------------------------------------------------
 # constants table
 # ---------------------------------------------------------------------------
 
 def write_constants(path, estimates):
-    """Write :class:`ConstantEstimate` rows as CSV, ``meta["method"]`` last."""
+    """Write estimates as CSV, ``meta`` columns blank where a kind has none."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["kind", "value", "mesh_level", "dofs", "description",
-                         "method"])
+                         "method", "iterations", "curvature"])
         for est in estimates:
             writer.writerow([est.kind, _fmt(float(est.value)),
                              est.mesh_level, est.dofs,
-                             KIND_DESCRIPTIONS[est.kind],
-                             est.meta.get("method", "")])
+                             KIND_DESCRIPTIONS[est.kind]]
+                            + [_fmt(est.meta.get(key)) for key in
+                               ("method", "best_iterations", "curvature")])
 
 
 def read_constants(path):
@@ -125,14 +109,6 @@ def write_convergence(path, table):
             writer.writerow(row)
 
 
-def read_convergence(path):
-    """Read a convergence CSV into a list of per-level dicts."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        return [dict(zip(header, map(_parse_cell, row))) for row in reader]
-
-
 def format_convergence(table):
     """Human-readable summary of a convergence table."""
     lines = ["case %s, scheme %s, T = %s" % (table.case_id, table.scheme,
@@ -170,14 +146,6 @@ def write_certificate(path, report):
         for row in report.rows:
             writer.writerow([_fmt(getattr(row, name))
                              for name in _CERT_FIELDS])
-
-
-def read_certificate(path):
-    """Read a certificate CSV into a list of per-step dicts."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        return [dict(zip(header, map(_parse_cell, row))) for row in reader]
 
 
 def write_summary(path, summary):

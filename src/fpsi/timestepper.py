@@ -269,9 +269,9 @@ class NewtonSolver:
     def _solve(self, b, stage_alpha):
         krylov = 0
         if self.lu is not None:
-            if self.J_lin is None:
+            if self.J_lin is None:  # CSR: the GMRES matvecs are row sums
                 self.J_lin = _jacobian(self.blocks, self.scheme, self.dt,
-                                       np.zeros(self.blocks.n_alpha))
+                                       np.zeros(self.blocks.n_alpha)).tocsr()
             _, Jn = self.blocks.convection(stage_alpha, jac=True)
             na, s, J_lin = self.blocks.n_alpha, self.s, self.J_lin
 

@@ -9,10 +9,14 @@ works matrix-free or on the full space), the energy certificate from a
 loop over states with one scalar data-norm call per time, the Newton
 matrix on all five unknowns where the package condenses the kinematic
 row, and data expressions by a recursive tree walk that shares nothing
-where the package evaluates each distinct node once.  Tests compare the
-production code against these.
+where the package evaluates each distinct node once, and the |v|^4 form
+of the Sobolev ascent by ``einsum`` where the package uses two matmuls.
+The module also holds the refinement helpers behind the constants
+criterion and the CSV reader of the result tables, which no command uses.
+Tests compare the production code against these.
 """
 
+import csv
 import operator
 
 import numpy as np
@@ -20,10 +24,14 @@ import scipy.linalg as la
 import scipy.sparse as sp
 import sympy as sym
 
+from fpsi import constants as cst
 from fpsi import mesh as meshmod
-from fpsi.assembly import (DEFAULT_LOAD_ORDER, StateVector, _geometry,
-                           _phys_grads, assemble_loads, facet_matrix, restrict)
-from fpsi.fem import basis_eval, triangle_rule
+from fpsi.assembly import (DEFAULT_LOAD_ORDER, PhysicalParams, StateVector,
+                           _geometry, _phys_grads, _rule_values,
+                           _scatter_vector, assemble_loads, assemble_system,
+                           cell_quadrature, facet_matrix, restrict,
+                           scalar_mass, scalar_stiffness)
+from fpsi.fem import ElementKind, basis_eval, make_scalar_space, triangle_rule
 from fpsi.mesh import Mesh
 from fpsi.monitor import CertificateReport, CertificateRow
 
@@ -269,6 +277,90 @@ def dense_infsup_constant(blocks):
     Mq = blocks.mass_q.toarray()
     lam = la.eigh(0.5 * (S + S.T), Mq, eigvals_only=True)[0]
     return float(np.sqrt(lam))
+
+
+def einsum_quartic(space, z_free, order=8):
+    """``(Q, grad Q)`` of Q = int |v|^4 over ``space``'s cells, by einsum
+    over (cell, point, component, dof), the form the package reshapes into
+    two matmuls."""
+    vals = _rule_values(space.kind, order)
+    wdet = cell_quadrature(space.mesh, space.scalar.subdomain, order).wdet
+    cell_dofs = space.cell_dofs_vector()
+    full = np.zeros(space.ndof)
+    full[space.free] = z_free
+    u = np.einsum("qkd,ck->cqd", vals, full[cell_dofs])
+    s = np.einsum("cqd,cqd->cq", u, u)
+    value = float(np.einsum("cq,cq->", wdet, s * s))
+    gcell = 4.0 * np.einsum("cq,cq,cqd,qkd->ck", wdet, s, u, vals)
+    gfull = _scatter_vector(cell_dofs, gcell, space.ndof)
+    return value, gfull[space.free]
+
+
+def report(levels, split=0.5, params=None, kinds=cst.CONSTANT_KINDS, seed=0,
+           sf_starts=0, sf_maxit=400):
+    """Estimate all requested constants on a sequence of n x n meshes.
+
+    Returns a flat list of estimates ordered level-major so successive
+    values of the same kind can be compared across refinements.
+    """
+    if params is None:
+        params = PhysicalParams()
+    out = []
+    for n in levels:
+        mesh = meshmod.build_rect_two_domain(n, n, split)
+        blocks = assemble_system(mesh, params, convection=False)
+        out.extend(cst.estimate_all(blocks, level=n, kinds=kinds, seed=seed,
+                                    sf_starts=sf_starts, sf_maxit=sf_maxit))
+    return out
+
+
+def dirichlet_poincare_square(n):
+    """Poincare constant of the unit square with full Dirichlet boundary.
+
+    Computed from the piecewise-linear eigenvalue quotient on an n x n
+    mesh; converges from below to 1/sqrt(2 pi^2) at second order in h,
+    which makes it a convenient calibration target for the estimators.
+    """
+    mesh = meshmod.build_rect_two_domain(n, n, 0.5)
+    tags = (meshmod.FLUID_INLET, meshmod.FLUID_OUTLET,
+            meshmod.FLUID_EXTERNAL, meshmod.PORO_SOLID,
+            meshmod.PORO_EXTERNAL)
+    space = make_scalar_space(mesh, ElementKind.P1, dirichlet_tags=tags)
+    M = restrict(scalar_mass(space, space), space, space)
+    K = restrict(scalar_stiffness(space), space, space)
+    return float(np.sqrt(cst.quotient_max(M, K)))
+
+
+def richardson(coarse, fine, rate=2):
+    """Extrapolate two values computed at h and h/2 assuming O(h^rate)."""
+    w = 2.0 ** rate
+    return (w * fine - coarse) / (w - 1.0)
+
+
+def _parse_cell(text):
+    if text == "":
+        return None
+    if text == "true":
+        return True
+    if text == "false":
+        return False
+    try:
+        return int(text)
+    except ValueError:
+        pass
+    try:
+        return float(text)
+    except ValueError:
+        return text
+
+
+def read_table(path):
+    """Read a certificate or convergence CSV into a list of per-row dicts:
+    an empty cell is None, ``true``/``false`` a bool, numbers int or float."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        return [dict(zip(header, map(_parse_cell, row))) for row in reader]
 
 
 def quadrature_convection(space, rho_f, alpha, skew, order=6):

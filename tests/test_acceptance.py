@@ -154,13 +154,13 @@ def test_criterion_05_divergence_free_path_matches_saddle_point(criterion):
 
 
 def test_criterion_06_constant_estimates_converge(criterion):
-    raw = [cst.dirichlet_poincare_square(n) for n in (8, 16, 32)]
-    stage1 = [cst.richardson(a, b) for a, b in zip(raw, raw[1:])]
-    extrapolated = cst.richardson(stage1[0], stage1[1], rate=4)
+    raw = [oracles.dirichlet_poincare_square(n) for n in (8, 16, 32)]
+    stage1 = [oracles.richardson(a, b) for a, b in zip(raw, raw[1:])]
+    extrapolated = oracles.richardson(stage1[0], stage1[1], rate=4)
     target = 1.0 / math.sqrt(2.0 * math.pi ** 2)
     poincare_err = abs(extrapolated - target) / target
 
-    kappas = [e.value for e in cst.report((4, 8, 16), kinds=("Kappa",))]
+    kappas = [e.value for e in oracles.report((4, 8, 16), kinds=("Kappa",))]
     kappa_ok = all(b >= 0.95 * a for a, b in zip(kappas, kappas[1:]))
 
     criterion(6, "constant estimates converge",

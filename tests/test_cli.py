@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -9,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import oracles
 from fpsi import cli, constants as cst, io as fio
 from fpsi.cli import ConfigError, RunConfig, main, parse_config
 from fpsi.constants import CONSTANT_KINDS, ConstantEstimate
@@ -256,6 +258,21 @@ def test_run_writes_outputs_and_manifest(tmp_path, capsys):
         assert (out / name).read_bytes() == (out2 / name).read_bytes()
 
 
+def test_run_writes_the_sf_ascent_columns(tmp_path, capsys):
+    """constants.csv says how the Sf ascent converged: its iteration count
+    and the top curvature where it ended, negative at a local maximum."""
+    out = tmp_path / "out"
+    assert main(["run", _config(tmp_path, TINY % out)]) == 0
+    capsys.readouterr()
+    with open(out / "constants.csv", newline="") as fh:
+        rows = {row["kind"]: row for row in csv.DictReader(fh)}
+    assert list(rows["Sf"])[5:] == ["method", "iterations", "curvature"]
+    assert int(rows["Sf"]["iterations"]) >= 1
+    assert float(rows["Sf"]["curvature"]) < 0.0
+    for kind in set(CONSTANT_KINDS) - {"Sf"}:
+        assert rows[kind]["iterations"] == rows[kind]["curvature"] == ""
+
+
 def test_run_toggles_suppress_outputs(tmp_path, capsys):
     out = tmp_path / "quiet"
     extra = "emit_vtk = false\nemit_certificate = false\n"
@@ -366,7 +383,7 @@ def test_mms_writes_convergence_csv(tmp_path, monkeypatch, capsys):
     assert calls["case_id"] == "smooth-trig"
     assert calls["levels"] == (8, 16, 32)
     assert calls["scheme"] == "midpoint"
-    rows = fio.read_convergence(out / "convergence_smooth-trig.csv")
+    rows = oracles.read_table(out / "convergence_smooth-trig.csv")
     assert [r["level"] for r in rows] == [8, 16, 32]
     assert rows[2]["rate_uL2"] == pytest.approx(2.0)
     manifest = json.loads((out / "manifest.json").read_text())

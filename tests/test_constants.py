@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 import oracles
 from fpsi import constants as cst
@@ -23,6 +24,12 @@ def blocks8():
 
 
 @pytest.fixture(scope="module")
+def blocks16():
+    mesh = meshmod.build_rect_two_domain(16, 16, 0.5)
+    return assemble_system(mesh, PhysicalParams(), convection=False)
+
+
+@pytest.fixture(scope="module")
 def blocks4():
     mesh = meshmod.build_rect_two_domain(4, 4, 0.5)
     return assemble_system(mesh, PhysicalParams(), convection=False)
@@ -30,9 +37,9 @@ def blocks4():
 
 def test_dirichlet_poincare_calibration():
     """The all-Dirichlet square constant converges to 1/sqrt(2 pi^2)."""
-    values = [cst.dirichlet_poincare_square(n) for n in (8, 16, 32)]
+    values = [oracles.dirichlet_poincare_square(n) for n in (8, 16, 32)]
     assert values[0] < values[1] < values[2] < POINCARE_SQUARE
-    extrap = cst.richardson(values[1], values[2], rate=2)
+    extrap = oracles.richardson(values[1], values[2], rate=2)
     assert abs(extrap - POINCARE_SQUARE) <= 0.01 * POINCARE_SQUARE
     # the raw fine value is itself already within one percent
     assert abs(values[2] - POINCARE_SQUARE) <= 0.01 * POINCARE_SQUARE
@@ -42,7 +49,7 @@ def test_richardson_removes_leading_error():
     exact = 0.7
     coarse = exact + 0.04
     fine = exact + 0.01
-    assert cst.richardson(coarse, fine, rate=2) == pytest.approx(exact)
+    assert oracles.richardson(coarse, fine, rate=2) == pytest.approx(exact)
 
 
 MONOTONE_KINDS = ("T1", "T2", "T3", "T4", "T5", "P1c", "P2c", "P3c", "Kf")
@@ -104,6 +111,57 @@ def test_sobolev_constant_smooth_start_alone(blocks8):
     assert value0 == pytest.approx(value4, rel=1e-9)
 
 
+@pytest.mark.parametrize("n", (8, 16))
+def test_quartic_matmuls_match_the_einsum_form(n):
+    """The two-matmul |v|^4 form and gradient equal the einsum contraction."""
+    mesh = meshmod.build_rect_two_domain(n, n, 0.5)
+    V = assemble_system(mesh, PhysicalParams(), convection=False).dm.velocity
+    form = cst._QuarticForm(V, 8)
+    rng = np.random.default_rng(n)
+    for _ in range(3):
+        z = rng.standard_normal(V.n_free)
+        value, grad = form.value_and_grad(z)
+        ref_value, ref_grad = oracles.einsum_quartic(V, z, 8)
+        assert value == pytest.approx(ref_value, rel=1e-14, abs=0.0)
+        assert np.abs(grad - ref_grad).max() <= 1e-14 * np.abs(ref_grad).max()
+
+
+def test_quartic_hessian_is_the_derivative_of_the_gradient(blocks8):
+    V = blocks8.dm.velocity
+    form = cst._QuarticForm(V, 8)
+    rng = np.random.default_rng(3)
+    z, w = rng.standard_normal((2, V.n_free))
+    h = 1e-4
+    central = (form.value_and_grad(z + h * w)[1]
+               - form.value_and_grad(z - h * w)[1]) / (2.0 * h)
+    hw = form.hessian(z)(w)
+    # the gradient is cubic in z, so the central difference is exact up to
+    # h^2 times the third derivative
+    assert np.abs(hw - central).max() <= 1e-7 * np.abs(hw).max()
+    assert np.abs(hw).max() > 0.0
+
+
+def test_sobolev_ascent_leaves_the_saddle_plateau(blocks16):
+    """Cut after 8 steps, the smooth start sits on the plateau it passes
+    through (Q^(1/4) = 0.4220652), a saddle with positive curvature; the
+    check must leave it for the maximum 0.444126."""
+    value, info = cst.sobolev_l4_constant(blocks16, maxit=8)
+    assert value == pytest.approx(0.444126, abs=1e-6)
+    assert info["curvature"] < -0.05
+    assert info["best_iterations"] > 8
+    full, info_full = cst.sobolev_l4_constant(blocks16)
+    assert full == pytest.approx(0.44412617636490, rel=1e-12)
+    assert info_full["best_iterations"] == 53
+    assert info_full["curvature"] == pytest.approx(-0.0696103, rel=1e-5)
+
+
+def test_sobolev_ascent_without_escapes_reports_the_saddle(blocks16,
+                                                          monkeypatch):
+    monkeypatch.setattr(cst, "SF_ESCAPES", 0)
+    with pytest.raises(cst.ConstantError, match="saddle"):
+        cst.sobolev_l4_constant(blocks16, maxit=8)
+
+
 def test_infsup_constant_stable_under_refinement(blocks4, blocks8):
     k4 = cst.estimate("Kappa", blocks4).value
     k8 = cst.estimate("Kappa", blocks8).value
@@ -149,7 +207,8 @@ def test_estimate_all_takes_the_sparse_path_and_one_sobolev_start(
     counted(cst.la, "eigh")
     counted(cst.spla, "eigsh")
     ests = {e.kind: e for e in cst.estimate_all(blocks8, level=8)}
-    # eight plain pencils, T3, and Kappa's smallest and largest eigenvalue
+    # eight plain pencils, T3, Kappa's smallest eigenvalue and the top
+    # curvature where the Sf ascent ends
     assert calls == {"eigh": 1, "eigsh": 11}
     assert ests["Sf"].meta["starts"] == 0
     assert {k: e.meta["method"] for k, e in ests.items()} == {
@@ -192,6 +251,29 @@ def test_quotient_min_detects_zero_mode():
     with pytest.raises(cst.ConstantError, match="zero mode"):
         cst.quotient_min(A, B)
     assert cst.quotient_min(np.diag([2.0, 3.0]), B) == pytest.approx(2.0)
+    # the constant vector, where Lanczos starts, as the zero mode itself
+    with pytest.raises(cst.ConstantError, match="zero mode"):
+        cst.quotient_min(np.array([[1.0, -1.0], [-1.0, 1.0]]), B)
+
+
+def test_quotient_min_detects_zero_mode_orthogonal_to_the_start():
+    """A matrix-free pencil whose zero mode has no component along the
+    constant start vector of the Lanczos run."""
+    n = 40
+    zero = np.zeros(n)
+    zero[:2] = (1.0, -1.0)
+    rng = np.random.default_rng(5)
+    U, _ = np.linalg.qr(np.column_stack([zero,
+                                         rng.standard_normal((n, n - 1))]))
+    assert abs(U[:, 0] @ np.ones(n)) < 1e-14
+
+    def pencil(smallest):
+        S = (U * np.r_[smallest, np.linspace(1.0, 3.0, n - 1)]) @ U.T
+        return spla.LinearOperator((n, n), matvec=lambda v: S @ v)
+    B = sp.eye(n).tocsr()
+    with pytest.raises(cst.ConstantError, match="zero mode"):
+        cst.quotient_min(pencil(0.0), B)
+    assert cst.quotient_min(pencil(0.5), B) == pytest.approx(0.5)
 
 
 def test_estimate_rejects_unknown_kind(blocks8):
@@ -205,7 +287,7 @@ def test_constant_estimate_validates_kind():
 
 
 def test_report_produces_all_kinds():
-    out = cst.report((4,), sf_starts=2, sf_maxit=150)
+    out = oracles.report((4,), sf_starts=2, sf_maxit=150)
     assert [e.kind for e in out] == list(cst.CONSTANT_KINDS)
     assert all(e.mesh_level == 4 for e in out)
     assert all(np.isfinite(e.value) and e.value > 0.0 for e in out)

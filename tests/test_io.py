@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from fpsi import io as fio
 from fpsi.assembly import StateVector
 from fpsi.constants import CONSTANT_KINDS, ConstantEstimate
@@ -67,8 +68,10 @@ def test_constants_round_trip(tmp_path):
         assert loaded.dofs == orig.dofs
     with open(path, newline="") as fh:
         rows = list(csv.DictReader(fh))
-    assert list(rows[0])[-1] == "method"
+    assert list(rows[0])[-3:] == ["method", "iterations", "curvature"]
     assert [row["method"] for row in rows] == methods
+    assert {row["iterations"] for row in rows} == {""}
+    assert {row["curvature"] for row in rows} == {""}
 
 
 def test_constants_reader_rejects_foreign_tables(tmp_path):
@@ -97,7 +100,7 @@ def _tiny_report():
 def test_certificate_round_trip(tmp_path):
     path = tmp_path / "certificate.csv"
     fio.write_certificate(path, _tiny_report())
-    rows = fio.read_certificate(path)
+    rows = oracles.read_table(path)
     assert len(rows) == 2
     assert rows[0]["n"] == 0
     assert rows[0]["identity_ok"] is None  # unset flag stays empty
@@ -134,7 +137,7 @@ def _fake_table():
 def test_convergence_columns_and_rates(tmp_path):
     path = tmp_path / "convergence.csv"
     fio.write_convergence(path, _fake_table())
-    rows = fio.read_convergence(path)
+    rows = oracles.read_table(path)
     header = path.read_text().splitlines()[0].split(",")
     assert header[:4] == ["level", "h", "dt", "n_steps"]
     assert header[4:10] == ["e_uL2", "e_uH1", "e_pfL2", "e_etaH1",
