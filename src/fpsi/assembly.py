@@ -550,14 +550,16 @@ def _trace_basis(kind, ref):
             grads.reshape(ref.shape[:2] + grads.shape[1:]))
 
 
-FacetQuadrature = namedtuple("FacetQuadrature", "x wts normals vals dofs")
+FacetQuadrature = namedtuple("FacetQuadrature",
+                             "x wts normals vals grads dofs")
 _FACET_QUADRATURE = weakref.WeakKeyDictionary()
 
 
 def facet_quadrature(space, facets, tris, order):
-    """:func:`facet_trace` plus the space's basis values ``vals`` at the
-    points and the ``dofs`` of every ``tris[f]``; built once per (element
-    kind, subdomain, facets, tris, order) and read-only, like
+    """:func:`facet_trace` plus the space's basis values ``vals`` and
+    physical gradients ``grads`` (derivative axis last) at the points and
+    the ``dofs`` of every ``tris[f]``; built once per (element kind,
+    subdomain, facets, tris, order) and read-only, like
     :func:`cell_quadrature`, so a facet load only evaluates its data."""
     facets = np.asarray(facets, dtype=int)
     tris = np.asarray(tris, dtype=int)
@@ -566,8 +568,10 @@ def facet_quadrature(space, facets, tris, order):
            tris.tobytes(), int(order))
     if key not in per_mesh:
         x, ref, wts, normals = facet_trace(space.mesh, facets, tris, order)
-        vals, _ = _trace_basis(space.kind, ref)
-        per_mesh[key] = FacetQuadrature(x, wts, normals, vals,
+        vals, grads = _trace_basis(space.kind, ref)
+        _, jinv, _ = _geometry(space.mesh, tris)
+        grads = np.einsum("fqi...k,fkj->fqi...j", grads, jinv)
+        per_mesh[key] = FacetQuadrature(x, wts, normals, vals, grads,
                                         _cell_dofs(space, tris))
         for array in per_mesh[key]:
             array.setflags(write=False)
@@ -971,15 +975,15 @@ def assemble_loads(t, data, dm, load_order=DEFAULT_LOAD_ORDER):
     return tuple(loads[name][getattr(dm, name).free] for name in names)
 
 
-def residual(blocks, state, state_dot, loads):
+def residual(blocks, state, state_dot, loads, nl):
     """The five block residual rows at one time instant.
 
     ``state`` carries the values entering the stiffness-type terms,
-    ``state_dot`` the discrete time derivatives, and ``loads`` the triple
-    (a, b, c).  Rows: momentum, kinematic, Darcy, structure, constraint.
+    ``state_dot`` the discrete time derivatives, ``loads`` the triple
+    (a, b, c) and ``nl`` the convection vector N(state.alpha).  Rows:
+    momentum, kinematic, Darcy, structure, constraint.
     """
     a, b, c = loads
-    nl, _ = blocks.convection(state.alpha)
     r_mom = (blocks.Af @ state_dot.alpha + blocks.Bf @ state.alpha + nl
              + blocks.D @ state.gamma - blocks.E @ state.theta
              - blocks.Gdiv.T @ state.pi - a)

@@ -365,8 +365,7 @@ def _cmd_run(ns):
         funcs = DataFunctionals(mesh, blocks.params, cfg.data, constants,
                                 lifting=lifting)
         report = energy_report(traj, blocks, cfg.data, constants, funcs=funcs,
-                               newton_tol=cfg.scheme.newton_tol,
-                               load_order=cfg.scheme.load_order)
+                               newton_tol=cfg.scheme.newton_tol)
         fio.write_certificate(os.path.join(outdir, "certificate.csv"),
                               report)
         fio.write_summary(os.path.join(outdir, "certificate_summary.json"),

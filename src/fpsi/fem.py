@@ -231,25 +231,15 @@ class ScalarSpace:
 
     def facet_dofs(self, facet_ids):
         """Space dofs with support point on the given facets (sorted)."""
-        dofs = []
-        for f in np.atleast_1d(facet_ids):
-            a, b = self.mesh.facets[f]
-            for v in (a, b):
-                d = self.vertex_dof[v]
-                if d >= 0:
-                    dofs.append(d)
-            if self.kind == ElementKind.P2:
-                d = self.facet_mid_dof[f]
-                if d >= 0:
-                    dofs.append(d)
-        return np.unique(np.array(dofs, dtype=int))
+        ids = np.atleast_1d(np.asarray(facet_ids, dtype=int))
+        # a P1 space, or a facet outside the subdomain, has no mid dof (-1)
+        dofs = np.concatenate([self.vertex_dof[self.mesh.facets[ids]].ravel(),
+                               self.facet_mid_dof[ids]])
+        return np.unique(dofs[dofs >= 0])
 
     def tagged_dofs(self, tag):
         """Space dofs with support point on facets carrying ``tag``."""
-        ids = self.mesh.facets_with_tag(tag)
-        if len(ids) == 0:
-            return np.array([], dtype=int)
-        return self.facet_dofs(ids)
+        return self.facet_dofs(self.mesh.facets_with_tag(tag))
 
 
 def make_scalar_space(mesh, kind, subdomain=None, dirichlet_tags=()):
@@ -301,9 +291,7 @@ def make_scalar_space(mesh, kind, subdomain=None, dirichlet_tags=()):
     )
     fixed = np.zeros(space.ndof, dtype=bool)
     for tag in dirichlet_tags:
-        ids = mesh.facets_with_tag(tag)
-        if len(ids):
-            fixed[space.facet_dofs(ids)] = True
+        fixed[space.tagged_dofs(tag)] = True
     space.fixed = fixed
     space.free = np.flatnonzero(~fixed)
     return space
@@ -352,17 +340,16 @@ class VectorSpace:
         return np.asarray(scalar_dofs, dtype=int) + component * self.scalar.ndof
 
 
-def _tangential_component(mesh, facet):
+def _tangential_components(mesh, facets):
     """0 for a horizontal facet, 1 for a vertical one (tangent direction)."""
-    a, b = mesh.facets[facet]
-    e = mesh.vertices[b] - mesh.vertices[a]
-    length = np.hypot(e[0], e[1])
-    if abs(e[0]) <= 1e-12 * length:
-        return 1  # vertical facet, tangent along y
-    if abs(e[1]) <= 1e-12 * length:
-        return 0  # horizontal facet, tangent along x
-    raise NotImplementedError(
-        "zero-tangential constraints are only supported on axis-aligned facets")
+    e = (mesh.vertices[mesh.facets[facets, 1]]
+         - mesh.vertices[mesh.facets[facets, 0]])
+    length = np.hypot(e[:, 0], e[:, 1])
+    vertical = np.abs(e[:, 0]) <= 1e-12 * length
+    if not np.all(vertical | (np.abs(e[:, 1]) <= 1e-12 * length)):
+        raise NotImplementedError("zero-tangential constraints are only "
+                                  "supported on axis-aligned facets")
+    return vertical.astype(int)
 
 
 def make_vector_space(mesh, kind, subdomain, zero_tags=(), tangential_zero_tags=()):
@@ -375,10 +362,11 @@ def make_vector_space(mesh, kind, subdomain, zero_tags=(), tangential_zero_tags=
         for c in (0, 1):
             fixed[space.component_dofs(dofs, c)] = True
     for tag in tangential_zero_tags:
-        for f in mesh.facets_with_tag(tag):
-            comp = _tangential_component(mesh, f)
-            dofs = scalar.facet_dofs([f])
-            fixed[space.component_dofs(dofs, comp)] = True
+        facets = mesh.facets_with_tag(tag)
+        comps = _tangential_components(mesh, facets)
+        for c in (0, 1):
+            dofs = scalar.facet_dofs(facets[comps == c])
+            fixed[space.component_dofs(dofs, c)] = True
     space.fixed = fixed
     space.free = np.flatnonzero(~fixed)
     return space

@@ -91,12 +91,17 @@ class StepError(RuntimeError):
 
 @dataclass
 class StepDiagnostics:
-    """Newton convergence record for one time step."""
+    """Newton convergence record for one time step, with the load work
+    ``(a, b, c) . stage`` and the convection power ``stage.alpha . N`` at
+    the stage of the accepted state, the terms of the energy identity that
+    need the loads or the convection vector."""
 
     t: float
     iterations: int
     residual_norms: list
     converged: bool
+    work: float
+    convection_power: float
     krylov_iterations: int = 0
     factorizations: int = 0
 
@@ -144,7 +149,8 @@ def _scaled_norm(rows, scales):
 
 
 def _residual_rows(blocks, scheme, state0, z1, dt, loads):
-    """Residual rows and the stage values used by stiffness-type terms."""
+    """Residual rows, the stage values used by stiffness-type terms and
+    the convection vector at the stage."""
     a1, b1, g1, th1, p1 = _unpack(blocks, z1)
     dot = StateVector(
         t=0.0,
@@ -165,10 +171,11 @@ def _residual_rows(blocks, scheme, state0, z1, dt, loads):
             0.5 * (th1 + state0.theta),
             p1,
         )
-    r_mom, r_kin, r_dar, r_str, _ = residual(blocks, stage, dot, loads)
+    nl, _ = blocks.convection(stage.alpha)
+    r_mom, r_kin, r_dar, r_str, _ = residual(blocks, stage, dot, loads, nl)
     # the constraint is enforced at the new time level for both schemes
     r_con = blocks.Gdiv @ a1
-    return (r_mom, r_kin, r_dar, r_str, r_con), stage
+    return (r_mom, r_kin, r_dar, r_str, r_con), stage, nl
 
 
 def _jacobian(blocks, scheme, dt, stage_alpha):
@@ -307,7 +314,8 @@ def step(blocks, data, state0, cfg, loads=None, newton=None):
         newton = NewtonSolver(blocks, cfg.scheme, dt)
 
     z = _pack(state0)
-    rows, stage = _residual_rows(blocks, cfg.scheme, state0, z, dt, loads)
+    rows, stage, nl = _residual_rows(blocks, cfg.scheme, state0, z, dt,
+                                     loads)
     norms = [_scaled_norm(rows, newton.scales)]
     iterations = krylov_iterations = factorizations = 0
     # a NaN residual fails both comparisons: it is never converged
@@ -323,13 +331,16 @@ def step(blocks, data, state0, cfg, loads=None, newton=None):
         iterations += 1
         krylov_iterations += krylov
         factorizations += factored
-        rows, stage = _residual_rows(blocks, cfg.scheme, state0, z, dt, loads)
+        rows, stage, nl = _residual_rows(blocks, cfg.scheme, state0, z, dt,
+                                         loads)
         norms.append(_scaled_norm(rows, newton.scales))
 
     a1, b1, g1, th1, p1 = _unpack(blocks, z)
     state1 = StateVector(t1, a1, b1, g1, th1, p1)
     diag = StepDiagnostics(t=t1, iterations=iterations,
                            residual_norms=norms, converged=True,
+                           work=float(blocks.work(loads, stage)),
+                           convection_power=float(stage.alpha @ nl),
                            krylov_iterations=krylov_iterations,
                            factorizations=factorizations)
     return state1, diag

@@ -40,23 +40,16 @@ from .assembly import (
     PhysicalParams,
     ProblemData,
     StateVector,
-    _cell_dofs,
-    _geometry,
     _phys_grads,
     _rule_values,
-    _trace_basis,
     assemble_loads,
     assemble_system,
     cell_quadrature,
-    facet_trace,
+    facet_quadrature,
     interface_tangents,
 )
 from .expressions import Cos, PI, Sin, T, X, Y, div, dt, sym_grad
-from .fem import (
-    VectorSpace,
-    interpolate_scalar,
-    interpolate_vector,
-)
+from .fem import interpolate_scalar, interpolate_vector
 from .timestepper import (SchemeConfig, StepError, _jacobian, _pack,
                           _residual_rows, run, step)
 
@@ -387,24 +380,6 @@ def compute_errors(case, system, state, order=10):
 # interface residuals of a discrete state
 # ---------------------------------------------------------------------------
 
-def _trace_field(space, full, tris, ref):
-    """Values and physical gradients of a field at reference points of ``tris``.
-
-    Scalar spaces give (nf, nq) and (nf, nq, 2); vector spaces (nf, nq, 2)
-    and (nf, nq, 2, 2) with ``grad[..., comp, deriv]``.
-    """
-    vector = isinstance(space, VectorSpace)
-    sc = space.scalar if vector else space
-    vals, grads = _trace_basis(sc.kind, ref)
-    _, jinv, _ = _geometry(sc.mesh, tris)
-    co = full[_cell_dofs(space, tris)].reshape(len(tris), -1, vals.shape[-1])
-    u = np.einsum("fqi,fci->fqc", vals, co)
-    gu = np.einsum("fqik,fkj,fci->fqcj", grads, jinv, co, optimize=True)
-    if vector:
-        return u, gu
-    return u[..., 0], gu[..., 0, :]
-
-
 def interface_residuals(blocks, state, order=8):
     """Facet-L2 norms of the four interface conditions for a discrete state.
 
@@ -419,20 +394,23 @@ def interface_residuals(blocks, state, order=8):
     eye = np.eye(2)
     facets = mesh.interface_facets
     tf, tp = mesh.interface_fluid_tri, mesh.interface_poro_tri
-    _, ref_f, wl, n = facet_trace(mesh, facets, tf, order)
-    _, ref_p, _, _ = facet_trace(mesh, facets, tp, order)
-    tau = interface_tangents(n)
 
-    u, gu = _trace_field(dm.velocity, _full(dm.velocity, state.alpha),
-                         tf, ref_f)
-    pf, _ = _trace_field(dm.pressure_f, _full(dm.pressure_f, state.pi),
-                         tf, ref_f)
-    etad, _ = _trace_field(dm.displacement,
-                           _full(dm.displacement, state.theta), tp, ref_p)
-    _, geta = _trace_field(dm.displacement,
-                           _full(dm.displacement, state.beta), tp, ref_p)
-    w, gw = _trace_field(dm.pressure_p, _full(dm.pressure_p, state.gamma),
-                         tp, ref_p)
+    def trace(space, free_values, tris):
+        """Values and physical gradients, ``grad[..., comp, deriv]``, of a
+        field at the trace points of its triangles ``tris``."""
+        q = facet_quadrature(space, facets, tris, order)
+        co = _full(space, free_values)[q.dofs]
+        return (np.einsum("fqi...,fi->fq...", q.vals, co),
+                np.einsum("fqi...,fi->fq...", q.grads, co))
+
+    u, gu = trace(dm.velocity, state.alpha, tf)
+    pf, _ = trace(dm.pressure_f, state.pi, tf)
+    etad, _ = trace(dm.displacement, state.theta, tp)
+    _, geta = trace(dm.displacement, state.beta, tp)
+    w, gw = trace(dm.pressure_p, state.gamma, tp)
+    fluid_side = facet_quadrature(dm.velocity, facets, tf, order)
+    wl, n = fluid_side.wts, fluid_side.normals
+    tau = interface_tangents(n)
 
     du = 0.5 * (gu + np.swapaxes(gu, -1, -2))
     sig_f = 2.0 * p.mu_f * du - pf[..., None, None] * eye
@@ -627,8 +605,8 @@ def kernel_oracle(nx=2, ny=2, split=0.5, params=None, dt=0.05, data=None,
                            np.zeros(npi))
 
     def reduced_residual(y):
-        rows, stage = _residual_rows(blocks, "euler", state0,
-                                     _pack(make_state(y)), dt, loads)
+        rows, stage, _ = _residual_rows(blocks, "euler", state0,
+                                        _pack(make_state(y)), dt, loads)
         r_mom, _, r_dar, r_str, _ = rows
         return np.concatenate([Z.T @ r_mom, r_dar, r_str]), stage
 
@@ -648,11 +626,11 @@ def kernel_oracle(nx=2, ny=2, split=0.5, params=None, dt=0.05, data=None,
     reduced = make_state(y)
 
     # multiplier from the momentum defect: G^T pi = r_mom(z, pi = 0)
-    rows, _ = _residual_rows(blocks, "euler", state0, _pack(reduced), dt,
-                             loads)
+    rows, _, _ = _residual_rows(blocks, "euler", state0, _pack(reduced), dt,
+                                loads)
     pi_hat, *_ = np.linalg.lstsq(G.T, rows[0], rcond=None)
 
-    rows_prod, _ = _residual_rows(
+    rows_prod, _, _ = _residual_rows(
         blocks, "euler", state0,
         _pack(StateVector(dt, state1.alpha, state1.beta, state1.gamma,
                           state1.theta, np.zeros(npi))),

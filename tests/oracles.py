@@ -26,6 +26,7 @@ import sympy as sym
 
 from fpsi import constants as cst
 from fpsi import mesh as meshmod
+from fpsi import monitor as mon
 from fpsi.assembly import (DEFAULT_LOAD_ORDER, PhysicalParams, StateVector,
                            _geometry, _phys_grads, _rule_values,
                            _scatter_vector, assemble_loads, assemble_system,
@@ -129,6 +130,17 @@ def sympy_element_matrices(coords, degree):
             mass[i, j] = mass[j, i] = float(mij)
             stiff[i, j] = stiff[j, i] = float(kij)
     return mass, stiff
+
+
+def loop_facet_dofs(space, facet_ids):
+    """``ScalarSpace.facet_dofs`` one facet at a time: the vertex dofs and,
+    for P2, the midpoint dof of every facet, those the space holds."""
+    dofs = set()
+    for f in facet_ids:
+        dofs.update(int(space.vertex_dof[v]) for v in space.mesh.facets[f])
+        if space.kind == ElementKind.P2:
+            dofs.add(int(space.facet_mid_dof[f]))
+    return np.array(sorted(dofs - {-1}), dtype=int)
 
 
 def _trace_eval(mesh, space, coeffs, facet, triangle, svals):
@@ -485,7 +497,7 @@ def rowwise_energy_report(traj, blocks, data, constants, funcs,
     uniq_limit = p.mu_f / (sf ** 2 * kf ** 3)
     gron_b = 0.0
     if len(times) > 1:
-        nodes, weights = _gauss_panels(0.0, times[-1], funcs.panels)
+        nodes, weights = _gauss_panels(0.0, times[-1], mon._TIME_PANELS)
         gron_b = (2.0 / p.rho_s) * sum(
             w * funcs.c1_sq(t) for t, w in zip(nodes, weights))
     gron_c = 1.0 / p.rho_s

@@ -471,7 +471,8 @@ def test_zero_state_residual_matches_loads():
     data = ProblemData(f_f=(ONE, Y), f_p=X, P_in=ONE)
     loads = assemble_loads(0.0, data, blocks.dm)
     state = blocks.zero_state()
-    rows = residual(blocks, state, state, loads)
+    nl, _ = blocks.convection(state.alpha)
+    rows = residual(blocks, state, state, loads, nl)
     np.testing.assert_allclose(rows[0], -loads[0])
     np.testing.assert_allclose(rows[2], -loads[2])
     np.testing.assert_allclose(rows[3], -loads[1])

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from fpsi import mesh as meshmod
 from fpsi.fem import (
     ElementKind,
@@ -182,6 +183,29 @@ def test_facet_dofs_on_interface():
     coords = dm.velocity.scalar.dof_coords[vd]
     np.testing.assert_allclose(coords[:, 1], 0.5, atol=1e-14)
     assert len(vd) == 2 * 4 + 1  # vertices plus midpoints along the interface
+
+
+@pytest.mark.parametrize("source", ["n2", "n8", "file"])
+def test_facet_dofs_match_a_per_facet_loop(source, tmp_path):
+    """Every space's dofs on every facet tag, and so every constraint set,
+    against the facet-by-facet loop, on a mesh read from a file too."""
+    if source == "file":
+        path = str(tmp_path / "m.mesh")
+        meshmod.write_mesh(build_rect_two_domain(5, 4, 0.25), path)
+        m = meshmod.read_mesh(path)
+    else:
+        n = int(source[1:])
+        m = build_rect_two_domain(n, n, 0.5)
+    dm = build_dofmaps(m)
+    for space in (dm.velocity.scalar, dm.pressure_f, dm.displacement.scalar,
+                  dm.pressure_p):
+        for tag in range(len(meshmod.FACET_TAG_NAMES)):
+            ids = m.facets_with_tag(tag)
+            np.testing.assert_array_equal(space.tagged_dofs(tag),
+                                          oracles.loop_facet_dofs(space, ids))
+        for f in m.facets_with_tag(meshmod.INTERFACE)[:3]:
+            np.testing.assert_array_equal(
+                space.facet_dofs([f]), oracles.loop_facet_dofs(space, [f]))
 
 
 def test_tangential_constraint_requires_axis_aligned_facets():

@@ -99,9 +99,11 @@ def test_time_quadrature_exact_for_polynomial_data(mesh8, consts):
     data = ProblemData(f_f=(pe("0.1*x*(1+t^2)"), pe("0")),
                        P_in=pe("0.2*(1-y)*t"))
     funcs = mon.DataFunctionals(mesh8, PARAMS, data, consts)
-    coarse = funcs.l2_c1_sq(0.8, panels=64)
-    fine = funcs.l2_c1_sq(0.8, panels=128)
+    coarse, fine = (funcs._cumulative(funcs.c1_sq,
+                                      np.linspace(0.0, 0.8, panels + 1))[-1]
+                    for panels in (64, 128))
     assert fine == pytest.approx(coarse, rel=1e-13)
+    assert funcs.l2_c1_sq(0.8) == coarse
 
     times = np.linspace(0.0, 0.8, 9)
     cum = funcs.cumulative_c1_sq(times)
@@ -146,7 +148,9 @@ def test_smallness_threshold_formula(consts):
     assert mon.smallness_threshold(PARAMS, consts) == pytest.approx(expected)
 
 
-def test_bisection_matches_closed_form(mesh8, consts):
+def test_critical_scale_is_the_closed_form(mesh8, consts):
+    """The data enter lhs quadratically, so s* = sqrt(rhs / lhs) and data
+    scaled by it meet the threshold."""
     report = mon.check_small_data(mesh8, PARAMS, _driven_data(), 0.5, consts)
     assert report.ok
     closed = math.sqrt(report.rhs / report.lhs)

@@ -217,6 +217,28 @@ def test_on_step_callback_sees_every_state():
     np.testing.assert_allclose(seen, [0.1, 0.2, 0.3], atol=1e-12)
 
 
+@pytest.mark.parametrize("scheme", ["euler", "midpoint"])
+def test_step_records_work_and_convection_power_at_its_stage(scheme):
+    """The energy identity's load work and convection power that a step
+    records are those of its accepted stage, the loads assembled afresh at
+    the stage time."""
+    blocks = _blocks(4, 4)
+    data = _driven_data()
+    traj = run(blocks, data, SchemeConfig(scheme=scheme, dt=0.1, t_final=0.2))
+    for prev, cur, diag in zip(traj.states, traj.states[1:],
+                               traj.diagnostics):
+        stage = cur if scheme == "euler" else StateVector(
+            0.5 * (prev.t + cur.t),
+            *(0.5 * (getattr(prev, name) + getattr(cur, name))
+              for name in ("alpha", "beta", "gamma", "theta")), cur.pi)
+        a, b, c = assemble_loads(stage.t, data, blocks.dm)
+        conv, _ = blocks.convection(stage.alpha)
+        assert diag.work == pytest.approx(
+            a @ stage.alpha + b @ stage.theta + c @ stage.gamma, rel=1e-12)
+        assert diag.convection_power == pytest.approx(stage.alpha @ conv,
+                                                      rel=1e-12)
+
+
 def _direct_newton_run(blocks, data, cfg):
     """Reference states and Newton iteration counts from a fresh splu of
     the exact five-block Jacobian at every iteration."""
@@ -230,15 +252,15 @@ def _direct_newton_run(blocks, data, cfg):
         t_load = t1 if cfg.scheme == "euler" else state.t + 0.5 * cfg.dt
         loads = assemble_loads(t_load, data, blocks.dm)
         z = _pack(state)
-        rows, stage = _residual_rows(blocks, cfg.scheme, state, z, cfg.dt,
-                                     loads)
+        rows, stage, _ = _residual_rows(blocks, cfg.scheme, state, z,
+                                        cfg.dt, loads)
         iterations.append(0)
         while _scaled_norm(rows, scales) > cfg.newton_tol:
             J = oracles.full_newton_matrix(blocks, cfg.scheme, cfg.dt,
                                            stage.alpha)
             z = z - spla.splu(J).solve(np.concatenate(rows))
-            rows, stage = _residual_rows(blocks, cfg.scheme, state, z,
-                                         cfg.dt, loads)
+            rows, stage, _ = _residual_rows(blocks, cfg.scheme, state, z,
+                                            cfg.dt, loads)
             iterations[-1] += 1
         state = StateVector(t1, *_unpack(blocks, z))
         states.append(state)

@@ -247,7 +247,8 @@ def test_one_step_residual_of_exact_interpolants_decreases():
         s0 = verify.initial_state(case, blocks, t=0.0)
         s1 = verify.initial_state(case, blocks, t=dt)
         loads = assemble_loads(dt, case.data, blocks.dm)
-        rows, _ = _residual_rows(blocks, "euler", s0, _pack(s1), dt, loads)
+        rows, _, _ = _residual_rows(blocks, "euler", s0, _pack(s1), dt,
+                                    loads)
         norms.append(_scaled_norm(rows, _row_scales(blocks, dt)))
     assert norms[1] <= 0.5 * norms[0]
     assert norms[2] <= 0.5 * norms[1]
