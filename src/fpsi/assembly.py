@@ -26,8 +26,9 @@ All operators are assembled over full space dofs and then restricted
 symmetrically to the unconstrained dofs of their test/trial spaces.
 Every volume operator (mass, gradient products, divergence and the
 convection term with its Jacobian) is an affine geometry factor contracted
-with exact reference-triangle tables; quadrature remains only where the
-integrand is data: the loads and the facet terms.
+with exact reference-triangle tables, each summed by the lowest rule exact
+for its degree; quadrature of a fixed order remains only for the facet
+terms (:data:`FACET_ORDER`) and the data loads (:data:`LOAD_ORDER`).
 
 Every facet term (the interface blocks ``C``, ``D``, ``E``, ``F`` and the
 slip part of ``Bf``, and the inlet, outlet, interface and boundary loads)
@@ -60,9 +61,11 @@ from .fem import (
     triangle_rule,
 )
 
-DEFAULT_VOLUME_ORDER = 6
-DEFAULT_FACET_ORDER = 6
-DEFAULT_LOAD_ORDER = 8
+# Gauss orders of the integrals still summed by quadrature: the facet
+# matrices and the data loads.  Both are read at call time, so a test can
+# lower one to show what under-integration does.
+FACET_ORDER = 6
+LOAD_ORDER = 8
 
 
 # ---------------------------------------------------------------------------
@@ -336,26 +339,22 @@ _TABLE_FORM = {"mass": (1, 0), "grad": (1, 1), "gradgrad": (1, 2),
 
 
 @lru_cache(maxsize=None)
-def _reference_table(table, test_kind, trial_kind, order):
+def _reference_table(table, test_kind, trial_kind):
     """Exact reference-triangle table of two scalar element kinds.
 
     ``"mass"`` is ``M[i, j] = int N_i M_j`` (test ``N``, trial ``M``),
     ``"grad"`` is ``G[k, i, j] = int N_i d_k M_j``, ``"gradgrad"`` is
     ``S[k, l, i, j] = int d_k N_i d_l M_j`` and ``"trilinear"`` is
     ``T[k, i, j, l] = int N_i M_j d_k M_l``, with ``d_k`` the derivative in
-    reference coordinate ``k``.  The table is summed with
-    ``triangle_rule(order)`` and snapped to its exact rational value; a rule
-    too low to integrate the products exactly raises ``ValueError``.
+    reference coordinate ``k``.  The table is summed with the lowest rule
+    exact for its integrand's degree and snapped to its exact rational
+    value; a sum off that grid means the rule was not exact and raises
+    ``ValueError``.
     """
     factors, derivatives = _TABLE_FORM[table]
     degree = (_POLY_DEGREE[test_kind] + factors * _POLY_DEGREE[trial_kind]
               - derivatives)
-    if order < degree:
-        raise ValueError(
-            "quadrature order %d cannot integrate the %s %s x %s table "
-            "(degree %d)" % (order, table, test_kind.value, trial_kind.value,
-                             degree))
-    rule = triangle_rule(order)
+    rule = triangle_rule(max(degree, 1))
     vt, gt = basis_eval(test_kind, rule.points)
     vs, gs = basis_eval(trial_kind, rule.points)
     if table == "mass":
@@ -371,23 +370,23 @@ def _reference_table(table, test_kind, trial_kind, order):
     if np.abs(scaled - snapped).max() > 1e-9:
         raise ValueError("the %s table is not a multiple of 1/%d"
                          % (table, _TABLE_DENOMINATOR))
-    exact = snapped / _TABLE_DENOMINATOR
+    # + 0.0 turns the -0.0 of an entry summed to a tiny negative into 0.0,
+    # so the table's bits do not depend on the rule
+    exact = snapped / _TABLE_DENOMINATOR + 0.0
     exact.setflags(write=False)
     return exact
 
 
-def scalar_mass(test_space, trial_space, order=DEFAULT_VOLUME_ORDER):
+def scalar_mass(test_space, trial_space):
     """(u, v) over the common subdomain of two scalar spaces.
 
     On an affine triangle the element matrix is ``|det J| M_ref`` with
     ``M_ref`` the exact reference mass matrix, so exact zeros stay zero and
-    a square block is bitwise symmetric per cell.  ``order`` is the rule
-    that builds ``M_ref``; it must integrate the basis products exactly.
+    a square block is bitwise symmetric per cell.
     """
     _check_same_cells(test_space, trial_space)
     _, _, det = _geometry(test_space.mesh, test_space.tri_ids)
-    ref = _reference_table("mass", test_space.kind, trial_space.kind,
-                           int(order))
+    ref = _reference_table("mass", test_space.kind, trial_space.kind)
     cells = det[:, None, None] * ref
     return _scatter(test_space.cell_dofs, trial_space.cell_dofs, cells,
                     (test_space.ndof, trial_space.ndof))
@@ -399,20 +398,18 @@ def _phys_grads(space, jinv, rule):
     return np.einsum("qik,ckj->cqij", grads, jinv, optimize=True)
 
 
-def scalar_grad_products(test_space, trial_space, order=DEFAULT_VOLUME_ORDER):
+def scalar_grad_products(test_space, trial_space):
     """The four matrices ``G[a][b]`` with entries (d_a u_i, d_b v_j).
 
     Index convention: ``G[a][b][i, j] = int (d x_a N_i)(d x_b N_j)`` with the
     test function first.  On an affine triangle the element matrix is
     ``|det J| sum_kl Jinv[k, a] Jinv[l, b] S_kl`` with ``S_kl`` the exact
-    reference gradient-product tables built with rule ``order``.  Every
-    symmetric-gradient, div-div, stiffness and ``K``-gradient block is a
-    combination of these four.
+    reference gradient-product tables.  Every symmetric-gradient, div-div,
+    stiffness and ``K``-gradient block is a combination of these four.
     """
     _check_same_cells(test_space, trial_space)
     _, jinv, det = _geometry(test_space.mesh, test_space.tri_ids)
-    ref = _reference_table("gradgrad", test_space.kind, trial_space.kind,
-                           int(order))
+    ref = _reference_table("gradgrad", test_space.kind, trial_space.kind)
     shape = (test_space.ndof, trial_space.ndof)
 
     def block(a, b):
@@ -424,59 +421,58 @@ def scalar_grad_products(test_space, trial_space, order=DEFAULT_VOLUME_ORDER):
     return [[block(a, b) for b in range(2)] for a in range(2)]
 
 
-def vector_mass(space, order=DEFAULT_VOLUME_ORDER):
+def vector_mass(space):
     """(u, v) on a component-blocked vector space."""
-    m = scalar_mass(space.scalar, space.scalar, order)
+    m = scalar_mass(space.scalar, space.scalar)
     return sp.block_diag([m, m]).tocsr()
 
 
-def vector_symgrad(space, order=DEFAULT_VOLUME_ORDER):
+def vector_symgrad(space):
     """(D(u), D(v)) with D the symmetric gradient."""
-    g = scalar_grad_products(space.scalar, space.scalar, order)
+    g = scalar_grad_products(space.scalar, space.scalar)
     return sp.bmat([
         [sparse_sum(g[0][0], 0.5 * g[1][1]), 0.5 * g[1][0]],
         [0.5 * g[0][1], sparse_sum(g[1][1], 0.5 * g[0][0])],
     ]).tocsr()
 
 
-def vector_divdiv(space, order=DEFAULT_VOLUME_ORDER):
+def vector_divdiv(space):
     """(div u, div v)."""
-    g = scalar_grad_products(space.scalar, space.scalar, order)
+    g = scalar_grad_products(space.scalar, space.scalar)
     return sp.bmat([[g[0][0], g[0][1]], [g[1][0], g[1][1]]]).tocsr()
 
 
-def vector_stiffness(space, order=DEFAULT_VOLUME_ORDER):
+def vector_stiffness(space):
     """(grad u, grad v), the componentwise H1 seminorm product."""
-    g = scalar_grad_products(space.scalar, space.scalar, order)
+    g = scalar_grad_products(space.scalar, space.scalar)
     lap = sparse_sum(g[0][0], g[1][1])
     return sp.block_diag([lap, lap]).tocsr()
 
 
-def scalar_kgrad(space, K, order=DEFAULT_VOLUME_ORDER):
+def scalar_kgrad(space, K):
     """(K grad u, grad v) for a constant 2x2 tensor K."""
-    g = scalar_grad_products(space, space, order)
+    g = scalar_grad_products(space, space)
     K = np.asarray(K, dtype=float)
     # test gradient contracted against K times trial gradient:
     # sum_ab K[a, b] (d_a v, d_b u) -- K symmetric, so order is immaterial.
     return sparse_sum(*(K[a, b] * g[a][b] for a in range(2) for b in range(2)))
 
 
-def scalar_stiffness(space, order=DEFAULT_VOLUME_ORDER):
-    g = scalar_grad_products(space, space, order)
+def scalar_stiffness(space):
+    g = scalar_grad_products(space, space)
     return sparse_sum(g[0][0], g[1][1])
 
 
-def mixed_div(scalar_space, vector_space, order=DEFAULT_VOLUME_ORDER):
+def mixed_div(scalar_space, vector_space):
     """(q_i, div v_j): scalar test rows, vector trial columns.
 
     On an affine triangle the block of component ``d`` is
     ``|det J| sum_k Jinv[k, d] G_k`` with ``G_k`` the exact reference tables
-    (q_i, d_k N_j) built with rule ``order``.
+    (q_i, d_k N_j).
     """
     _check_same_cells(scalar_space, vector_space.scalar)
     _, jinv, det = _geometry(scalar_space.mesh, scalar_space.tri_ids)
-    ref = _reference_table("grad", scalar_space.kind, vector_space.scalar.kind,
-                           int(order))
+    ref = _reference_table("grad", scalar_space.kind, vector_space.scalar.kind)
     shape = (scalar_space.ndof, vector_space.scalar.ndof)
     blocks = []
     for d in range(2):
@@ -487,9 +483,9 @@ def mixed_div(scalar_space, vector_space, order=DEFAULT_VOLUME_ORDER):
     return sp.hstack(blocks).tocsr()
 
 
-def div_pressure(vector_space, scalar_space, order=DEFAULT_VOLUME_ORDER):
+def div_pressure(vector_space, scalar_space):
     """(r_j, div xi_i): vector test rows, scalar trial columns."""
-    return mixed_div(scalar_space, vector_space, order).T.tocsr()
+    return mixed_div(scalar_space, vector_space).T.tocsr()
 
 
 # ---------------------------------------------------------------------------
@@ -579,7 +575,7 @@ def facet_quadrature(space, facets, tris, order):
 
 
 def facet_matrix(test_space, trial_space, facets, test_tris, trial_tris,
-                 directions=None, order=DEFAULT_FACET_ORDER):
+                 directions=None):
     """sum_f int_f phi_i psi_j ds over the given facets.
 
     Each space is traced from its own triangle of every facet; a vector
@@ -587,7 +583,7 @@ def facet_matrix(test_space, trial_space, facets, test_tris, trial_tris,
     """
     values, dofs = [], []
     for space, tris in ((test_space, test_tris), (trial_space, trial_tris)):
-        q = facet_quadrature(space, facets, tris, order)
+        q = facet_quadrature(space, facets, tris, FACET_ORDER)
         values.append(np.einsum("fqik,fk->fqi", q.vals, directions)
                       if isinstance(space, VectorSpace) else q.vals)
         dofs.append(q.dofs)
@@ -625,12 +621,12 @@ def _field_values(field, x, y, t):
     return np.stack([_field_values(f, x, y, t) for f in field], axis=x.ndim)
 
 
-def load_volume(space, field, t, order=DEFAULT_LOAD_ORDER):
+def load_volume(space, field, t):
     """(f, v) over the cells of ``space``, ``f`` of the space's rank."""
     _rank_excess(field, space, (0,))
     sc = _scalar_space_of(space)
-    q = cell_quadrature(space.mesh, sc.subdomain, order)
-    vt = _rule_values(sc.kind, order)
+    q = cell_quadrature(space.mesh, sc.subdomain, LOAD_ORDER)
+    vt = _rule_values(sc.kind, LOAD_ORDER)
     vector = isinstance(space, VectorSpace)
     cells = np.stack([(q.wdet * e(q.x, q.y, t)) @ vt
                       for e in (field if vector else (field,))], axis=1)
@@ -638,13 +634,13 @@ def load_volume(space, field, t, order=DEFAULT_LOAD_ORDER):
     return _scatter_vector(dofs, cells, space.ndof)
 
 
-def load_facet(space, facets, tris, field, t, order=DEFAULT_LOAD_ORDER):
+def load_facet(space, facets, tris, field, t):
     """<g, v> over facets, each seen from its triangle in ``tris``, with
     ``g`` the field brought to the space's rank by the outward normal ``n``:
     contracted with ``n`` from one rank above (``g.n``, ``S n``), multiplied
     by ``n`` from one rank below (``P n``)."""
     excess = _rank_excess(field, space, (-1, 0, 1))
-    q = facet_quadrature(space, facets, tris, order)
+    q = facet_quadrature(space, facets, tris, LOAD_ORDER)
     g = _field_values(field, q.x[..., 0], q.x[..., 1], t)
     if excess == 1:
         g = np.einsum("fq...k,fk->fq...", g, q.normals)
@@ -695,13 +691,13 @@ class _Convection:
     never depends on the velocity, and a call fills only ``data``.
     """
 
-    def __init__(self, space, rho_f, order, skew):
+    def __init__(self, space, rho_f, skew):
         self.space = space
         self.rho_f = rho_f
         sc = space.scalar
         _, jinv, det = _geometry(space.mesh, sc.tri_ids)
         self.geom = det[:, None, None] * jinv            # G[c, r, m]
-        table = _reference_table("trilinear", sc.kind, sc.kind, int(order))
+        table = _reference_table("trilinear", sc.kind, sc.kind)
         nloc = table.shape[1]
         # A = W (rows (r, j)) times the operator table (columns (i, l));
         # the Jacobian through W contracts U against the last axis of the
@@ -859,29 +855,26 @@ def _dots(x, y):
     return np.einsum("i...,i...->...", x, y)
 
 
-def assemble_system(mesh, params, convection=True, skew=False,
-                    volume_order=DEFAULT_VOLUME_ORDER,
-                    facet_order=DEFAULT_FACET_ORDER, dm=None):
+def assemble_system(mesh, params, convection=True, skew=False):
     """Assemble every operator of the coupled problem on ``mesh``."""
-    if dm is None:
-        dm = build_dofmaps(mesh)
+    dm = build_dofmaps(mesh)
     V, Q = dm.velocity, dm.pressure_f
     W, R = dm.displacement, dm.pressure_p
 
-    mass_u = vector_mass(V, volume_order)
-    visc_u = vector_symgrad(V, volume_order)
-    stiff_u = vector_stiffness(V, volume_order)
-    gdiv = mixed_div(Q, V, volume_order)
-    mass_q = scalar_mass(Q, Q, volume_order)
+    mass_u = vector_mass(V)
+    visc_u = vector_symgrad(V)
+    stiff_u = vector_stiffness(V)
+    gdiv = mixed_div(Q, V)
+    mass_q = scalar_mass(Q, Q)
 
-    mass_d = vector_mass(W, volume_order)
-    symgrad_d = vector_symgrad(W, volume_order)
-    divdiv_d = vector_divdiv(W, volume_order)
-    stiff_d = vector_stiffness(W, volume_order)
+    mass_d = vector_mass(W)
+    symgrad_d = vector_symgrad(W)
+    divdiv_d = vector_divdiv(W)
+    stiff_d = vector_stiffness(W)
 
-    mass_p = scalar_mass(R, R, volume_order)
-    kgrad_p = scalar_kgrad(R, params.K, volume_order)
-    stiff_p = scalar_stiffness(R, volume_order)
+    mass_p = scalar_mass(R, R)
+    kgrad_p = scalar_kgrad(R, params.K)
+    stiff_p = scalar_stiffness(R)
 
     ifacets = mesh.interface_facets
     iftri = mesh.interface_fluid_tri
@@ -889,12 +882,12 @@ def assemble_system(mesh, params, convection=True, skew=False,
     normals = mesh.interface_normals
     tangents = interface_tangents(normals)
 
-    slip_uu = facet_matrix(V, V, ifacets, iftri, iftri, tangents, facet_order)
-    slip_ud = facet_matrix(V, W, ifacets, iftri, iptri, tangents, facet_order)
-    slip_dd = facet_matrix(W, W, ifacets, iptri, iptri, tangents, facet_order)
-    dface = facet_matrix(V, R, ifacets, iftri, iptri, normals, facet_order)
-    cface = facet_matrix(W, R, ifacets, iptri, iptri, normals, facet_order)
-    cvol = div_pressure(W, R, volume_order)
+    slip_uu = facet_matrix(V, V, ifacets, iftri, iftri, tangents)
+    slip_ud = facet_matrix(V, W, ifacets, iftri, iptri, tangents)
+    slip_dd = facet_matrix(W, W, ifacets, iptri, iptri, tangents)
+    dface = facet_matrix(V, R, ifacets, iftri, iptri, normals)
+    cface = facet_matrix(W, R, ifacets, iptri, iptri, normals)
+    cvol = div_pressure(W, R)
 
     p = params
     visc_u = restrict(visc_u, V, V)
@@ -931,7 +924,7 @@ def assemble_system(mesh, params, convection=True, skew=False,
         h1_p=restrict(mass_p + stiff_p, R, R),
     )
     if convection:
-        blocks._convection = _Convection(V, p.rho_f, volume_order, skew)
+        blocks._convection = _Convection(V, p.rho_f, skew)
     return blocks
 
 
@@ -957,10 +950,10 @@ def _facet_side(mesh, space, tag):
                     else mesh.interface_poro_tri)
 
 
-def assemble_loads(t, data, dm, load_order=DEFAULT_LOAD_ORDER):
+def assemble_loads(t, data, dm):
     """Assemble the free-dof right-hand sides (a, b, c) at time ``t``."""
     names = ("velocity", "displacement", "pressure_p")
-    loads = {name: load_volume(getattr(dm, name), f, t, load_order)
+    loads = {name: load_volume(getattr(dm, name), f, t)
              for name, f in zip(names, (data.f_f, data.f_s, data.f_p))}
     extra = vars(data.extra or ExtraLoads())
     terms = [("velocity", meshmod.FLUID_INLET, -data.P_in)] + [
@@ -970,8 +963,7 @@ def assemble_loads(t, data, dm, load_order=DEFAULT_LOAD_ORDER):
         space = getattr(dm, name)
         facets, tris = _facet_side(dm.mesh, space, tag)
         if len(facets):
-            loads[name] += load_facet(space, facets, tris, field, t,
-                                      load_order)
+            loads[name] += load_facet(space, facets, tris, field, t)
     return tuple(loads[name][getattr(dm, name).free] for name in names)
 
 

@@ -17,14 +17,15 @@ headers; blank lines and ``#`` comments are skipped.  Sections and keys:
     numeric ``scale`` multiplying all of them.
 ``[scheme]``
     ``scheme`` (``euler``/``midpoint``), ``dt``, ``t_final``,
-    ``newton_tol``, ``newton_max``, ``load_order``.
+    ``newton_tol``, ``newton_max``.
 ``[run]``
     ``output_dir``, ``constants_table`` (CSV path; omitted means the
     constants are estimated on the run mesh), and the boolean toggles
     ``skew_symmetric_convection`` (default off), ``emit_vtk`` (default
     on), ``emit_certificate`` (default on).
 
-Exit codes: 0 success, 1 usage or configuration error, 2 solver failure,
+Exit codes: 0 success, 1 usage, configuration or mesh error (a mesh file
+that :func:`~fpsi.mesh.validate` rejects included), 2 solver failure,
 3 certificate flag failure under ``--strict``.
 """
 
@@ -58,8 +59,7 @@ _SECTIONS = {
     "params": ("rho_f", "mu_f", "rho_s", "mu_s", "lambda_s", "s0",
                "alpha_bw", "beta_slip", "k", "k11", "k12", "k22"),
     "data": ("f_f_x", "f_f_y", "f_s_x", "f_s_y", "f_p", "p_in", "scale"),
-    "scheme": ("scheme", "dt", "t_final", "newton_tol", "newton_max",
-               "load_order"),
+    "scheme": ("scheme", "dt", "t_final", "newton_tol", "newton_max"),
     "run": ("output_dir", "constants_table", "skew_symmetric_convection",
             "emit_vtk", "emit_certificate"),
 }
@@ -244,8 +244,7 @@ def parse_config(path):
 
     skw = {}
     for name, conv in (("scheme", str), ("dt", float), ("t_final", float),
-                       ("newton_tol", float), ("newton_max", int),
-                       ("load_order", int)):
+                       ("newton_tol", float), ("newton_max", int)):
         value = take("scheme", name, conv, None)
         if value is not None:
             skw[name] = value
@@ -283,7 +282,9 @@ def _build_mesh(cfg):
             mesh = build_rect_two_domain(cfg.nx, cfg.ny, cfg.split)
         except ValueError as exc:
             raise ConfigError("mesh: %s" % exc) from None
-    validate(mesh)
+    problems = validate(mesh)
+    if problems:
+        raise MeshFormatError("; ".join(problems))
     return mesh
 
 
@@ -352,7 +353,7 @@ def _cmd_run(ns):
     outputs = ["constants.csv"]
     fio.write_constants(os.path.join(outdir, "constants.csv"), constants)
     if cfg.emit_vtk:
-        fio.emit_vtk(traj.states[-1], mesh,
+        fio.emit_vtk(traj.states[-1], blocks.dm,
                      os.path.join(outdir, "solution.vtk"))
         outputs.append("solution.vtk")
 
@@ -478,9 +479,11 @@ def _cmd_check_small_data(ns):
 def _cmd_validate_mesh(ns):
     try:
         mesh = read_mesh(ns.path)
-        validate(mesh)
+        problems = validate(mesh)
     except (MeshFormatError, ValueError) as exc:
-        print("invalid mesh: %s" % exc, file=sys.stderr)
+        problems = [str(exc)]
+    if problems:
+        print("invalid mesh: %s" % "; ".join(problems), file=sys.stderr)
         return 1
     print("valid mesh: %d vertices, %d triangles, %d tagged facets"
           % (mesh.num_vertices, mesh.num_triangles, len(mesh.facets)))

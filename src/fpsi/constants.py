@@ -45,7 +45,6 @@ import scipy.sparse.linalg as spla
 
 from . import mesh as meshmod
 from .assembly import (
-    DEFAULT_FACET_ORDER,
     _boundary_facet_tris,
     _rule_values,
     _scatter_vector,
@@ -139,12 +138,11 @@ def quotient_min(A, B, zero_tol=1e-12):
     return lo
 
 
-def _facet_mass(space, facets, tris, order=DEFAULT_FACET_ORDER):
+def _facet_mass(space, facets, tris):
     """Facet mass matrix; a vector space gets one block per component."""
     if not isinstance(space, VectorSpace):
-        return facet_matrix(space, space, facets, tris, tris, order=order)
-    m = facet_matrix(space.scalar, space.scalar, facets, tris, tris,
-                     order=order)
+        return facet_matrix(space, space, facets, tris, tris)
+    m = facet_matrix(space.scalar, space.scalar, facets, tris, tris)
     return sp.block_diag([m, m]).tocsr()
 
 
@@ -218,6 +216,11 @@ class InletLifting:
         return self.norm00(np.array(g))
 
 
+# |v|^4 of a P2 field is a polynomial of degree 8 on an affine cell, so this
+# Gauss rule integrates the Sobolev quotient's numerator exactly
+SF_ORDER = 8
+
+
 class _QuarticForm:
     """Integral of |v|^4 over the cells of a vector space, with derivatives.
 
@@ -225,12 +228,12 @@ class _QuarticForm:
     Gauss points are one matmul, ``coeffs @ V2``, and a gradient or
     Hessian-vector product one more, ``weights @ V2.T``."""
 
-    def __init__(self, space, order=8):
-        vals = _rule_values(space.kind, order)
+    def __init__(self, space):
+        vals = _rule_values(space.kind, SF_ORDER)
         nq, k, d = vals.shape
         self.V2 = np.ascontiguousarray(vals.transpose(1, 0, 2).reshape(k, -1))
         self.wdet = cell_quadrature(space.mesh, space.scalar.subdomain,
-                                    order).wdet
+                                    SF_ORDER).wdet
         self.shape = (len(self.wdet), nq, d)
         self.cell_dofs = space.cell_dofs_vector()
         self.ndof = space.ndof
@@ -293,7 +296,7 @@ def _top_curvature(form, K, Kinv, z, q):
     return float(vals[0]), vecs[:, 0]
 
 
-def sobolev_l4_constant(blocks, seed=0, starts=0, maxit=400, order=8):
+def sobolev_l4_constant(blocks, seed=0, starts=0, maxit=400):
     """max |v|_{L4} / |grad v|_{L2} over the discrete velocity space.
 
     The quartic functional Q(z) = |v|_{L4}^4 is convex, so the
@@ -313,7 +316,7 @@ def sobolev_l4_constant(blocks, seed=0, starts=0, maxit=400, order=8):
     V, K = blocks.dm.velocity, blocks.stiff_u
     lu = spla.splu(K.tocsc())
     Kinv = spla.LinearOperator(K.shape, lu.solve)
-    form = _QuarticForm(V, order)
+    form = _QuarticForm(V)
 
     def normalize(z):
         return z / np.sqrt(z @ (K @ z))

@@ -13,7 +13,6 @@ from dataclasses import fields as dataclass_fields
 import numpy as np
 
 from .constants import KIND_DESCRIPTIONS, ConstantEstimate
-from .fem import build_dofmaps
 from .monitor import CertificateRow
 from .verify import ERROR_KEYS, RESIDUAL_KEYS
 
@@ -159,8 +158,9 @@ def write_summary(path, summary):
 # legacy VTK output
 # ---------------------------------------------------------------------------
 
-def emit_vtk(state, mesh, path):
-    """Write the state's fields as a legacy ASCII unstructured-grid file.
+def emit_vtk(state, dm, path):
+    """Write the state's fields on the dof maps ``dm`` as a legacy ASCII
+    unstructured-grid file.
 
     Point data arrays: ``velocity`` (zero outside the fluid), then
     ``fluid_pressure``, ``displacement`` (zero outside the poroelastic
@@ -168,7 +168,7 @@ def emit_vtk(state, mesh, path):
     vertex values; edge-midpoint dofs are dropped, as noted in the file
     title line.  Output is byte-deterministic for a fixed state.
     """
-    dm = build_dofmaps(mesh)
+    mesh = dm.mesh
     counts = {
         "velocity": (state.alpha, dm.velocity),
         "displacement": (state.beta, dm.displacement),

@@ -52,7 +52,8 @@ _LOCAL_EDGES = ((0, 1), (1, 2), (2, 0))
 
 
 class MeshFormatError(ValueError):
-    """Raised when a mesh file does not follow the ASCII format."""
+    """Raised when a mesh file does not follow the ASCII format or
+    describes a mesh that :func:`validate` rejects."""
 
 
 class Mesh:
@@ -344,14 +345,16 @@ def validate(mesh):
                             "interior facet %d carries tag %s, expected %s"
                             % (f, FACET_TAG_NAMES[tag], FACET_TAG_NAMES[expected]))
 
-    for k, f in enumerate(mesh.interface_facets):
-        tf = mesh.interface_fluid_tri[k]
-        tp = mesh.interface_poro_tri[k]
-        if tf < 0 or tp < 0:
-            continue  # already reported above
-        n = mesh.facet_normal(f, tf)
-        if not np.allclose(n, mesh.interface_normals[k], atol=1e-12):
-            problems.append("interface facet %d has an inconsistent orientation" % f)
+    # the normal out of the Poro triangle must oppose the one out of the
+    # Fluid triangle, i.e. the two lie on opposite sides of the facet
+    paired = (mesh.interface_fluid_tri >= 0) & (mesh.interface_poro_tri >= 0)
+    out_of_poro = mesh.facet_normals(mesh.interface_facets[paired],
+                                     mesh.interface_poro_tri[paired])
+    folded = ~np.all(np.abs(out_of_poro + mesh.interface_normals[paired])
+                     <= 1e-12, axis=1)
+    for f in mesh.interface_facets[paired][folded]:
+        problems.append("interface facet %d has its Fluid and Poro triangles "
+                        "on the same side" % f)
 
     return problems
 

@@ -36,8 +36,7 @@ import scipy.linalg as la
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .assembly import (DEFAULT_LOAD_ORDER, StateVector, assemble_loads,
-                       residual, sparse_sum)
+from .assembly import StateVector, assemble_loads, residual, sparse_sum
 
 SCHEMES = ("euler", "midpoint")
 
@@ -56,7 +55,6 @@ class SchemeConfig:
     t_final: float = 1.0
     newton_tol: float = 1e-10
     newton_max: int = 25
-    load_order: int = DEFAULT_LOAD_ORDER
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
@@ -70,8 +68,6 @@ class SchemeConfig:
             raise ValueError("newton_tol must be positive")
         if self.newton_max < 1:
             raise ValueError("newton_max must be at least 1")
-        if self.load_order < 1:
-            raise ValueError("load_order must be at least 1")
 
     def n_steps(self):
         n = int(round(self.t_final / self.dt))
@@ -308,8 +304,7 @@ def step(blocks, data, state0, cfg, loads=None, newton=None):
     t1 = state0.t + dt
     t_load = t1 if cfg.scheme == "euler" else state0.t + 0.5 * dt
     if loads is None:
-        loads = assemble_loads(t_load, data, blocks.dm,
-                               load_order=cfg.load_order)
+        loads = assemble_loads(t_load, data, blocks.dm)
     if newton is None:
         newton = NewtonSolver(blocks, cfg.scheme, dt)
 

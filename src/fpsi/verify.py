@@ -21,18 +21,14 @@ constructed so that all four interface conditions hold identically and the
 three interface defects vanish.
 
 The module also provides error norms against the exact fields, a mesh
-refinement study whose per-level records feed the acceptance checks,
-direct interface-residual norms of a discrete state, and a null-space
-oracle that re-solves one time step on the explicitly constructed
-divergence-free subspace and recovers the pressure multiplier by least
-squares, independently of the production Newton loop.
+refinement study whose per-level records feed the acceptance checks, and
+direct interface-residual norms of a discrete state.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as la
 
 from . import mesh as meshmod
 from .assembly import (
@@ -42,7 +38,6 @@ from .assembly import (
     StateVector,
     _phys_grads,
     _rule_values,
-    assemble_loads,
     assemble_system,
     cell_quadrature,
     facet_quadrature,
@@ -50,8 +45,7 @@ from .assembly import (
 )
 from .expressions import Cos, PI, Sin, T, X, Y, div, dt, sym_grad
 from .fem import interpolate_scalar, interpolate_vector
-from .timestepper import (SchemeConfig, StepError, _jacobian, _pack,
-                          _residual_rows, run, step)
+from .timestepper import SchemeConfig, StepError, run
 
 CASE_IDS = ("smooth-polynomial", "smooth-trig", "interface-compatible-trig")
 
@@ -68,6 +62,11 @@ EXPECTED_RATES = {
 }
 
 RESIDUAL_KEYS = ("mass", "normal_stress", "bjs", "stress_continuity")
+
+# Gauss orders of the error norms (cells) and the interface residuals
+# (facets), both integrating smooth exact fields against discrete ones
+ERROR_ORDER = 10
+RESIDUAL_ORDER = 8
 
 
 # ---------------------------------------------------------------------------
@@ -315,10 +314,10 @@ def _full(space, free_values):
     return out
 
 
-def _error_sq(space, coeffs, expr, t, order):
+def _error_sq(space, coeffs, expr, t):
     """(L2^2, H1-seminorm^2) of (discrete - expr) on a scalar space."""
-    q = cell_quadrature(space.mesh, space.subdomain, order)
-    vals = _rule_values(space.kind, order)
+    q = cell_quadrature(space.mesh, space.subdomain, ERROR_ORDER)
+    vals = _rule_values(space.kind, ERROR_ORDER)
     gphys = _phys_grads(space, q.jinv, q.rule)
     co = coeffs[space.cell_dofs]
     uh = np.einsum("qi,ci->cq", vals, co, optimize=True)
@@ -330,23 +329,23 @@ def _error_sq(space, coeffs, expr, t, order):
     return l2, h1
 
 
-def _scalar_error(space, coeffs, expr, t, order):
-    l2, h1 = _error_sq(space, coeffs, expr, t, order)
+def _scalar_error(space, coeffs, expr, t):
+    l2, h1 = _error_sq(space, coeffs, expr, t)
     return math.sqrt(l2), math.sqrt(h1)
 
 
-def _vector_error(space, coeffs, exprs, t, order):
+def _vector_error(space, coeffs, exprs, t):
     sc = space.scalar
     l2 = h1 = 0.0
     for comp in (0, 1):
         part = coeffs[comp * sc.ndof:(comp + 1) * sc.ndof]
-        a, b = _error_sq(sc, part, exprs[comp], t, order)
+        a, b = _error_sq(sc, part, exprs[comp], t)
         l2 += a
         h1 += b
     return math.sqrt(l2), math.sqrt(h1)
 
 
-def compute_errors(case, system, state, order=10):
+def compute_errors(case, system, state):
     """L2 norms and H1 seminorms of the error against the exact fields.
 
     Keys: ``vel_l2``, ``vel_h1``, ``pf_l2``, ``disp_h1``, ``pore_l2``,
@@ -356,16 +355,14 @@ def compute_errors(case, system, state, order=10):
     dm = _dofmap_of(system)
     t = state.t
     vel_l2, vel_h1 = _vector_error(
-        dm.velocity, _full(dm.velocity, state.alpha), case.velocity, t, order)
+        dm.velocity, _full(dm.velocity, state.alpha), case.velocity, t)
     _, disp_h1 = _vector_error(
         dm.displacement, _full(dm.displacement, state.beta),
-        case.displacement, t, order)
+        case.displacement, t)
     pf_l2, _ = _scalar_error(
-        dm.pressure_f, _full(dm.pressure_f, state.pi), case.pressure_f, t,
-        order)
+        dm.pressure_f, _full(dm.pressure_f, state.pi), case.pressure_f, t)
     pore_l2, pore_h1 = _scalar_error(
-        dm.pressure_p, _full(dm.pressure_p, state.gamma), case.pressure_p, t,
-        order)
+        dm.pressure_p, _full(dm.pressure_p, state.gamma), case.pressure_p, t)
     return {
         "vel_l2": vel_l2,
         "vel_h1": vel_h1,
@@ -380,7 +377,7 @@ def compute_errors(case, system, state, order=10):
 # interface residuals of a discrete state
 # ---------------------------------------------------------------------------
 
-def interface_residuals(blocks, state, order=8):
+def interface_residuals(blocks, state):
     """Facet-L2 norms of the four interface conditions for a discrete state.
 
     ``mass``: (u - eta_t + K grad w) . n, ``normal_stress``: n.sigma_f n + w,
@@ -398,7 +395,7 @@ def interface_residuals(blocks, state, order=8):
     def trace(space, free_values, tris):
         """Values and physical gradients, ``grad[..., comp, deriv]``, of a
         field at the trace points of its triangles ``tris``."""
-        q = facet_quadrature(space, facets, tris, order)
+        q = facet_quadrature(space, facets, tris, RESIDUAL_ORDER)
         co = _full(space, free_values)[q.dofs]
         return (np.einsum("fqi...,fi->fq...", q.vals, co),
                 np.einsum("fqi...,fi->fq...", q.grads, co))
@@ -408,7 +405,7 @@ def interface_residuals(blocks, state, order=8):
     etad, _ = trace(dm.displacement, state.theta, tp)
     _, geta = trace(dm.displacement, state.beta, tp)
     w, gw = trace(dm.pressure_p, state.gamma, tp)
-    fluid_side = facet_quadrature(dm.velocity, facets, tf, order)
+    fluid_side = facet_quadrature(dm.velocity, facets, tf, RESIDUAL_ORDER)
     wl, n = fluid_side.wts, fluid_side.normals
     tau = interface_tangents(n)
 
@@ -495,35 +492,27 @@ class StudyError(RuntimeError):
 
 
 def convergence_study(case_id, levels=(8, 16, 32), scheme="midpoint",
-                      t_final=0.1, steps_coarsest=8, params=None,
-                      amplitude=1.0, split=0.5, newton_tol=1e-10,
-                      newton_max=25, convection=True, error_order=10,
-                      volume_order=None, load_order=None):
+                      t_final=0.1, steps_coarsest=8, amplitude=1.0,
+                      newton_tol=1e-10, newton_max=25):
     """Solve a manufactured case on a hierarchy of meshes.
 
     The number of time steps grows like h^(-3/2) for the midpoint rule and
     h^(-2) for implicit Euler (rounded to an integer), so the O(dt^2) and
     O(dt) time errors stay below the expected O(h^3)/O(h^2) space errors.
-    ``volume_order`` and ``load_order`` override the assembly quadrature
-    (used by the under-integration negative control).  A solver failure at
-    any level raises :class:`StudyError` carrying the completed levels.
+    A solver failure at any level raises :class:`StudyError` carrying the
+    completed levels.
     """
-    case = manufactured_case(case_id, params=params, amplitude=amplitude,
-                             split=split)
+    case = manufactured_case(case_id, amplitude=amplitude)
     exponent = 1.5 if scheme == "midpoint" else 2.0
-    assemble_kw = {} if volume_order is None else {"volume_order": volume_order}
-    scheme_kw = {} if load_order is None else {"load_order": load_order}
     runs = []
     n0 = levels[0]
     for n in levels:
         n_steps = int(round(steps_coarsest * (n / n0) ** exponent))
         dt_n = t_final / n_steps
-        mesh = meshmod.build_rect_two_domain(n, n, split)
-        blocks = assemble_system(mesh, case.params, convection=convection,
-                                 **assemble_kw)
+        mesh = meshmod.build_rect_two_domain(n, n, case.split)
+        blocks = assemble_system(mesh, case.params)
         cfg = SchemeConfig(scheme=scheme, dt=dt_n, t_final=t_final,
-                           newton_tol=newton_tol, newton_max=newton_max,
-                           **scheme_kw)
+                           newton_tol=newton_tol, newton_max=newton_max)
         try:
             traj = run(blocks, case.data, cfg,
                        initial_state=initial_state(case, blocks))
@@ -539,124 +528,9 @@ def convergence_study(case_id, levels=(8, 16, 32), scheme="midpoint",
             dt=dt_n,
             n_steps=n_steps,
             newton_iterations=sum(d.iterations for d in traj.diagnostics),
-            errors=compute_errors(case, blocks, state, order=error_order),
+            errors=compute_errors(case, blocks, state),
             residuals=interface_residuals(blocks, state),
             dofs={name: free for name, (_, free) in blocks.dm.counts().items()},
         ))
     return ConvergenceTable(case_id=case_id, scheme=scheme, t_final=t_final,
                             runs=runs)
-
-
-# ---------------------------------------------------------------------------
-# null-space oracle
-# ---------------------------------------------------------------------------
-
-def _oracle_data():
-    return ProblemData(
-        f_f=(1.0, X * Y),
-        f_s=(Y, X),
-        f_p=Cos(PI * X),
-        P_in=Sin(PI * Y),
-    )
-
-
-def kernel_oracle(nx=2, ny=2, split=0.5, params=None, dt=0.05, data=None,
-                  newton_tol=1e-13, newton_max=50):
-    """One implicit-Euler step re-solved on the divergence-free subspace.
-
-    Builds an orthonormal basis Z of the null space of the discrete
-    divergence, runs a dense Newton iteration for the unknowns (c, gamma,
-    theta) with the velocity parametrised as alpha = Z c (no multiplier) and
-    beta given by the kinematic identity beta = beta0 + dt theta, recovers
-    the multiplier from the momentum defect by least squares, and compares
-    everything against the production saddle-point step.  Returns a dict of
-    diagnostics; the relative differences should sit at solver tolerance.
-    """
-    params = PhysicalParams() if params is None else params
-    mesh = meshmod.build_rect_two_domain(nx, ny, split)
-    blocks = assemble_system(mesh, params, convection=True)
-    if blocks.n_alpha > 400:
-        raise ValueError("kernel oracle needs a tiny mesh "
-                         "(velocity space has %d free dofs)" % blocks.n_alpha)
-    if data is None:
-        data = _oracle_data()
-
-    cfg = SchemeConfig(scheme="euler", dt=dt, t_final=dt,
-                       newton_tol=newton_tol, newton_max=newton_max)
-    state0 = blocks.zero_state()
-    state1, diag = step(blocks, data, state0, cfg)
-
-    G = blocks.Gdiv.toarray()
-    Z = la.null_space(G)
-    null_dim = Z.shape[1]
-    rank = int(np.linalg.matrix_rank(G))
-    if rank < blocks.n_pi:
-        raise RuntimeError(
-            "divergence operator is rank deficient: rank %d of %d pressure "
-            "dofs" % (rank, blocks.n_pi))
-
-    na, nb, ng = blocks.n_alpha, blocks.n_beta, blocks.n_gamma
-    npi = blocks.n_pi
-    loads = assemble_loads(dt, data, blocks.dm)
-
-    def make_state(y):
-        c, g, th = y[:null_dim], y[null_dim:null_dim + ng], y[null_dim + ng:]
-        return StateVector(dt, Z @ c, state0.beta + dt * th, g, th,
-                           np.zeros(npi))
-
-    def reduced_residual(y):
-        rows, stage, _ = _residual_rows(blocks, "euler", state0,
-                                        _pack(make_state(y)), dt, loads)
-        r_mom, _, r_dar, r_str, _ = rows
-        return np.concatenate([Z.T @ r_mom, r_dar, r_str]), stage
-
-    proj = la.block_diag(Z, np.eye(ng), np.eye(nb))
-    y = np.zeros(null_dim + ng + nb)
-    r, stage = reduced_residual(y)
-    scale = max(1.0, float(np.abs(r).max()))
-    iterations = 0
-    while np.abs(r).max() > newton_tol * scale:
-        if iterations >= newton_max:
-            raise RuntimeError("reduced Newton iteration did not converge")
-        jac = _jacobian(blocks, "euler", dt, stage.alpha).toarray()
-        head = na + ng + nb
-        y = y - la.solve(proj.T @ jac[:head, :head] @ proj, r)
-        iterations += 1
-        r, stage = reduced_residual(y)
-    reduced = make_state(y)
-
-    # multiplier from the momentum defect: G^T pi = r_mom(z, pi = 0)
-    rows, _, _ = _residual_rows(blocks, "euler", state0, _pack(reduced), dt,
-                                loads)
-    pi_hat, *_ = np.linalg.lstsq(G.T, rows[0], rcond=None)
-
-    rows_prod, _, _ = _residual_rows(
-        blocks, "euler", state0,
-        _pack(StateVector(dt, state1.alpha, state1.beta, state1.gamma,
-                          state1.theta, np.zeros(npi))),
-        dt, loads)
-    defect = rows_prod[0]
-
-    def rel(ours, reference):
-        denom = max(float(la.norm(reference)), 1e-14)
-        return float(la.norm(ours - reference)) / denom
-
-    state_diff = max(
-        rel(reduced.alpha, state1.alpha),
-        rel(reduced.beta, state1.beta),
-        rel(reduced.gamma, state1.gamma),
-        rel(reduced.theta, state1.theta),
-    )
-    return {
-        "null_dim": null_dim,
-        "n_alpha": na,
-        "n_pi": npi,
-        "full_rank": rank == npi,
-        "state_diff": state_diff,
-        "pi_diff": rel(pi_hat, state1.pi),
-        "multiplier_residual": (float(la.norm(G.T @ state1.pi - defect))
-                                / max(float(la.norm(defect)), 1e-14)),
-        "constraint_norm": float(la.norm(G @ state1.alpha)),
-        "newton_iterations": iterations,
-        "production_iterations": diag.iterations,
-    }

@@ -10,7 +10,9 @@ loop over states with one scalar data-norm call per time, the Newton
 matrix on all five unknowns where the package condenses the kinematic
 row, and data expressions by a recursive tree walk that shares nothing
 where the package evaluates each distinct node once, and the |v|^4 form
-of the Sobolev ascent by ``einsum`` where the package uses two matmuls.
+of the Sobolev ascent by ``einsum`` where the package uses two matmuls,
+and one time step re-solved on the divergence-free subspace by a dense
+Newton iteration where the package solves the saddle-point system.
 The module also holds the refinement helpers behind the constants
 criterion and the CSV reader of the result tables, which no command uses.
 Tests compare the production code against these.
@@ -27,14 +29,17 @@ import sympy as sym
 from fpsi import constants as cst
 from fpsi import mesh as meshmod
 from fpsi import monitor as mon
-from fpsi.assembly import (DEFAULT_LOAD_ORDER, PhysicalParams, StateVector,
+from fpsi.assembly import (PhysicalParams, ProblemData, StateVector,
                            _geometry, _phys_grads, _rule_values,
                            _scatter_vector, assemble_loads, assemble_system,
                            cell_quadrature, facet_matrix, restrict,
                            scalar_mass, scalar_stiffness)
+from fpsi.expressions import Cos, PI, Sin, X, Y
 from fpsi.fem import ElementKind, basis_eval, make_scalar_space, triangle_rule
 from fpsi.mesh import Mesh
 from fpsi.monitor import CertificateReport, CertificateRow
+from fpsi.timestepper import (SchemeConfig, _jacobian, _pack, _residual_rows,
+                              step)
 
 
 def one_triangle_mesh(coords):
@@ -291,12 +296,13 @@ def dense_infsup_constant(blocks):
     return float(np.sqrt(lam))
 
 
-def einsum_quartic(space, z_free, order=8):
+def einsum_quartic(space, z_free):
     """``(Q, grad Q)`` of Q = int |v|^4 over ``space``'s cells, by einsum
     over (cell, point, component, dof), the form the package reshapes into
     two matmuls."""
-    vals = _rule_values(space.kind, order)
-    wdet = cell_quadrature(space.mesh, space.scalar.subdomain, order).wdet
+    vals = _rule_values(space.kind, cst.SF_ORDER)
+    wdet = cell_quadrature(space.mesh, space.scalar.subdomain,
+                           cst.SF_ORDER).wdet
     cell_dofs = space.cell_dofs_vector()
     full = np.zeros(space.ndof)
     full[space.free] = z_free
@@ -458,7 +464,7 @@ def scalar_cumulative(func, times):
 
 
 def rowwise_energy_report(traj, blocks, data, constants, funcs,
-                          newton_tol=1e-10, load_order=DEFAULT_LOAD_ORDER):
+                          newton_tol=1e-10):
     """The certificate rows and summary flags, one state at a time.
 
     Every quadratic form is a vector dot of one state, every data norm one
@@ -542,7 +548,7 @@ def rowwise_energy_report(traj, blocks, data, constants, funcs,
                     pi=state.pi)
                 jump = 0.0
 
-            a, b, c = assemble_loads(stage.t, data, dm, load_order)
+            a, b, c = assemble_loads(stage.t, data, dm)
             diss = dissipation(stage)
             conv, _ = blocks.convection(stage.alpha, jac=False)
             nterm = float(stage.alpha @ conv)
@@ -679,3 +685,114 @@ def tree_walk_eval(expr, x=0.0, y=0.0, t=0.0):
     if shape == ():
         return float(value)
     return np.array(np.broadcast_to(value, shape), dtype=float)
+
+
+def _oracle_data():
+    return ProblemData(
+        f_f=(1.0, X * Y),
+        f_s=(Y, X),
+        f_p=Cos(PI * X),
+        P_in=Sin(PI * Y),
+    )
+
+
+def kernel_oracle(nx=2, ny=2, split=0.5, params=None, dt=0.05, data=None,
+                  newton_tol=1e-13, newton_max=50):
+    """One implicit-Euler step re-solved on the divergence-free subspace.
+
+    Builds an orthonormal basis Z of the null space of the discrete
+    divergence, runs a dense Newton iteration for the unknowns (c, gamma,
+    theta) with the velocity parametrised as alpha = Z c (no multiplier) and
+    beta given by the kinematic identity beta = beta0 + dt theta, recovers
+    the multiplier from the momentum defect by least squares, and compares
+    everything against the production saddle-point step.  Returns a dict of
+    diagnostics; the relative differences should sit at solver tolerance.
+    """
+    params = PhysicalParams() if params is None else params
+    mesh = meshmod.build_rect_two_domain(nx, ny, split)
+    blocks = assemble_system(mesh, params, convection=True)
+    if blocks.n_alpha > 400:
+        raise ValueError("kernel oracle needs a tiny mesh "
+                         "(velocity space has %d free dofs)" % blocks.n_alpha)
+    if data is None:
+        data = _oracle_data()
+
+    cfg = SchemeConfig(scheme="euler", dt=dt, t_final=dt,
+                       newton_tol=newton_tol, newton_max=newton_max)
+    state0 = blocks.zero_state()
+    state1, diag = step(blocks, data, state0, cfg)
+
+    G = blocks.Gdiv.toarray()
+    Z = la.null_space(G)
+    null_dim = Z.shape[1]
+    rank = int(np.linalg.matrix_rank(G))
+    if rank < blocks.n_pi:
+        raise RuntimeError(
+            "divergence operator is rank deficient: rank %d of %d pressure "
+            "dofs" % (rank, blocks.n_pi))
+
+    na, nb, ng = blocks.n_alpha, blocks.n_beta, blocks.n_gamma
+    npi = blocks.n_pi
+    loads = assemble_loads(dt, data, blocks.dm)
+
+    def make_state(y):
+        c, g, th = y[:null_dim], y[null_dim:null_dim + ng], y[null_dim + ng:]
+        return StateVector(dt, Z @ c, state0.beta + dt * th, g, th,
+                           np.zeros(npi))
+
+    def reduced_residual(y):
+        rows, stage, _ = _residual_rows(blocks, "euler", state0,
+                                        _pack(make_state(y)), dt, loads)
+        r_mom, _, r_dar, r_str, _ = rows
+        return np.concatenate([Z.T @ r_mom, r_dar, r_str]), stage
+
+    proj = la.block_diag(Z, np.eye(ng), np.eye(nb))
+    y = np.zeros(null_dim + ng + nb)
+    r, stage = reduced_residual(y)
+    scale = max(1.0, float(np.abs(r).max()))
+    iterations = 0
+    while np.abs(r).max() > newton_tol * scale:
+        if iterations >= newton_max:
+            raise RuntimeError("reduced Newton iteration did not converge")
+        jac = _jacobian(blocks, "euler", dt, stage.alpha).toarray()
+        head = na + ng + nb
+        y = y - la.solve(proj.T @ jac[:head, :head] @ proj, r)
+        iterations += 1
+        r, stage = reduced_residual(y)
+    reduced = make_state(y)
+
+    # multiplier from the momentum defect: G^T pi = r_mom(z, pi = 0)
+    rows, _, _ = _residual_rows(blocks, "euler", state0, _pack(reduced), dt,
+                                loads)
+    pi_hat, *_ = np.linalg.lstsq(G.T, rows[0], rcond=None)
+
+    rows_prod, _, _ = _residual_rows(
+        blocks, "euler", state0,
+        _pack(StateVector(dt, state1.alpha, state1.beta, state1.gamma,
+                          state1.theta, np.zeros(npi))),
+        dt, loads)
+    defect = rows_prod[0]
+
+    def rel(ours, reference):
+        denom = max(float(la.norm(reference)), 1e-14)
+        return float(la.norm(ours - reference)) / denom
+
+    state_diff = max(
+        rel(reduced.alpha, state1.alpha),
+        rel(reduced.beta, state1.beta),
+        rel(reduced.gamma, state1.gamma),
+        rel(reduced.theta, state1.theta),
+    )
+    return {
+        "null_dim": null_dim,
+        "n_alpha": na,
+        "n_pi": npi,
+        "full_rank": rank == npi,
+        "state_diff": state_diff,
+        "pi_diff": rel(pi_hat, state1.pi),
+        "multiplier_residual": (float(la.norm(G.T @ state1.pi - defect))
+                                / max(float(la.norm(defect)), 1e-14)),
+        "constraint_norm": float(la.norm(G @ state1.alpha)),
+        "newton_iterations": iterations,
+        "production_iterations": diag.iterations,
+    }

@@ -29,7 +29,6 @@ from fpsi.verify import (
     RESIDUAL_KEYS,
     convergence_study,
     initial_state,
-    kernel_oracle,
     manufactured_case,
 )
 
@@ -141,7 +140,7 @@ def test_criterion_05_divergence_free_path_matches_saddle_point(criterion):
     details = []
     ok = True
     for nx, ny, split in ((2, 2, 0.5), (3, 3, 1.0 / 3.0)):
-        res = kernel_oracle(nx=nx, ny=ny, split=split)
+        res = oracles.kernel_oracle(nx=nx, ny=ny, split=split)
         worst = max(worst, res["state_diff"], res["pi_diff"],
                     res["multiplier_residual"])
         ok = ok and res["full_rank"]

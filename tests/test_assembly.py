@@ -24,7 +24,6 @@ from fpsi.assembly import (
     scalar_mass,
     scalar_stiffness,
     vector_divdiv,
-    vector_mass,
     vector_stiffness,
     vector_symgrad,
 )
@@ -87,46 +86,6 @@ def test_exact_zeros_stay_stored_on_the_dof_coupling_graph():
     assert np.count_nonzero(stiff.data == 0.0) > 0
     assert np.array_equal(stiff.indptr, mass.indptr)
     assert np.array_equal(stiff.indices, mass.indices)
-
-
-def test_lowest_exact_rule_gives_the_same_volume_blocks():
-    m = build_rect_two_domain(3, 4, 0.5)
-    dm = build_dofmaps(m)
-    assert abs(scalar_mass(dm.pressure_p, dm.pressure_p, 4)
-               - scalar_mass(dm.pressure_p, dm.pressure_p, 6)).max() == 0.0
-    assert abs(vector_symgrad(dm.velocity, 2)
-               - vector_symgrad(dm.velocity, 6)).max() == 0.0
-    assert abs(mixed_div(dm.pressure_f, dm.velocity, 2)
-               - mixed_div(dm.pressure_f, dm.velocity, 6)).max() == 0.0
-    with pytest.raises(ValueError):
-        vector_symgrad(dm.velocity, 1)
-    with pytest.raises(ValueError):
-        mixed_div(dm.pressure_p, dm.displacement, 2)
-
-
-def test_quadrature_order_sufficient_for_all_operators():
-    m = build_rect_two_domain(3, 4, 0.5)
-    dm = build_dofmaps(m)
-    for build, space in [
-        (vector_mass, dm.velocity),
-        (vector_symgrad, dm.velocity),
-        (vector_divdiv, dm.displacement),
-        (vector_stiffness, dm.displacement),
-    ]:
-        a6 = build(space, 6)
-        a8 = build(space, 8)
-        assert abs(a6 - a8).max() < 1e-13
-    m6 = scalar_mass(dm.pressure_p, dm.pressure_p, 6)
-    m8 = scalar_mass(dm.pressure_p, dm.pressure_p, 8)
-    assert abs(m6 - m8).max() < 1e-13
-    g6 = mixed_div(dm.pressure_f, dm.velocity, 6)
-    g8 = mixed_div(dm.pressure_f, dm.velocity, 8)
-    assert abs(g6 - g8).max() < 1e-13
-    with pytest.raises(ValueError):
-        scalar_mass(dm.pressure_p, dm.pressure_p, 3)
-    # the convection table is of degree 5
-    with pytest.raises(ValueError):
-        assemble_system(m, PhysicalParams(), convection=True, volume_order=4)
 
 
 def test_operator_symmetry():
@@ -262,7 +221,8 @@ def test_inlet_pressure_load_totals():
     assert abs(load[ns:]).max() < 1e-15
 
 
-def test_facet_loads_against_direct_quadrature():
+def test_facet_loads_against_direct_quadrature(monkeypatch):
+    import fpsi.assembly as asm
     m = build_rect_two_domain(4, 4, 0.5)
     dm = build_dofmaps(m)
     V, W, R = dm.velocity, dm.displacement, dm.pressure_p
@@ -289,7 +249,7 @@ def test_facet_loads_against_direct_quadrature():
 
     # the oracle's 12-point Gauss rule, so non-polynomial data agree to
     # round-off
-    order = 22
+    monkeypatch.setattr(asm, "LOAD_ORDER", 22)
     pext = m.facets_with_tag(meshmod.PORO_EXTERNAL)
     psol = m.facets_with_tag(meshmod.PORO_SOLID)
     pext_tris = _boundary_facet_tris(m, pext)
@@ -300,7 +260,7 @@ def test_facet_loads_against_direct_quadrature():
     ]
     rng = np.random.default_rng(5)
     for space, facets, tris, data, integrand in cases:
-        vec = load_facet(space, facets, tris, data, t, order)
+        vec = load_facet(space, facets, tris, data, t)
         for _ in range(3):
             coeffs = rng.standard_normal(space.ndof)
             ref = oracles.facet_functional(m, space, coeffs, facets, tris,
@@ -308,7 +268,7 @@ def test_facet_loads_against_direct_quadrature():
             assert coeffs @ vec == pytest.approx(ref, rel=1e-12)
     # the tangential displacement is fixed on the outer poroelastic sides,
     # so on free dofs the traction is its normal-normal part
-    vec = load_facet(W, pext, pext_tris, S, t, order)
+    vec = load_facet(W, pext, pext_tris, S, t)
     for _ in range(3):
         coeffs = np.zeros(W.ndof)
         coeffs[W.free] = rng.standard_normal(W.n_free)
@@ -347,7 +307,7 @@ def test_facet_loads_trace_once_per_mesh(monkeypatch):
     assert len(traced) == 1
     # the same load with the trace, basis and dofs rebuilt for each call
     for t, load in zip(times, loads):
-        x, ref, wts, n = facet_trace(m, inlet, tris, asm.DEFAULT_LOAD_ORDER)
+        x, ref, wts, n = facet_trace(m, inlet, tris, asm.LOAD_ORDER)
         vals, _ = asm._trace_basis(V.kind, ref)
         pn = p(x[..., 0], x[..., 1], t)[..., None] * n[:, None, :]
         local = np.einsum("fq,fqik,fqk->fi", wts, vals, pn)
@@ -397,7 +357,7 @@ def test_convection_jacobian_matches_finite_differences():
 
 
 def test_trilinear_table_matches_symbolic_integration():
-    table = _reference_table("trilinear", ElementKind.P2, ElementKind.P2, 5)
+    table = _reference_table("trilinear", ElementKind.P2, ElementKind.P2)
     np.testing.assert_allclose(table, oracles.sympy_trilinear_table(),
                                rtol=0.0, atol=1e-16)
 

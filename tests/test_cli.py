@@ -14,7 +14,7 @@ import oracles
 from fpsi import cli, constants as cst, io as fio
 from fpsi.cli import ConfigError, RunConfig, main, parse_config
 from fpsi.constants import CONSTANT_KINDS, ConstantEstimate
-from fpsi.mesh import build_rect_two_domain, write_mesh
+from fpsi.mesh import Mesh, build_rect_two_domain, write_mesh
 from fpsi.verify import ERROR_KEYS, RESIDUAL_KEYS, ConvergenceTable, LevelRun, StudyError
 
 
@@ -125,6 +125,8 @@ def test_syntax_errors_located(tmp_path):
         parse_config(_config(tmp_path, "nx = 4\n"))
     with pytest.raises(ConfigError, match=r"unknown key mesh\.nz"):
         parse_config(_config(tmp_path, "[mesh]\nnz = 4\n"))
+    with pytest.raises(ConfigError, match=r"unknown key scheme\.load_order"):
+        parse_config(_config(tmp_path, "[scheme]\nload_order = 8\n"))
     with pytest.raises(ConfigError, match=r"duplicate key mesh\.nx"):
         parse_config(_config(tmp_path, "[mesh]\nnx = 4\nnx = 8\n"))
     with pytest.raises(ConfigError, match="unterminated section"):
@@ -199,6 +201,25 @@ def test_validate_mesh_command(tmp_path, capsys):
     bad.write_text("fsimesh 9\n")
     assert main(["validate-mesh", str(bad)]) == 1
     assert "invalid mesh" in capsys.readouterr().err
+
+
+def test_mesh_that_fails_validation_exits_one(tmp_path, capsys):
+    m = build_rect_two_domain(2, 2, 0.5)
+    tris = m.triangles.copy()
+    tris[0] = tris[0][::-1]
+    path = tmp_path / "flipped.mesh"
+    write_mesh(Mesh(m.vertices, tris, m.tri_tags, m.facets, m.facet_tags),
+               path)
+    problem = "triangle 0 has non-positive area -0.125"
+    assert main(["validate-mesh", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert "invalid mesh: %s" % problem in err and out == ""
+    cfg = _config(tmp_path, "[mesh]\nfile = %s\n\n[run]\noutput_dir = %s\n"
+                  % (path, tmp_path / "out"))
+    for command in ("run", "constants", "check-small-data"):
+        assert main([command, cfg]) == 1
+        assert "mesh error: %s" % problem in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -98,7 +98,7 @@ def test_sobolev_constant_reproducible_and_above_benchmark(blocks8):
     vx = parse_expression("cos(pi*(y - 0.5))")
     z = interpolate_vector(V, (vx, ZERO))[V.free]
     z /= np.sqrt(z @ (K @ z))
-    form = cst._QuarticForm(V, 8)
+    form = cst._QuarticForm(V)
     benchmark = form.value_and_grad(z)[0] ** 0.25
     assert benchmark == pytest.approx(0.4189, abs=2e-3)
     assert value1 >= benchmark
@@ -116,19 +116,19 @@ def test_quartic_matmuls_match_the_einsum_form(n):
     """The two-matmul |v|^4 form and gradient equal the einsum contraction."""
     mesh = meshmod.build_rect_two_domain(n, n, 0.5)
     V = assemble_system(mesh, PhysicalParams(), convection=False).dm.velocity
-    form = cst._QuarticForm(V, 8)
+    form = cst._QuarticForm(V)
     rng = np.random.default_rng(n)
     for _ in range(3):
         z = rng.standard_normal(V.n_free)
         value, grad = form.value_and_grad(z)
-        ref_value, ref_grad = oracles.einsum_quartic(V, z, 8)
+        ref_value, ref_grad = oracles.einsum_quartic(V, z)
         assert value == pytest.approx(ref_value, rel=1e-14, abs=0.0)
         assert np.abs(grad - ref_grad).max() <= 1e-14 * np.abs(ref_grad).max()
 
 
 def test_quartic_hessian_is_the_derivative_of_the_gradient(blocks8):
     V = blocks8.dm.velocity
-    form = cst._QuarticForm(V, 8)
+    form = cst._QuarticForm(V)
     rng = np.random.default_rng(3)
     z, w = rng.standard_normal((2, V.n_free))
     h = 1e-4

@@ -6,7 +6,7 @@ import pytest
 
 import oracles
 from fpsi import expressions
-from fpsi.assembly import DEFAULT_LOAD_ORDER, cell_quadrature
+from fpsi.assembly import LOAD_ORDER, cell_quadrature
 from fpsi.expressions import (
     PI,
     T,
@@ -209,7 +209,7 @@ QUOTIENTS = ("exp(x*y)/(2 + t)", "sin(pi*x)/(1 + y^2)^2 - t/(3 + x)^-1")
 @pytest.mark.parametrize("source", CASE_IDS + ("quotients",))
 def test_evaluation_matches_the_tree_walk_oracle(source):
     q = cell_quadrature(build_rect_two_domain(4, 4, 0.5), None,
-                        DEFAULT_LOAD_ORDER)
+                        LOAD_ORDER)
     times = np.array([0.0, 0.3, 1.7])[:, None, None]
     fields = ([parse_expression(text) for text in QUOTIENTS]
               if source == "quotients"

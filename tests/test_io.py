@@ -203,7 +203,7 @@ def _read_vtk(path):
 
 def test_vtk_zero_state(tmp_path, mesh, dm):
     path = tmp_path / "zero.vtk"
-    fio.emit_vtk(_zero_state(dm), mesh, path)
+    fio.emit_vtk(_zero_state(dm), dm, path)
     data = _read_vtk(path)
     assert data["points"].shape == (mesh.num_vertices, 3)
     assert np.array_equal(data["points"][:, :2], mesh.vertices)
@@ -218,7 +218,7 @@ def test_vtk_zero_state(tmp_path, mesh, dm):
 def test_vtk_values_and_padding(tmp_path, mesh, dm):
     state = _random_state(dm)
     path = tmp_path / "state.vtk"
-    fio.emit_vtk(state, mesh, path)
+    fio.emit_vtk(state, dm, path)
     data = _read_vtk(path)
 
     # velocity vanishes identically below the interface (zero padding), and
@@ -250,8 +250,8 @@ def test_vtk_values_and_padding(tmp_path, mesh, dm):
 def test_vtk_reemission_is_bit_identical(tmp_path, mesh, dm):
     state = _random_state(dm)
     a, b = tmp_path / "a.vtk", tmp_path / "b.vtk"
-    fio.emit_vtk(state, mesh, a)
-    fio.emit_vtk(state, mesh, b)
+    fio.emit_vtk(state, dm, a)
+    fio.emit_vtk(state, dm, b)
     assert a.read_bytes() == b.read_bytes()
 
 
@@ -259,7 +259,7 @@ def test_vtk_rejects_mismatched_state(tmp_path, mesh, dm):
     state = _zero_state(dm)
     state.alpha = np.zeros(len(state.alpha) + 1)
     with pytest.raises(ValueError, match="does not match mesh"):
-        fio.emit_vtk(state, mesh, tmp_path / "bad.vtk")
+        fio.emit_vtk(state, dm, tmp_path / "bad.vtk")
 
 
 # ---------------------------------------------------------------------------

@@ -88,6 +88,32 @@ def test_interface_orientation_points_into_poro_side():
     assert np.all(m.tri_tags[m.interface_poro_tri] == PORO)
 
 
+def test_validate_flags_a_poro_triangle_folded_onto_the_fluid_side(tmp_path):
+    m = build_rect_two_domain(1, 2, 0.5)
+    vertices = m.vertices.copy()
+    vertices[0] = (0.3, 0.8)
+    tris = m.triangles.copy()
+    tris[1] = (0, 2, 3)
+    folded = Mesh(vertices, tris, m.tri_tags, m.facets, m.facet_tags)
+    assert np.all(folded.signed_areas() > 0.0)
+    f = folded.interface_facets[0]
+    assert validate(folded) == [
+        "interface facet %d has its Fluid and Poro triangles on the same side"
+        % f]
+
+    # interior vertices moved off the grid, through a file: still valid
+    m = build_rect_two_domain(4, 4, 0.5)
+    vertices = m.vertices.copy()
+    inner = np.flatnonzero((vertices > 0.0).all(axis=1)
+                           & (vertices < 1.0).all(axis=1))
+    vertices[inner] += np.random.default_rng(2).uniform(-0.05, 0.05,
+                                                        (len(inner), 2))
+    path = tmp_path / "perturbed.mesh"
+    write_mesh(Mesh(vertices, m.triangles, m.tri_tags, m.facets,
+                    m.facet_tags), path)
+    assert validate(read_mesh(path)) == []
+
+
 @pytest.mark.parametrize("nx,ny,split", [
     (0, 4, 0.5),
     (4, 1, 0.5),
