@@ -38,6 +38,12 @@ reference coordinates in that triangle, the weights times the facet length
 and the outward normal.  :func:`facet_matrix` and :func:`load_facet`, which
 applies the normal by the field's rank, contract basis values at those points
 in one step and scatter the per-facet results with the triangles' dofs.
+
+A right-hand side is ``tau(t) @ B``: every data field is split once into
+time factors ``tau_j(t)`` times space fields (:func:`separate`), and row
+``j`` of ``B`` is the load of the space fields of ``tau_j``, built on the
+first :func:`assemble_loads` for a mesh and data set.  A step evaluates no
+field on quadrature points unless a term mixes ``t`` with ``x`` or ``y``.
 """
 
 from __future__ import annotations
@@ -51,7 +57,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import mesh as meshmod
-from .expressions import Expr, Const, ZERO
+from .expressions import Expr, Const, ZERO, separate
 from .fem import (
     ElementKind,
     VectorSpace,
@@ -338,6 +344,19 @@ _TABLE_FORM = {"mass": (1, 0), "grad": (1, 1), "gradgrad": (1, 2),
                "trilinear": (2, 1)}
 
 
+def _table_sum(table, test_kind, trial_kind, rule):
+    """A reference-triangle table summed with ``rule``."""
+    vt, gt = basis_eval(test_kind, rule.points)
+    vs, gs = basis_eval(trial_kind, rule.points)
+    if table == "mass":
+        return np.einsum("q,qi,qj->ij", rule.weights, vt, vs)
+    if table == "grad":
+        return np.einsum("q,qi,qjk->kij", rule.weights, vt, gs)
+    if table == "gradgrad":
+        return np.einsum("q,qik,qjl->klij", rule.weights, gt, gs)
+    return np.einsum("q,qi,qj,qlk->kijl", rule.weights, vt, vs, gs)
+
+
 @lru_cache(maxsize=None)
 def _reference_table(table, test_kind, trial_kind):
     """Exact reference-triangle table of two scalar element kinds.
@@ -348,28 +367,25 @@ def _reference_table(table, test_kind, trial_kind):
     ``T[k, i, j, l] = int N_i M_j d_k M_l``, with ``d_k`` the derivative in
     reference coordinate ``k``.  The table is summed with the lowest rule
     exact for its integrand's degree and snapped to its exact rational
-    value; a sum off that grid means the rule was not exact and raises
-    ``ValueError``.
+    value.  A sum off that grid, or one that differs from the sum with the
+    next higher rule, means the rule was not exact and raises
+    ``ValueError``: the grid alone cannot tell, since a rule one degree too
+    low can land on it.
     """
     factors, derivatives = _TABLE_FORM[table]
     degree = (_POLY_DEGREE[test_kind] + factors * _POLY_DEGREE[trial_kind]
               - derivatives)
-    rule = triangle_rule(max(degree, 1))
-    vt, gt = basis_eval(test_kind, rule.points)
-    vs, gs = basis_eval(trial_kind, rule.points)
-    if table == "mass":
-        summed = np.einsum("q,qi,qj->ij", rule.weights, vt, vs)
-    elif table == "grad":
-        summed = np.einsum("q,qi,qjk->kij", rule.weights, vt, gs)
-    elif table == "gradgrad":
-        summed = np.einsum("q,qik,qjl->klij", rule.weights, gt, gs)
-    else:
-        summed = np.einsum("q,qi,qj,qlk->kijl", rule.weights, vt, vs, gs)
+    summed = _table_sum(table, test_kind, trial_kind,
+                        triangle_rule(max(degree, 1)))
+    higher = _table_sum(table, test_kind, trial_kind,
+                        triangle_rule(degree + 1))
     scaled = summed * _TABLE_DENOMINATOR
     snapped = np.rint(scaled)
     if np.abs(scaled - snapped).max() > 1e-9:
         raise ValueError("the %s table is not a multiple of 1/%d"
                          % (table, _TABLE_DENOMINATOR))
+    if np.abs(summed - higher).max() > 1e-12:
+        raise ValueError("the %s table changes with a higher rule" % table)
     # + 0.0 turns the -0.0 of an entry summed to a tiny negative into 0.0,
     # so the table's bits do not depend on the rule
     exact = snapped / _TABLE_DENOMINATOR + 0.0
@@ -546,16 +562,14 @@ def _trace_basis(kind, ref):
             grads.reshape(ref.shape[:2] + grads.shape[1:]))
 
 
-FacetQuadrature = namedtuple("FacetQuadrature",
-                             "x wts normals vals grads dofs")
+FacetQuadrature = namedtuple("FacetQuadrature", "x wts normals vals dofs")
 _FACET_QUADRATURE = weakref.WeakKeyDictionary()
 
 
 def facet_quadrature(space, facets, tris, order):
-    """:func:`facet_trace` plus the space's basis values ``vals`` and
-    physical gradients ``grads`` (derivative axis last) at the points and
-    the ``dofs`` of every ``tris[f]``; built once per (element kind,
-    subdomain, facets, tris, order) and read-only, like
+    """:func:`facet_trace` plus the space's basis values ``vals`` at the
+    points and the ``dofs`` of every ``tris[f]``; built once per (element
+    kind, subdomain, facets, tris, order) and read-only, like
     :func:`cell_quadrature`, so a facet load only evaluates its data."""
     facets = np.asarray(facets, dtype=int)
     tris = np.asarray(tris, dtype=int)
@@ -564,14 +578,22 @@ def facet_quadrature(space, facets, tris, order):
            tris.tobytes(), int(order))
     if key not in per_mesh:
         x, ref, wts, normals = facet_trace(space.mesh, facets, tris, order)
-        vals, grads = _trace_basis(space.kind, ref)
-        _, jinv, _ = _geometry(space.mesh, tris)
-        grads = np.einsum("fqi...k,fkj->fqi...j", grads, jinv)
-        per_mesh[key] = FacetQuadrature(x, wts, normals, vals, grads,
+        vals, _ = _trace_basis(space.kind, ref)
+        per_mesh[key] = FacetQuadrature(x, wts, normals, vals,
                                         _cell_dofs(space, tris))
         for array in per_mesh[key]:
             array.setflags(write=False)
     return per_mesh[key]
+
+
+def facet_gradients(space, facets, tris, order):
+    """The space's physical basis gradients (derivative axis last) at the
+    points of :func:`facet_quadrature`.  Not cached: only the interface
+    residuals of a finished run read them."""
+    _, ref, _, _ = facet_trace(space.mesh, facets, tris, order)
+    _, grads = _trace_basis(space.kind, ref)
+    _, jinv, _ = _geometry(space.mesh, np.asarray(tris, dtype=int))
+    return np.einsum("fqi...k,fkj->fqi...j", grads, jinv)
 
 
 def facet_matrix(test_space, trial_space, facets, test_tris, trial_tris,
@@ -950,21 +972,90 @@ def _facet_side(mesh, space, tag):
                     else mesh.interface_poro_tri)
 
 
-def assemble_loads(t, data, dm):
-    """Assemble the free-dof right-hand sides (a, b, c) at time ``t``."""
-    names = ("velocity", "displacement", "pressure_p")
-    loads = {name: load_volume(getattr(dm, name), f, t)
-             for name, f in zip(names, (data.f_f, data.f_s, data.f_p))}
+# the spaces of the three right-hand sides (a, b, c), in order
+_LOAD_SPACES = ("velocity", "displacement", "pressure_p")
+_LOAD_TABLES = weakref.WeakKeyDictionary()
+
+
+def _load_sites(data):
+    """(space name, facet tag or None for the cells, field) of every load."""
     extra = vars(data.extra or ExtraLoads())
-    terms = [("velocity", meshmod.FLUID_INLET, -data.P_in)] + [
-        _EXTRA_LOAD_SITES[key] + (field,) for key, field in extra.items()
-        if field is not None]
-    for name, tag, field in terms:
-        space = getattr(dm, name)
-        facets, tris = _facet_side(dm.mesh, space, tag)
-        if len(facets):
-            loads[name] += load_facet(space, facets, tris, field, t)
-    return tuple(loads[name][getattr(dm, name).free] for name in names)
+    return ([(name, None, f) for name, f in
+             zip(_LOAD_SPACES, (data.f_f, data.f_s, data.f_p))]
+            + [("velocity", meshmod.FLUID_INLET, -data.P_in)]
+            + [_EXTRA_LOAD_SITES[key] + (field,)
+               for key, field in extra.items() if field is not None])
+
+
+def _site_load(dm, name, tag, field, t):
+    """The free-dof load of ``field`` on the cells or facets of one site."""
+    space = getattr(dm, name)
+    if tag is None:
+        return load_volume(space, field, t)[space.free]
+    facets, tris = _facet_side(dm.mesh, space, tag)
+    if not len(facets):
+        return np.zeros(space.n_free)
+    return load_facet(space, facets, tris, field, t)[space.free]
+
+
+def _separated(field):
+    """``{time factor: space field}`` of an expression, a pair or a 2x2
+    nest (see :func:`separate`), each space field in the field's nesting
+    with zero where a component has no term of that factor."""
+    if isinstance(field, Expr):
+        return dict(separate(field))
+    parts = [_separated(f) for f in field]
+    return {tau: tuple(part.get(tau, _map_nest(lambda e: ZERO, f))
+                       for part, f in zip(parts, field))
+            for tau in dict.fromkeys(tau for part in parts for tau in part)}
+
+
+def _depends_on_t(field):
+    if isinstance(field, Expr):
+        return "t" in field.variables
+    return any(_depends_on_t(f) for f in field)
+
+
+def _load_table(data, dm):
+    """Per load space: the time factors ``tau``, the matrix ``B`` whose row
+    ``j`` is the free-dof load of every space field of ``tau[j]``, and the
+    space-time terms ``(tau, tag, field)`` a load evaluates at its time.
+
+    Built on first use for a mesh and data set and kept as long as the mesh
+    lives, like :func:`cell_quadrature`: the dof maps of a mesh are fixed.
+    """
+    per_mesh = _LOAD_TABLES.setdefault(dm.mesh, {})
+    if data not in per_mesh:
+        rows = {name: {} for name in _LOAD_SPACES}
+        mixed = {name: [] for name in _LOAD_SPACES}
+        for name, tag, field in _load_sites(data):
+            for tau, space_field in _separated(field).items():
+                if _depends_on_t(space_field):
+                    mixed[name].append((tau, tag, space_field))
+                    continue
+                load = _site_load(dm, name, tag, space_field, 0.0)
+                rows[name][tau] = rows[name].get(tau, 0.0) + load
+        per_mesh[data] = {name: (
+            tuple(rows[name]),
+            np.array(list(rows[name].values())).reshape(
+                len(rows[name]), getattr(dm, name).n_free),
+            mixed[name]) for name in _LOAD_SPACES}
+    return per_mesh[data]
+
+
+def assemble_loads(t, data, dm):
+    """Assemble the free-dof right-hand sides (a, b, c) at time ``t``.
+
+    Each is ``tau(t) @ B`` from the tables of :func:`_load_table`, plus the
+    load of any term that does not separate in time, evaluated at ``t``.
+    """
+    loads = []
+    for name, (taus, table, mixed) in _load_table(data, dm).items():
+        load = np.array([tau(t=t) for tau in taus]) @ table
+        for tau, tag, field in mixed:
+            load += tau(t=t) * _site_load(dm, name, tag, field, t)
+        loads.append(load)
+    return tuple(loads)
 
 
 def residual(blocks, state, state_dot, loads, nl):

@@ -12,6 +12,8 @@ All expressions are nodes of one interned graph (hash-consing): a
 structurally equal subexpression is always the same :class:`Expr`, so a
 call computes each distinct subexpression once, and evaluation,
 differentiation and ``repr`` are tables over the node's operator.
+:func:`separate` splits an expression once into time factors times space
+fields, so a consumer can evaluate the space fields once per mesh.
 """
 
 from __future__ import annotations
@@ -88,10 +90,12 @@ class Expr:
     are one object.  Nodes are immutable; arithmetic operators build new
     (lightly constant-folded) nodes.  Calling a node evaluates it with
     numpy broadcasting over the given ``x``, ``y``, ``t`` arrays, computing
-    each distinct node below it once.
+    each distinct node below it once.  ``variables`` is the set of variable
+    names the node depends on.
     """
 
-    __slots__ = ("op", "args", "_program", "_derivatives", "__weakref__")
+    __slots__ = ("op", "args", "variables", "_program", "_derivatives",
+                 "__weakref__")
 
     def __new__(cls, op, args):
         key = (op, struct.pack("<d", args[0])) if op == "const" \
@@ -100,6 +104,8 @@ class Expr:
         if node is None:
             node = super().__new__(cls)
             node.op, node.args = op, args
+            node.variables = frozenset(args) if op == "var" else frozenset(
+                v for a in args if isinstance(a, Expr) for v in a.variables)
             node._program, node._derivatives = None, {}
             _INTERNED[key] = node
         return node
@@ -450,6 +456,73 @@ def parse_expression(text):
     if not text.strip():
         raise ExpressionError("empty expression")
     return _Parser(text).parse()
+
+
+# ---------------------------------------------------------------------------
+# separation into time factors times space fields
+# ---------------------------------------------------------------------------
+
+_SPACE = frozenset("xy")
+
+
+def separate(expr):
+    """``expr`` as ``sum_j tau_j(t) * s_j(x, y)``: the pairs ``(tau_j, s_j)``.
+
+    A node free of ``t`` is a space field.  ``add``, ``sub`` and ``neg``
+    concatenate their operands' terms, ``mul`` and a positive integer
+    ``pow`` distribute, and ``div`` keeps its terms when the denominator is
+    free of ``t`` (or of ``x`` and ``y``), so constants and signs end on the
+    space side.  Any other node of ``t`` alone is a time factor, and
+    anything else one space-time term with time factor 1: a space field
+    that still depends on ``t`` marks a term that does not separate.  Terms
+    are grouped by time factor, one per distinct factor in order of first
+    appearance, none with a zero space field.
+    """
+    memo = {}
+
+    def terms(node):
+        if node not in memo:
+            memo[node] = _grouped(split(node))
+        return memo[node]
+
+    def split(node):
+        op, args = node.op, node.args
+        if "t" not in node.variables:
+            return [(ONE, node)]
+        if op == "add":
+            return terms(args[0]) + terms(args[1])
+        if op == "sub":
+            return terms(args[0]) + [(tau, -s) for tau, s in terms(args[1])]
+        if op == "neg":
+            return [(tau, -s) for tau, s in terms(args[0])]
+        if op == "mul":
+            return _products(terms(args[0]), terms(args[1]))
+        if op == "pow" and args[1] > 0:
+            out = terms(args[0])
+            for _ in range(args[1] - 1):
+                out = _grouped(_products(out, terms(args[0])))
+            return out
+        if op == "div" and "t" not in args[1].variables:
+            return [(tau, s / args[1]) for tau, s in terms(args[0])]
+        if op == "div" and not args[1].variables & _SPACE:
+            return [(tau / args[1], s) for tau, s in terms(args[0])]
+        if not node.variables & _SPACE:
+            return [(node, ONE)]
+        return [(ONE, node)]
+
+    return tuple(terms(_wrap(expr)))
+
+
+def _products(left, right):
+    return [(ta * tb, sa * sb) for ta, sa in left for tb, sb in right]
+
+
+def _grouped(pairs):
+    """One pair per time factor, its space fields summed; zero ones dropped."""
+    space = {}
+    for tau, s in pairs:
+        space[tau] = space[tau] + s if tau in space else s
+    return [(tau, s) for tau, s in space.items() if s is not ZERO]
 
 
 # ---------------------------------------------------------------------------

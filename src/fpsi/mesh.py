@@ -196,10 +196,6 @@ class Mesh:
         n[inward] = -n[inward]
         return n
 
-    def facet_normal(self, facet, triangle):
-        """Unit normal of ``facet`` pointing out of ``triangle``."""
-        return self.facet_normals([facet], [triangle])[0]
-
 
 def build_rect_two_domain(nx, ny, split):
     """Structured mesh of the unit square with the interface at ``y = split``.

@@ -15,7 +15,9 @@ trajectory:
   lifted inlet trace norm), together with their L2(0,T) and Linf(0,T)
   envelopes.  Every time integral is one 6-point Gauss panel per interval,
   the intervals the time steps of a trajectory or 64 uniform panels for an
-  envelope, the fields evaluated at a block of quadrature times per call.
+  envelope; every squared norm at all those times is ``tau' G tau``, with
+  ``tau`` the time factors of the data and ``G`` the Gram matrix of their
+  space fields, built once per mesh.
 
 - :func:`check_small_data` compares the combined data functional against
   the threshold ``mu_f^3 / (9 rho_f^2 Sf^4 Kf^6)`` and gives the critical
@@ -45,6 +47,7 @@ from .assembly import (
     facet_trace,
 )
 from .constants import ConstantEstimate, InletLifting
+from .expressions import separate
 
 
 def constants_dict(values):
@@ -97,27 +100,58 @@ def _envelope_edges(t_final):
 class _FieldNorm:
     """Squared L2 norm of data fields at fixed points with weights ``w``.
 
-    ``t`` is one time or an array of times (the result has its shape); the
-    fields are evaluated ``_TIME_BLOCK`` times per call, the time as leading
-    broadcast axis.  A constant field adds ``c^2`` times the measure.
+    ``t`` is one time or an array of times (the result has its shape).
+    Each set of fields is split once into time factors ``tau`` times space
+    fields (:func:`separate`), whose Gram matrix ``G`` at the points is
+    built on first use, so the norm at every time is ``tau(t)' G tau(t)``,
+    round-off below zero clipped to zero.  A field set with a term that
+    does not separate is evaluated at the points at every time,
+    ``_TIME_BLOCK`` times per call, the time as leading broadcast axis.
     """
 
     def __init__(self, x, y, w):
         self.x, self.y, self.w = x, y, w.ravel()
-        self.measure = float(np.sum(w))
+        self._tables = {}
+
+    def _table(self, fields):
+        """(time factors, Gram matrix) of ``fields``; None if one of them
+        does not separate."""
+        if fields in self._tables:
+            return self._tables[fields]
+        parts = [separate(f) for f in fields]
+        if any("t" in s.variables for part in parts for _, s in part):
+            self._tables[fields] = None
+            return None
+        taus = list(dict.fromkeys(tau for part in parts for tau, _ in part))
+        gram = np.zeros((len(taus), len(taus)))
+        for part in filter(None, parts):
+            at = [taus.index(tau) for tau, _ in part]
+            values = np.array([s(self.x, self.y).ravel() for _, s in part])
+            gram[np.ix_(at, at)] += (values * self.w) @ values.T
+        self._tables[fields] = (taus, gram)
+        return self._tables[fields]
 
     def norm_sq(self, fields, t):
         fields = fields if isinstance(fields, tuple) else (fields,)
-        times = np.asarray(t, dtype=float)
+        times = np.asarray(t, dtype=float).ravel()
+        table = self._table(fields)
+        if table is None:
+            out = self._evaluated(fields, times)
+        else:
+            taus, gram = table
+            tau = np.array([f(t=times) for f in taus]).reshape(
+                len(taus), len(times))
+            out = np.maximum(np.sum(tau * (gram @ tau), axis=0), 0.0)
+        return float(out[0]) if np.ndim(t) == 0 else out.reshape(np.shape(t))
+
+    def _evaluated(self, fields, times):
         column = times.reshape((-1,) + (1,) * self.x.ndim)
-        out = np.full(len(column), self.measure * sum(
-            f.args[0] ** 2 for f in fields if f.op == "const"))
-        varying = [f for f in fields if f.op != "const"]
-        for k in range(0, len(column) if varying else 0, _TIME_BLOCK):
+        out = np.empty(len(column))
+        for k in range(0, len(column), _TIME_BLOCK):
             block = column[k:k + _TIME_BLOCK]
-            sq = sum(f(self.x, self.y, block) ** 2 for f in varying)
-            out[k:k + _TIME_BLOCK] += sq.reshape(len(block), -1) @ self.w
-        return float(out[0]) if times.ndim == 0 else out.reshape(times.shape)
+            sq = sum(f(self.x, self.y, block) ** 2 for f in fields)
+            out[k:k + _TIME_BLOCK] = sq.reshape(len(block), -1) @ self.w
+        return out
 
 
 class DataFunctionals:

@@ -40,6 +40,7 @@ from .assembly import (
     _rule_values,
     assemble_system,
     cell_quadrature,
+    facet_gradients,
     facet_quadrature,
     interface_tangents,
 )
@@ -396,9 +397,10 @@ def interface_residuals(blocks, state):
         """Values and physical gradients, ``grad[..., comp, deriv]``, of a
         field at the trace points of its triangles ``tris``."""
         q = facet_quadrature(space, facets, tris, RESIDUAL_ORDER)
+        grads = facet_gradients(space, facets, tris, RESIDUAL_ORDER)
         co = _full(space, free_values)[q.dofs]
         return (np.einsum("fqi...,fi->fq...", q.vals, co),
-                np.einsum("fqi...,fi->fq...", q.grads, co))
+                np.einsum("fqi...,fi->fq...", grads, co))
 
     u, gu = trace(dm.velocity, state.alpha, tf)
     pf, _ = trace(dm.pressure_f, state.pi, tf)

@@ -6,15 +6,18 @@ integration, the convection term from per-cell Gauss quadrature, trace
 integrals from a hand-rolled Gauss loop, extremal pencil eigenvalues from a
 dense LAPACK solve (on explicitly formed Schur complements where the package
 works matrix-free or on the full space), the energy certificate from a
-loop over states with one scalar data-norm call per time, the Newton
-matrix on all five unknowns where the package condenses the kinematic
-row, and data expressions by a recursive tree walk that shares nothing
+loop over states with one scalar data-norm call per time, the loads and
+data norms with every field evaluated on the quadrature points at every
+time where the package splits each field once into time factors times
+space fields, the Newton matrix on all five unknowns where the package
+condenses the kinematic row, and data expressions by a recursive tree walk that shares nothing
 where the package evaluates each distinct node once, and the |v|^4 form
 of the Sobolev ascent by ``einsum`` where the package uses two matmuls,
 and one time step re-solved on the divergence-free subspace by a dense
 Newton iteration where the package solves the saddle-point system.
 The module also holds the refinement helpers behind the constants
-criterion and the CSV reader of the result tables, which no command uses.
+criterion, the CSV reader of the result tables, which no command uses, and
+two data sets: the README example's and one whose fields mix time and space.
 Tests compare the production code against these.
 """
 
@@ -26,6 +29,7 @@ import scipy.linalg as la
 import scipy.sparse as sp
 import sympy as sym
 
+from fpsi import assembly as asm
 from fpsi import constants as cst
 from fpsi import mesh as meshmod
 from fpsi import monitor as mon
@@ -35,11 +39,13 @@ from fpsi.assembly import (PhysicalParams, ProblemData, StateVector,
                            cell_quadrature, facet_matrix, restrict,
                            scalar_mass, scalar_stiffness)
 from fpsi.expressions import Cos, PI, Sin, X, Y
+from fpsi.expressions import parse_expression as pe
 from fpsi.fem import ElementKind, basis_eval, make_scalar_space, triangle_rule
 from fpsi.mesh import Mesh
 from fpsi.monitor import CertificateReport, CertificateRow
 from fpsi.timestepper import (SchemeConfig, _jacobian, _pack, _residual_rows,
                               step)
+from fpsi.verify import CASE_IDS, manufactured_case
 
 
 def one_triangle_mesh(coords):
@@ -687,6 +693,28 @@ def tree_walk_eval(expr, x=0.0, y=0.0, t=0.0):
     return np.array(np.broadcast_to(value, shape), dtype=float)
 
 
+DATA_SETS = ("readme", "space-time") + CASE_IDS
+
+
+def data_set(name):
+    """Data of :data:`DATA_SETS`: the README example's, one in which a term
+    of every field mixes t with x or y, or a manufactured case's."""
+    if name == "readme":
+        return ProblemData(
+            f_f=(pe("0.4*sin(pi*x)*cos(t)"), pe("0.2*cos(pi*y)*sin(t)")),
+            f_p=pe("0.3*cos(pi*x)*cos(t)"),
+            P_in=pe("0.2*(1 + 0.5*sin(t))"),
+        )
+    if name == "space-time":
+        return ProblemData(
+            f_f=(pe("sin(pi*x*t)"), pe("cos(t)*y")),
+            f_s=(pe("x*t"), pe("exp(x*t)")),
+            f_p=pe("sin(pi*x*t)*cos(t) + x"),
+            P_in=pe("1/(1 + y*t)"),
+        )
+    return manufactured_case(name).data
+
+
 def _oracle_data():
     return ProblemData(
         f_f=(1.0, X * Y),
@@ -796,3 +824,44 @@ def kernel_oracle(nx=2, ny=2, split=0.5, params=None, dt=0.05, data=None,
         "newton_iterations": iterations,
         "production_iterations": diag.iterations,
     }
+
+
+def per_time_loads(t, data, dm):
+    """The right-hand sides (a, b, c) at time ``t``, every data field
+    evaluated at ``t`` on the quadrature points of every load site."""
+    names = ("velocity", "displacement", "pressure_p")
+    loads = {name: asm.load_volume(getattr(dm, name), f, t)
+             for name, f in zip(names, (data.f_f, data.f_s, data.f_p))}
+    extra = vars(data.extra or asm.ExtraLoads())
+    terms = [("velocity", meshmod.FLUID_INLET, -data.P_in)] + [
+        asm._EXTRA_LOAD_SITES[key] + (field,) for key, field in extra.items()
+        if field is not None]
+    for name, tag, field in terms:
+        space = getattr(dm, name)
+        facets, tris = asm._facet_side(dm.mesh, space, tag)
+        if len(facets):
+            loads[name] += asm.load_facet(space, facets, tris, field, t)
+    return tuple(loads[name][getattr(dm, name).free] for name in names)
+
+
+class PerTimeFieldNorm:
+    """Squared L2 norm of data fields at fixed points with weights ``w``,
+    every field evaluated at the points at every time (a constant field
+    adds ``c^2`` times the measure); a drop-in for ``monitor._FieldNorm``."""
+
+    def __init__(self, x, y, w):
+        self.x, self.y, self.w = x, y, w.ravel()
+        self.measure = float(np.sum(w))
+
+    def norm_sq(self, fields, t):
+        fields = fields if isinstance(fields, tuple) else (fields,)
+        times = np.asarray(t, dtype=float)
+        out = np.empty(times.size)
+        for k, tk in enumerate(times.ravel()):
+            out[k] = self.measure * sum(
+                f.args[0] ** 2 for f in fields if f.op == "const")
+            varying = [f for f in fields if f.op != "const"]
+            if varying:
+                sq = sum(f(self.x, self.y, tk) ** 2 for f in varying)
+                out[k] += sq.ravel() @ self.w
+        return float(out[0]) if times.ndim == 0 else out.reshape(times.shape)

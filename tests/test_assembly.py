@@ -459,3 +459,71 @@ def test_extra_loads_are_applied_where_stated():
     coords = dm.pressure_p.dof_coords[dm.pressure_p.free]
     touched = np.flatnonzero(np.abs(c) > 1e-14)
     assert np.all(np.abs(coords[touched, 1] - 0.5) < 0.26)
+
+
+# ---------------------------------------------------------------------------
+# loads from per-mesh tables of time factors times space loads
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n", [8, 16])
+@pytest.mark.parametrize("name", oracles.DATA_SETS)
+def test_loads_match_the_per_time_oracle(n, name):
+    data = oracles.data_set(name)
+    dm = build_dofmaps(build_rect_two_domain(n, n, 0.5))
+    for t in (0.0, 0.37, 1.3):
+        loads = assemble_loads(t, data, dm)
+        for load, expected in zip(loads, oracles.per_time_loads(t, data, dm)):
+            assert np.abs(load - expected).max() \
+                <= 1e-13 * np.abs(expected).max()
+
+
+def test_a_later_load_evaluates_only_the_terms_that_mix_space_and_time(
+        monkeypatch):
+    import fpsi.assembly as asm
+    dm = build_dofmaps(build_rect_two_domain(4, 4, 0.5))
+    readme, space_time = map(oracles.data_set, ("readme", "space-time"))
+    for data in (readme, space_time):
+        assemble_loads(0.1, data, dm)
+    calls = []
+
+    def counted(name):
+        kernel = getattr(asm, name)
+        return lambda *args: calls.append(name) or kernel(*args)
+    for name in ("load_volume", "load_facet"):
+        monkeypatch.setattr(asm, name, counted(name))
+    assemble_loads(0.2, readme, dm)
+    assert calls == []
+    # the three cell loads and the inlet load of the space-time data each
+    # hold one term that does not separate
+    assemble_loads(0.2, space_time, dm)
+    assert sorted(calls) == ["load_facet"] + ["load_volume"] * 3
+
+
+def test_reference_tables_reject_a_rule_one_degree_too_low(monkeypatch):
+    # the 1/2520 grid alone passes five of these sums (the P1 x P1 mass and
+    # trilinear, P1 x P2 and P2 x P1 grad and P2 x P2 gradgrad tables, all
+    # of degree 2 on the centroid rule); the sum with the next higher rule
+    # catches them
+    import fpsi.assembly as asm
+    rule = asm.triangle_rule
+    P1, P2 = ElementKind.P1, ElementKind.P2
+    tables = [(table, a, b) for table in asm._TABLE_FORM for a in (P1, P2)
+              for b in (P1, P2)]
+    monkeypatch.setattr(asm, "triangle_rule", lambda order: rule(order - 1))
+    _reference_table.cache_clear()
+    exact = []
+    try:
+        for table in tables:
+            try:
+                _reference_table(*table)
+            except ValueError:
+                continue
+            exact.append(table)
+    finally:
+        monkeypatch.undo()
+        _reference_table.cache_clear()
+    # triangle_rule(3) is the 9-point rule of triangle_rule(4), so one
+    # degree lower still sums the two degree-4 tables exactly
+    assert np.array_equal(rule(3).points, rule(4).points)
+    assert exact == [("mass", P2, P2), ("trilinear", P1, P2)]
+    assert len(tables) - len(exact) == 14

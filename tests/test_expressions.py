@@ -243,3 +243,47 @@ def test_a_call_computes_each_distinct_subtree_once(monkeypatch):
                             calls.append(fn) or fn(v))
     f(np.linspace(0.0, 1.0, 7), 0.6, 0.1)
     assert len(calls) == 6
+
+
+# ---------------------------------------------------------------------------
+# separation into time factors times space fields
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("name", ("readme",) + CASE_IDS)
+def test_separation_is_exact_at_random_points_and_times(name):
+    data = oracles.data_set(name)
+    fields = list(_expressions_in(data))
+    fields += list(_expressions_in(data.time_derivative()))
+    x, y, t = np.random.default_rng(3).random((3, 2000)) * [[1], [1], [2]]
+    for field in fields:
+        terms = expressions.separate(field)
+        # every term separates: no space field of t, no time factor of x, y
+        assert all("t" not in s.variables for _, s in terms), field
+        assert all(not tau.variables & {"x", "y"} for tau, _ in terms)
+        assert len({id(tau) for tau, _ in terms}) == len(terms)
+        exact = field(x, y, t)
+        summed = sum((tau(t=t) * s(x, y) for tau, s in terms),
+                     np.zeros_like(x))
+        assert np.abs(summed - exact).max() <= 1e-14 * np.abs(exact).max()
+
+
+def test_separation_groups_by_time_factor_and_keeps_mixed_terms_whole():
+    pe = parse_expression
+    terms = expressions.separate(
+        pe("0.4*sin(pi*x)*cos(t) - 2*x*cos(t) + 0.2*(1 + 0.5*sin(t))"))
+    assert [tau for tau, _ in terms] == [Cos(T), Const(1.0), Sin(T)]
+    # constants and signs go to the space side
+    assert [s for _, s in terms][1:] == [Const(0.2), Const(0.1)]
+    assert expressions.separate(pe("(x + t)^2"))[2] == (T * T, Const(1.0))
+    assert expressions.separate(pe("x/(1 + t)")) == (
+        (Const(1.0) / (1.0 + T), X),)
+    assert expressions.separate(pe("exp(x)/(2 + y)*t")) == (
+        (T, pe("exp(x)/(2 + y)")),)
+    # a term that mixes t with x or y is one space-time term
+    mixed = pe("sin(pi*x*t)")
+    assert expressions.separate(mixed) == ((Const(1.0), mixed),)
+    assert expressions.separate(pe("exp(x)/(1 + x*t)"))[0][1].variables \
+        == {"x", "t"}
+    # zero space fields are dropped, also where constants cancel
+    assert expressions.separate(pe("0")) == ()
+    assert expressions.separate(pe("2*t - t*2")) == ()

@@ -68,13 +68,13 @@ def test_areas_and_orientation():
 def test_facet_normals_unit_and_outward():
     m = build_rect_two_domain(3, 4, 0.5)
     rng = np.random.default_rng(0)
-    for f in rng.choice(m.num_facets, size=20, replace=False):
-        tri = m.facet_tris[f, 0]
-        n = m.facet_normal(f, tri)
-        assert np.hypot(*n) == pytest.approx(1.0)
-        mid = 0.5 * (m.vertices[m.facets[f, 0]] + m.vertices[m.facets[f, 1]])
-        centroid = m.vertices[m.triangles[tri]].mean(axis=0)
-        assert np.dot(n, mid - centroid) > 0.0
+    facets = rng.choice(m.num_facets, size=20, replace=False)
+    tris = m.facet_tris[facets, 0]
+    normals = m.facet_normals(facets, tris)
+    np.testing.assert_allclose(np.hypot(*normals.T), 1.0, rtol=1e-14)
+    mid = m.vertices[m.facets[facets]].mean(axis=1)
+    centroid = m.vertices[m.triangles[tris]].mean(axis=1)
+    assert np.all(np.einsum("fk,fk->f", normals, mid - centroid) > 0.0)
 
 
 def test_interface_orientation_points_into_poro_side():

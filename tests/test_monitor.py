@@ -368,7 +368,7 @@ def test_data_norms_at_an_array_of_times_match_scalar_calls(mesh8, consts):
         assert batched.shape == times.shape
         assert isinstance(getattr(funcs, name)(0.4), float)
         assert np.allclose(batched, single, rtol=1e-14, atol=0.0), name
-    # a constant field is c^2 |Omega_p| in closed form; its derivative is 0
+    # a constant field's norm is c^2 |Omega_p|; its derivative is 0
     assert funcs.fs_sq(times) == pytest.approx((0.3 ** 2 + 0.2 ** 2) * 0.5,
                                                rel=1e-14)
     assert np.all(funcs._poro.norm_sq(funcs.data_dot.f_s, times) == 0.0)
@@ -385,3 +385,21 @@ def test_cumulative_c1_on_nonuniform_times_is_a_per_interval_sum(mesh8,
     assert got == pytest.approx(expected, rel=1e-14)
     assert funcs.cumulative_c2_sq(times) == pytest.approx(
         oracles.scalar_cumulative(funcs.c2_sq, times), rel=1e-14)
+
+
+@pytest.mark.parametrize("name", oracles.DATA_SETS)
+def test_data_functionals_match_the_per_time_oracle(monkeypatch, mesh8,
+                                                    consts, name):
+    data = oracles.data_set(name)
+    times = np.linspace(0.0, 0.5, 11)
+
+    def functionals():
+        funcs = mon.DataFunctionals(mesh8, PARAMS, data, consts)
+        return [funcs.cumulative_c1_sq(times), funcs.cumulative_c2_sq(times),
+                funcs.pin_sq(times), funcs.ff_sq(times), funcs.fp_sq(0.3),
+                funcs.fs_sq(0.3)]
+    got = functionals()
+    monkeypatch.setattr(mon, "_FieldNorm", oracles.PerTimeFieldNorm)
+    for value, expected in zip(got, functionals()):
+        assert np.abs(value - expected).max() \
+            <= 1e-12 * np.abs(expected).max()

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 import oracles
@@ -293,6 +294,44 @@ def test_condensed_correction_matches_the_full_newton_solve(scheme):
     assert (krylov, factored) == (0, True)
     full = oracles.full_newton_matrix(blocks, scheme, 0.05, stage_alpha)
     assert max(_block_errors(blocks, dz, spla.splu(full).solve(rhs))) <= 1e-12
+
+
+def _perturbed_splu(monkeypatch, perturb):
+    """Make ``timestepper.spla.splu`` return the factor of ``perturb(J)``."""
+    splu = spla.splu
+    monkeypatch.setattr(timestepper.spla, "splu",
+                        lambda J, *args, **kwargs: splu(
+                            perturb(J).tocsc(), *args, **kwargs))
+
+
+@pytest.mark.parametrize("scheme", ["euler", "midpoint"])
+def test_direct_solve_polishes_a_factor_that_misses(monkeypatch, scheme):
+    # the factor of 1.001 J solves the correction 0.1% short: the miss is
+    # caught and one preconditioned GMRES cycle polishes it
+    blocks = _blocks(4, 4)
+    rng = np.random.default_rng(11)
+    stage_alpha = rng.standard_normal(blocks.n_alpha)
+    rhs = _random_rows(blocks, rng)
+    full = oracles.full_newton_matrix(blocks, scheme, 0.05, stage_alpha)
+    reference = spla.splu(full).solve(rhs)
+    _perturbed_splu(monkeypatch, lambda J: 1.001 * J)
+    newton = timestepper.NewtonSolver(blocks, scheme, 0.05)
+    dz, krylov, factored = newton.correction(rhs, stage_alpha)
+    assert factored and krylov >= 1
+    assert max(_block_errors(blocks, dz, reference)) <= 1e-12
+
+
+def test_direct_solve_that_cannot_be_polished_is_a_step_error(monkeypatch):
+    # the factor of J's diagonal is no preconditioner for a saddle point:
+    # one GMRES(30) cycle cannot reach 1e-12
+    blocks = _blocks(4, 4)
+    rng = np.random.default_rng(11)
+    _perturbed_splu(monkeypatch, lambda J: sp.diags(
+        np.where(J.diagonal() != 0.0, J.diagonal(), 1.0)))
+    newton = timestepper.NewtonSolver(blocks, "euler", 0.05)
+    with pytest.raises(StepError, match="direct solve"):
+        newton.correction(_random_rows(blocks, rng),
+                          rng.standard_normal(blocks.n_alpha))
 
 
 class _CountedFactor:
