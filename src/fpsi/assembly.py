@@ -127,10 +127,6 @@ class PhysicalParams:
     def k_min(self):
         return float(np.linalg.eigvalsh(self.K)[0])
 
-    @property
-    def k_max(self):
-        return float(np.linalg.eigvalsh(self.K)[1])
-
 
 def _as_expr(value):
     if value is None:

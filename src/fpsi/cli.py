@@ -386,9 +386,11 @@ def _cmd_run(ns):
     print("completed %d steps of %r to t = %s"
           % (len(traj.states) - 1, cfg.scheme.scheme, traj.states[-1].t))
     diags = traj.diagnostics
-    print("newton: %d iterations, %d GMRES iterations, %d factorizations"
+    print("newton: %d iterations, %d GMRES iterations, %d refinement steps, "
+          "%d factorizations"
           % (sum(d.iterations for d in diags),
              sum(d.krylov_iterations for d in diags),
+             sum(d.refinements for d in diags),
              sum(d.factorizations for d in diags)))
     if report is not None:
         print("final energy %.6e, total dissipation %.6e"

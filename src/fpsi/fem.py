@@ -47,11 +47,6 @@ def scalar_kind(kind):
     return _SCALAR_OF[kind]
 
 
-def n_local_dofs(kind):
-    base = 3 if scalar_kind(kind) == ElementKind.P1 else 6
-    return 2 * base if is_vector(kind) else base
-
-
 def _p1_values(pts):
     x, y = pts[:, 0], pts[:, 1]
     return np.stack([1.0 - x - y, x, y], axis=1)

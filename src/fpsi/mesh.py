@@ -178,11 +178,6 @@ class Mesh:
         return 0.5 * ((p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
                       - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1]))
 
-    def facet_lengths(self, facet_ids=None):
-        ids = np.arange(self.num_facets) if facet_ids is None else np.asarray(facet_ids)
-        d = self.vertices[self.facets[ids, 1]] - self.vertices[self.facets[ids, 0]]
-        return np.hypot(d[:, 0], d[:, 1])
-
     def facet_normals(self, facets, triangles):
         """Unit normals of ``facets`` pointing out of the matching ``triangles``."""
         ends = self.vertices[self.facets[np.asarray(facets, dtype=int)]]

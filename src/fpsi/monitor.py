@@ -363,6 +363,11 @@ class CertificateRow:
     gronwall_conclusion_rhs: float = math.nan
     gronwall_premise_ok: bool = None
     gronwall_conclusion_ok: bool = None
+    # how the step's Newton iteration converged
+    newton_iterations: int = None
+    gmres_iterations: int = None
+    refinements: int = None
+    newton_residual: float = math.nan
 
 
 @dataclass(frozen=True)
@@ -412,9 +417,11 @@ def energy_report(traj, blocks, data, constants, funcs=None,
     a time: a quadratic form is one sparse-times-dense product and
     column-wise dots.  The load work and the convection power of each step
     are the ones its solve recorded in ``traj.diagnostics``, at the stage
-    of the accepted state.  ``summary["flag_detail"]`` gives, per row flag,
-    the first failing step (or None), the worst step and the worst margin
-    (the bound minus the checked quantity, negative where the flag fails).
+    of the accepted state; so are its Newton, GMRES and refinement counts
+    and its final scaled residual.  ``summary["flag_detail"]`` gives, per
+    row flag, the first failing step (or None), the worst step and the
+    worst margin (the bound minus the checked quantity, negative where the
+    flag fails).
     """
     constants = constants_dict(constants)
     p = blocks.params
@@ -479,8 +486,14 @@ def energy_report(traj, blocks, data, constants, funcs=None,
 
     jump = at_step["delta_energy"] if traj.scheme == "euler" else 0.0
     diss = at_step["diss"]
-    nterm = np.array([d.convection_power for d in traj.diagnostics])
-    work = np.array([d.work for d in traj.diagnostics])
+    diags = traj.diagnostics
+    nterm = np.array([d.convection_power for d in diags])
+    work = np.array([d.work for d in diags])
+    solves = dict(
+        newton_iterations=np.array([d.iterations for d in diags]),
+        gmres_iterations=np.array([d.krylov_iterations for d in diags]),
+        refinements=np.array([d.refinements for d in diags]),
+        newton_residual=np.array([d.residual_norms[-1] for d in diags]))
     defect = (energy[1:] - energy[:-1] + jump) / dt + diss + nterm - work
     scale = ((np.abs(energy[1:]) + np.abs(energy[:-1]) + jump) / dt
              + np.abs(diss) + np.abs(nterm) + np.abs(work))
@@ -536,7 +549,7 @@ def energy_report(traj, blocks, data, constants, funcs=None,
         identity_scale=scale, dot_energy=dot_energy,
         cum_dot_dissipation=cum_dot_diss, mb2_lhs=mb2_lhs,
         mb2_rhs_root=mb2_rhs_root, mb2_rhs_squared=mb2_rhs_squared,
-        pf_lhs=pf_lhs, pf_rhs=pf_rhs).items()})
+        pf_lhs=pf_lhs, pf_rhs=pf_rhs, **solves).items()})
     rows = [CertificateRow(n=n, **{name: v[n - first].item()
                                    for name, (first, v) in columns.items()
                                    if n >= first})

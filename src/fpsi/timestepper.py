@@ -24,9 +24,15 @@ every later one, with the matrix applied as its linear part plus the current
 convection Jacobian.  Unless the cycle's estimate and the correction's true
 residual both fall below 1e-12 relative (an exact Newton method), the
 current matrix is factored and becomes the new preconditioner (Saad 2003,
-9.3; Knoll & Keyes 2004).  A direct solve with a fresh factor passes the
-same true-residual test; on a miss one GMRES cycle preconditioned by that
-factor polishes it, and a miss after that is a :class:`StepError`.
+9.3; Knoll & Keyes 2004).
+
+The factor is only a preconditioner, so it is made in single precision, in
+a geometric nested-dissection order computed once per trajectory (George
+1973); GMRES, the residuals and the states stay in double.  A correction
+solved by a fresh factor is refined in double, ``x += a M^-1 (b - J x)``
+with the step length ``a`` that minimises the new residual, until its true
+residual passes the same 1e-12 test (Carson & Higham 2017); a refinement
+step that does not halve the residual is a :class:`StepError`.
 """
 
 from __future__ import annotations
@@ -46,6 +52,8 @@ SCHEMES = ("euler", "midpoint")
 # tolerance triggers a fresh factorisation
 GMRES_RESTART = 30
 GMRES_RTOL = 1e-12
+# nested dissection stops cutting a part of at most this many unknowns
+LEAF_SIZE = 32
 
 
 @dataclass(frozen=True)
@@ -101,6 +109,7 @@ class StepDiagnostics:
     work: float
     convection_power: float
     krylov_iterations: int = 0
+    refinements: int = 0
     factorizations: int = 0
 
 
@@ -234,17 +243,100 @@ def _gmres_cycle(matvec, psolve, b, restart, tol):
     return None, restart
 
 
+def _condensed_points(dm):
+    """The distinct dof points of the condensed unknowns (alpha, gamma,
+    theta, pi), and the point of each unknown."""
+    V, R, W, Q = dm.velocity, dm.pressure_p, dm.displacement, dm.pressure_f
+    coords = np.vstack([V.scalar.dof_coords[V.free % V.scalar.ndof],
+                        R.dof_coords[R.free],
+                        W.scalar.dof_coords[W.free % W.scalar.ndof],
+                        Q.dof_coords[Q.free]])
+    return np.unique(coords, axis=0, return_inverse=True)
+
+
+def _dissection_paths(xy, graph, weights):
+    """Geometric nested dissection of weighted points (George 1973).
+
+    Level by level, every part of more than ``LEAF_SIZE`` unknowns is cut
+    at the median of its points along the longer side of its bounding box;
+    the left points that ``graph`` (COO) couples to a right point form the
+    part's separator.  Returns one array of digits per level: 0 for the left
+    part, 1 for the right part and 2 for the separator, then 0 once a
+    point's part is a leaf or a separator.  Sorting the columns
+    lexicographically orders every part's children before its separator.
+    """
+    n = len(xy)
+    rows, cols = graph.row, graph.col
+    part = np.zeros(n, dtype=np.intp)  # -1 once a point is placed
+    paths = []
+    while True:
+        live = np.flatnonzero(part >= 0)
+        unknowns = np.bincount(part[live], weights=weights[live])
+        live = live[unknowns[part[live]] > LEAF_SIZE]
+        if len(live) == 0:
+            return paths
+        p = np.unique(part[live], return_inverse=True)[1]
+        lo = np.full((p.max() + 1, 2), np.inf)
+        hi = -lo
+        np.minimum.at(lo, p, xy[live])
+        np.maximum.at(hi, p, xy[live])
+        c = xy[live, np.argmax(hi - lo, axis=1)[p]]
+        # the lower median of each part; a part whose median is its
+        # largest coordinate is cut below it, so both sides are nonempty
+        count = np.bincount(p)
+        median = c[np.lexsort((c, p))[np.cumsum(count) - count // 2 - 1]]
+        left = c <= median[p]
+        whole = np.bincount(p, weights=left) == count
+        left &= ~(whole[p] & (c == median[p]))
+        where = np.full(n, -1)
+        where[live] = p
+        side = np.zeros(n, dtype=np.int8)
+        side[live] = ~left
+        inside = (where[rows] >= 0) & (where[rows] == where[cols])
+        rows, cols = rows[inside], cols[inside]
+        digit = side.copy()
+        digit[rows[(side[rows] == 0) & (side[cols] == 1)]] = 2
+        paths.append(digit)
+        live = live[digit[live] != 2]
+        part = np.full(n, -1)
+        part[live] = 2 * where[live] + side[live]
+
+
+def _nested_dissection(dm, J):
+    """A nested-dissection order of the condensed unknowns: ``perm`` such
+    that ``J[perm][:, perm]`` numbers each part's children before its
+    separator, and the unknowns of one dof point consecutively."""
+    xy, point = _condensed_points(dm)
+    n = len(point)
+    S = sp.csr_matrix((np.ones(n), (point, np.arange(n))),
+                      shape=(len(xy), n))
+    # J's pattern is symmetric, so its CSC arrays read as CSR give it
+    pattern = sp.csr_matrix((np.ones(J.nnz), J.indices, J.indptr),
+                            shape=J.shape)
+    paths = _dissection_paths(xy, (S @ pattern @ S.T).tocoo(),
+                              np.bincount(point))
+    # lexsort sorts by its last key first; a system that is one leaf has
+    # no level to sort by
+    order = np.lexsort(paths[::-1]) if paths else np.arange(len(xy))
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return np.argsort(rank[point], kind="stable")
+
+
 class NewtonSolver:
     """Newton corrections for one ``(blocks, scheme, dt)``.
 
-    Holds the row scales of the convergence test, the sparse LU factor of
-    the last condensed Newton matrix it factored, which right-preconditions
-    GMRES for later corrections, and the linear part of that matrix
-    (assembled at zero velocity, so its stored pattern is the full dof
-    coupling graph).  The old factor is released before a new one is made,
-    and the linear part is assembled only at the first GMRES solve: the
-    first ``splu``, which sets the memory peak of a run, runs with neither
-    alive.
+    Holds the row scales of the convergence test; the nested-dissection
+    order ``perm`` of the condensed unknowns, computed at the first
+    factorisation; the single-precision sparse LU factor of the last
+    condensed Newton matrix it factored, in that order, which
+    right-preconditions GMRES for later corrections; and the linear part
+    of that matrix (assembled at zero velocity, so its stored pattern is
+    the full dof coupling graph).  The old factor is released before a new
+    one is made, and the linear part is assembled only at the first GMRES
+    solve: the first ``splu``, which sets the memory peak of a run, runs
+    with neither alive.  ``refinements`` counts the refinement steps of
+    the last correction, 0 unless it factored.
     """
 
     def __init__(self, blocks, scheme, dt):
@@ -253,8 +345,10 @@ class NewtonSolver:
         self.dt = dt
         self.s = 1.0 if scheme == "euler" else 0.5
         self.scales = _row_scales(blocks, dt)
+        self.perm = None
         self.lu = None
         self.J_lin = None
+        self.refinements = 0
 
     def correction(self, rhs, stage_alpha):
         """Solve J(stage) dz = rhs; returns (dz, GMRES iterations, factored).
@@ -271,8 +365,18 @@ class NewtonSolver:
         d_beta = dt * (r_kin + s * x[na + ng:na + ng + nb])
         return np.concatenate([x[:na], d_beta, x[na:]]), krylov, factored
 
+    def _precondition(self, r):
+        """``M^-1 r = P^T lu.solve(P r)``: one single-precision solve of
+        ``r`` scaled to unit norm, so that float32 neither overflows nor
+        underflows, with the result back in double."""
+        scale = np.linalg.norm(r) or 1.0  # r = 0 solves to 0
+        x = np.empty_like(r)
+        x[self.perm] = self.lu.solve((r[self.perm] / scale).astype(np.float32))
+        return scale * x
+
     def _solve(self, b, stage_alpha):
-        krylov = 0
+        krylov = self.refinements = 0
+        tol = GMRES_RTOL * np.linalg.norm(b)
         if self.lu is not None:
             if self.J_lin is None:  # CSR: the GMRES matvecs are row sums
                 self.J_lin = _jacobian(self.blocks, self.scheme, self.dt,
@@ -284,30 +388,36 @@ class NewtonSolver:
                 out = J_lin @ v
                 out[:na] += s * (Jn @ v[:na])
                 return out
-            tol = GMRES_RTOL * np.linalg.norm(b)
-            x, krylov = _gmres_cycle(matvec, self.lu.solve, b, GMRES_RESTART,
-                                     tol)
+            x, krylov = _gmres_cycle(matvec, self._precondition, b,
+                                     GMRES_RESTART, tol)
             if x is not None and np.linalg.norm(b - matvec(x)) <= tol:
                 return x, krylov, False
         self.lu = None  # see the class docstring
         J = _jacobian(self.blocks, self.scheme, self.dt, stage_alpha)
-        self.lu = spla.splu(J)
-        x = self.lu.solve(b)
-        tol = GMRES_RTOL * np.linalg.norm(b)
+        if self.perm is None:
+            self.perm = _nested_dissection(self.blocks.dm, J)
+        # the order fixes the fill: a pivot threshold of 1e-3 fills as
+        # little as 0 does at n = 32 and 64, 0.01 twice as much at n = 64
+        self.lu = spla.splu(J.astype(np.float32)[self.perm][:, self.perm],
+                            permc_spec="NATURAL", diag_pivot_thresh=1e-3,
+                            options={"SymmetricMode": True})
+        x = self._precondition(b)
         r = b - J @ x
-        if np.linalg.norm(r) <= tol:
-            return x, krylov, True
-        # polish: one cycle on J dx = r, preconditioned by the new factor
-        dx, polish = _gmres_cycle(J.dot, self.lu.solve, r, GMRES_RESTART, tol)
-        if dx is not None:
-            x = x + dx
-            r = b - J @ x
-            if np.linalg.norm(r) <= tol:
-                return x, krylov + polish, True
-        rel = np.linalg.norm(r) / np.linalg.norm(b)
-        raise StepError("the direct solve missed its residual test "
-                        "(relative residual %.3e after polishing)" % rel,
-                        rel, 0)
+        # refinement in double, x += a M^-1 r with the step length a that
+        # minimises the new residual (a GMRES(1) step, so no worse than
+        # a = 1); a NaN residual fails the test
+        while not np.linalg.norm(r) <= tol:
+            dx = self._precondition(r)
+            w = J @ dx
+            x += (w @ r) / (w @ w) * dx
+            r, missed = b - J @ x, np.linalg.norm(r)
+            self.refinements += 1
+            if not np.linalg.norm(r) <= 0.5 * missed:
+                rel = np.linalg.norm(r) / np.linalg.norm(b)
+                raise StepError("the direct solve missed its residual test "
+                                "(relative residual %.3e after %d refinement "
+                                "steps)" % (rel, self.refinements), rel, 0)
+        return x, krylov, True
 
 
 def step(blocks, data, state0, cfg, loads=None, newton=None):
@@ -329,7 +439,7 @@ def step(blocks, data, state0, cfg, loads=None, newton=None):
     rows, stage, nl = _residual_rows(blocks, cfg.scheme, state0, z, dt,
                                      loads)
     norms = [_scaled_norm(rows, newton.scales)]
-    iterations = krylov_iterations = factorizations = 0
+    iterations = krylov_iterations = refinements = factorizations = 0
     # a NaN residual fails both comparisons: it is never converged
     while not norms[-1] <= cfg.newton_tol:
         if iterations >= cfg.newton_max or not np.isfinite(norms[-1]):
@@ -342,6 +452,7 @@ def step(blocks, data, state0, cfg, loads=None, newton=None):
         z = z - dz
         iterations += 1
         krylov_iterations += krylov
+        refinements += newton.refinements
         factorizations += factored
         rows, stage, nl = _residual_rows(blocks, cfg.scheme, state0, z, dt,
                                          loads)
@@ -354,6 +465,7 @@ def step(blocks, data, state0, cfg, loads=None, newton=None):
                            work=float(blocks.work(loads, stage)),
                            convection_power=float(stage.alpha @ nl),
                            krylov_iterations=krylov_iterations,
+                           refinements=refinements,
                            factorizations=factorizations)
     return state1, diag
 

@@ -154,6 +154,12 @@ def loop_facet_dofs(space, facet_ids):
     return np.array(sorted(dofs - {-1}), dtype=int)
 
 
+def facet_length(mesh, facet):
+    """Length of one mesh facet."""
+    ends = mesh.vertices[mesh.facets[facet]]
+    return float(np.hypot(*(ends[1] - ends[0])))
+
+
 def _trace_eval(mesh, space, coeffs, facet, triangle, svals):
     """Evaluate a discrete vector field along a facet from one side."""
     a, b = mesh.facets[facet]
@@ -211,7 +217,7 @@ def interface_slip_energy(mesh, dm, u_full, d_full, beta, npts=12):
                             mesh.interface_fluid_tri[k], svals)
         dp, _ = _trace_eval(mesh, dm.displacement, d_full, f,
                             mesh.interface_poro_tri[k], svals)
-        length = mesh.facet_lengths([f])[0]
+        length = facet_length(mesh, f)
         slip = (uf - dp) @ tau
         total += length * (wts * slip ** 2).sum()
     return beta * total
@@ -229,7 +235,7 @@ def interface_pressure_flux(mesh, dm, u_full, p_full, npts=12):
                             mesh.interface_fluid_tri[k], svals)
         wp, _ = _scalar_trace_eval(mesh, dm.pressure_p, p_full, f,
                                    mesh.interface_poro_tri[k], svals)
-        length = mesh.facet_lengths([f])[0]
+        length = facet_length(mesh, f)
         total += length * (wts * wp * (uf @ n)).sum()
     return total
 
@@ -262,7 +268,7 @@ def facet_functional(mesh, space, coeffs, facets, tris, integrand, t,
     for f, tri in zip(facets, tris):
         v, x = trace(mesh, space, coeffs, f, tri, svals)
         n = _outward_normal(mesh, f, tri)
-        length = mesh.facet_lengths([f])[0]
+        length = facet_length(mesh, f)
         total += length * (wts * integrand(x[:, 0], x[:, 1], t, n, v)).sum()
     return total
 
@@ -566,6 +572,11 @@ def rowwise_energy_report(traj, blocks, data, constants, funcs,
                      + abs(diss) + abs(nterm) + abs(work))
             row.dissipation = diss
             row.work = work
+            diag = traj.diagnostics[n - 1]
+            row.newton_iterations = diag.iterations
+            row.gmres_iterations = diag.krylov_iterations
+            row.refinements = diag.refinements
+            row.newton_residual = diag.residual_norms[-1]
             cum_diss += dt * diss
             row.identity_defect = defect
             row.identity_scale = scale

@@ -413,7 +413,6 @@ def test_parameter_validation():
     aniso = PhysicalParams(K=np.array([[2.0, 0.5], [0.5, 1.0]]))
     evs = np.linalg.eigvalsh(np.array([[2.0, 0.5], [0.5, 1.0]]))
     assert aniso.k_min == pytest.approx(evs[0])
-    assert aniso.k_max == pytest.approx(evs[1])
 
 
 def test_problem_data_defaults_and_derivative():

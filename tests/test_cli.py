@@ -252,9 +252,10 @@ def test_run_writes_outputs_and_manifest(tmp_path, capsys):
     assert main(["run", path]) == 0
     text = capsys.readouterr().out
     assert "completed 2 steps" in text
-    # solver totals go to stdout only, never into a digested output
+    # the trajectory's solver totals go to stdout
     assert re.search(r"^newton: \d+ iterations, \d+ GMRES iterations, "
-                     r"1 factorizations$", text, re.MULTILINE)
+                     r"\d+ refinement steps, 1 factorizations$", text,
+                     re.MULTILINE)
     for name in ("constants.csv", "solution.vtk", "certificate.csv",
                  "certificate_summary.json", "manifest.json"):
         assert (out / name).exists()

@@ -14,7 +14,6 @@ from fpsi.fem import (
     interval_rule,
     make_scalar_space,
     make_vector_space,
-    n_local_dofs,
     triangle_rule,
 )
 from fpsi.mesh import build_rect_two_domain
@@ -62,8 +61,6 @@ def test_vector_basis_is_component_blocked():
     np.testing.assert_allclose(vals[0, 6:, 1], svals[0])
     np.testing.assert_allclose(vals[0, 6:, 0], 0.0)
     np.testing.assert_allclose(grads[0, 6:, 1], sgrads[0])
-    assert n_local_dofs(ElementKind.VECTOR_P2) == 12
-    assert n_local_dofs(ElementKind.P1) == 3
 
 
 def _exact_monomial_integral(a, b):

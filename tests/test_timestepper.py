@@ -9,16 +9,17 @@ from fpsi.assembly import (PhysicalParams, ProblemData, StateVector,
                            assemble_loads, assemble_system)
 from fpsi.expressions import parse_expression
 from fpsi.fem import interpolate_vector
+from fpsi.mesh import build_rect_two_domain
 from fpsi.timestepper import (
     SchemeConfig,
     StepError,
     run,
     step,
 )
+from fpsi.verify import initial_state, manufactured_case
 
 
 def _blocks(nx=6, ny=6, convection=True, **params):
-    from fpsi.mesh import build_rect_two_domain
     m = build_rect_two_domain(nx, ny, 0.5)
     return assemble_system(m, PhysicalParams(**params), convection=convection)
 
@@ -307,7 +308,7 @@ def _perturbed_splu(monkeypatch, perturb):
 @pytest.mark.parametrize("scheme", ["euler", "midpoint"])
 def test_direct_solve_polishes_a_factor_that_misses(monkeypatch, scheme):
     # the factor of 1.001 J solves the correction 0.1% short: the miss is
-    # caught and one preconditioned GMRES cycle polishes it
+    # caught and refinement steps on the new factor polish it
     blocks = _blocks(4, 4)
     rng = np.random.default_rng(11)
     stage_alpha = rng.standard_normal(blocks.n_alpha)
@@ -317,13 +318,13 @@ def test_direct_solve_polishes_a_factor_that_misses(monkeypatch, scheme):
     _perturbed_splu(monkeypatch, lambda J: 1.001 * J)
     newton = timestepper.NewtonSolver(blocks, scheme, 0.05)
     dz, krylov, factored = newton.correction(rhs, stage_alpha)
-    assert factored and krylov >= 1
+    assert factored and krylov == 0 and newton.refinements >= 1
     assert max(_block_errors(blocks, dz, reference)) <= 1e-12
 
 
 def test_direct_solve_that_cannot_be_polished_is_a_step_error(monkeypatch):
     # the factor of J's diagonal is no preconditioner for a saddle point:
-    # one GMRES(30) cycle cannot reach 1e-12
+    # a refinement step on it does not halve the residual
     blocks = _blocks(4, 4)
     rng = np.random.default_rng(11)
     _perturbed_splu(monkeypatch, lambda J: sp.diags(
@@ -332,6 +333,37 @@ def test_direct_solve_that_cannot_be_polished_is_a_step_error(monkeypatch):
     with pytest.raises(StepError, match="direct solve"):
         newton.correction(_random_rows(blocks, rng),
                           rng.standard_normal(blocks.n_alpha))
+
+
+def _condensed_residual(blocks, scheme, dt, stage_alpha, rhs, dz):
+    """Relative true residual of a correction in the condensed system,
+    whose right-hand side takes -s dt Bs r_kin into the structure row."""
+    from fpsi.timestepper import _jacobian, _unpack
+    s = 1.0 if scheme == "euler" else 0.5
+    r_mom, r_kin, r_dar, r_str, r_con = _unpack(blocks, rhs)
+    b = np.concatenate([r_mom, r_dar, r_str - s * dt * (blocks.Bs @ r_kin),
+                        r_con])
+    da, _, dg, dth, dp = _unpack(blocks, dz)
+    J = _jacobian(blocks, scheme, dt, stage_alpha)
+    return (np.linalg.norm(b - J @ np.concatenate([da, dg, dth, dp]))
+            / np.linalg.norm(b))
+
+
+@pytest.mark.parametrize("scheme", ["euler", "midpoint"])
+def test_fresh_factor_is_single_precision_and_refined_in_double(scheme):
+    # a float32 factor alone leaves a relative residual near 2e-6 here;
+    # refinement steps take the correction to the GMRES tolerance
+    blocks, dt = _blocks(4, 4), 0.05
+    rng = np.random.default_rng(13)
+    stage_alpha = rng.standard_normal(blocks.n_alpha)
+    rhs = _random_rows(blocks, rng)
+    newton = timestepper.NewtonSolver(blocks, scheme, dt)
+    dz, krylov, factored = newton.correction(rhs, stage_alpha)
+    assert factored and krylov == 0 and newton.refinements >= 1
+    assert newton.lu.L.dtype == newton.lu.U.dtype == np.float32
+    assert dz.dtype == np.float64
+    assert _condensed_residual(blocks, scheme, dt, stage_alpha, rhs, dz) \
+        <= timestepper.GMRES_RTOL
 
 
 class _CountedFactor:
@@ -405,6 +437,24 @@ def test_linear_trajectory_is_factored_once():
     assert all(d.krylov_iterations >= 1 for d in traj.diagnostics[1:])
 
 
+def test_every_lu_solve_is_counted_once(monkeypatch):
+    # LU solves = GMRES iterations + refinement steps + factorisations
+    factors = []
+    splu = spla.splu
+
+    def counted_splu(*args, **kwargs):
+        factors.append(_CountedFactor(splu(*args, **kwargs)))
+        return factors[-1]
+    monkeypatch.setattr(timestepper.spla, "splu", counted_splu)
+    traj = run(_blocks(convection=True), _driven_data(),
+               SchemeConfig(scheme="euler", dt=0.1, t_final=0.3))
+    diags = traj.diagnostics
+    assert sum(d.refinements for d in diags) >= 1
+    assert sum(f.solves for f in factors) == sum(
+        d.krylov_iterations + d.refinements + d.factorizations
+        for d in diags)
+
+
 def test_gmres_stall_refactors_and_converges(monkeypatch):
     blocks = _blocks(convection=True)
     data = _driven_data()
@@ -429,3 +479,64 @@ def test_reruns_give_bitwise_equal_states():
     for a, b in zip(first.states, second.states):
         for name in ("alpha", "beta", "gamma", "theta", "pi"):
             assert np.array_equal(getattr(a, name), getattr(b, name))
+
+
+# ---------------------------------------------------------------------------
+# the nested-dissection order of the condensed unknowns
+# ---------------------------------------------------------------------------
+
+def _condensed_matrix(blocks):
+    from fpsi.timestepper import _jacobian
+    return _jacobian(blocks, "euler", 0.05, np.zeros(blocks.n_alpha))
+
+
+def test_nested_dissection_is_a_deterministic_permutation():
+    blocks = _blocks(8, 8)
+    J = _condensed_matrix(blocks)
+    perm = timestepper._nested_dissection(blocks.dm, J)
+    assert np.array_equal(np.sort(perm), np.arange(J.shape[0]))
+    assert np.array_equal(perm, timestepper._nested_dissection(blocks.dm, J))
+
+
+def test_nested_dissection_keeps_points_together_in_small_leaves():
+    blocks = _blocks(8, 8)
+    J = _condensed_matrix(blocks)
+    xy, point = timestepper._condensed_points(blocks.dm)
+    # the unknowns of each point are consecutive in the order
+    order = point[timestepper._nested_dissection(blocks.dm, J)]
+    assert np.count_nonzero(np.diff(order)) == len(xy) - 1
+    # the point graph, here from a COO copy of J
+    coo = J.tocoo()
+    rows, cols = point[coo.row], point[coo.col]
+    graph = sp.coo_matrix((np.ones(J.nnz), (rows, cols)))
+    weights = np.bincount(point)
+    paths = np.array(timestepper._dissection_paths(xy, graph, weights))
+    # points no cut put in a separator lie in leaves, one per path
+    in_leaf = ~np.any(paths == 2, axis=0)
+    _, leaf = np.unique(paths[:, in_leaf].T, axis=0, return_inverse=True)
+    sizes = np.bincount(leaf, weights=weights[in_leaf])
+    assert len(sizes) > 1
+    assert sizes.max() <= 32
+    # the separators split the graph: every edge between two leaf points
+    # stays inside one leaf
+    leaf_of = np.full(len(xy), -1)
+    leaf_of[in_leaf] = leaf
+    both = in_leaf[rows] & in_leaf[cols]
+    assert np.array_equal(leaf_of[rows[both]], leaf_of[cols[both]])
+
+
+def test_nested_dissection_factor_fills_less_than_colamd():
+    # 2.38M entries of L + U against COLAMD's 3.06M.  The check has teeth:
+    # in the identity order the same factor fills far more than COLAMD's
+    # (4.04M against 0.44M already at n = 16, and takes minutes at n = 32)
+    case = manufactured_case("smooth-trig")
+    blocks = assemble_system(build_rect_two_domain(32, 32, case.split),
+                             case.params)
+    dt = 0.1 / 64
+    stage_alpha = initial_state(case, blocks).alpha
+    newton = timestepper.NewtonSolver(blocks, "midpoint", dt)
+    newton.correction(_random_rows(blocks, np.random.default_rng(14)),
+                      stage_alpha)
+    colamd = spla.splu(timestepper._jacobian(blocks, "midpoint", dt,
+                                             stage_alpha))
+    assert newton.lu.L.nnz + newton.lu.U.nnz < colamd.L.nnz + colamd.U.nnz
