@@ -226,10 +226,6 @@ class StateVector:
     theta: np.ndarray
     pi: np.ndarray
 
-    def copy(self):
-        return StateVector(self.t, self.alpha.copy(), self.beta.copy(),
-                           self.gamma.copy(), self.theta.copy(), self.pi.copy())
-
 
 # ---------------------------------------------------------------------------
 # volume assembly
@@ -1053,24 +1049,3 @@ def assemble_loads(t, data, dm):
         loads.append(load)
     return tuple(loads)
 
-
-def residual(blocks, state, state_dot, loads, nl):
-    """The five block residual rows at one time instant.
-
-    ``state`` carries the values entering the stiffness-type terms,
-    ``state_dot`` the discrete time derivatives, ``loads`` the triple
-    (a, b, c) and ``nl`` the convection vector N(state.alpha).  Rows:
-    momentum, kinematic, Darcy, structure, constraint.
-    """
-    a, b, c = loads
-    r_mom = (blocks.Af @ state_dot.alpha + blocks.Bf @ state.alpha + nl
-             + blocks.D @ state.gamma - blocks.E @ state.theta
-             - blocks.Gdiv.T @ state.pi - a)
-    r_kin = state_dot.beta - state.theta
-    r_dar = (blocks.Ap @ state_dot.gamma + blocks.Bp @ state.gamma
-             + blocks.C.T @ state.theta - blocks.D.T @ state.alpha - c)
-    r_str = (blocks.As @ state_dot.theta + blocks.Bs @ state.beta
-             - blocks.C @ state.gamma - blocks.E.T @ state.alpha
-             + blocks.F @ state.theta - b)
-    r_con = blocks.Gdiv @ state.alpha
-    return r_mom, r_kin, r_dar, r_str, r_con

@@ -9,10 +9,13 @@ one satisfies ``Gdiv alpha = 0`` to solver precision; for the midpoint rule
 the stored multiplier is the stage multiplier.
 
 Each step solves the nonlinear system with an exact-Jacobian Newton
-iteration.  Convergence is measured in a scaled residual norm: the infinity
-norm of every block row divided by a row scale derived from the diagonal of
-its leading operator, so the tolerance is meaningful across parameter
-regimes and mesh sizes.
+iteration.  The linear part of the five block rows is one table of signed
+terms, each a matrix applied to the difference quotient, the stage or the
+new level of one unknown, that the residual, the Newton matrix and the row
+scales read.  Convergence is measured in the infinity norm of every block
+row divided by the largest diagonal entry of its own unknown's terms (the
+constraint row by max |Gdiv|), so the tolerance is meaningful across
+parameter regimes and mesh sizes.
 
 The structure displacement enters the Newton system only through the
 kinematic row, an identity block, and the structure row, so each correction
@@ -44,7 +47,7 @@ import scipy.linalg as la
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .assembly import StateVector, assemble_loads, residual, sparse_sum
+from .assembly import StateVector, assemble_loads, sparse_sum
 
 SCHEMES = ("euler", "midpoint")
 
@@ -122,10 +125,6 @@ class Trajectory:
     states: list
     diagnostics: list = field(default_factory=list)
 
-    @property
-    def times(self):
-        return np.array([s.t for s in self.states])
-
     def __len__(self):
         return len(self.states)
 
@@ -141,13 +140,37 @@ def _pack(state):
                            state.theta, state.pi])
 
 
-def _row_scales(blocks, dt):
-    s_mom = np.abs((blocks.Af / dt + blocks.Bf).diagonal()).max()
-    s_kin = 1.0 / dt
-    s_dar = np.abs((blocks.Ap / dt + blocks.Bp).diagonal()).max()
-    s_str = np.abs((blocks.As / dt + blocks.F).diagonal()).max()
+def _linear_terms(blocks):
+    """The linear terms of the rows (momentum, kinematic, Darcy, structure,
+    constraint) on (alpha, beta, gamma, theta, pi): ``(row, column, sign,
+    matrix, value)`` adds ``sign * matrix @ value[column]``, the value being
+    the unknown's ``"rate"`` (difference quotient), ``"stage"`` or ``"new"``
+    level.  Transposes are views and signs a field, so no matrix is copied;
+    a Newton matrix cell sums its terms in table order (theta's: As, F, Bs)."""
+    b, eye = blocks, sp.identity(blocks.n_beta, format="csr")
+    return ((0, 0, 1, b.Af, "rate"), (0, 0, 1, b.Bf, "stage"),
+            (0, 2, 1, b.D, "stage"), (0, 3, -1, b.E, "stage"),
+            (0, 4, -1, b.Gdiv.T, "new"),
+            (1, 1, 1, eye, "rate"), (1, 3, -1, eye, "stage"),
+            (2, 0, -1, b.D.T, "stage"), (2, 2, 1, b.Ap, "rate"),
+            (2, 2, 1, b.Bp, "stage"), (2, 3, 1, b.C.T, "stage"),
+            (3, 0, -1, b.E.T, "stage"), (3, 2, -1, b.C, "stage"),
+            (3, 3, 1, b.As, "rate"), (3, 3, 1, b.F, "stage"),
+            (3, 1, 1, b.Bs, "stage"),
+            (4, 0, 1, b.Gdiv, "new"))
+
+
+def _row_scales(blocks, dt, terms=None):
+    """The largest absolute diagonal entry of each row's own-column rate and
+    stage terms, at coefficients 1/dt and 1; ``max |Gdiv|`` for the
+    constraint row."""
+    diagonals = [0.0] * 4
+    for row, col, sign, matrix, value in terms or _linear_terms(blocks):
+        if row == col:
+            diagonals[row] += sign * matrix.diagonal() / (
+                dt if value == "rate" else 1.0)
     s_con = abs(blocks.Gdiv).max() if blocks.Gdiv.nnz else 1.0
-    return np.array([s_mom, s_kin, s_dar, s_str, s_con])
+    return np.array([np.abs(d).max() for d in diagonals] + [s_con])
 
 
 def _scaled_norm(rows, scales):
@@ -155,56 +178,55 @@ def _scaled_norm(rows, scales):
     return float((norms / scales).max())
 
 
-def _residual_rows(blocks, scheme, state0, z1, dt, loads):
-    """Residual rows, the stage values used by stiffness-type terms and
-    the convection vector at the stage."""
-    a1, b1, g1, th1, p1 = _unpack(blocks, z1)
-    dot = StateVector(
-        t=0.0,
-        alpha=(a1 - state0.alpha) / dt,
-        beta=(b1 - state0.beta) / dt,
-        gamma=(g1 - state0.gamma) / dt,
-        theta=(th1 - state0.theta) / dt,
-        pi=p1,
-    )
-    if scheme == "euler":
-        stage = StateVector(0.0, a1, b1, g1, th1, p1)
-    else:
-        stage = StateVector(
-            0.0,
-            0.5 * (a1 + state0.alpha),
-            0.5 * (b1 + state0.beta),
-            0.5 * (g1 + state0.gamma),
-            0.5 * (th1 + state0.theta),
-            p1,
-        )
-    nl, _ = blocks.convection(stage.alpha)
-    r_mom, r_kin, r_dar, r_str, _ = residual(blocks, stage, dot, loads, nl)
-    # the constraint is enforced at the new time level for both schemes
-    r_con = blocks.Gdiv @ a1
-    return (r_mom, r_kin, r_dar, r_str, r_con), stage, nl
+def _residual_rows(blocks, scheme, state0, z1, dt, loads, terms=None):
+    """Residual rows, the stage values and the convection vector at the
+    stage, from the table ``terms`` of :func:`_linear_terms` (or a new one)."""
+    new = _unpack(blocks, z1)
+    old = (state0.alpha, state0.beta, state0.gamma, state0.theta)
+    stage = new if scheme == "euler" else \
+        [0.5 * (x1 + x0) for x1, x0 in zip(new, old)] + [new[4]]
+    values = {"rate": [(x1 - x0) / dt for x1, x0 in zip(new, old)],
+              "stage": stage, "new": new}
+    rows = [np.zeros(len(x)) for x in new]
+    for row, col, sign, matrix, value in terms or _linear_terms(blocks):
+        rows[row] += sign * (matrix @ values[value][col])
+    nl, _ = blocks.convection(stage[0])
+    rows[0] += nl
+    for row, load in zip((0, 3, 2), loads):  # (a, b, c)
+        rows[row] -= load
+    return tuple(rows), StateVector(0.0, *stage), nl
 
 
-def _jacobian(blocks, scheme, dt, stage_alpha):
-    """Newton matrix on (alpha, gamma, theta, pi), kinematic row condensed.
+def _cell(terms, s, dt):
+    """A Newton matrix cell, its parts freed on return: each term at 1/dt
+    (rate), s (stage) or 1 (new), beta's times ``s dt``, uncopied at 1."""
+    parts = []
+    for _, col, sign, matrix, value in terms:
+        c = (sign * (s if value == "stage" else 1.0)
+             * (s * dt if col == 1 else 1.0))
+        parts.append(matrix / (sign * dt) if value == "rate" else
+                     matrix if c == 1.0 else c * matrix)
+    if len(parts) < 2:
+        return parts[0] if parts else None
+    return sparse_sum(*parts)
 
-    ``dbeta / dt - s dtheta = r_kin`` gives ``dbeta = dt (r_kin + s dtheta)``;
-    in the structure row (beta block ``s Bs``) it adds ``s^2 dt Bs`` to the
-    theta block and ``-s dt Bs r_kin`` to the right-hand side.
+
+def _jacobian(blocks, scheme, dt, stage_alpha, terms=None):
+    """Newton matrix on (alpha, gamma, theta, pi), kinematic row condensed,
+    each cell from the terms of its row and column, ``s Jn`` a stage term.
+
+    ``dbeta / dt - s dtheta = r_kin`` gives ``dbeta = dt (r_kin + s dtheta)``,
+    so the structure row's ``s Bs`` adds ``s^2 dt Bs`` to the theta block
+    and ``-s dt Bs r_kin`` to the right-hand side.
     """
     s = 1.0 if scheme == "euler" else 0.5
     _, Jn = blocks.convection(stage_alpha, jac=True)
-    rows = [
-        [sparse_sum(blocks.Af / dt, s * blocks.Bf, s * Jn), s * blocks.D,
-         -s * blocks.E, -blocks.Gdiv.T],
-        [-s * blocks.D.T, sparse_sum(blocks.Ap / dt, s * blocks.Bp),
-         s * blocks.C.T, None],
-        [-s * blocks.E.T, -s * blocks.C,
-         sparse_sum(blocks.As / dt, s * blocks.F, (s * s * dt) * blocks.Bs),
-         None],
-        [blocks.Gdiv, None, None, None],
-    ]
-    return sp.bmat(rows, format="csc")
+    terms = (*(terms or _linear_terms(blocks)), (0, 0, 1, Jn, "stage"))
+    kept = (0, 2, 3, 4)  # unknowns of the condensed matrix; beta joins theta
+    column = {0: 0, 1: 3, 2: 2, 3: 3, 4: 4}
+    grid = [[_cell([t for t in terms if (t[0], column[t[1]]) == (i, j)], s, dt)
+             for j in kept] for i in kept]
+    return sp.bmat(grid, format="csc")
 
 
 def _gmres_cycle(matvec, psolve, b, restart, tol):
@@ -326,17 +348,18 @@ def _nested_dissection(dm, J):
 class NewtonSolver:
     """Newton corrections for one ``(blocks, scheme, dt)``.
 
-    Holds the row scales of the convergence test; the nested-dissection
-    order ``perm`` of the condensed unknowns, computed at the first
-    factorisation; the single-precision sparse LU factor of the last
-    condensed Newton matrix it factored, in that order, which
-    right-preconditions GMRES for later corrections; and the linear part
-    of that matrix (assembled at zero velocity, so its stored pattern is
-    the full dof coupling graph).  The old factor is released before a new
-    one is made, and the linear part is assembled only at the first GMRES
-    solve: the first ``splu``, which sets the memory peak of a run, runs
-    with neither alive.  ``refinements`` counts the refinement steps of
-    the last correction, 0 unless it factored.
+    Holds the table of linear terms (:func:`_linear_terms`); the row scales
+    of the convergence test; the nested-dissection order ``perm`` of the
+    condensed unknowns, computed at the first factorisation; the
+    single-precision sparse LU factor of the last condensed Newton matrix
+    it factored, in that order, which right-preconditions GMRES for later
+    corrections; and the linear part of that matrix (assembled at zero
+    velocity, so its stored pattern is the full dof coupling graph).  The
+    old factor is released before a new one is made, and the linear part
+    is assembled only at the first GMRES solve: the first ``splu``, which
+    sets the memory peak of a run, runs with neither alive.
+    ``refinements`` counts the refinement steps of the last correction, 0
+    unless it factored.
     """
 
     def __init__(self, blocks, scheme, dt):
@@ -344,7 +367,8 @@ class NewtonSolver:
         self.scheme = scheme
         self.dt = dt
         self.s = 1.0 if scheme == "euler" else 0.5
-        self.scales = _row_scales(blocks, dt)
+        self.terms = _linear_terms(blocks)
+        self.scales = _row_scales(blocks, dt, self.terms)
         self.perm = None
         self.lu = None
         self.J_lin = None
@@ -380,7 +404,8 @@ class NewtonSolver:
         if self.lu is not None:
             if self.J_lin is None:  # CSR: the GMRES matvecs are row sums
                 self.J_lin = _jacobian(self.blocks, self.scheme, self.dt,
-                                       np.zeros(self.blocks.n_alpha)).tocsr()
+                                       np.zeros(self.blocks.n_alpha),
+                                       self.terms).tocsr()
             _, Jn = self.blocks.convection(stage_alpha, jac=True)
             na, s, J_lin = self.blocks.n_alpha, self.s, self.J_lin
 
@@ -393,7 +418,8 @@ class NewtonSolver:
             if x is not None and np.linalg.norm(b - matvec(x)) <= tol:
                 return x, krylov, False
         self.lu = None  # see the class docstring
-        J = _jacobian(self.blocks, self.scheme, self.dt, stage_alpha)
+        J = _jacobian(self.blocks, self.scheme, self.dt, stage_alpha,
+                      self.terms)
         if self.perm is None:
             self.perm = _nested_dissection(self.blocks.dm, J)
         # the order fixes the fill: a pivot threshold of 1e-3 fills as
@@ -435,13 +461,15 @@ def step(blocks, data, state0, cfg, loads=None, newton=None):
     if newton is None:
         newton = NewtonSolver(blocks, cfg.scheme, dt)
 
-    z = _pack(state0)
-    rows, stage, nl = _residual_rows(blocks, cfg.scheme, state0, z, dt,
-                                     loads)
-    norms = [_scaled_norm(rows, newton.scales)]
+    z, norms = _pack(state0), []
     iterations = krylov_iterations = refinements = factorizations = 0
-    # a NaN residual fails both comparisons: it is never converged
-    while not norms[-1] <= cfg.newton_tol:
+    while True:
+        rows, stage, nl = _residual_rows(blocks, cfg.scheme, state0, z, dt,
+                                         loads, newton.terms)
+        norms.append(_scaled_norm(rows, newton.scales))
+        # a NaN residual fails both comparisons: it is never converged
+        if norms[-1] <= cfg.newton_tol:
+            break
         if iterations >= cfg.newton_max or not np.isfinite(norms[-1]):
             raise StepError(
                 "Newton iteration did not converge at t = %.6g "
@@ -454,12 +482,8 @@ def step(blocks, data, state0, cfg, loads=None, newton=None):
         krylov_iterations += krylov
         refinements += newton.refinements
         factorizations += factored
-        rows, stage, nl = _residual_rows(blocks, cfg.scheme, state0, z, dt,
-                                         loads)
-        norms.append(_scaled_norm(rows, newton.scales))
 
-    a1, b1, g1, th1, p1 = _unpack(blocks, z)
-    state1 = StateVector(t1, a1, b1, g1, th1, p1)
+    state1 = StateVector(t1, *_unpack(blocks, z))
     diag = StepDiagnostics(t=t1, iterations=iterations,
                            residual_norms=norms, converged=True,
                            work=float(blocks.work(loads, stage)),

@@ -9,12 +9,14 @@ works matrix-free or on the full space), the energy certificate from a
 loop over states with one scalar data-norm call per time, the loads and
 data norms with every field evaluated on the quadrature points at every
 time where the package splits each field once into time factors times
-space fields, the Newton matrix on all five unknowns where the package
-condenses the kinematic row, and data expressions by a recursive tree walk that shares nothing
-where the package evaluates each distinct node once, and the |v|^4 form
-of the Sobolev ascent by ``einsum`` where the package uses two matmuls,
-and one time step re-solved on the divergence-free subspace by a dense
-Newton iteration where the package solves the saddle-point system.
+space fields, the five residual rows written out by hand and the Newton
+matrix on all five unknowns where the package reads one table of linear
+terms and condenses the kinematic row, and data expressions by a
+recursive tree walk that shares nothing where the package evaluates each
+distinct node once, and the |v|^4 form of the Sobolev ascent by ``einsum``
+where the package uses two matmuls, and one time step re-solved on the
+divergence-free subspace by a dense Newton iteration where the package
+solves the saddle-point system.
 The module also holds the refinement helpers behind the constants
 criterion, the CSV reader of the result tables, which no command uses, and
 two data sets: the README example's and one whose fields mix time and space.
@@ -44,7 +46,7 @@ from fpsi.fem import ElementKind, basis_eval, make_scalar_space, triangle_rule
 from fpsi.mesh import Mesh
 from fpsi.monitor import CertificateReport, CertificateRow
 from fpsi.timestepper import (SchemeConfig, _jacobian, _pack, _residual_rows,
-                              step)
+                              _unpack, step)
 from fpsi.verify import CASE_IDS, manufactured_case
 
 
@@ -651,6 +653,44 @@ def rowwise_energy_report(traj, blocks, data, constants, funcs,
         "c3": c3,
     }
     return CertificateReport(rows=rows, summary=summary)
+
+
+def residual(blocks, state, state_dot, loads, nl):
+    """The five block residual rows at one time instant, written out by
+    hand.
+
+    ``state`` carries the values entering the stiffness-type terms,
+    ``state_dot`` the discrete time derivatives, ``loads`` the triple
+    (a, b, c) and ``nl`` the convection vector N(state.alpha).  Rows:
+    momentum, kinematic, Darcy, structure, constraint.
+    """
+    a, b, c = loads
+    r_mom = (blocks.Af @ state_dot.alpha + blocks.Bf @ state.alpha + nl
+             + blocks.D @ state.gamma - blocks.E @ state.theta
+             - blocks.Gdiv.T @ state.pi - a)
+    r_kin = state_dot.beta - state.theta
+    r_dar = (blocks.Ap @ state_dot.gamma + blocks.Bp @ state.gamma
+             + blocks.C.T @ state.theta - blocks.D.T @ state.alpha - c)
+    r_str = (blocks.As @ state_dot.theta + blocks.Bs @ state.beta
+             - blocks.C @ state.gamma - blocks.E.T @ state.alpha
+             + blocks.F @ state.theta - b)
+    r_con = blocks.Gdiv @ state.alpha
+    return r_mom, r_kin, r_dar, r_str, r_con
+
+
+def residual_rows(blocks, scheme, state0, z1, dt, loads):
+    """The residual rows of one step by :func:`residual`, at the stage,
+    with the constraint row at the new level."""
+    new = StateVector(0.0, *_unpack(blocks, z1))
+    names = ("alpha", "beta", "gamma", "theta")
+    dot = StateVector(0.0, *((getattr(new, k) - getattr(state0, k)) / dt
+                             for k in names), new.pi)
+    stage = new if scheme == "euler" else StateVector(
+        0.0, *(0.5 * (getattr(new, k) + getattr(state0, k)) for k in names),
+        new.pi)
+    nl, _ = blocks.convection(stage.alpha)
+    rows = residual(blocks, stage, dot, loads, nl)
+    return rows[:4] + (blocks.Gdiv @ new.alpha,)
 
 
 def full_newton_matrix(blocks, scheme, dt, stage_alpha):

@@ -18,7 +18,6 @@ from fpsi.assembly import (
     load_facet,
     load_volume,
     mixed_div,
-    residual,
     restrict,
     scalar_kgrad,
     scalar_mass,
@@ -37,6 +36,7 @@ from fpsi.fem import (
     make_vector_space,
 )
 from fpsi.mesh import build_rect_two_domain
+from fpsi.timestepper import _pack, _residual_rows
 
 
 # ---------------------------------------------------------------------------
@@ -430,8 +430,8 @@ def test_zero_state_residual_matches_loads():
     data = ProblemData(f_f=(ONE, Y), f_p=X, P_in=ONE)
     loads = assemble_loads(0.0, data, blocks.dm)
     state = blocks.zero_state()
-    nl, _ = blocks.convection(state.alpha)
-    rows = residual(blocks, state, state, loads, nl)
+    rows, _, _ = _residual_rows(blocks, "euler", state, _pack(state), 0.01,
+                                loads)
     np.testing.assert_allclose(rows[0], -loads[0])
     np.testing.assert_allclose(rows[2], -loads[2])
     np.testing.assert_allclose(rows[3], -loads[1])

@@ -78,6 +78,38 @@ def test_newton_matrix_pattern_does_not_depend_on_the_state():
     assert np.array_equal(at_rest.indices, moving.indices)
 
 
+@pytest.mark.parametrize("scheme", ["euler", "midpoint"])
+def test_linear_terms_match_the_hand_written_operator(scheme):
+    # the residual and the Newton matrix both read the table of linear
+    # terms; at a random state with convection on, each must agree with the
+    # rows written out by hand and with the five-block Newton matrix, its
+    # kinematic row condensed densely
+    from fpsi.timestepper import _jacobian, _pack, _residual_rows
+    blocks = _blocks(4, 4)
+    rng = np.random.default_rng(5)
+    dt = 0.05
+    state0 = StateVector(0.0, *(rng.standard_normal(n) for n in (
+        blocks.n_alpha, blocks.n_beta, blocks.n_gamma, blocks.n_beta,
+        blocks.n_pi)))
+    z1 = rng.standard_normal(len(_pack(state0)))
+    loads = assemble_loads(dt, _driven_data(), blocks.dm)
+    rows, stage, _ = _residual_rows(blocks, scheme, state0, z1, dt, loads)
+    for ours, hand in zip(rows, oracles.residual_rows(blocks, scheme, state0,
+                                                      z1, dt, loads)):
+        assert np.abs(ours - hand).max() <= 1e-13 * np.abs(hand).max()
+
+    full = oracles.full_newton_matrix(blocks, scheme, dt,
+                                      stage.alpha).toarray()
+    na, nb = blocks.n_alpha, blocks.n_beta
+    kin = np.arange(na, na + nb)
+    keep = np.setdiff1d(np.arange(len(full)), kin)
+    condensed = (full[np.ix_(keep, keep)] - full[np.ix_(keep, kin)]
+                 @ np.linalg.solve(full[np.ix_(kin, kin)],
+                                   full[np.ix_(kin, keep)]))
+    J = _jacobian(blocks, scheme, dt, stage.alpha).toarray()
+    assert np.abs(J - condensed).max() <= 1e-13 * np.abs(condensed).max()
+
+
 def test_zero_data_from_rest_stays_at_rest():
     blocks = _blocks(convection=True)
     cfg = SchemeConfig(scheme="midpoint", dt=0.1, t_final=0.3)
