@@ -778,7 +778,6 @@ class BlockSystem:
     dm: object
     params: PhysicalParams
     convection_enabled: bool
-    skew: bool
     Af: sp.csr_matrix
     Bf: sp.csr_matrix
     As: sp.csr_matrix
@@ -921,7 +920,7 @@ def assemble_system(mesh, params, convection=True, skew=False):
     Gdiv = restrict(gdiv, Q, V)
 
     blocks = BlockSystem(
-        dm=dm, params=params, convection_enabled=convection, skew=skew,
+        dm=dm, params=params, convection_enabled=convection,
         Af=Af, Bf=Bf, As=As, Bs=Bs, Ap=Ap, Bp=Bp,
         C=C, D=D, E=E, F=F, Gdiv=Gdiv,
         visc2=visc2, slip_uu_beta=slip_uu_beta,

@@ -386,11 +386,9 @@ def _cmd_run(ns):
     print("completed %d steps of %r to t = %s"
           % (len(traj.states) - 1, cfg.scheme.scheme, traj.states[-1].t))
     diags = traj.diagnostics
-    print("newton: %d iterations, %d GMRES iterations, %d refinement steps, "
-          "%d factorizations"
+    print("newton: %d iterations, %d GMRES iterations, %d factorizations"
           % (sum(d.iterations for d in diags),
              sum(d.krylov_iterations for d in diags),
-             sum(d.refinements for d in diags),
              sum(d.factorizations for d in diags)))
     if report is not None:
         print("final energy %.6e, total dissipation %.6e"
@@ -520,7 +518,7 @@ def _build_parser():
 
     p = sub.add_parser("mms", help="manufactured-solution convergence study")
     p.add_argument("case", choices=CASE_IDS)
-    p.add_argument("levels", type=int, help="number of refinement levels "
+    p.add_argument("levels", type=int, help="number of mesh levels "
                                             "starting from n = 8")
     p.add_argument("--scheme", choices=("euler", "midpoint"),
                    default="midpoint")

@@ -43,7 +43,6 @@ FACET_TAG_NAMES = (
 
 BOUNDARY_TAGS_FLUID = (FLUID_INLET, FLUID_OUTLET, FLUID_EXTERNAL)
 BOUNDARY_TAGS_PORO = (PORO_SOLID, PORO_EXTERNAL)
-ALL_BOUNDARY_TAGS = BOUNDARY_TAGS_FLUID + BOUNDARY_TAGS_PORO
 
 _TRI_TAG_CODE = {name: code for code, name in enumerate(TRIANGLE_TAG_NAMES)}
 _FACET_TAG_CODE = {name: code for code, name in enumerate(FACET_TAG_NAMES)}

@@ -366,7 +366,6 @@ class CertificateRow:
     # how the step's Newton iteration converged
     newton_iterations: int = None
     gmres_iterations: int = None
-    refinements: int = None
     newton_residual: float = math.nan
 
 
@@ -417,11 +416,10 @@ def energy_report(traj, blocks, data, constants, funcs=None,
     a time: a quadratic form is one sparse-times-dense product and
     column-wise dots.  The load work and the convection power of each step
     are the ones its solve recorded in ``traj.diagnostics``, at the stage
-    of the accepted state; so are its Newton, GMRES and refinement counts
-    and its final scaled residual.  ``summary["flag_detail"]`` gives, per
-    row flag, the first failing step (or None), the worst step and the
-    worst margin (the bound minus the checked quantity, negative where the
-    flag fails).
+    of the accepted state; so are its Newton and GMRES counts and its
+    final scaled residual.  ``summary["flag_detail"]`` gives, per row flag,
+    the first failing step (or None), the worst step and the worst margin
+    (the bound minus the checked quantity, negative where the flag fails).
     """
     constants = constants_dict(constants)
     p = blocks.params
@@ -492,7 +490,6 @@ def energy_report(traj, blocks, data, constants, funcs=None,
     solves = dict(
         newton_iterations=np.array([d.iterations for d in diags]),
         gmres_iterations=np.array([d.krylov_iterations for d in diags]),
-        refinements=np.array([d.refinements for d in diags]),
         newton_residual=np.array([d.residual_norms[-1] for d in diags]))
     defect = (energy[1:] - energy[:-1] + jump) / dt + diss + nterm - work
     scale = ((np.abs(energy[1:]) + np.abs(energy[:-1]) + jump) / dt

@@ -22,8 +22,8 @@ kinematic row, an identity block, and the structure row, so each correction
 eliminates it exactly (Benzi, Golub & Liesen 2005) and recovers it by one
 axpy.  A :class:`NewtonSolver`, built once per trajectory, factors the
 condensed matrix with sparse LU only on its first correction; the factor
-right-preconditions one GMRES(30) cycle, one LU solve per iteration, for
-every later one, with the matrix applied as its linear part plus the current
+right-preconditions one GMRES(30) cycle per correction, one LU solve per
+iteration, with the matrix applied as its linear part plus the current
 convection Jacobian.  Unless the cycle's estimate and the correction's true
 residual both fall below 1e-12 relative (an exact Newton method), the
 current matrix is factored and becomes the new preconditioner (Saad 2003,
@@ -31,11 +31,11 @@ current matrix is factored and becomes the new preconditioner (Saad 2003,
 
 The factor is only a preconditioner, so it is made in single precision, in
 a geometric nested-dissection order computed once per trajectory (George
-1973); GMRES, the residuals and the states stay in double.  A correction
-solved by a fresh factor is refined in double, ``x += a M^-1 (b - J x)``
-with the step length ``a`` that minimises the new residual, until its true
-residual passes the same 1e-12 test (Carson & Higham 2017); a refinement
-step that does not halve the residual is a :class:`StepError`.
+1973); GMRES, the residuals and the states stay in double.  A fresh factor
+preconditions the same GMRES cycle, applied with the matrix it was made
+from (GMRES-IR, Carson & Higham 2017), so every LU solve is one GMRES
+iteration; a fresh factor whose cycle misses the 1e-12 test is a
+:class:`StepError`.
 """
 
 from __future__ import annotations
@@ -108,11 +108,9 @@ class StepDiagnostics:
     t: float
     iterations: int
     residual_norms: list
-    converged: bool
     work: float
     convection_power: float
     krylov_iterations: int = 0
-    refinements: int = 0
     factorizations: int = 0
 
 
@@ -352,14 +350,13 @@ class NewtonSolver:
     of the convergence test; the nested-dissection order ``perm`` of the
     condensed unknowns, computed at the first factorisation; the
     single-precision sparse LU factor of the last condensed Newton matrix
-    it factored, in that order, which right-preconditions GMRES for later
-    corrections; and the linear part of that matrix (assembled at zero
-    velocity, so its stored pattern is the full dof coupling graph).  The
-    old factor is released before a new one is made, and the linear part
-    is assembled only at the first GMRES solve: the first ``splu``, which
-    sets the memory peak of a run, runs with neither alive.
-    ``refinements`` counts the refinement steps of the last correction, 0
-    unless it factored.
+    it factored, in that order, which right-preconditions GMRES for the
+    correction that made it and for later ones; and the linear part of that
+    matrix (assembled at zero velocity, so its stored pattern is the full
+    dof coupling graph).  The old factor is released before a new one is
+    made, and the linear part is assembled only at the first GMRES solve on
+    an old factor: the first ``splu``, which sets the memory peak of a run,
+    runs with neither alive.
     """
 
     def __init__(self, blocks, scheme, dt):
@@ -372,7 +369,6 @@ class NewtonSolver:
         self.perm = None
         self.lu = None
         self.J_lin = None
-        self.refinements = 0
 
     def correction(self, rhs, stage_alpha):
         """Solve J(stage) dz = rhs; returns (dz, GMRES iterations, factored).
@@ -381,9 +377,14 @@ class NewtonSolver:
         whether the condensed matrix was factored for this correction.
         """
         blocks, s, dt = self.blocks, self.s, self.dt
-        r_mom, r_kin, r_dar, r_str, r_con = _unpack(blocks, rhs)
-        b = np.concatenate([r_mom, r_dar,
-                            r_str - (s * dt) * (blocks.Bs @ r_kin), r_con])
+        rows = _unpack(blocks, rhs)
+        r_kin = rows[1]
+        # the beta-column stage terms that _jacobian folds into theta take
+        # -sign s dt matrix r_kin into their rows
+        for row, col, sign, matrix, value in self.terms:
+            if col == 1 and row != 1 and value == "stage":
+                rows[row] = rows[row] - (sign * s * dt) * (matrix @ r_kin)
+        b = np.concatenate([rows[0], rows[2], rows[3], rows[4]])
         x, krylov, factored = self._solve(b, stage_alpha)
         na, ng, nb = blocks.n_alpha, blocks.n_gamma, blocks.n_beta
         d_beta = dt * (r_kin + s * x[na + ng:na + ng + nb])
@@ -398,8 +399,18 @@ class NewtonSolver:
         x[self.perm] = self.lu.solve((r[self.perm] / scale).astype(np.float32))
         return scale * x
 
+    def _gmres(self, matvec, b, tol):
+        """One GMRES(``GMRES_RESTART``) cycle preconditioned by the factor;
+        returns ``(x, iterations)``, x None unless the cycle's estimate and
+        the true residual ``|b - J x|`` both reach ``tol`` (NaN fails)."""
+        x, krylov = _gmres_cycle(matvec, self._precondition, b,
+                                 GMRES_RESTART, tol)
+        if x is not None and not np.linalg.norm(b - matvec(x)) <= tol:
+            x = None
+        return x, krylov
+
     def _solve(self, b, stage_alpha):
-        krylov = self.refinements = 0
+        krylov = 0
         tol = GMRES_RTOL * np.linalg.norm(b)
         if self.lu is not None:
             if self.J_lin is None:  # CSR: the GMRES matvecs are row sums
@@ -413,9 +424,8 @@ class NewtonSolver:
                 out = J_lin @ v
                 out[:na] += s * (Jn @ v[:na])
                 return out
-            x, krylov = _gmres_cycle(matvec, self._precondition, b,
-                                     GMRES_RESTART, tol)
-            if x is not None and np.linalg.norm(b - matvec(x)) <= tol:
+            x, krylov = self._gmres(matvec, b, tol)
+            if x is not None:
                 return x, krylov, False
         self.lu = None  # see the class docstring
         J = _jacobian(self.blocks, self.scheme, self.dt, stage_alpha,
@@ -427,42 +437,28 @@ class NewtonSolver:
         self.lu = spla.splu(J.astype(np.float32)[self.perm][:, self.perm],
                             permc_spec="NATURAL", diag_pivot_thresh=1e-3,
                             options={"SymmetricMode": True})
-        x = self._precondition(b)
-        r = b - J @ x
-        # refinement in double, x += a M^-1 r with the step length a that
-        # minimises the new residual (a GMRES(1) step, so no worse than
-        # a = 1); a NaN residual fails the test
-        while not np.linalg.norm(r) <= tol:
-            dx = self._precondition(r)
-            w = J @ dx
-            x += (w @ r) / (w @ w) * dx
-            r, missed = b - J @ x, np.linalg.norm(r)
-            self.refinements += 1
-            if not np.linalg.norm(r) <= 0.5 * missed:
-                rel = np.linalg.norm(r) / np.linalg.norm(b)
-                raise StepError("the direct solve missed its residual test "
-                                "(relative residual %.3e after %d refinement "
-                                "steps)" % (rel, self.refinements), rel, 0)
-        return x, krylov, True
+        x, fresh = self._gmres(J.__matmul__, b, tol)
+        if x is None:
+            raise StepError("GMRES on a fresh factor missed its residual "
+                            "test after %d iterations" % fresh, np.nan, 0)
+        return x, krylov + fresh, True
 
 
-def step(blocks, data, state0, cfg, loads=None, newton=None):
+def step(blocks, data, state0, cfg, newton=None):
     """Advance one time step; returns (new_state, StepDiagnostics).
 
     ``newton`` is the trajectory's :class:`NewtonSolver`; a fresh one is
-    built when it is omitted, so a lone step's first correction is a direct
-    sparse LU solve.
+    built when it is omitted, so a lone step's first correction factors.
     """
     dt = cfg.dt
     t1 = state0.t + dt
     t_load = t1 if cfg.scheme == "euler" else state0.t + 0.5 * dt
-    if loads is None:
-        loads = assemble_loads(t_load, data, blocks.dm)
+    loads = assemble_loads(t_load, data, blocks.dm)
     if newton is None:
         newton = NewtonSolver(blocks, cfg.scheme, dt)
 
     z, norms = _pack(state0), []
-    iterations = krylov_iterations = refinements = factorizations = 0
+    iterations = krylov_iterations = factorizations = 0
     while True:
         rows, stage, nl = _residual_rows(blocks, cfg.scheme, state0, z, dt,
                                          loads, newton.terms)
@@ -480,16 +476,14 @@ def step(blocks, data, state0, cfg, loads=None, newton=None):
         z = z - dz
         iterations += 1
         krylov_iterations += krylov
-        refinements += newton.refinements
         factorizations += factored
 
     state1 = StateVector(t1, *_unpack(blocks, z))
     diag = StepDiagnostics(t=t1, iterations=iterations,
-                           residual_norms=norms, converged=True,
+                           residual_norms=norms,
                            work=float(blocks.work(loads, stage)),
                            convection_power=float(stage.alpha @ nl),
                            krylov_iterations=krylov_iterations,
-                           refinements=refinements,
                            factorizations=factorizations)
     return state1, diag
 

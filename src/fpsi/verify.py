@@ -21,7 +21,7 @@ constructed so that all four interface conditions hold identically and the
 three interface defects vanish.
 
 The module also provides error norms against the exact fields, a mesh
-refinement study whose per-level records feed the acceptance checks, and
+convergence study whose per-level records feed the acceptance checks, and
 direct interface-residual norms of a discrete state.
 """
 
@@ -435,12 +435,12 @@ def interface_residuals(blocks, state):
 
 
 # ---------------------------------------------------------------------------
-# refinement study
+# mesh convergence study
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class LevelRun:
-    """One refinement level: mesh size, step size, errors and residuals."""
+    """One mesh level: mesh size, step size, errors and residuals."""
 
     n: int
     h: float
@@ -454,7 +454,7 @@ class LevelRun:
 
 @dataclass(frozen=True)
 class ConvergenceTable:
-    """Refinement-study results with observed convergence rates."""
+    """Convergence-study results with observed convergence rates."""
 
     case_id: str
     scheme: str
@@ -486,7 +486,7 @@ class ConvergenceTable:
 
 
 class StudyError(RuntimeError):
-    """A refinement level failed; ``partial`` holds the completed levels."""
+    """A mesh level failed; ``partial`` holds the completed levels."""
 
     def __init__(self, message, partial):
         super().__init__(message)

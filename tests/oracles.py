@@ -577,7 +577,6 @@ def rowwise_energy_report(traj, blocks, data, constants, funcs,
             diag = traj.diagnostics[n - 1]
             row.newton_iterations = diag.iterations
             row.gmres_iterations = diag.krylov_iterations
-            row.refinements = diag.refinements
             row.newton_residual = diag.residual_norms[-1]
             cum_diss += dt * diss
             row.identity_defect = defect
@@ -710,6 +709,24 @@ def full_newton_matrix(blocks, scheme, dt, stage_alpha):
         [blocks.Gdiv, None, None, None, None],
     ]
     return sp.bmat(rows, format="csc")
+
+
+def newton_matrix_from_terms(blocks, scheme, dt, stage_alpha, terms):
+    """The five-block Newton matrix of :func:`full_newton_matrix`, dense,
+    built from a table of linear terms ``(row, column, sign, matrix,
+    value)``: each term at 1/dt (rate), s (stage) or 1 (new), and ``s Jn``
+    in the momentum row's alpha column."""
+    s = 1.0 if scheme == "euler" else 0.5
+    coefficient = {"rate": 1.0 / dt, "stage": s, "new": 1.0}
+    _, Jn = blocks.convection(stage_alpha, jac=True)
+    nb = blocks.n_beta
+    edges = np.cumsum([0, blocks.n_alpha, nb, blocks.n_gamma, nb,
+                       blocks.n_pi])
+    J = np.zeros((edges[-1], edges[-1]))
+    for row, col, sign, matrix, value in (*terms, (0, 0, 1, Jn, "stage")):
+        J[edges[row]:edges[row + 1], edges[col]:edges[col + 1]] += (
+            sign * coefficient[value] * matrix.toarray())
+    return J
 
 
 _TREE_OPS = {
