@@ -413,7 +413,10 @@ def scalar_grad_products(test_space, trial_space):
     test function first.  On an affine triangle the element matrix is
     ``|det J| sum_kl Jinv[k, a] Jinv[l, b] S_kl`` with ``S_kl`` the exact
     reference gradient-product tables.  Every symmetric-gradient, div-div,
-    stiffness and ``K``-gradient block is a combination of these four.
+    stiffness and ``K``-gradient block is a combination of these four.  The
+    symmetric-gradient, div-div and stiffness forms take them as ``g``, so
+    one scatter serves every form of a space, and scatter them themselves
+    when ``g`` is omitted.
     """
     _check_same_cells(test_space, trial_space)
     _, jinv, det = _geometry(test_space.mesh, test_space.tri_ids)
@@ -429,31 +432,36 @@ def scalar_grad_products(test_space, trial_space):
     return [[block(a, b) for b in range(2)] for a in range(2)]
 
 
+def _grad_products(space, g):
+    """``g``, or the gradient products of the space's scalar space."""
+    sc = _scalar_space_of(space)
+    return scalar_grad_products(sc, sc) if g is None else g
+
+
 def vector_mass(space):
     """(u, v) on a component-blocked vector space."""
     m = scalar_mass(space.scalar, space.scalar)
     return sp.block_diag([m, m]).tocsr()
 
 
-def vector_symgrad(space):
+def vector_symgrad(space, g=None):
     """(D(u), D(v)) with D the symmetric gradient."""
-    g = scalar_grad_products(space.scalar, space.scalar)
+    g = _grad_products(space, g)
     return sp.bmat([
         [sparse_sum(g[0][0], 0.5 * g[1][1]), 0.5 * g[1][0]],
         [0.5 * g[0][1], sparse_sum(g[1][1], 0.5 * g[0][0])],
     ]).tocsr()
 
 
-def vector_divdiv(space):
+def vector_divdiv(space, g=None):
     """(div u, div v)."""
-    g = scalar_grad_products(space.scalar, space.scalar)
+    g = _grad_products(space, g)
     return sp.bmat([[g[0][0], g[0][1]], [g[1][0], g[1][1]]]).tocsr()
 
 
-def vector_stiffness(space):
+def vector_stiffness(space, g=None):
     """(grad u, grad v), the componentwise H1 seminorm product."""
-    g = scalar_grad_products(space.scalar, space.scalar)
-    lap = sparse_sum(g[0][0], g[1][1])
+    lap = scalar_stiffness(space.scalar, g)
     return sp.block_diag([lap, lap]).tocsr()
 
 
@@ -466,8 +474,8 @@ def scalar_kgrad(space, K):
     return sparse_sum(*(K[a, b] * g[a][b] for a in range(2) for b in range(2)))
 
 
-def scalar_stiffness(space):
-    g = scalar_grad_products(space, space)
+def scalar_stiffness(space, g=None):
+    g = _grad_products(space, g)
     return sparse_sum(g[0][0], g[1][1])
 
 
@@ -699,10 +707,11 @@ class _Convection:
     The Jacobian is ``A`` on both diagonal component blocks plus the
     derivative through ``W``.
 
-    The Jacobian's free-dof CSR pattern and the map from element entries to
-    its slots are built once: the pattern is the full velocity coupling
-    graph, exact zeros included, so the LU ordering of the Newton matrix
-    never depends on the velocity, and a call fills only ``data``.
+    The Jacobian's free-dof CSR pattern and the slot of every element entry
+    in it are built once: the pattern is the full velocity coupling graph,
+    exact zeros included, so the LU ordering of the Newton matrix never
+    depends on the velocity, and a call fills only ``data``.  An entry on a
+    constrained dof goes to the dump slot ``nnz`` past the pattern's end.
     """
 
     def __init__(self, space, rho_f, skew):
@@ -733,9 +742,10 @@ class _Convection:
         rows = np.repeat(fdofs[:, :, None], 2 * nloc, axis=2)
         cols = np.repeat(fdofs[:, None, :], 2 * nloc, axis=1)
         keep = (rows >= 0) & (cols >= 0)
-        self.jac_take = np.flatnonzero(keep)
-        keys, self.jac_slot = np.unique(rows[keep] * n + cols[keep],
-                                        return_inverse=True)
+        keys, slot = np.unique(rows[keep] * n + cols[keep],
+                               return_inverse=True)
+        self.jac_slot = np.full(keep.size, len(keys))
+        self.jac_slot[keep.ravel()] = slot
         indptr = np.searchsorted(keys, np.arange(n + 1) * n)
         self.pattern = sp.csr_matrix((np.zeros(len(keys)), keys % n, indptr),
                                      shape=(n, n))
@@ -764,16 +774,37 @@ class _Convection:
         for k in range(2):
             local[:, k, :, k, :] += op
         local = self.rho_f * local.reshape(nc, 4 * nloc * nloc)
-        data = np.bincount(self.jac_slot, weights=local.ravel()[self.jac_take],
-                           minlength=self.pattern.nnz)
+        nnz = self.pattern.nnz
+        data = np.bincount(self.jac_slot, local.ravel(), minlength=nnz + 1)
+        data = data[:nnz]
         jmat = sp.csr_matrix((data, self.pattern.indices, self.pattern.indptr),
                              shape=self.pattern.shape)
         return residual, jmat
 
 
+# the operators that only the constants and the certificate read, built
+# together on the first read of any of them (see BlockSystem)
+CERTIFICATE_OPERATORS = (
+    "visc2", "slip_uu_beta", "mass_u", "mass_d", "mass_p", "mass_q",
+    "visc_u", "stiff_u", "stiff_d", "stiff_p", "h1_u", "h1_d", "h1_p")
+
+
 @dataclass
 class BlockSystem:
-    """All assembled operators of the coupled problem, restricted to free dofs."""
+    """The assembled operators of the coupled problem, restricted to free
+    dofs.
+
+    The fields are the eleven blocks of the time stepper (``Af`` to
+    ``Gdiv``, see the module docstring) and the convection term, built by
+    :func:`assemble_system`.  The thirteen :data:`CERTIFICATE_OPERATORS` --
+    ``visc2 = 2 mu_f (D(u), D(v))`` and ``slip_uu_beta``, the two parts of
+    ``Bf``; the masses ``mass_u``, ``mass_d``, ``mass_p``, ``mass_q``; the
+    symmetric-gradient form ``visc_u``; the stiffnesses ``stiff_u``,
+    ``stiff_d``, ``stiff_p``; the H1 products ``h1_u``, ``h1_d``, ``h1_p`` --
+    are built together on the first read of any of them and then kept as
+    attributes of the same names, so a run that never reads them (a time
+    stepper alone) never holds them.
+    """
 
     dm: object
     params: PhysicalParams
@@ -789,20 +820,15 @@ class BlockSystem:
     E: sp.csr_matrix
     F: sp.csr_matrix
     Gdiv: sp.csr_matrix
-    visc2: sp.csr_matrix
-    slip_uu_beta: sp.csr_matrix
-    mass_u: sp.csr_matrix
-    mass_d: sp.csr_matrix
-    mass_p: sp.csr_matrix
-    mass_q: sp.csr_matrix
-    visc_u: sp.csr_matrix
-    stiff_u: sp.csr_matrix
-    stiff_d: sp.csr_matrix
-    stiff_p: sp.csr_matrix
-    h1_u: sp.csr_matrix
-    h1_d: sp.csr_matrix
-    h1_p: sp.csr_matrix
     _convection: object = None
+
+    def __getattr__(self, name):
+        # reached only for an attribute not set yet
+        if name not in CERTIFICATE_OPERATORS:
+            raise AttributeError("%r object has no attribute %r"
+                                 % (type(self).__name__, name))
+        vars(self).update(_certificate_operators(self.dm, self.params))
+        return vars(self)[name]
 
     @property
     def n_alpha(self):
@@ -868,77 +894,88 @@ def _dots(x, y):
     return np.einsum("i...,i...->...", x, y)
 
 
+def _slip_uu_beta(V, params):
+    """``beta <(u.t)(v.t)>_I`` on the free velocity dofs, the slip part of
+    ``Bf``."""
+    mesh = V.mesh
+    iftri = mesh.interface_fluid_tri
+    slip_uu = facet_matrix(V, V, mesh.interface_facets, iftri, iftri,
+                           interface_tangents(mesh.interface_normals))
+    return restrict(params.beta_slip * slip_uu, V, V)
+
+
 def assemble_system(mesh, params, convection=True, skew=False):
-    """Assemble every operator of the coupled problem on ``mesh``."""
+    """Assemble the operators of the coupled problem on ``mesh``.
+
+    Builds the eleven blocks the time stepper reads and the convection
+    term; the :data:`CERTIFICATE_OPERATORS` are built on their first read
+    (see :class:`BlockSystem`).  Each space's gradient products are
+    scattered once, and each full-dof form is restricted as soon as it is
+    built.
+    """
     dm = build_dofmaps(mesh)
     V, Q = dm.velocity, dm.pressure_f
     W, R = dm.displacement, dm.pressure_p
+    p = params
 
-    mass_u = vector_mass(V)
-    visc_u = vector_symgrad(V)
-    stiff_u = vector_stiffness(V)
-    gdiv = mixed_div(Q, V)
-    mass_q = scalar_mass(Q, Q)
+    Bf = sparse_sum(2.0 * p.mu_f * restrict(vector_symgrad(V), V, V),
+                    _slip_uu_beta(V, p))
+    Af = restrict(p.rho_f * vector_mass(V), V, V)
+    Gdiv = restrict(mixed_div(Q, V), Q, V)
 
-    mass_d = vector_mass(W)
-    symgrad_d = vector_symgrad(W)
-    divdiv_d = vector_divdiv(W)
-    stiff_d = vector_stiffness(W)
-
-    mass_p = scalar_mass(R, R)
-    kgrad_p = scalar_kgrad(R, params.K)
-    stiff_p = scalar_stiffness(R)
+    g = scalar_grad_products(W.scalar, W.scalar)
+    Bs = restrict(sparse_sum(2.0 * p.mu_s * vector_symgrad(W, g),
+                             p.lambda_s * vector_divdiv(W, g)), W, W)
+    del g
+    As = restrict(p.rho_s * vector_mass(W), W, W)
+    Ap = restrict(p.s0 * scalar_mass(R, R), R, R)
+    Bp = restrict(scalar_kgrad(R, p.K), R, R)
 
     ifacets = mesh.interface_facets
     iftri = mesh.interface_fluid_tri
     iptri = mesh.interface_poro_tri
     normals = mesh.interface_normals
     tangents = interface_tangents(normals)
-
-    slip_uu = facet_matrix(V, V, ifacets, iftri, iftri, tangents)
-    slip_ud = facet_matrix(V, W, ifacets, iftri, iptri, tangents)
-    slip_dd = facet_matrix(W, W, ifacets, iptri, iptri, tangents)
-    dface = facet_matrix(V, R, ifacets, iftri, iptri, normals)
-    cface = facet_matrix(W, R, ifacets, iptri, iptri, normals)
-    cvol = div_pressure(W, R)
-
-    p = params
-    visc_u = restrict(visc_u, V, V)
-    Af = restrict(p.rho_f * mass_u, V, V)
-    visc2 = 2.0 * p.mu_f * visc_u
-    slip_uu_beta = restrict(p.beta_slip * slip_uu, V, V)
-    Bf = sparse_sum(visc2, slip_uu_beta)
-    As = restrict(p.rho_s * mass_d, W, W)
-    Bs = restrict(sparse_sum(2.0 * p.mu_s * symgrad_d, p.lambda_s * divdiv_d),
-                  W, W)
-    Ap = restrict(p.s0 * mass_p, R, R)
-    Bp = restrict(kgrad_p, R, R)
-    C = restrict(sparse_sum(p.alpha_bw * cvol, cface), W, R)
-    D = restrict(dface, V, R)
-    E = restrict(p.beta_slip * slip_ud, V, W)
-    F = restrict(p.beta_slip * slip_dd, W, W)
-    Gdiv = restrict(gdiv, Q, V)
+    C = restrict(sparse_sum(p.alpha_bw * div_pressure(W, R),
+                            facet_matrix(W, R, ifacets, iptri, iptri,
+                                         normals)), W, R)
+    D = restrict(facet_matrix(V, R, ifacets, iftri, iptri, normals), V, R)
+    E = restrict(p.beta_slip * facet_matrix(V, W, ifacets, iftri, iptri,
+                                            tangents), V, W)
+    F = restrict(p.beta_slip * facet_matrix(W, W, ifacets, iptri, iptri,
+                                            tangents), W, W)
 
     blocks = BlockSystem(
         dm=dm, params=params, convection_enabled=convection,
         Af=Af, Bf=Bf, As=As, Bs=Bs, Ap=Ap, Bp=Bp,
         C=C, D=D, E=E, F=F, Gdiv=Gdiv,
-        visc2=visc2, slip_uu_beta=slip_uu_beta,
-        mass_u=restrict(mass_u, V, V),
-        mass_d=restrict(mass_d, W, W),
-        mass_p=restrict(mass_p, R, R),
-        mass_q=restrict(mass_q, Q, Q),
-        visc_u=visc_u,
-        stiff_u=restrict(stiff_u, V, V),
-        stiff_d=restrict(stiff_d, W, W),
-        stiff_p=restrict(stiff_p, R, R),
-        h1_u=restrict(mass_u + stiff_u, V, V),
-        h1_d=restrict(mass_d + stiff_d, W, W),
-        h1_p=restrict(mass_p + stiff_p, R, R),
     )
     if convection:
         blocks._convection = _Convection(V, p.rho_f, skew)
     return blocks
+
+
+def _certificate_operators(dm, params):
+    """The :data:`CERTIFICATE_OPERATORS` of ``dm`` and ``params`` by name,
+    one gradient-product scatter per space."""
+    V, Q = dm.velocity, dm.pressure_f
+    ops = {"mass_q": restrict(scalar_mass(Q, Q), Q, Q),
+           "slip_uu_beta": _slip_uu_beta(V, params)}
+    for suffix, space in (("u", V), ("d", dm.displacement),
+                          ("p", dm.pressure_p)):
+        g = _grad_products(space, None)
+        if isinstance(space, VectorSpace):
+            mass, stiff = vector_mass(space), vector_stiffness(space, g)
+        else:
+            mass, stiff = scalar_mass(space, space), scalar_stiffness(space, g)
+        if space is V:
+            ops["visc_u"] = restrict(vector_symgrad(V, g), V, V)
+        del g
+        mass, stiff = restrict(mass, space, space), restrict(stiff, space, space)
+        ops.update({"mass_" + suffix: mass, "stiff_" + suffix: stiff,
+                    "h1_" + suffix: mass + stiff})
+    ops["visc2"] = 2.0 * params.mu_f * ops["visc_u"]
+    return ops
 
 
 # the (dof-map space, facet tag) each ExtraLoads field loads

@@ -195,9 +195,10 @@ def _residual_rows(blocks, scheme, state0, z1, dt, loads, terms=None):
     return tuple(rows), StateVector(0.0, *stage), nl
 
 
-def _cell(terms, s, dt):
-    """A Newton matrix cell, its parts freed on return: each term at 1/dt
-    (rate), s (stage) or 1 (new), beta's times ``s dt``, uncopied at 1."""
+def _cell(terms, s, dt, shape):
+    """A Newton matrix cell in CSR, empty without terms, its parts freed on
+    return: each term at 1/dt (rate), s (stage) or 1 (new), beta's times
+    ``s dt``, uncopied at 1 unless a transpose."""
     parts = []
     for _, col, sign, matrix, value in terms:
         c = (sign * (s if value == "stage" else 1.0)
@@ -205,7 +206,7 @@ def _cell(terms, s, dt):
         parts.append(matrix / (sign * dt) if value == "rate" else
                      matrix if c == 1.0 else c * matrix)
     if len(parts) < 2:
-        return parts[0] if parts else None
+        return parts[0].tocsr() if parts else sp.csr_matrix(shape)
     return sparse_sum(*parts)
 
 
@@ -216,15 +217,23 @@ def _jacobian(blocks, scheme, dt, stage_alpha, terms=None):
     ``dbeta / dt - s dtheta = r_kin`` gives ``dbeta = dt (r_kin + s dtheta)``,
     so the structure row's ``s Bs`` adds ``s^2 dt Bs`` to the theta block
     and ``-s dt Bs r_kin`` to the right-hand side.
+
+    CSR, one block row at a time: with every cell CSR, ``bmat`` stacks the
+    compressed arrays and makes no COO copy, and a row's cells are freed as
+    soon as the row is stacked.  ``splu`` takes its CSC.
     """
     s = 1.0 if scheme == "euler" else 0.5
     _, Jn = blocks.convection(stage_alpha, jac=True)
     terms = (*(terms or _linear_terms(blocks)), (0, 0, 1, Jn, "stage"))
     kept = (0, 2, 3, 4)  # unknowns of the condensed matrix; beta joins theta
     column = {0: 0, 1: 3, 2: 2, 3: 3, 4: 4}
-    grid = [[_cell([t for t in terms if (t[0], column[t[1]]) == (i, j)], s, dt)
-             for j in kept] for i in kept]
-    return sp.bmat(grid, format="csc")
+    size = (blocks.n_alpha, blocks.n_beta, blocks.n_gamma, blocks.n_beta,
+            blocks.n_pi)
+    rows = [sp.bmat([[_cell([t for t in terms
+                             if (t[0], column[t[1]]) == (i, j)],
+                            s, dt, (size[i], size[j])) for j in kept]],
+                    format="csr") for i in kept]
+    return sp.bmat([[row] for row in rows], format="csr")
 
 
 def _gmres_cycle(matvec, psolve, b, restart, tol):
@@ -416,7 +425,7 @@ class NewtonSolver:
             if self.J_lin is None:  # CSR: the GMRES matvecs are row sums
                 self.J_lin = _jacobian(self.blocks, self.scheme, self.dt,
                                        np.zeros(self.blocks.n_alpha),
-                                       self.terms).tocsr()
+                                       self.terms)
             _, Jn = self.blocks.convection(stage_alpha, jac=True)
             na, s, J_lin = self.blocks.n_alpha, self.s, self.J_lin
 
@@ -429,7 +438,7 @@ class NewtonSolver:
                 return x, krylov, False
         self.lu = None  # see the class docstring
         J = _jacobian(self.blocks, self.scheme, self.dt, stage_alpha,
-                      self.terms)
+                      self.terms).tocsc()
         if self.perm is None:
             self.perm = _nested_dissection(self.blocks.dm, J)
         # the order fixes the fill: a pivot threshold of 1e-3 fills as

@@ -493,6 +493,27 @@ class StudyError(RuntimeError):
         self.partial = partial
 
 
+def _level_run(case, n, cfg):
+    """One level of :func:`convergence_study` on an ``n`` x ``n`` mesh; its
+    mesh, blocks and trajectory are released on return, so one level is
+    alive at a time."""
+    mesh = meshmod.build_rect_two_domain(n, n, case.split)
+    blocks = assemble_system(mesh, case.params)
+    traj = run(blocks, case.data, cfg,
+               initial_state=initial_state(case, blocks))
+    state = traj.states[-1]
+    return LevelRun(
+        n=n,
+        h=1.0 / n,
+        dt=cfg.dt,
+        n_steps=cfg.n_steps(),
+        newton_iterations=sum(d.iterations for d in traj.diagnostics),
+        errors=compute_errors(case, blocks, state),
+        residuals=interface_residuals(blocks, state),
+        dofs={name: free for name, (_, free) in blocks.dm.counts().items()},
+    )
+
+
 def convergence_study(case_id, levels=(8, 16, 32), scheme="midpoint",
                       t_final=0.1, steps_coarsest=8, amplitude=1.0,
                       newton_tol=1e-10, newton_max=25):
@@ -510,29 +531,15 @@ def convergence_study(case_id, levels=(8, 16, 32), scheme="midpoint",
     n0 = levels[0]
     for n in levels:
         n_steps = int(round(steps_coarsest * (n / n0) ** exponent))
-        dt_n = t_final / n_steps
-        mesh = meshmod.build_rect_two_domain(n, n, case.split)
-        blocks = assemble_system(mesh, case.params)
-        cfg = SchemeConfig(scheme=scheme, dt=dt_n, t_final=t_final,
-                           newton_tol=newton_tol, newton_max=newton_max)
+        cfg = SchemeConfig(scheme=scheme, dt=t_final / n_steps,
+                           t_final=t_final, newton_tol=newton_tol,
+                           newton_max=newton_max)
         try:
-            traj = run(blocks, case.data, cfg,
-                       initial_state=initial_state(case, blocks))
+            runs.append(_level_run(case, n, cfg))
         except StepError as exc:
             partial = ConvergenceTable(case_id=case_id, scheme=scheme,
                                        t_final=t_final, runs=runs)
             raise StudyError(
                 "level n = %d failed: %s" % (n, exc), partial) from exc
-        state = traj.states[-1]
-        runs.append(LevelRun(
-            n=n,
-            h=1.0 / n,
-            dt=dt_n,
-            n_steps=n_steps,
-            newton_iterations=sum(d.iterations for d in traj.diagnostics),
-            errors=compute_errors(case, blocks, state),
-            residuals=interface_residuals(blocks, state),
-            dofs={name: free for name, (_, free) in blocks.dm.counts().items()},
-        ))
     return ConvergenceTable(case_id=case_id, scheme=scheme, t_final=t_final,
                             runs=runs)

@@ -16,7 +16,9 @@ recursive tree walk that shares nothing where the package evaluates each
 distinct node once, and the |v|^4 form of the Sobolev ascent by ``einsum``
 where the package uses two matmuls, and one time step re-solved on the
 divergence-free subspace by a dense Newton iteration where the package
-solves the saddle-point system.
+solves the saddle-point system, and every operator of the block system
+assembled eagerly, each space's gradient products scattered once per form,
+where the package builds the certificate's operators on first read.
 The module also holds the refinement helpers behind the constants
 criterion, the CSV reader of the result tables, which no command uses, and
 two data sets: the README example's and one whose fields mix time and space.
@@ -42,7 +44,8 @@ from fpsi.assembly import (PhysicalParams, ProblemData, StateVector,
                            scalar_mass, scalar_stiffness)
 from fpsi.expressions import Cos, PI, Sin, X, Y
 from fpsi.expressions import parse_expression as pe
-from fpsi.fem import ElementKind, basis_eval, make_scalar_space, triangle_rule
+from fpsi.fem import (ElementKind, basis_eval, build_dofmaps, make_scalar_space,
+                      triangle_rule)
 from fpsi.mesh import Mesh
 from fpsi.monitor import CertificateReport, CertificateRow
 from fpsi.timestepper import (SchemeConfig, _jacobian, _pack, _residual_rows,
@@ -690,6 +693,62 @@ def residual_rows(blocks, scheme, state0, z1, dt, loads):
     nl, _ = blocks.convection(stage.alpha)
     rows = residual(blocks, stage, dot, loads, nl)
     return rows[:4] + (blocks.Gdiv @ new.alpha,)
+
+
+def eager_operators(mesh, params):
+    """All 24 operators of :class:`~fpsi.assembly.BlockSystem` by name,
+    every one assembled up front: a symmetric-gradient, div-div, stiffness
+    or ``K``-gradient form scatters its own gradient products, and each is
+    restricted to free dofs only after all are built."""
+    dm = build_dofmaps(mesh)
+    V, Q = dm.velocity, dm.pressure_f
+    W, R = dm.displacement, dm.pressure_p
+    mass_u, visc_u = asm.vector_mass(V), asm.vector_symgrad(V)
+    stiff_u, gdiv = asm.vector_stiffness(V), asm.mixed_div(Q, V)
+    mass_q = scalar_mass(Q, Q)
+    mass_d, symgrad_d = asm.vector_mass(W), asm.vector_symgrad(W)
+    divdiv_d, stiff_d = asm.vector_divdiv(W), asm.vector_stiffness(W)
+    mass_p, kgrad_p = scalar_mass(R, R), asm.scalar_kgrad(R, params.K)
+    stiff_p = scalar_stiffness(R)
+    ifacets = mesh.interface_facets
+    iftri, iptri = mesh.interface_fluid_tri, mesh.interface_poro_tri
+    normals = mesh.interface_normals
+    tangents = asm.interface_tangents(normals)
+    slip_uu = facet_matrix(V, V, ifacets, iftri, iftri, tangents)
+    slip_ud = facet_matrix(V, W, ifacets, iftri, iptri, tangents)
+    slip_dd = facet_matrix(W, W, ifacets, iptri, iptri, tangents)
+    dface = facet_matrix(V, R, ifacets, iftri, iptri, normals)
+    cface = facet_matrix(W, R, ifacets, iptri, iptri, normals)
+    cvol = asm.div_pressure(W, R)
+
+    p = params
+    visc_u = restrict(visc_u, V, V)
+    visc2 = 2.0 * p.mu_f * visc_u
+    slip_uu_beta = restrict(p.beta_slip * slip_uu, V, V)
+    return {
+        "Af": restrict(p.rho_f * mass_u, V, V),
+        "Bf": asm.sparse_sum(visc2, slip_uu_beta),
+        "As": restrict(p.rho_s * mass_d, W, W),
+        "Bs": restrict(asm.sparse_sum(2.0 * p.mu_s * symgrad_d,
+                                      p.lambda_s * divdiv_d), W, W),
+        "Ap": restrict(p.s0 * mass_p, R, R),
+        "Bp": restrict(kgrad_p, R, R),
+        "C": restrict(asm.sparse_sum(p.alpha_bw * cvol, cface), W, R),
+        "D": restrict(dface, V, R),
+        "E": restrict(p.beta_slip * slip_ud, V, W),
+        "F": restrict(p.beta_slip * slip_dd, W, W),
+        "Gdiv": restrict(gdiv, Q, V),
+        "visc2": visc2, "slip_uu_beta": slip_uu_beta,
+        "mass_u": restrict(mass_u, V, V), "mass_d": restrict(mass_d, W, W),
+        "mass_p": restrict(mass_p, R, R), "mass_q": restrict(mass_q, Q, Q),
+        "visc_u": visc_u,
+        "stiff_u": restrict(stiff_u, V, V),
+        "stiff_d": restrict(stiff_d, W, W),
+        "stiff_p": restrict(stiff_p, R, R),
+        "h1_u": restrict(mass_u + stiff_u, V, V),
+        "h1_d": restrict(mass_d + stiff_d, W, W),
+        "h1_p": restrict(mass_p + stiff_p, R, R),
+    }
 
 
 def full_newton_matrix(blocks, scheme, dt, stage_alpha):

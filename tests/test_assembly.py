@@ -36,7 +36,7 @@ from fpsi.fem import (
     make_vector_space,
 )
 from fpsi.mesh import build_rect_two_domain
-from fpsi.timestepper import _pack, _residual_rows
+from fpsi.timestepper import SchemeConfig, _pack, _residual_rows, run
 
 
 # ---------------------------------------------------------------------------
@@ -458,6 +458,62 @@ def test_extra_loads_are_applied_where_stated():
     coords = dm.pressure_p.dof_coords[dm.pressure_p.free]
     touched = np.flatnonzero(np.abs(c) > 1e-14)
     assert np.all(np.abs(coords[touched, 1] - 0.5) < 0.26)
+
+
+# ---------------------------------------------------------------------------
+# the block system: solver blocks up front, the certificate's on first read
+# ---------------------------------------------------------------------------
+
+_CERTIFICATE_OPERATORS = (
+    "visc2", "slip_uu_beta", "mass_u", "mass_d", "mass_p", "mass_q",
+    "visc_u", "stiff_u", "stiff_d", "stiff_p", "h1_u", "h1_d", "h1_p")
+
+
+def _built(blocks):
+    return set(_CERTIFICATE_OPERATORS) & set(vars(blocks))
+
+
+def test_time_stepping_builds_no_certificate_operator():
+    blocks = assemble_system(build_rect_two_domain(4, 4, 0.5),
+                             PhysicalParams())
+    traj = run(blocks, ProblemData(f_f=(1.0, X)),
+               SchemeConfig(dt=0.05, t_final=0.1))
+    assert np.abs(traj.states[-1].alpha).max() > 0.0
+    assert _built(blocks) == set()
+    # one read builds all thirteen
+    blocks.h1_u
+    assert _built(blocks) == set(_CERTIFICATE_OPERATORS)
+    with pytest.raises(AttributeError):
+        blocks.h2_u
+
+
+_SETTINGS = {
+    "default": ({}, {}),
+    "skew": ({}, {"skew": True}),
+    "no convection": ({}, {"convection": False}),
+    "anisotropic K": ({"K": [[2.0, 0.3], [0.3, 1.0]], "rho_f": 1.3}, {}),
+}
+
+
+@pytest.mark.parametrize("setting", list(_SETTINGS))
+@pytest.mark.parametrize("n", [4, 8])
+def test_operators_equal_the_eager_assembly_bitwise(n, setting):
+    # the thirteen certificate operators are built on first read, from
+    # shared gradient-product scatters; every operator still equals the
+    # eager assembly of each form on its own, bit for bit
+    params, kwargs = _SETTINGS[setting]
+    params = PhysicalParams(**params)
+    mesh = build_rect_two_domain(n, n, 0.5)
+    blocks = assemble_system(mesh, params, **kwargs)
+    assert _built(blocks) == set()
+    eager = oracles.eager_operators(mesh, params)
+    assert len(eager) == 24
+    for name, expected in eager.items():
+        got = getattr(blocks, name)
+        assert (got.format, got.shape) == (expected.format, expected.shape)
+        for part in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(got, part),
+                                  getattr(expected, part)), (name, part)
 
 
 # ---------------------------------------------------------------------------

@@ -352,6 +352,9 @@ def test_condensed_right_hand_side_reads_the_table(monkeypatch, scheme):
                                             stage_alpha, terms)
     assert max(_block_errors(blocks, dz, np.linalg.solve(full, rhs))) \
         <= 1e-12
+    # the hand condensation of the tests reads the same table
+    assert _condensed_residual(blocks, scheme, 0.05, stage_alpha, rhs, dz) \
+        <= timestepper.GMRES_RTOL
 
 
 def _perturbed_splu(monkeypatch, perturb):
@@ -394,12 +397,16 @@ def test_direct_solve_that_cannot_be_polished_is_a_step_error(monkeypatch):
 
 def _condensed_residual(blocks, scheme, dt, stage_alpha, rhs, dz):
     """Relative true residual of a correction in the condensed system,
-    whose right-hand side takes -s dt Bs r_kin into the structure row."""
-    from fpsi.timestepper import _jacobian, _unpack
+    whose right-hand side takes -sign s dt matrix r_kin into the row of
+    every beta-column stage term of the linear-term table (in the unchanged
+    table, the structure row's Bs)."""
+    from fpsi.timestepper import _jacobian, _linear_terms, _unpack
     s = 1.0 if scheme == "euler" else 0.5
-    r_mom, r_kin, r_dar, r_str, r_con = _unpack(blocks, rhs)
-    b = np.concatenate([r_mom, r_dar, r_str - s * dt * (blocks.Bs @ r_kin),
-                        r_con])
+    rows = _unpack(blocks, rhs)
+    for row, col, sign, matrix, value in _linear_terms(blocks):
+        if col == 1 and row != 1 and value == "stage":
+            rows[row] = rows[row] - sign * s * dt * (matrix @ rows[1])
+    b = np.concatenate([rows[0], rows[2], rows[3], rows[4]])
     da, _, dg, dth, dp = _unpack(blocks, dz)
     J = _jacobian(blocks, scheme, dt, stage_alpha)
     return (np.linalg.norm(b - J @ np.concatenate([da, dg, dth, dp]))
@@ -434,7 +441,6 @@ class _CountedFactor:
 
 @pytest.mark.parametrize("scheme", ["euler", "midpoint"])
 def test_gmres_cycle_makes_one_solve_per_iteration(scheme):
-    from fpsi.timestepper import _jacobian, _unpack
     blocks, dt = _blocks(4, 4), 0.05
     rng = np.random.default_rng(12)
     newton = timestepper.NewtonSolver(blocks, scheme, dt)
@@ -446,16 +452,8 @@ def test_gmres_cycle_makes_one_solve_per_iteration(scheme):
     dz, krylov, factored = newton.correction(rhs, stage_alpha)
     assert not factored
     assert krylov > 0 and factor.solves == krylov
-    # the true residual of the condensed system, whose right-hand side
-    # takes -s dt Bs r_kin into the structure row
-    s = newton.s
-    r_mom, r_kin, r_dar, r_str, r_con = _unpack(blocks, rhs)
-    b = np.concatenate([r_mom, r_dar, r_str - s * dt * (blocks.Bs @ r_kin),
-                        r_con])
-    da, _, dg, dth, dp = _unpack(blocks, dz)
-    J = _jacobian(blocks, scheme, dt, stage_alpha)
-    assert np.linalg.norm(b - J @ np.concatenate([da, dg, dth, dp])) \
-        <= timestepper.GMRES_RTOL * np.linalg.norm(b)
+    assert _condensed_residual(blocks, scheme, dt, stage_alpha, rhs, dz) \
+        <= timestepper.GMRES_RTOL
     full = oracles.full_newton_matrix(blocks, scheme, dt, stage_alpha)
     assert max(_block_errors(blocks, dz, spla.splu(full).solve(rhs))) <= 1e-9
 
@@ -600,5 +598,5 @@ def test_nested_dissection_factor_fills_less_than_colamd():
     newton.correction(_random_rows(blocks, np.random.default_rng(14)),
                       stage_alpha)
     colamd = spla.splu(timestepper._jacobian(blocks, "midpoint", dt,
-                                             stage_alpha))
+                                             stage_alpha).tocsc())
     assert newton.lu.L.nnz + newton.lu.U.nnz < colamd.L.nnz + colamd.U.nnz

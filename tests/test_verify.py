@@ -1,6 +1,7 @@
 """Tests for manufactured cases, error norms, residuals and the kernel oracle."""
 
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -301,6 +302,23 @@ def test_refinement_study_factors_once_per_level(monkeypatch):
                                      t_final=0.0375, steps_coarsest=3)
     assert [run.n_steps for run in table.runs] == [3, 8]
     assert len(sizes) == 2 and sizes[0] < sizes[1]
+
+
+def test_study_holds_one_level_at_a_time(monkeypatch):
+    # every level's mesh and blocks are released before the next is built
+    previous = []
+    assemble = verify.assemble_system
+
+    def checked(mesh, params):
+        assert all(ref() is None for ref in previous)
+        blocks = assemble(mesh, params)
+        previous.extend([weakref.ref(mesh), weakref.ref(blocks)])
+        return blocks
+    monkeypatch.setattr(verify, "assemble_system", checked)
+    table = verify.convergence_study("smooth-trig", levels=(4, 8, 16),
+                                     t_final=0.0125, steps_coarsest=1)
+    assert [run.n for run in table.runs] == [4, 8, 16]
+    assert len(previous) == 6
 
 
 def test_under_integration_degrades_rates(monkeypatch):
