@@ -23,13 +23,19 @@ trajectory:
   the threshold ``mu_f^3 / (9 rho_f^2 Sf^4 Kf^6)`` and gives the critical
   data scaling ``s*`` in closed form.
 
-- :func:`energy_report` stacks a trajectory one column per state and emits
-  one row per time step with the discrete energy identity defect, the first
-  and second energy bounds, the dissipation smallness conditions, the
-  multiplier bound and a Gronwall self-check, plus a run-level summary of
-  all flags with the first failing step and worst margin of each.  The
-  identity's load work and convection power are the ones the solve
-  recorded for each step.
+- :class:`CertificateStream` takes a trajectory's states as the solve makes
+  them (``on_step``) and reduces each window of ``_STEP_BLOCK`` steps,
+  stacked one column per state, to the quadratic forms the certificate
+  reads, one number per state and per step; it holds one window of states,
+  not the trajectory.
+
+- :func:`energy_report` turns those forms into one row per time step with
+  the discrete energy identity defect, the first and second energy bounds,
+  the dissipation smallness conditions, the multiplier bound and a Gronwall
+  self-check, plus a run-level summary of all flags with the first failing
+  step and worst margin of each.  The identity's load work and convection
+  power are the ones the solve recorded for each step.  A recorded
+  trajectory is fed through a stream first, so both take one code path.
 """
 
 import math
@@ -378,8 +384,10 @@ class CertificateReport:
 
 
 _STATE_FIELDS = ("alpha", "beta", "gamma", "theta", "pi")
-# steps stacked at once, so that the stacked copies stay about 1 MB on a
-# 16 x 16 mesh however long the trajectory is
+# steps per window of the certificate stream: a window stacks this many
+# steps and the state before them, so its stacked copies stay about 1 MB on
+# a 16 x 16 mesh and the stream holds at most this many states plus one,
+# however long the trajectory is
 _STEP_BLOCK = 8
 # the row flags whose run-level summary flag has another name
 _SUMMARY_FLAG = {"mb1_ok": "mainbound1_ok", "pf_ok": "pfbound_ok"}
@@ -389,6 +397,85 @@ def _map(fn, *states, t):
     """The state at times ``t`` whose fields are ``fn`` of the given ones."""
     return StateVector(t=t, **{name: fn(*(getattr(s, name) for s in states))
                                for name in _STATE_FIELDS})
+
+
+def _form(matrix, x):
+    return _dots(x, matrix @ x)
+
+
+def _window_forms(blocks, scheme, states):
+    """Forms of every state of a window, and of every step between them,
+    the states stacked one column per state: a quadratic form is one
+    sparse-times-dense product and column-wise dots."""
+    every = _map(lambda *v: np.column_stack(v), *states,
+                 t=np.array([s.t for s in states]))
+    prev = _map(lambda v: v[:, :-1], every, t=every.t[:-1])
+    cur = _map(lambda v: v[:, 1:], every, t=every.t[1:])
+    delta = _map(np.subtract, cur, prev, t=cur.t)
+    # the stage at which the scheme evaluates its right-hand side
+    stage = cur if scheme == "euler" else _map(
+        lambda a, b: 0.5 * (a + b), prev, cur, t=0.5 * (prev.t + cur.t))
+    return ({"energy": blocks.energy(every),
+             "visc": _form(blocks.visc2, every.alpha),
+             "zeta": _form(blocks.mass_d, every.theta),
+             "mass_q": _form(blocks.mass_q, every.pi),
+             "stiff_u": _form(blocks.stiff_u, every.alpha),
+             "h1_u": _form(blocks.h1_u, every.alpha),
+             "h1_p": _form(blocks.h1_p, every.gamma),
+             "h1_d": _form(blocks.h1_d, every.theta)},
+            {"diss": blocks.dissipation(stage),
+             "delta_energy": blocks.energy(delta),
+             "delta_diss": blocks.dissipation(delta),
+             "delta_mass_u": _form(blocks.mass_u, delta.alpha)})
+
+
+class CertificateStream:
+    """The certificate's forms of a trajectory, computed as its states come.
+
+    Made with the initial state; :meth:`add` takes each accepted state and
+    its :class:`~fpsi.timestepper.StepDiagnostics`, so it is the
+    ``on_step`` of :func:`~fpsi.timestepper.run`.  Every ``_STEP_BLOCK``
+    steps it flushes one window, the last state of the previous window and
+    the steps since, through :func:`_window_forms`; the windows overlap by
+    one state.  Only the forms (one number per state and per step), the
+    times and the diagnostics are kept, so memory is ``_STEP_BLOCK + 1``
+    states however long the trajectory.  :func:`energy_report` does the
+    final reductions.
+    """
+
+    def __init__(self, blocks, scheme, dt, initial_state):
+        self.blocks, self.scheme, self.dt = blocks, scheme, dt
+        self.times = [initial_state.t]
+        self.diagnostics = []
+        self._window = [initial_state]
+        self._at_state, self._at_step = {}, {}
+
+    def add(self, state, diag):
+        self._window.append(state)
+        self.times.append(state.t)
+        self.diagnostics.append(diag)
+        if len(self._window) > _STEP_BLOCK:
+            self._flush()
+
+    def _flush(self):
+        at_state, at_step = _window_forms(self.blocks, self.scheme,
+                                          self._window)
+        # the first window keeps its first state; later ones begin with
+        # the state the previous window ended on
+        later = bool(self._at_state)
+        for key, v in at_state.items():
+            self._at_state.setdefault(key, []).append(v[1:] if later else v)
+        for key, v in at_step.items():
+            self._at_step.setdefault(key, []).append(v)
+        self._window = self._window[-1:]
+
+    def forms(self):
+        """Per-state and per-step forms of everything added, as dicts of
+        arrays; the steps since the last flush are flushed first."""
+        if len(self._window) > 1 or not self._at_state:
+            self._flush()
+        return ({key: np.concatenate(v) for key, v in self._at_state.items()},
+                {key: np.concatenate(v) for key, v in self._at_step.items()})
 
 
 def _flag_detail(first, margin, ok):
@@ -406,21 +493,31 @@ def energy_report(traj, blocks, data, constants, funcs=None,
                   newton_tol=1e-10):
     """Certificate rows for every state of a computed trajectory.
 
-    The energy identity is checked in the exact per-step discrete form
-    of the scheme that produced the trajectory (with the jump term for
-    the implicit Euler scheme, at the averaged stage for the midpoint
-    scheme).  All bound evaluations use the surrogate constants given in
-    ``constants`` and the data functionals of ``data``.
+    ``traj`` is the :class:`CertificateStream` that took the trajectory's
+    states as the solve made them, or a recorded trajectory (``scheme``,
+    ``dt``, ``states`` from the initial one on, and ``diagnostics``), which
+    is fed through a new stream: one code path either way.  The energy
+    identity is checked in the exact per-step discrete form of the scheme
+    that produced the trajectory (with the jump term for the implicit
+    Euler scheme, at the averaged stage for the midpoint scheme).  All
+    bound evaluations use the surrogate constants given in ``constants``
+    and the data functionals of ``data``.
 
-    The states are stacked one column per state, ``_STEP_BLOCK`` steps at
-    a time: a quadratic form is one sparse-times-dense product and
-    column-wise dots.  The load work and the convection power of each step
-    are the ones its solve recorded in ``traj.diagnostics``, at the stage
-    of the accepted state; so are its Newton and GMRES counts and its
-    final scaled residual.  ``summary["flag_detail"]`` gives, per row flag,
-    the first failing step (or None), the worst step and the worst margin
-    (the bound minus the checked quantity, negative where the flag fails).
+    The stream's window forms give one number per state and per step;
+    everything here is a reduction of those, the times and the
+    diagnostics.  The load work and the convection power of each step are
+    the ones its solve recorded in its diagnostics, at the stage of the
+    accepted state; so are its Newton and GMRES counts and its final scaled
+    residual.  ``summary["flag_detail"]`` gives, per row flag, the first
+    failing step (or None), the worst step and the worst margin (the bound
+    minus the checked quantity, negative where the flag fails).
     """
+    stream = traj
+    if not isinstance(stream, CertificateStream):
+        stream = CertificateStream(blocks, traj.scheme, traj.dt,
+                                   traj.states[0])
+        for state, diag in zip(traj.states[1:], traj.diagnostics):
+            stream.add(state, diag)
     constants = constants_dict(constants)
     p = blocks.params
     if funcs is None:
@@ -428,42 +525,9 @@ def energy_report(traj, blocks, data, constants, funcs=None,
     sf, kf, kappa, t1, t2, t3, t5 = _require(
         constants, "Sf", "Kf", "Kappa", "T1", "T2", "T3", "T5")
 
-    def form(matrix, x):
-        return _dots(x, matrix @ x)
-
-    def window(states):
-        """Forms of every state, and of every step between the states."""
-        every = _map(lambda *v: np.column_stack(v), *states,
-                     t=np.array([s.t for s in states]))
-        prev = _map(lambda v: v[:, :-1], every, t=every.t[:-1])
-        cur = _map(lambda v: v[:, 1:], every, t=every.t[1:])
-        delta = _map(np.subtract, cur, prev, t=cur.t)
-        # the stage at which the scheme evaluates its right-hand side
-        stage = cur if traj.scheme == "euler" else _map(
-            lambda a, b: 0.5 * (a + b), prev, cur, t=0.5 * (prev.t + cur.t))
-        return ({"energy": blocks.energy(every),
-                 "visc": form(blocks.visc2, every.alpha),
-                 "zeta": form(blocks.mass_d, every.theta),
-                 "mass_q": form(blocks.mass_q, every.pi),
-                 "stiff_u": form(blocks.stiff_u, every.alpha),
-                 "h1_u": form(blocks.h1_u, every.alpha),
-                 "h1_p": form(blocks.h1_p, every.gamma),
-                 "h1_d": form(blocks.h1_d, every.theta)},
-                {"diss": blocks.dissipation(stage),
-                 "delta_energy": blocks.energy(delta),
-                 "delta_diss": blocks.dissipation(delta),
-                 "delta_mass_u": form(blocks.mass_u, delta.alpha)})
-
-    states = traj.states
-    windows = [window(states[k:k + _STEP_BLOCK + 1])
-               for k in range(0, max(len(states) - 1, 1), _STEP_BLOCK)]
-    at_state = {key: np.concatenate([windows[0][0][key]] + [
-        w[key][1:] for w, _ in windows[1:]]) for key in windows[0][0]}
-    at_step = {key: np.concatenate([w[key] for _, w in windows])
-               for key in windows[0][1]}
-
-    dt = traj.dt
-    times = np.array([s.t for s in states])
+    at_state, at_step = stream.forms()
+    dt = stream.dt
+    times = np.array(stream.times)
     cum_c1 = funcs.cumulative_c1_sq(times)
     cum_c2 = funcs.cumulative_c2_sq(times)
     c3 = funcs.c3()
@@ -482,9 +546,9 @@ def energy_report(traj, blocks, data, constants, funcs=None,
         [[0.0], np.cumsum(dt * zeta[1:])])
     gron_conclusion = gron_b * np.exp(gron_c * times)
 
-    jump = at_step["delta_energy"] if traj.scheme == "euler" else 0.0
+    jump = at_step["delta_energy"] if stream.scheme == "euler" else 0.0
     diss = at_step["diss"]
-    diags = traj.diagnostics
+    diags = stream.diagnostics
     nterm = np.array([d.convection_power for d in diags])
     work = np.array([d.work for d in diags])
     solves = dict(
@@ -558,7 +622,7 @@ def energy_report(traj, blocks, data, constants, funcs=None,
         flags[flag] = bool(np.all(ok))
         detail[flag.removesuffix("_ok")] = _flag_detail(first, margin, ok)
     summary = {
-        "scheme": traj.scheme,
+        "scheme": stream.scheme,
         "dt": dt,
         "n_steps": len(times) - 1,
         "t_final": times[-1].item(),

@@ -40,7 +40,7 @@ iteration; a fresh factor whose cycle misses the 1e-12 test is a
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as la
@@ -115,16 +115,12 @@ class StepDiagnostics:
 
 
 @dataclass
-class Trajectory:
-    """A computed discrete trajectory including the initial state."""
+class RunRecord:
+    """What :func:`run` keeps of a trajectory: the final state and the
+    diagnostics of every step."""
 
-    scheme: str
-    dt: float
-    states: list
-    diagnostics: list = field(default_factory=list)
-
-    def __len__(self):
-        return len(self.states)
+    state: StateVector
+    diagnostics: list
 
 
 def _unpack(blocks, z):
@@ -498,18 +494,21 @@ def step(blocks, data, state0, cfg, newton=None):
 
 
 def run(blocks, data, cfg, initial_state=None, on_step=None):
-    """Integrate from t = initial_state.t over ``n_steps`` uniform steps."""
+    """Integrate from t = initial_state.t over ``n_steps`` uniform steps.
+
+    Only the current state is held: ``on_step(state, diag)`` sees each
+    accepted state as it is made, so a caller that reads the states (the
+    certificate's :class:`~fpsi.monitor.CertificateStream`) takes them from
+    there; the returned :class:`RunRecord` keeps the final state.
+    """
     n = cfg.n_steps()
     state = initial_state if initial_state is not None \
         else blocks.zero_state()
     newton = NewtonSolver(blocks, cfg.scheme, cfg.dt)
-    states = [state]
     diagnostics = []
     for _ in range(n):
         state, diag = step(blocks, data, state, cfg, newton=newton)
-        states.append(state)
         diagnostics.append(diag)
         if on_step is not None:
             on_step(state, diag)
-    return Trajectory(scheme=cfg.scheme, dt=cfg.dt, states=states,
-                      diagnostics=diagnostics)
+    return RunRecord(state=state, diagnostics=diagnostics)

@@ -495,19 +495,19 @@ class StudyError(RuntimeError):
 
 def _level_run(case, n, cfg):
     """One level of :func:`convergence_study` on an ``n`` x ``n`` mesh; its
-    mesh, blocks and trajectory are released on return, so one level is
-    alive at a time."""
+    mesh, blocks and final state (the run holds no other state) are
+    released on return, so one level is alive at a time."""
     mesh = meshmod.build_rect_two_domain(n, n, case.split)
     blocks = assemble_system(mesh, case.params)
-    traj = run(blocks, case.data, cfg,
-               initial_state=initial_state(case, blocks))
-    state = traj.states[-1]
+    result = run(blocks, case.data, cfg,
+                 initial_state=initial_state(case, blocks))
+    state = result.state
     return LevelRun(
         n=n,
         h=1.0 / n,
         dt=cfg.dt,
         n_steps=cfg.n_steps(),
-        newton_iterations=sum(d.iterations for d in traj.diagnostics),
+        newton_iterations=sum(d.iterations for d in result.diagnostics),
         errors=compute_errors(case, blocks, state),
         residuals=interface_residuals(blocks, state),
         dofs={name: free for name, (_, free) in blocks.dm.counts().items()},

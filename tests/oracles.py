@@ -20,13 +20,16 @@ solves the saddle-point system, and every operator of the block system
 assembled eagerly, each space's gradient products scattered once per form,
 where the package builds the certificate's operators on first read.
 The module also holds the refinement helpers behind the constants
-criterion, the CSV reader of the result tables, which no command uses, and
-two data sets: the README example's and one whose fields mix time and space.
+criterion, the CSV reader of the result tables, which no command uses,
+``recorded_run``, which collects every state of a run through its
+``on_step`` for the tests that read whole trajectories, and two data sets:
+the README example's and one whose fields mix time and space.
 Tests compare the production code against these.
 """
 
 import csv
 import operator
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as la
@@ -49,7 +52,7 @@ from fpsi.fem import (ElementKind, basis_eval, build_dofmaps, make_scalar_space,
 from fpsi.mesh import Mesh
 from fpsi.monitor import CertificateReport, CertificateRow
 from fpsi.timestepper import (SchemeConfig, _jacobian, _pack, _residual_rows,
-                              _unpack, step)
+                              _unpack, run, step)
 from fpsi.verify import CASE_IDS, manufactured_case
 
 
@@ -478,6 +481,30 @@ def scalar_cumulative(func, times):
         nodes, weights = _gauss_panels(times[n - 1], times[n], 1)
         out[n] = out[n - 1] + sum(w * func(t) for t, w in zip(nodes, weights))
     return out
+
+
+@dataclass
+class RecordedRun:
+    """Every state of a trajectory from the initial one on, as ``run``'s
+    ``on_step`` saw them, with the run's scheme, step and diagnostics: the
+    recorded trajectory that ``monitor.energy_report`` also takes."""
+
+    scheme: str
+    dt: float
+    states: list
+    diagnostics: list
+
+    def __len__(self):
+        return len(self.states)
+
+
+def recorded_run(blocks, data, cfg, initial_state=None):
+    """``run`` with every state collected through its ``on_step``; the
+    package's run holds only the current one."""
+    states = [blocks.zero_state() if initial_state is None else initial_state]
+    result = run(blocks, data, cfg, initial_state=states[0],
+                 on_step=lambda state, diag: states.append(state))
+    return RecordedRun(cfg.scheme, cfg.dt, states, result.diagnostics)
 
 
 def rowwise_energy_report(traj, blocks, data, constants, funcs,

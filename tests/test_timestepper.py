@@ -48,7 +48,7 @@ def test_scheme_config_validation():
 def test_linear_problem_converges_in_one_newton_iteration():
     blocks = _blocks(convection=False)
     cfg = SchemeConfig(scheme="euler", dt=0.05, t_final=0.2)
-    traj = run(blocks, _driven_data(), cfg)
+    traj = oracles.recorded_run(blocks, _driven_data(), cfg)
     assert len(traj) == 5
     for diag in traj.diagnostics:
         assert diag.iterations == 1
@@ -113,7 +113,7 @@ def test_zero_data_from_rest_stays_at_rest():
     blocks = _blocks(convection=True)
     cfg = SchemeConfig(scheme="midpoint", dt=0.1, t_final=0.3)
     traj = run(blocks, ProblemData(), cfg)
-    final = traj.states[-1]
+    final = traj.state
     for arr in (final.alpha, final.beta, final.gamma, final.theta, final.pi):
         assert np.abs(arr).max() < 1e-12
     for diag in traj.diagnostics:
@@ -143,7 +143,8 @@ def test_zero_data_energy_decays_monotonically():
     blocks = _blocks(convection=False)
     cfg = SchemeConfig(scheme="euler", dt=0.02, t_final=0.4)
     state = _energetic_initial_state(blocks)
-    traj = run(blocks, ProblemData(), cfg, initial_state=state)
+    traj = oracles.recorded_run(blocks, ProblemData(), cfg,
+                                initial_state=state)
     energies = np.array([blocks.energy(s) for s in traj.states])
     assert energies[0] > 0.0
     drops = np.diff(energies)
@@ -153,7 +154,7 @@ def test_zero_data_energy_decays_monotonically():
 def test_constraint_enforced_at_every_accepted_state():
     blocks = _blocks(convection=True)
     cfg = SchemeConfig(scheme="midpoint", dt=0.05, t_final=0.2)
-    traj = run(blocks, _driven_data(), cfg)
+    traj = oracles.recorded_run(blocks, _driven_data(), cfg)
     scale = abs(blocks.Gdiv).max()
     for s in traj.states[1:]:
         assert np.abs(blocks.Gdiv @ s.alpha).max() <= 10 * cfg.newton_tol * scale
@@ -163,7 +164,7 @@ def test_kinematic_relation_is_exact():
     for scheme in ("euler", "midpoint"):
         blocks = _blocks(convection=False)
         cfg = SchemeConfig(scheme=scheme, dt=0.05, t_final=0.1)
-        traj = run(blocks, _driven_data(), cfg)
+        traj = oracles.recorded_run(blocks, _driven_data(), cfg)
         for s0, s1 in zip(traj.states, traj.states[1:]):
             rate = (s1.beta - s0.beta) / cfg.dt
             target = s1.theta if scheme == "euler" else 0.5 * (s0.theta + s1.theta)
@@ -183,7 +184,7 @@ def test_backward_euler_energy_identity():
     blocks = _blocks(convection=True)
     data = _driven_data()
     cfg = SchemeConfig(scheme="euler", dt=0.05, t_final=0.25, newton_tol=1e-12)
-    traj = run(blocks, data, cfg)
+    traj = oracles.recorded_run(blocks, data, cfg)
     for s0, s1 in zip(traj.states, traj.states[1:]):
         loads = assemble_loads(s1.t, data, blocks.dm)
         nl, _ = blocks.convection(s1.alpha)
@@ -201,7 +202,7 @@ def test_midpoint_energy_identity_has_no_jump_term():
     data = _driven_data()
     cfg = SchemeConfig(scheme="midpoint", dt=0.05, t_final=0.25,
                        newton_tol=1e-12)
-    traj = run(blocks, data, cfg)
+    traj = oracles.recorded_run(blocks, data, cfg)
     for s0, s1 in zip(traj.states, traj.states[1:]):
         t_star = s0.t + 0.5 * cfg.dt
         loads = assemble_loads(t_star, data, blocks.dm)
@@ -258,7 +259,8 @@ def test_step_records_work_and_convection_power_at_its_stage(scheme):
     the stage time."""
     blocks = _blocks(4, 4)
     data = _driven_data()
-    traj = run(blocks, data, SchemeConfig(scheme=scheme, dt=0.1, t_final=0.2))
+    traj = oracles.recorded_run(
+        blocks, data, SchemeConfig(scheme=scheme, dt=0.1, t_final=0.2))
     for prev, cur, diag in zip(traj.states, traj.states[1:],
                                traj.diagnostics):
         stage = cur if scheme == "euler" else StateVector(
@@ -473,7 +475,7 @@ def test_preconditioned_newton_matches_direct_newton(scheme):
     blocks = _blocks(convection=True)
     data = _driven_data()
     cfg = SchemeConfig(scheme=scheme, dt=0.1, t_final=0.3)
-    traj = run(blocks, data, cfg)
+    traj = oracles.recorded_run(blocks, data, cfg)
     reference, iterations = _direct_newton_run(blocks, data, cfg)
     assert len(traj.states) == len(reference)
     assert _max_relative_difference(traj.states, reference) <= 1e-9
@@ -513,11 +515,11 @@ def test_gmres_stall_refactors_and_converges(monkeypatch):
     blocks = _blocks(convection=True)
     data = _driven_data()
     cfg = SchemeConfig(scheme="euler", dt=0.1, t_final=0.3)
-    baseline = run(blocks, data, cfg)
+    baseline = oracles.recorded_run(blocks, data, cfg)
     # three iterations stall on an old factor but converge on a fresh one
     # (one or two make a fresh cycle miss as well)
     monkeypatch.setattr(timestepper, "GMRES_RESTART", 3)
-    stalled = run(blocks, data, cfg)
+    stalled = oracles.recorded_run(blocks, data, cfg)
     factorizations = sum(d.factorizations for d in stalled.diagnostics)
     assert factorizations > 1
     # every refactoring after the first follows an old cycle that ran all
@@ -534,8 +536,8 @@ def test_gmres_stall_refactors_and_converges(monkeypatch):
 def test_reruns_give_bitwise_equal_states():
     blocks = _blocks(convection=True)
     cfg = SchemeConfig(scheme="midpoint", dt=0.1, t_final=0.3)
-    first = run(blocks, _driven_data(), cfg)
-    second = run(blocks, _driven_data(), cfg)
+    first = oracles.recorded_run(blocks, _driven_data(), cfg)
+    second = oracles.recorded_run(blocks, _driven_data(), cfg)
     for a, b in zip(first.states, second.states):
         for name in ("alpha", "beta", "gamma", "theta", "pi"):
             assert np.array_equal(getattr(a, name), getattr(b, name))
