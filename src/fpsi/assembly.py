@@ -22,9 +22,11 @@ with ``Af = rho_f M_u``, ``Bf = 2 mu_f (D(u), D(v)) + beta (slip)``,
 ``F = beta <(xi.t)(zeta.t)>_I``, where ``n`` is the interface normal
 pointing out of the fluid subdomain and ``t`` the interface tangent.
 
-All operators are assembled over full space dofs and then restricted
-symmetrically to the unconstrained dofs of their test/trial spaces.
-Every volume operator (mass, gradient products, divergence and the
+Every operator and load is scattered straight onto the unconstrained
+(free) dofs of its spaces, its element dofs mapped through their
+``free_index`` and constrained entries dropped (see :func:`_scatter`); a
+vector form sums scalar element matrices on its component blocks.  Every
+volume operator (mass, gradient products, divergence and the
 convection term with its Jacobian) is an affine geometry factor contracted
 with exact reference-triangle tables, each summed by the lowest rule exact
 for its degree; quadrature of a fixed order remains only for the facet
@@ -250,23 +252,48 @@ def _scalar_space_of(space):
     return space.scalar if isinstance(space, VectorSpace) else space
 
 
-def _check_same_cells(test_space, trial_space):
-    if not np.array_equal(test_space.tri_ids, trial_space.tri_ids):
-        raise ValueError("test and trial spaces must share the same triangles")
-
-
-def _scatter(cells_test, cells_trial, values, shape):
-    nt, ns = values.shape[1:]
-    rows = np.repeat(cells_test[:, :, None], ns, axis=2)
-    cols = np.repeat(cells_trial[:, None, :], nt, axis=1)
-    mat = sp.coo_matrix((values.ravel(), (rows.ravel(), cols.ravel())),
-                        shape=shape)
-    return mat.tocsr()
+def _scatter(test_space, trial_space, terms, test_dofs=None,
+             trial_dofs=None):
+    """The free-dof operator ``sum_k c_k A_k``, ``A_k`` the sum of the
+    element matrices ``cells`` (nc, nt, ns) of term ``(c_k, cells, a, b)`` on
+    rows ``test_dofs + a N`` and columns ``trial_dofs + b N`` (``N`` a
+    space's scalar dof count, so (a, b) is a component block; the dofs
+    default to every cell's), the terms added by :func:`sparse_sum`.  Rows
+    go through the test space's ``free_index`` before the sum, columns
+    through the trial space's after it: scipy sums a row's duplicates in
+    the order an unstable sort of the row leaves them, so dropping columns
+    first could change the last bits of an entry."""
+    n = test_space.n_free
+    sct, scs = _scalar_space_of(test_space), _scalar_space_of(trial_space)
+    test_dofs = sct.cell_dofs if test_dofs is None else test_dofs
+    trial_dofs = scs.cell_dofs if trial_dofs is None else trial_dofs
+    parts = []
+    for coef, cells, a, b in terms:
+        nt, ns = cells.shape[1:]
+        rows = test_space.free_index[test_dofs + a * sct.ndof]
+        rows = np.repeat(rows[:, :, None], ns, axis=2)
+        cols = np.repeat(trial_dofs[:, None, :] + b * scs.ndof, nt, axis=1)
+        keep = rows >= 0
+        part = sp.coo_matrix((cells[keep], (rows[keep], cols[keep])),
+                             shape=(n, trial_space.ndof)).tocsr()
+        part.data *= coef
+        parts.append(part)
+    mat = parts[0] if len(parts) == 1 else sparse_sum(*parts)
+    # the free index keeps the order of the free dofs, so rows stay sorted
+    cols = trial_space.free_index[mat.indices]
+    keep = cols >= 0
+    indptr = np.concatenate([[0], np.cumsum(keep)])[mat.indptr]
+    return sp.csr_matrix((mat.data[keep],
+                          cols[keep].astype(mat.indices.dtype),
+                          indptr.astype(mat.indptr.dtype)),
+                         shape=(n, trial_space.n_free))
 
 
 def _scatter_vector(dofs, values, n):
-    """Sum ``values`` into a length-``n`` vector at ``dofs`` in index order."""
-    return np.bincount(np.ravel(dofs), weights=np.ravel(values), minlength=n)
+    """Sum ``values`` into a length-``n`` vector at the free dofs ``dofs``
+    in index order; an entry at -1, a constrained dof, is dropped."""
+    return np.bincount(np.ravel(dofs) + 1, weights=np.ravel(values),
+                       minlength=n + 1)[1:]
 
 
 def sparse_sum(*terms):
@@ -278,11 +305,14 @@ def sparse_sum(*terms):
     Newton matrix is chosen from that pattern alone.
     """
     coo = [sp.coo_matrix(t) for t in terms]
-    return sp.coo_matrix(
+    mat = sp.coo_matrix(
         (np.concatenate([c.data for c in coo]),
          (np.concatenate([c.row for c in coo]),
           np.concatenate([c.col for c in coo]))),
         shape=coo[0].shape).tocsr()
+    # copies, or the sums keep the arrays of every term's entries alive
+    mat.data, mat.indices = mat.data.copy(), mat.indices.copy()
+    return mat
 
 
 CellQuadrature = namedtuple("CellQuadrature", "x y wdet jinv rule")
@@ -385,19 +415,23 @@ def _reference_table(table, test_kind, trial_kind):
     return exact
 
 
-def scalar_mass(test_space, trial_space):
-    """(u, v) over the common subdomain of two scalar spaces.
+def _components(space):
+    """The component indices of a space: two for a vector space."""
+    return range(2 if isinstance(space, VectorSpace) else 1)
 
-    On an affine triangle the element matrix is ``|det J| M_ref`` with
-    ``M_ref`` the exact reference mass matrix, so exact zeros stay zero and
-    a square block is bitwise symmetric per cell.
+
+def mass(space):
+    """(u, v) on a scalar or component-blocked vector space.
+
+    The element matrices are ``|det J| M_ref`` with ``M_ref`` the exact
+    reference mass matrix, so exact zeros stay zero and each is bitwise
+    symmetric.
     """
-    _check_same_cells(test_space, trial_space)
-    _, _, det = _geometry(test_space.mesh, test_space.tri_ids)
-    ref = _reference_table("mass", test_space.kind, trial_space.kind)
-    cells = det[:, None, None] * ref
-    return _scatter(test_space.cell_dofs, trial_space.cell_dofs, cells,
-                    (test_space.ndof, trial_space.ndof))
+    sc = _scalar_space_of(space)
+    _, _, det = _geometry(sc.mesh, sc.tri_ids)
+    m = det[:, None, None] * _reference_table("mass", sc.kind, sc.kind)
+    return _scatter(space, space,
+                    [(1.0, m, c, c) for c in _components(space)])
 
 
 def _phys_grads(space, jinv, rule):
@@ -406,77 +440,60 @@ def _phys_grads(space, jinv, rule):
     return np.einsum("qik,ckj->cqij", grads, jinv, optimize=True)
 
 
-def scalar_grad_products(test_space, trial_space):
-    """The four matrices ``G[a][b]`` with entries (d_a u_i, d_b v_j).
+def _grad_products(space, g=None):
+    """``g``, or the element matrices ``G[a][b]`` of (d_a N_i, d_b N_j) on
+    the cells of a space's scalar space.
 
-    Index convention: ``G[a][b][i, j] = int (d x_a N_i)(d x_b N_j)`` with the
-    test function first.  On an affine triangle the element matrix is
+    Index convention: ``G[a][b][c, i, j] = int (d x_a N_i)(d x_b N_j)`` over
+    cell ``c`` with the test function first.  On an affine triangle that is
     ``|det J| sum_kl Jinv[k, a] Jinv[l, b] S_kl`` with ``S_kl`` the exact
     reference gradient-product tables.  Every symmetric-gradient, div-div,
-    stiffness and ``K``-gradient block is a combination of these four.  The
-    symmetric-gradient, div-div and stiffness forms take them as ``g``, so
-    one scatter serves every form of a space, and scatter them themselves
-    when ``g`` is omitted.
+    stiffness and ``K``-gradient form scatters a combination of these four;
+    those forms take them as ``g``, so one evaluation serves every form of
+    a space, and evaluate them themselves when ``g`` is omitted.
     """
-    _check_same_cells(test_space, trial_space)
-    _, jinv, det = _geometry(test_space.mesh, test_space.tri_ids)
-    ref = _reference_table("gradgrad", test_space.kind, trial_space.kind)
-    shape = (test_space.ndof, trial_space.ndof)
-
-    def block(a, b):
-        cells = sum((det * jinv[:, k, a] * jinv[:, l, b])[:, None, None]
-                    * ref[k, l] for k in range(2) for l in range(2))
-        return _scatter(test_space.cell_dofs, trial_space.cell_dofs, cells,
-                        shape)
-
-    return [[block(a, b) for b in range(2)] for a in range(2)]
-
-
-def _grad_products(space, g):
-    """``g``, or the gradient products of the space's scalar space."""
+    if g is not None:
+        return g
     sc = _scalar_space_of(space)
-    return scalar_grad_products(sc, sc) if g is None else g
-
-
-def vector_mass(space):
-    """(u, v) on a component-blocked vector space."""
-    m = scalar_mass(space.scalar, space.scalar)
-    return sp.block_diag([m, m]).tocsr()
+    _, jinv, det = _geometry(sc.mesh, sc.tri_ids)
+    ref = _reference_table("gradgrad", sc.kind, sc.kind)
+    return [[sum((det * jinv[:, k, a] * jinv[:, l, b])[:, None, None]
+                 * ref[k, l] for k in range(2) for l in range(2))
+             for b in range(2)] for a in range(2)]
 
 
 def vector_symgrad(space, g=None):
     """(D(u), D(v)) with D the symmetric gradient."""
     g = _grad_products(space, g)
-    return sp.bmat([
-        [sparse_sum(g[0][0], 0.5 * g[1][1]), 0.5 * g[1][0]],
-        [0.5 * g[0][1], sparse_sum(g[1][1], 0.5 * g[0][0])],
-    ]).tocsr()
+    return _scatter(space, space, [
+        (1.0, g[0][0], 0, 0), (0.5, g[1][1], 0, 0), (0.5, g[1][0], 0, 1),
+        (0.5, g[0][1], 1, 0), (1.0, g[1][1], 1, 1), (0.5, g[0][0], 1, 1)])
 
 
 def vector_divdiv(space, g=None):
     """(div u, div v)."""
     g = _grad_products(space, g)
-    return sp.bmat([[g[0][0], g[0][1]], [g[1][0], g[1][1]]]).tocsr()
-
-
-def vector_stiffness(space, g=None):
-    """(grad u, grad v), the componentwise H1 seminorm product."""
-    lap = scalar_stiffness(space.scalar, g)
-    return sp.block_diag([lap, lap]).tocsr()
+    return _scatter(space, space, [(1.0, g[a][b], a, b)
+                                   for a in range(2) for b in range(2)])
 
 
 def scalar_kgrad(space, K):
     """(K grad u, grad v) for a constant 2x2 tensor K."""
-    g = scalar_grad_products(space, space)
+    g = _grad_products(space)
     K = np.asarray(K, dtype=float)
     # test gradient contracted against K times trial gradient:
     # sum_ab K[a, b] (d_a v, d_b u) -- K symmetric, so order is immaterial.
-    return sparse_sum(*(K[a, b] * g[a][b] for a in range(2) for b in range(2)))
+    return _scatter(space, space, [(K[a, b], g[a][b], 0, 0)
+                                   for a in range(2) for b in range(2)])
 
 
-def scalar_stiffness(space, g=None):
+def stiffness(space, g=None):
+    """(grad u, grad v), the H1 seminorm product (componentwise on a
+    vector space)."""
     g = _grad_products(space, g)
-    return sparse_sum(g[0][0], g[1][1])
+    return _scatter(space, space, [(1.0, g[k][k], c, c)
+                                   for c in _components(space)
+                                   for k in range(2)])
 
 
 def mixed_div(scalar_space, vector_space):
@@ -486,17 +503,13 @@ def mixed_div(scalar_space, vector_space):
     ``|det J| sum_k Jinv[k, d] G_k`` with ``G_k`` the exact reference tables
     (q_i, d_k N_j).
     """
-    _check_same_cells(scalar_space, vector_space.scalar)
+    if not np.array_equal(scalar_space.tri_ids, vector_space.tri_ids):
+        raise ValueError("test and trial spaces must share the same triangles")
     _, jinv, det = _geometry(scalar_space.mesh, scalar_space.tri_ids)
     ref = _reference_table("grad", scalar_space.kind, vector_space.scalar.kind)
-    shape = (scalar_space.ndof, vector_space.scalar.ndof)
-    blocks = []
-    for d in range(2):
-        cells = sum((det * jinv[:, k, d])[:, None, None] * ref[k]
-                    for k in range(2))
-        blocks.append(_scatter(scalar_space.cell_dofs,
-                               vector_space.scalar.cell_dofs, cells, shape))
-    return sp.hstack(blocks).tocsr()
+    return _scatter(scalar_space, vector_space, [
+        (1.0, sum((det * jinv[:, k, d])[:, None, None] * ref[k]
+                  for k in range(2)), 0, d) for d in range(2)])
 
 
 def div_pressure(vector_space, scalar_space):
@@ -598,7 +611,7 @@ def facet_gradients(space, facets, tris, order):
 
 def facet_matrix(test_space, trial_space, facets, test_tris, trial_tris,
                  directions=None):
-    """sum_f int_f phi_i psi_j ds over the given facets.
+    """sum_f int_f phi_i psi_j ds over the given facets, on free dofs.
 
     Each space is traced from its own triangle of every facet; a vector
     basis function enters through its component along ``directions[f]``.
@@ -610,7 +623,7 @@ def facet_matrix(test_space, trial_space, facets, test_tris, trial_tris,
                       if isinstance(space, VectorSpace) else q.vals)
         dofs.append(q.dofs)
     cells = np.einsum("fq,fqi,fqj->fij", q.wts, *values)
-    return _scatter(*dofs, cells, (test_space.ndof, trial_space.ndof))
+    return _scatter(test_space, trial_space, [(1.0, cells, 0, 0)], *dofs)
 
 
 def interface_tangents(normals):
@@ -644,7 +657,7 @@ def _field_values(field, x, y, t):
 
 
 def load_volume(space, field, t):
-    """(f, v) over the cells of ``space``, ``f`` of the space's rank."""
+    """(f, v) on free dofs over the cells of ``space``, ``f`` of its rank."""
     _rank_excess(field, space, (0,))
     sc = _scalar_space_of(space)
     q = cell_quadrature(space.mesh, sc.subdomain, LOAD_ORDER)
@@ -653,14 +666,14 @@ def load_volume(space, field, t):
     cells = np.stack([(q.wdet * e(q.x, q.y, t)) @ vt
                       for e in (field if vector else (field,))], axis=1)
     dofs = space.cell_dofs_vector() if vector else space.cell_dofs
-    return _scatter_vector(dofs, cells, space.ndof)
+    return _scatter_vector(space.free_index[dofs], cells, space.n_free)
 
 
 def load_facet(space, facets, tris, field, t):
-    """<g, v> over facets, each seen from its triangle in ``tris``, with
-    ``g`` the field brought to the space's rank by the outward normal ``n``:
-    contracted with ``n`` from one rank above (``g.n``, ``S n``), multiplied
-    by ``n`` from one rank below (``P n``)."""
+    """<g, v> on free dofs over facets, each seen from its triangle in
+    ``tris``, with ``g`` the field brought to the space's rank by the
+    outward normal ``n``: contracted with ``n`` from one rank above (``g.n``,
+    ``S n``), multiplied by ``n`` from one rank below (``P n``)."""
     excess = _rank_excess(field, space, (-1, 0, 1))
     q = facet_quadrature(space, facets, tris, LOAD_ORDER)
     g = _field_values(field, q.x[..., 0], q.x[..., 1], t)
@@ -672,17 +685,12 @@ def load_facet(space, facets, tris, field, t):
     local = np.einsum("fq,fqik,fqk->fi", q.wts,
                       q.vals.reshape(q.vals.shape[:3] + (-1,)),
                       g.reshape(q.wts.shape + (-1,)))
-    return _scatter_vector(q.dofs, local, space.ndof)
+    return _scatter_vector(space.free_index[q.dofs], local, space.n_free)
 
 
 # ---------------------------------------------------------------------------
 # block system
 # ---------------------------------------------------------------------------
-
-def restrict(matrix, test_space, trial_space):
-    """Slice a full-dof operator to free rows/columns."""
-    return matrix[test_space.free][:, trial_space.free].tocsr()
-
 
 def _boundary_facet_tris(mesh, facet_ids):
     """The unique adjacent triangle of each boundary facet."""
@@ -707,15 +715,16 @@ class _Convection:
     The Jacobian is ``A`` on both diagonal component blocks plus the
     derivative through ``W``.
 
-    The Jacobian's free-dof CSR pattern and the slot of every element entry
-    in it are built once: the pattern is the full velocity coupling graph,
-    exact zeros included, so the LU ordering of the Newton matrix never
-    depends on the velocity, and a call fills only ``data``.  An entry on a
-    constrained dof goes to the dump slot ``nnz`` past the pattern's end.
+    The cell dofs go through the space's ``free_index``: a constrained dof
+    reads a zero appended to ``alpha``.  The Jacobian's free-dof CSR pattern
+    and the slot of every element entry in it are built once: the pattern
+    is the full velocity coupling graph, exact zeros included, so the LU
+    ordering of the Newton matrix never depends on the velocity, and a call
+    fills only ``data``.  An entry on a constrained dof goes to the dump
+    slot ``nnz`` past the pattern's end.
     """
 
     def __init__(self, space, rho_f, skew):
-        self.space = space
         self.rho_f = rho_f
         sc = space.scalar
         _, jinv, det = _geometry(space.mesh, sc.tri_ids)
@@ -733,12 +742,10 @@ class _Convection:
         self.op_table = op.reshape(2 * nloc, nloc * nloc)
         self.jac_table = jac.reshape(2 * nloc * nloc, nloc)
         self.nloc = nloc
-        self.cell_dofs = space.cell_dofs_vector()       # (nc, 2 * nloc)
+        # (nc, 2 * nloc) free numbers, -1 on a constrained dof
+        fdofs = self.cell_dofs = space.free_index[space.cell_dofs_vector()]
 
         n = space.n_free
-        free_lookup = np.full(space.ndof, -1)
-        free_lookup[space.free] = np.arange(n)
-        fdofs = free_lookup[self.cell_dofs]
         rows = np.repeat(fdofs[:, :, None], 2 * nloc, axis=2)
         cols = np.repeat(fdofs[:, None, :], 2 * nloc, axis=1)
         keep = (rows >= 0) & (cols >= 0)
@@ -753,17 +760,15 @@ class _Convection:
         self.pattern.indptr.setflags(write=False)
 
     def __call__(self, alpha, jac=False):
-        """Return (N(alpha), J) restricted to free dofs; J is None if not asked."""
-        space, nloc = self.space, self.nloc
-        u = np.zeros(space.ndof)
-        u[space.free] = alpha
+        """Return (N(alpha), J) on free dofs; J is None if not asked."""
+        nloc = self.nloc
+        u = np.append(alpha, 0.0)
         ucomp = u[self.cell_dofs].reshape(-1, 2, nloc)    # U[c, m, j]
         nc = len(ucomp)
         w = (self.geom @ ucomp).reshape(nc, 2 * nloc)     # W[c, (r, j)]
         op = (w @ self.op_table).reshape(nc, nloc, nloc)  # A[c, i, l]
         cells = self.rho_f * (ucomp @ op.transpose(0, 2, 1))  # [c, k, i]
-        full = _scatter_vector(self.cell_dofs, cells, space.ndof)
-        residual = full[space.free]
+        residual = _scatter_vector(self.cell_dofs, cells, len(alpha))
         if not jac:
             return residual, None
 
@@ -791,8 +796,7 @@ CERTIFICATE_OPERATORS = (
 
 @dataclass
 class BlockSystem:
-    """The assembled operators of the coupled problem, restricted to free
-    dofs.
+    """The assembled operators of the coupled problem on free dofs.
 
     The fields are the eleven blocks of the time stepper (``Af`` to
     ``Gdiv``, see the module docstring) and the convection term, built by
@@ -899,9 +903,9 @@ def _slip_uu_beta(V, params):
     ``Bf``."""
     mesh = V.mesh
     iftri = mesh.interface_fluid_tri
-    slip_uu = facet_matrix(V, V, mesh.interface_facets, iftri, iftri,
-                           interface_tangents(mesh.interface_normals))
-    return restrict(params.beta_slip * slip_uu, V, V)
+    return params.beta_slip * facet_matrix(
+        V, V, mesh.interface_facets, iftri, iftri,
+        interface_tangents(mesh.interface_normals))
 
 
 def assemble_system(mesh, params, convection=True, skew=False):
@@ -909,41 +913,36 @@ def assemble_system(mesh, params, convection=True, skew=False):
 
     Builds the eleven blocks the time stepper reads and the convection
     term; the :data:`CERTIFICATE_OPERATORS` are built on their first read
-    (see :class:`BlockSystem`).  Each space's gradient products are
-    scattered once, and each full-dof form is restricted as soon as it is
-    built.
+    (see :class:`BlockSystem`).  Every form is scattered on free dofs, and
+    each space's gradient products are evaluated once for all of its forms.
     """
     dm = build_dofmaps(mesh)
     V, Q = dm.velocity, dm.pressure_f
     W, R = dm.displacement, dm.pressure_p
     p = params
 
-    Bf = sparse_sum(2.0 * p.mu_f * restrict(vector_symgrad(V), V, V),
-                    _slip_uu_beta(V, p))
-    Af = restrict(p.rho_f * vector_mass(V), V, V)
-    Gdiv = restrict(mixed_div(Q, V), Q, V)
+    Bf = sparse_sum(2.0 * p.mu_f * vector_symgrad(V), _slip_uu_beta(V, p))
+    Af = p.rho_f * mass(V)
+    Gdiv = mixed_div(Q, V)
 
-    g = scalar_grad_products(W.scalar, W.scalar)
-    Bs = restrict(sparse_sum(2.0 * p.mu_s * vector_symgrad(W, g),
-                             p.lambda_s * vector_divdiv(W, g)), W, W)
+    g = _grad_products(W)
+    Bs = sparse_sum(2.0 * p.mu_s * vector_symgrad(W, g),
+                    p.lambda_s * vector_divdiv(W, g))
     del g
-    As = restrict(p.rho_s * vector_mass(W), W, W)
-    Ap = restrict(p.s0 * scalar_mass(R, R), R, R)
-    Bp = restrict(scalar_kgrad(R, p.K), R, R)
+    As = p.rho_s * mass(W)
+    Ap = p.s0 * mass(R)
+    Bp = scalar_kgrad(R, p.K)
 
     ifacets = mesh.interface_facets
     iftri = mesh.interface_fluid_tri
     iptri = mesh.interface_poro_tri
     normals = mesh.interface_normals
     tangents = interface_tangents(normals)
-    C = restrict(sparse_sum(p.alpha_bw * div_pressure(W, R),
-                            facet_matrix(W, R, ifacets, iptri, iptri,
-                                         normals)), W, R)
-    D = restrict(facet_matrix(V, R, ifacets, iftri, iptri, normals), V, R)
-    E = restrict(p.beta_slip * facet_matrix(V, W, ifacets, iftri, iptri,
-                                            tangents), V, W)
-    F = restrict(p.beta_slip * facet_matrix(W, W, ifacets, iptri, iptri,
-                                            tangents), W, W)
+    C = sparse_sum(p.alpha_bw * div_pressure(W, R),
+                   facet_matrix(W, R, ifacets, iptri, iptri, normals))
+    D = facet_matrix(V, R, ifacets, iftri, iptri, normals)
+    E = p.beta_slip * facet_matrix(V, W, ifacets, iftri, iptri, tangents)
+    F = p.beta_slip * facet_matrix(W, W, ifacets, iptri, iptri, tangents)
 
     blocks = BlockSystem(
         dm=dm, params=params, convection_enabled=convection,
@@ -957,23 +956,18 @@ def assemble_system(mesh, params, convection=True, skew=False):
 
 def _certificate_operators(dm, params):
     """The :data:`CERTIFICATE_OPERATORS` of ``dm`` and ``params`` by name,
-    one gradient-product scatter per space."""
+    the gradient products of each space evaluated once."""
     V, Q = dm.velocity, dm.pressure_f
-    ops = {"mass_q": restrict(scalar_mass(Q, Q), Q, Q),
+    ops = {"mass_q": mass(Q),
            "slip_uu_beta": _slip_uu_beta(V, params)}
     for suffix, space in (("u", V), ("d", dm.displacement),
                           ("p", dm.pressure_p)):
-        g = _grad_products(space, None)
-        if isinstance(space, VectorSpace):
-            mass, stiff = vector_mass(space), vector_stiffness(space, g)
-        else:
-            mass, stiff = scalar_mass(space, space), scalar_stiffness(space, g)
+        g = _grad_products(space)
+        m, stiff = mass(space), stiffness(space, g)
         if space is V:
-            ops["visc_u"] = restrict(vector_symgrad(V, g), V, V)
-        del g
-        mass, stiff = restrict(mass, space, space), restrict(stiff, space, space)
-        ops.update({"mass_" + suffix: mass, "stiff_" + suffix: stiff,
-                    "h1_" + suffix: mass + stiff})
+            ops["visc_u"] = vector_symgrad(V, g)
+        ops.update({"mass_" + suffix: m, "stiff_" + suffix: stiff,
+                    "h1_" + suffix: m + stiff})
     ops["visc2"] = 2.0 * params.mu_f * ops["visc_u"]
     return ops
 
@@ -1019,11 +1013,11 @@ def _site_load(dm, name, tag, field, t):
     """The free-dof load of ``field`` on the cells or facets of one site."""
     space = getattr(dm, name)
     if tag is None:
-        return load_volume(space, field, t)[space.free]
+        return load_volume(space, field, t)
     facets, tris = _facet_side(dm.mesh, space, tag)
     if not len(facets):
         return np.zeros(space.n_free)
-    return load_facet(space, facets, tris, field, t)[space.free]
+    return load_facet(space, facets, tris, field, t)
 
 
 def _separated(field):

@@ -348,12 +348,8 @@ def _cmd_run(ns):
     state = blocks.zero_state()
     stream = (CertificateStream(blocks, cfg.scheme.scheme, cfg.scheme.dt,
                                 state) if cfg.emit_certificate else None)
-    try:
-        result = run_scheme(blocks, cfg.data, cfg.scheme, initial_state=state,
-                            on_step=None if stream is None else stream.add)
-    except StepError as exc:
-        print("solver failure: %s" % exc, file=sys.stderr)
-        return 2
+    result = run_scheme(blocks, cfg.data, cfg.scheme, initial_state=state,
+                        on_step=None if stream is None else stream.add)
 
     outdir = cfg.output_dir
     os.makedirs(outdir, exist_ok=True)
@@ -420,18 +416,18 @@ def _cmd_run(ns):
 
 
 def _cmd_mms(ns):
-    if ns.levels < 3:
-        print("mms: need at least 3 levels for rate estimates, got %d"
-              % ns.levels, file=sys.stderr)
-        return 1
+    for bad, problem in (
+            (ns.levels < 3, "need at least 3 levels for rate estimates, "
+                            "got %d" % ns.levels),
+            (ns.steps < 1, "--steps must be at least 1, got %d" % ns.steps),
+            (not ns.t_final > 0.0, "--t-final must be positive, got %s"
+                                   % ns.t_final)):
+        if bad:
+            print("mms: %s" % problem, file=sys.stderr)
+            return 1
     levels = tuple(8 * 2 ** k for k in range(ns.levels))
-    try:
-        table = convergence_study(ns.case, levels=levels, scheme=ns.scheme,
-                                  t_final=ns.t_final,
-                                  steps_coarsest=ns.steps)
-    except StudyError as exc:
-        print("solver failure: %s" % exc, file=sys.stderr)
-        return 2
+    table = convergence_study(ns.case, levels=levels, scheme=ns.scheme,
+                              t_final=ns.t_final, steps_coarsest=ns.steps)
     os.makedirs(ns.out, exist_ok=True)
     name = "convergence_%s.csv" % ns.case
     fio.write_convergence(os.path.join(ns.out, name), table)
@@ -574,10 +570,7 @@ def main(argv=None):
     except OSError as exc:
         print("i/o error: %s" % exc, file=sys.stderr)
         return 1
-    except StepError as exc:
-        print("solver failure: %s" % exc, file=sys.stderr)
-        return 2
-    except StudyError as exc:
+    except (StepError, StudyError) as exc:
         print("solver failure: %s" % exc, file=sys.stderr)
         return 2
 

@@ -45,16 +45,19 @@ import scipy.sparse.linalg as spla
 
 from . import mesh as meshmod
 from .assembly import (
+    FACET_ORDER,
     _boundary_facet_tris,
+    _components,
     _rule_values,
+    _scalar_space_of,
+    _scatter,
     _scatter_vector,
     cell_quadrature,
-    facet_matrix,
-    restrict,
-    scalar_mass,
-    scalar_stiffness,
+    facet_quadrature,
+    mass,
+    stiffness,
 )
-from .fem import ElementKind, VectorSpace, make_scalar_space
+from .fem import ElementKind, make_scalar_space
 
 CONSTANT_KINDS = ("T1", "T2", "T3", "T4", "T5",
                   "P1c", "P2c", "P3c", "Sf", "Kf", "Kappa", "Cj")
@@ -119,7 +122,10 @@ def quotient_max(A, B):
     return _lanczos(A.tocsc(), B.tocsc(), "LA")
 
 
-def quotient_min(A, B, zero_tol=1e-12):
+ZERO_MODE_TOL = 1e-12  # quotient_min's zero-mode bound, relative to its scale
+
+
+def quotient_min(A, B):
     """Smallest lambda of the pencil A x = lambda B x (A may be matrix-free).
 
     Raises ConstantError when the pencil has a (numerically) zero mode,
@@ -131,7 +137,7 @@ def quotient_min(A, B, zero_tol=1e-12):
     scale = float(ones @ (A @ ones)) / float(ones @ (B @ ones))
     Binv = spla.LinearOperator(B.shape, spla.splu(sp.csc_matrix(B)).solve)
     lo = _lanczos(A, B, "SA", Binv) if scale > 0.0 else 0.0
-    if not lo > zero_tol * scale:
+    if not lo > ZERO_MODE_TOL * scale:
         raise ConstantError(
             f"pencil has a numerically zero mode (min {lo:.3e}, "
             f"Rayleigh quotient of the constant vector {scale:.3e})")
@@ -139,17 +145,19 @@ def quotient_min(A, B, zero_tol=1e-12):
 
 
 def _facet_mass(space, facets, tris):
-    """Facet mass matrix; a vector space gets one block per component."""
-    if not isinstance(space, VectorSpace):
-        return facet_matrix(space, space, facets, tris, tris)
-    m = facet_matrix(space.scalar, space.scalar, facets, tris, tris)
-    return sp.block_diag([m, m]).tocsr()
+    """Facet mass matrix on free dofs; a vector space gets one block per
+    component."""
+    q = facet_quadrature(_scalar_space_of(space), facets, tris, FACET_ORDER)
+    cells = np.einsum("fq,fqi,fqj->fij", q.wts, q.vals, q.vals)
+    return _scatter(space, space, [(1.0, cells, c, c)
+                                   for c in _components(space)],
+                    q.dofs, q.dofs)
 
 
 def _free_interface_dof_count(space):
     """Number of free dofs of ``space`` on the interface."""
     trace = space.facet_dofs(space.mesh.interface_facets)
-    count = int(np.count_nonzero(np.isin(trace, space.free)))
+    count = int(np.count_nonzero(space.free_index[trace] >= 0))
     if count == 0:
         raise ConstantError("no free interface dofs on this space")
     return count
@@ -170,26 +178,24 @@ class InletLifting:
                                   subdomain=meshmod.FLUID)
         other_tags = (meshmod.FLUID_OUTLET, meshmod.FLUID_EXTERNAL,
                       meshmod.INTERFACE)
+        # its free dofs are the interior dofs
+        interior = make_scalar_space(
+            mesh, ElementKind.P2, subdomain=meshmod.FLUID,
+            dirichlet_tags=(meshmod.FLUID_INLET,) + other_tags)
         ofacets = np.concatenate(
             [mesh.facets_with_tag(tag) for tag in other_tags])
-        odofs = space.facet_dofs(ofacets)
-        inlet_all = space.facet_dofs(mesh.facets_with_tag(meshmod.FLUID_INLET))
         # the inlet endpoints belong to the zeroed part of the boundary, so
         # the lifted trace norm vanishes at them
-        inlet = np.setdiff1d(inlet_all, odofs)
-        bdofs = np.union1d(inlet_all, odofs)
-        interior = np.setdiff1d(np.arange(space.ndof), bdofs)
+        inlet = np.setdiff1d(space.tagged_dofs(meshmod.FLUID_INLET),
+                             space.facet_dofs(ofacets))
 
-        K = scalar_stiffness(space)
-        M = scalar_mass(space, space)
-
-        Kii = K[interior][:, interior].tocsc()
-        Kin = K[interior][:, inlet].toarray()
-        Xi = -spla.splu(Kii).solve(Kin)
+        K = stiffness(space)
+        M = mass(space)
 
         Z = np.zeros((space.ndof, len(inlet)))
         Z[inlet, np.arange(len(inlet))] = 1.0
-        Z[interior] = Xi
+        Kii = spla.splu(stiffness(interior).tocsc())
+        Z[interior.free] = -Kii.solve((K @ Z)[interior.free])
 
         S00 = Z.T @ (K @ Z)
         M00 = Z.T @ (M @ Z)
@@ -226,7 +232,8 @@ class _QuarticForm:
 
     With the basis table held as ``V2`` of shape (k, q*d), the values at all
     Gauss points are one matmul, ``coeffs @ V2``, and a gradient or
-    Hessian-vector product one more, ``weights @ V2.T``."""
+    Hessian-vector product one more, ``weights @ V2.T``.  A constrained
+    dof (``free_index`` -1) reads a zero appended to the coefficients."""
 
     def __init__(self, space):
         vals = _rule_values(space.kind, SF_ORDER)
@@ -235,19 +242,17 @@ class _QuarticForm:
         self.wdet = cell_quadrature(space.mesh, space.scalar.subdomain,
                                     SF_ORDER).wdet
         self.shape = (len(self.wdet), nq, d)
-        self.cell_dofs = space.cell_dofs_vector()
-        self.ndof = space.ndof
-        self.free = space.free
+        self.cell_dofs = space.free_index[space.cell_dofs_vector()]
+        self.n_free, self.fixed = space.n_free, space.fixed
 
     def _fields(self, z_free):
-        full = np.zeros(self.ndof)
-        full[self.free] = z_free
-        u = (full[self.cell_dofs] @ self.V2).reshape(self.shape)
+        u = (np.append(z_free, 0.0)[self.cell_dofs] @ self.V2).reshape(
+            self.shape)
         return u, u[..., 0] * u[..., 0] + u[..., 1] * u[..., 1]
 
     def _pull(self, weights):
         gcell = weights.reshape(self.shape[0], -1) @ self.V2.T
-        return _scatter_vector(self.cell_dofs, gcell, self.ndof)[self.free]
+        return _scatter_vector(self.cell_dofs, gcell, self.n_free)
 
     def value_and_grad(self, z_free):
         u, s = self._fields(z_free)
@@ -282,8 +287,7 @@ def _top_curvature(form, K, Kinv, z, q):
     """
     hessp, half = form.hessian(z), len(z) // 2
     # v -> (-v_y, v_x) keeps |v|, and K if both components share free dofs
-    rotates = np.array_equal(form.free[:half] + form.ndof // 2,
-                             form.free[half:])
+    rotates = np.array_equal(*np.split(form.fixed, 2))
     Kz = K @ z
     flat = [Kz, K @ np.r_[-z[half:], z[:half]]] if rotates else [Kz]
 
@@ -392,7 +396,7 @@ def _trace_pencil(blocks, kind):
     }
     if kind in traces:
         space, facets, tris, h1 = traces[kind]
-        return restrict(_facet_mass(space, facets, tris), space, space), h1
+        return _facet_mass(space, facets, tris), h1
     if kind == "P1c":
         return blocks.mass_u, blocks.stiff_u
     if kind == "P2c":

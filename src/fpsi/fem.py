@@ -8,9 +8,10 @@ component ``c`` of scalar dof ``s``.
 
 Function spaces are built per subdomain (velocity and fluid pressure on the
 Fluid triangles, displacement and pore pressure on the Poro triangles) with
-essential constraints recorded as a boolean ``fixed`` mask over dofs;
-assembly slices every operator to the unconstrained ("free") dofs, which
-eliminates constrained rows and columns symmetrically.
+essential constraints recorded as a boolean ``fixed`` mask over dofs and a
+``free_index``, the number of each dof among the unconstrained ("free")
+dofs or -1, through which assembly scatters every operator and load
+straight onto the free dofs, eliminating constrained rows and columns.
 """
 
 from __future__ import annotations
@@ -203,6 +204,7 @@ class ScalarSpace:
     dof_coords : (ndof, 2) nodal coordinates
     fixed : boolean mask of essentially constrained dofs
     free : indices of unconstrained dofs
+    free_index : free number of each dof, -1 where it is constrained
     """
 
     mesh: object
@@ -215,6 +217,7 @@ class ScalarSpace:
     facet_mid_dof: np.ndarray
     fixed: np.ndarray = field(default=None)
     free: np.ndarray = field(default=None)
+    free_index: np.ndarray = field(default=None)
 
     @property
     def ndof(self):
@@ -287,8 +290,13 @@ def make_scalar_space(mesh, kind, subdomain=None, dirichlet_tags=()):
     fixed = np.zeros(space.ndof, dtype=bool)
     for tag in dirichlet_tags:
         fixed[space.tagged_dofs(tag)] = True
-    space.fixed = fixed
-    space.free = np.flatnonzero(~fixed)
+    return _constrain(space, fixed)
+
+
+def _constrain(space, fixed):
+    """Record the constraint mask ``fixed`` of ``space`` and its free dofs."""
+    space.fixed, space.free = fixed, np.flatnonzero(~fixed)
+    space.free_index = np.where(fixed, -1, np.cumsum(~fixed) - 1)
     return space
 
 
@@ -304,6 +312,7 @@ class VectorSpace:
     scalar: ScalarSpace
     fixed: np.ndarray = field(default=None)
     free: np.ndarray = field(default=None)
+    free_index: np.ndarray = field(default=None)
 
     @property
     def mesh(self):
@@ -362,9 +371,7 @@ def make_vector_space(mesh, kind, subdomain, zero_tags=(), tangential_zero_tags=
         for c in (0, 1):
             dofs = scalar.facet_dofs(facets[comps == c])
             fixed[space.component_dofs(dofs, c)] = True
-    space.fixed = fixed
-    space.free = np.flatnonzero(~fixed)
-    return space
+    return _constrain(space, fixed)
 
 
 @dataclass

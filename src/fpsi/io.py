@@ -182,8 +182,7 @@ def emit_vtk(state, dm, path):
                 "carries %d" % (name, space.n_free, len(vec)))
 
     def at_vertices(space, free_vals, vertex_dof, offset=0):
-        full = np.zeros(space.ndof)
-        full[space.free] = free_vals
+        full = np.append(free_vals, 0.0)[space.free_index]
         out = np.zeros(mesh.num_vertices)
         on = vertex_dof >= 0
         out[on] = full[vertex_dof[on] + offset]

@@ -310,9 +310,8 @@ def initial_state(case, system, t=0.0):
 # ---------------------------------------------------------------------------
 
 def _full(space, free_values):
-    out = np.zeros(space.ndof)
-    out[space.free] = free_values
-    return out
+    """Values at every dof, a constrained one reading an appended zero."""
+    return np.append(free_values, 0.0)[space.free_index]
 
 
 def _error_sq(space, coeffs, expr, t):

@@ -17,8 +17,10 @@ distinct node once, and the |v|^4 form of the Sobolev ascent by ``einsum``
 where the package uses two matmuls, and one time step re-solved on the
 divergence-free subspace by a dense Newton iteration where the package
 solves the saddle-point system, and every operator of the block system
-assembled eagerly, each space's gradient products scattered once per form,
-where the package builds the certificate's operators on first read.
+assembled eagerly on all dofs of unconstrained copies of the spaces and
+then sliced to the free dofs, each form with its own gradient products,
+where the package scatters straight onto the free dofs and builds the
+certificate's operators on first read.
 The module also holds the refinement helpers behind the constants
 criterion, the CSV reader of the result tables, which no command uses,
 ``recorded_run``, which collects every state of a run through its
@@ -43,11 +45,11 @@ from fpsi import monitor as mon
 from fpsi.assembly import (PhysicalParams, ProblemData, StateVector,
                            _geometry, _phys_grads, _rule_values,
                            _scatter_vector, assemble_loads, assemble_system,
-                           cell_quadrature, facet_matrix, restrict,
-                           scalar_mass, scalar_stiffness)
+                           cell_quadrature, facet_matrix, mass, stiffness)
 from fpsi.expressions import Cos, PI, Sin, X, Y
 from fpsi.expressions import parse_expression as pe
-from fpsi.fem import (ElementKind, basis_eval, build_dofmaps, make_scalar_space,
+from fpsi.fem import (DofMap, ElementKind, VectorSpace, basis_eval,
+                      build_dofmaps, make_scalar_space, make_vector_space,
                       triangle_rule)
 from fpsi.mesh import Mesh
 from fpsi.monitor import CertificateReport, CertificateRow
@@ -296,8 +298,7 @@ def dense_pore_trace_constant(blocks):
     R = blocks.dm.pressure_p
     K = blocks.stiff_p.toarray()
     tris = mesh.interface_poro_tri
-    M = restrict(facet_matrix(R, R, mesh.interface_facets, tris, tris),
-                 R, R).toarray()
+    M = facet_matrix(R, R, mesh.interface_facets, tris, tris).toarray()
     trace = R.facet_dofs(mesh.interface_facets)
     t = np.searchsorted(R.free, trace[np.isin(trace, R.free)])
     i = np.setdiff1d(np.arange(len(R.free)), t)
@@ -364,8 +365,8 @@ def dirichlet_poincare_square(n):
             meshmod.FLUID_EXTERNAL, meshmod.PORO_SOLID,
             meshmod.PORO_EXTERNAL)
     space = make_scalar_space(mesh, ElementKind.P1, dirichlet_tags=tags)
-    M = restrict(scalar_mass(space, space), space, space)
-    K = restrict(scalar_stiffness(space), space, space)
+    M = mass(space)
+    K = stiffness(space)
     return float(np.sqrt(cst.quotient_max(M, K)))
 
 
@@ -722,31 +723,54 @@ def residual_rows(blocks, scheme, state0, z1, dt, loads):
     return rows[:4] + (blocks.Gdiv @ new.alpha,)
 
 
+def unconstrained(space):
+    """``space`` without its essential constraints: the same dofs, all
+    free, so every form on it is the form on all dofs."""
+    if isinstance(space, VectorSpace):
+        return make_vector_space(space.mesh, space.kind, space.scalar.subdomain)
+    return make_scalar_space(space.mesh, space.kind, space.subdomain)
+
+
+def unconstrained_dofmap(mesh):
+    """The production dof map of ``mesh`` with every space unconstrained."""
+    dm = build_dofmaps(mesh)
+    return DofMap(mesh, *(unconstrained(getattr(dm, name)) for name in (
+        "velocity", "pressure_f", "displacement", "pressure_p")))
+
+
+def restrict(matrix, test_space, trial_space):
+    """Slice a form on all dofs to the free rows and columns of two spaces."""
+    return matrix[test_space.free][:, trial_space.free].tocsr()
+
+
 def eager_operators(mesh, params):
     """All 24 operators of :class:`~fpsi.assembly.BlockSystem` by name,
-    every one assembled up front: a symmetric-gradient, div-div, stiffness
-    or ``K``-gradient form scatters its own gradient products, and each is
-    restricted to free dofs only after all are built."""
+    every one assembled up front on unconstrained copies of the production
+    spaces: a symmetric-gradient, div-div, stiffness or ``K``-gradient form
+    evaluates its own gradient products, and each form on all dofs is
+    sliced to the free dofs of the production spaces only after all are
+    built."""
     dm = build_dofmaps(mesh)
     V, Q = dm.velocity, dm.pressure_f
     W, R = dm.displacement, dm.pressure_p
-    mass_u, visc_u = asm.vector_mass(V), asm.vector_symgrad(V)
-    stiff_u, gdiv = asm.vector_stiffness(V), asm.mixed_div(Q, V)
-    mass_q = scalar_mass(Q, Q)
-    mass_d, symgrad_d = asm.vector_mass(W), asm.vector_symgrad(W)
-    divdiv_d, stiff_d = asm.vector_divdiv(W), asm.vector_stiffness(W)
-    mass_p, kgrad_p = scalar_mass(R, R), asm.scalar_kgrad(R, params.K)
-    stiff_p = scalar_stiffness(R)
+    V0, Q0, W0, R0 = map(unconstrained, (V, Q, W, R))
+    mass_u, visc_u = mass(V0), asm.vector_symgrad(V0)
+    stiff_u, gdiv = stiffness(V0), asm.mixed_div(Q0, V0)
+    mass_q = mass(Q0)
+    mass_d, symgrad_d = mass(W0), asm.vector_symgrad(W0)
+    divdiv_d, stiff_d = asm.vector_divdiv(W0), stiffness(W0)
+    mass_p, kgrad_p = mass(R0), asm.scalar_kgrad(R0, params.K)
+    stiff_p = stiffness(R0)
     ifacets = mesh.interface_facets
     iftri, iptri = mesh.interface_fluid_tri, mesh.interface_poro_tri
     normals = mesh.interface_normals
     tangents = asm.interface_tangents(normals)
-    slip_uu = facet_matrix(V, V, ifacets, iftri, iftri, tangents)
-    slip_ud = facet_matrix(V, W, ifacets, iftri, iptri, tangents)
-    slip_dd = facet_matrix(W, W, ifacets, iptri, iptri, tangents)
-    dface = facet_matrix(V, R, ifacets, iftri, iptri, normals)
-    cface = facet_matrix(W, R, ifacets, iptri, iptri, normals)
-    cvol = asm.div_pressure(W, R)
+    slip_uu = facet_matrix(V0, V0, ifacets, iftri, iftri, tangents)
+    slip_ud = facet_matrix(V0, W0, ifacets, iftri, iptri, tangents)
+    slip_dd = facet_matrix(W0, W0, ifacets, iptri, iptri, tangents)
+    dface = facet_matrix(V0, R0, ifacets, iftri, iptri, normals)
+    cface = facet_matrix(W0, R0, ifacets, iptri, iptri, normals)
+    cvol = asm.div_pressure(W0, R0)
 
     p = params
     visc_u = restrict(visc_u, V, V)
@@ -982,16 +1006,19 @@ def kernel_oracle(nx=2, ny=2, split=0.5, params=None, dt=0.05, data=None,
 
 def per_time_loads(t, data, dm):
     """The right-hand sides (a, b, c) at time ``t``, every data field
-    evaluated at ``t`` on the quadrature points of every load site."""
+    evaluated at ``t`` on the quadrature points of every load site, each
+    load built on all dofs of an unconstrained copy of its space and then
+    sliced to the free dofs."""
     names = ("velocity", "displacement", "pressure_p")
-    loads = {name: asm.load_volume(getattr(dm, name), f, t)
+    full = {name: unconstrained(getattr(dm, name)) for name in names}
+    loads = {name: asm.load_volume(full[name], f, t)
              for name, f in zip(names, (data.f_f, data.f_s, data.f_p))}
     extra = vars(data.extra or asm.ExtraLoads())
     terms = [("velocity", meshmod.FLUID_INLET, -data.P_in)] + [
         asm._EXTRA_LOAD_SITES[key] + (field,) for key, field in extra.items()
         if field is not None]
     for name, tag, field in terms:
-        space = getattr(dm, name)
+        space = full[name]
         facets, tris = asm._facet_side(dm.mesh, space, tag)
         if len(facets):
             loads[name] += asm.load_facet(space, facets, tris, field, t)

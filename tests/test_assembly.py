@@ -18,12 +18,10 @@ from fpsi.assembly import (
     load_facet,
     load_volume,
     mixed_div,
-    restrict,
+    mass,
     scalar_kgrad,
-    scalar_mass,
-    scalar_stiffness,
+    stiffness,
     vector_divdiv,
-    vector_stiffness,
     vector_symgrad,
 )
 from fpsi.expressions import ONE, X, Y, Const, parse_expression
@@ -52,18 +50,17 @@ def test_element_matrices_match_symbolic_integration(degree, kind):
         mass_ref, stiff_ref = oracles.sympy_element_matrices(coords, degree)
         m = oracles.one_triangle_mesh([[float(c) for c in row] for row in coords])
         space = make_scalar_space(m, kind)
-        mass = scalar_mass(space, space).toarray()
-        stiff = scalar_stiffness(space).toarray()
-        np.testing.assert_allclose(mass, mass_ref, rtol=1e-13, atol=1e-16)
-        np.testing.assert_allclose(stiff, stiff_ref, rtol=1e-13, atol=1e-14)
+        np.testing.assert_allclose(mass(space).toarray(), mass_ref,
+                                   rtol=1e-13, atol=1e-16)
+        np.testing.assert_allclose(stiffness(space).toarray(), stiff_ref,
+                                   rtol=1e-13, atol=1e-14)
 
 
 def test_reference_p1_mass_matrix():
     m = oracles.one_triangle_mesh([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     space = make_scalar_space(m, ElementKind.P1)
-    mass = scalar_mass(space, space).toarray()
     expected = np.array([[2, 1, 1], [1, 2, 1], [1, 1, 2]]) / 24.0
-    np.testing.assert_allclose(mass, expected, atol=1e-15)
+    np.testing.assert_allclose(mass(space).toarray(), expected, atol=1e-15)
 
 
 def test_p2_mass_matrix_keeps_exact_zeros_and_symmetry():
@@ -72,20 +69,19 @@ def test_p2_mass_matrix_keeps_exact_zeros_and_symmetry():
     mass_ref, _ = oracles.sympy_element_matrices(coords, 2)
     m = oracles.one_triangle_mesh([[float(c) for c in row] for row in coords])
     space = make_scalar_space(m, ElementKind.P2)
-    mass = scalar_mass(space, space).toarray()
-    assert np.array_equal(mass, mass.T)
-    assert np.all(mass[mass_ref == 0.0] == 0.0)
+    M = mass(space).toarray()
+    assert np.array_equal(M, M.T)
+    assert np.all(M[mass_ref == 0.0] == 0.0)
     assert np.count_nonzero(mass_ref == 0.0) > 0
 
 
 def test_exact_zeros_stay_stored_on_the_dof_coupling_graph():
     m = build_rect_two_domain(4, 4, 0.5)
     R = build_dofmaps(m).pressure_p
-    stiff = scalar_stiffness(R)
-    mass = scalar_mass(R, R)
-    assert np.count_nonzero(stiff.data == 0.0) > 0
-    assert np.array_equal(stiff.indptr, mass.indptr)
-    assert np.array_equal(stiff.indices, mass.indices)
+    K, M = stiffness(R), mass(R)
+    assert np.count_nonzero(K.data == 0.0) > 0
+    assert np.array_equal(K.indptr, M.indptr)
+    assert np.array_equal(K.indices, M.indices)
 
 
 def test_operator_symmetry():
@@ -99,14 +95,15 @@ def test_operator_symmetry():
 
 def test_energy_quadratic_forms_on_simple_fields():
     m = build_rect_two_domain(4, 4, 0.5)
-    dm = build_dofmaps(m)
+    # the unconstrained spaces, so the forms act on the whole interpolants
+    dm = oracles.unconstrained_dofmap(m)
 
     # shear flow u = (y, 0): D(u) has two off-diagonal entries of 1/2,
     # so int_F D(u):D(u) = area/2 with area(fluid) = 1/2.
     u = interpolate_vector(dm.velocity, (lambda x, y, t: y, lambda x, y, t: 0 * x))
     visc = vector_symgrad(dm.velocity)
     assert u @ (visc @ u) == pytest.approx(0.25, rel=1e-13)
-    stiff = vector_stiffness(dm.velocity)
+    stiff = stiffness(dm.velocity)
     assert u @ (stiff @ u) == pytest.approx(0.5, rel=1e-13)
 
     # dilation xi = (x, y): div = 2, (div, div) = 4 * area(poro) = 2
@@ -125,7 +122,7 @@ def test_energy_quadratic_forms_on_simple_fields():
 
 def test_mixed_divergence_annihilates_linear_solenoidal_fields():
     m = build_rect_two_domain(4, 4, 0.5)
-    dm = build_dofmaps(m)
+    dm = oracles.unconstrained_dofmap(m)
     gdiv = mixed_div(dm.pressure_f, dm.velocity)
     u = interpolate_vector(
         dm.velocity,
@@ -140,9 +137,7 @@ def test_mixed_divergence_annihilates_linear_solenoidal_fields():
 
 def test_pressure_coupling_volume_term():
     m = build_rect_two_domain(4, 4, 0.5)
-    params = PhysicalParams()
-    blocks = assemble_system(m, params, convection=False)
-    dm = blocks.dm
+    dm = oracles.unconstrained_dofmap(m)
     xi = interpolate_vector(dm.displacement, (lambda x, y, t: x, lambda x, y, t: 0 * x))
     w = interpolate_scalar(dm.pressure_p, lambda x, y, t: 1.0 + 0 * x)
     cvol = div_pressure(dm.displacement, dm.pressure_p)
@@ -224,7 +219,7 @@ def test_inlet_pressure_load_totals():
 def test_facet_loads_against_direct_quadrature(monkeypatch):
     import fpsi.assembly as asm
     m = build_rect_two_domain(4, 4, 0.5)
-    dm = build_dofmaps(m)
+    dm = oracles.unconstrained_dofmap(m)
     V, W, R = dm.velocity, dm.displacement, dm.pressure_p
     t = 0.3
     g = (parse_expression("sin(3*x)*cos(y + t)"),
@@ -268,13 +263,14 @@ def test_facet_loads_against_direct_quadrature(monkeypatch):
             assert coeffs @ vec == pytest.approx(ref, rel=1e-12)
     # the tangential displacement is fixed on the outer poroelastic sides,
     # so on free dofs the traction is its normal-normal part
+    W = build_dofmaps(m).displacement
     vec = load_facet(W, pext, pext_tris, S, t)
     for _ in range(3):
         coeffs = np.zeros(W.ndof)
         coeffs[W.free] = rng.standard_normal(W.n_free)
         ref = oracles.facet_functional(m, W, coeffs, pext, pext_tris,
                                        normal_stress, t)
-        assert coeffs @ vec == pytest.approx(ref, rel=1e-12)
+        assert coeffs[W.free] @ vec == pytest.approx(ref, rel=1e-12)
 
 
 def test_facet_load_rejects_a_field_of_the_wrong_rank():
@@ -314,7 +310,7 @@ def test_facet_loads_trace_once_per_mesh(monkeypatch):
         dofs = asm._cell_dofs(V, tris)
         uncached = np.bincount(dofs.ravel(), weights=local.ravel(),
                                minlength=V.ndof)
-        assert np.array_equal(load, uncached)
+        assert np.array_equal(load, uncached[V.free])
     assert not np.array_equal(loads[0], loads[1])
 
 
@@ -452,9 +448,7 @@ def test_extra_loads_are_applied_where_stated():
     direct = load_facet(R0, iface, m.interface_poro_tri, ONE, t=0.0)
     assert direct.sum() == pytest.approx(1.0, rel=1e-12)
     # the constrained right-hand side is the restriction of that integral
-    direct_c = load_facet(dm.pressure_p, iface, m.interface_poro_tri, ONE,
-                          t=0.0)
-    np.testing.assert_allclose(c, direct_c[dm.pressure_p.free], atol=1e-15)
+    np.testing.assert_allclose(c, direct[dm.pressure_p.free], atol=1e-15)
     coords = dm.pressure_p.dof_coords[dm.pressure_p.free]
     touched = np.flatnonzero(np.abs(c) > 1e-14)
     assert np.all(np.abs(coords[touched, 1] - 0.5) < 0.26)
@@ -495,15 +489,21 @@ _SETTINGS = {
 }
 
 
+# on 6 x 10 (split 0.3) the mesh widths are not powers of two, so element
+# sums are inexact in binary and a change of summation order shows
+_MESHES = {4: (4, 4, 0.5), 8: (8, 8, 0.5), "6x10": (6, 10, 0.3)}
+
+
 @pytest.mark.parametrize("setting", list(_SETTINGS))
-@pytest.mark.parametrize("n", [4, 8])
+@pytest.mark.parametrize("n", list(_MESHES))
 def test_operators_equal_the_eager_assembly_bitwise(n, setting):
-    # the thirteen certificate operators are built on first read, from
-    # shared gradient-product scatters; every operator still equals the
-    # eager assembly of each form on its own, bit for bit
+    # every operator is scattered on free dofs, and the thirteen
+    # certificate operators are built on first read from shared gradient
+    # products; every one still equals the eager assembly of each form on
+    # all dofs, sliced to the free dofs, bit for bit
     params, kwargs = _SETTINGS[setting]
     params = PhysicalParams(**params)
-    mesh = build_rect_two_domain(n, n, 0.5)
+    mesh = build_rect_two_domain(*_MESHES[n])
     blocks = assemble_system(mesh, params, **kwargs)
     assert _built(blocks) == set()
     eager = oracles.eager_operators(mesh, params)

@@ -18,6 +18,7 @@ from fpsi import cli, constants as cst, io as fio, monitor as mon
 from fpsi.cli import ConfigError, RunConfig, main, parse_config
 from fpsi.constants import CONSTANT_KINDS, ConstantEstimate
 from fpsi.mesh import Mesh, build_rect_two_domain, write_mesh
+from fpsi.timestepper import StepError
 from fpsi.verify import ERROR_KEYS, RESIDUAL_KEYS, ConvergenceTable, LevelRun, StudyError
 
 
@@ -455,6 +456,20 @@ def test_mms_requires_three_levels(capsys):
     assert "at least 3 levels" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["--steps", "0"], ["--steps", "-2"], ["--t-final", "0"],
+    ["--t-final", "-1"]], ids="=".join)
+def test_mms_rejects_a_bad_time_grid(argv, monkeypatch, capsys):
+    def no_study(*args, **kwargs):
+        raise AssertionError("the study must not start")
+
+    monkeypatch.setattr(cli, "convergence_study", no_study)
+    assert main(["mms", "smooth-trig", "3"] + argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("mms: %s must be" % argv[0])
+    assert err.count("\n") == 1
+
+
 def test_mms_rejects_unknown_case(capsys):
     assert main(["mms", "mystery-case", "3"]) == 1
     assert "invalid choice" in capsys.readouterr().err
@@ -467,6 +482,17 @@ def test_mms_solver_failure_exits_two(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cli, "convergence_study", failing_study)
     assert main(["mms", "smooth-trig", "3", "--out", str(tmp_path)]) == 2
     assert "solver failure" in capsys.readouterr().err
+
+
+def test_run_solver_failure_exits_two(tmp_path, monkeypatch, capsys):
+    def failing_run(*args, **kwargs):
+        raise StepError("step 1: Newton diverged", 1.0, 20)
+
+    monkeypatch.setattr(cli, "run_scheme", failing_run)
+    out = tmp_path / "out"
+    assert main(["run", _config(tmp_path, TINY % out)]) == 2
+    assert "solver failure" in capsys.readouterr().err
+    assert not (out / "certificate.csv").exists()
 
 
 # ---------------------------------------------------------------------------
