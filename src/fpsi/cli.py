@@ -389,10 +389,11 @@ def _cmd_run(ns):
     print("completed %d steps of %r to t = %s"
           % (len(result.diagnostics), cfg.scheme.scheme, result.state.t))
     diags = result.diagnostics
-    print("newton: %d iterations, %d GMRES iterations, %d factorizations"
-          % (sum(d.iterations for d in diags),
-             sum(d.krylov_iterations for d in diags),
-             sum(d.factorizations for d in diags)))
+    print("newton: %d iterations, %d GMRES iterations, %d factorizations, "
+          "factor fill %d" % (sum(d.iterations for d in diags),
+                              sum(d.krylov_iterations for d in diags),
+                              sum(d.factorizations for d in diags),
+                              sum(d.factor_fill for d in diags)))
     if report is not None:
         print("final energy %.6e, total dissipation %.6e"
               % (report.summary["final_energy"],

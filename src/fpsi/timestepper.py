@@ -31,7 +31,9 @@ current matrix is factored and becomes the new preconditioner (Saad 2003,
 
 The factor is only a preconditioner, so it is made in single precision, in
 a geometric nested-dissection order computed once per trajectory (George
-1973); GMRES, the residuals and the states stay in double.  A fresh factor
+1973), each part's separator the lighter side of its median cut: the left
+or the right points coupled across it, whichever hold fewer unknowns.
+GMRES, the residuals and the states stay in double.  A fresh factor
 preconditions the same GMRES cycle, applied with the matrix it was made
 from (GMRES-IR, Carson & Higham 2017), so every LU solve is one GMRES
 iteration; a fresh factor whose cycle misses the 1e-12 test is a
@@ -103,7 +105,8 @@ class StepDiagnostics:
     """Newton convergence record for one time step, with the load work
     ``(a, b, c) . stage`` and the convection power ``stage.alpha . N`` at
     the stage of the accepted state, the terms of the energy identity that
-    need the loads or the convection vector."""
+    need the loads or the convection vector.  ``factor_fill`` sums the
+    stored entries (``lu.nnz``) of the factors the step made, 0 if none."""
 
     t: float
     iterations: int
@@ -112,6 +115,7 @@ class StepDiagnostics:
     convection_power: float
     krylov_iterations: int = 0
     factorizations: int = 0
+    factor_fill: int = 0
 
 
 @dataclass
@@ -283,12 +287,16 @@ def _dissection_paths(xy, graph, weights):
     """Geometric nested dissection of weighted points (George 1973).
 
     Level by level, every part of more than ``LEAF_SIZE`` unknowns is cut
-    at the median of its points along the longer side of its bounding box;
-    the left points that ``graph`` (COO) couples to a right point form the
-    part's separator.  Returns one array of digits per level: 0 for the left
-    part, 1 for the right part and 2 for the separator, then 0 once a
-    point's part is a leaf or a separator.  Sorting the columns
-    lexicographically orders every part's children before its separator.
+    at the median of its points along the longer side of its bounding box.
+    The left points that ``graph`` (COO, symmetric) couples to a right point
+    separate the part, and so do the right points it couples to a left
+    point; the set of fewer unknowns (``weights``) is the part's separator,
+    the left one on a tie.  On a row of P2 edge midpoints that is the
+    vertex row beside it, not both rows.  Returns one array of digits per
+    level: 0 for the left part, 1 for the right part and 2 for the
+    separator, then 0 once a point's part is a leaf or a separator.
+    Sorting the columns lexicographically orders every part's children
+    before its separator.
     """
     n = len(xy)
     rows, cols = graph.row, graph.col
@@ -319,8 +327,15 @@ def _dissection_paths(xy, graph, weights):
         side[live] = ~left
         inside = (where[rows] >= 0) & (where[rows] == where[cols])
         rows, cols = rows[inside], cols[inside]
+        # the points coupled across the cut, and the unknowns of each
+        # part's left and right ones: the lighter side separates the part
+        cut = np.zeros(n, dtype=bool)
+        cut[rows[side[rows] != side[cols]]] = True
+        heavy = np.bincount(2 * where[cut] + side[cut], weights=weights[cut],
+                            minlength=2 * len(count)).reshape(-1, 2)
+        lighter = (heavy[:, 1] < heavy[:, 0]).astype(np.int8)
         digit = side.copy()
-        digit[rows[(side[rows] == 0) & (side[cols] == 1)]] = 2
+        digit[cut & (side == lighter[where])] = 2
         paths.append(digit)
         live = live[digit[live] != 2]
         part = np.full(n, -1)
@@ -438,7 +453,8 @@ class NewtonSolver:
         if self.perm is None:
             self.perm = _nested_dissection(self.blocks.dm, J)
         # the order fixes the fill: a pivot threshold of 1e-3 fills as
-        # little as 0 does at n = 32 and 64, 0.01 twice as much at n = 64
+        # little as 0 does at n = 16, 32 and 64, 0.01 1.25 times as much at
+        # n = 32 and 2.8 times at n = 64
         self.lu = spla.splu(J.astype(np.float32)[self.perm][:, self.perm],
                             permc_spec="NATURAL", diag_pivot_thresh=1e-3,
                             options={"SymmetricMode": True})
@@ -463,7 +479,7 @@ def step(blocks, data, state0, cfg, newton=None):
         newton = NewtonSolver(blocks, cfg.scheme, dt)
 
     z, norms = _pack(state0), []
-    iterations = krylov_iterations = factorizations = 0
+    iterations = krylov_iterations = factorizations = factor_fill = 0
     while True:
         rows, stage, nl = _residual_rows(blocks, cfg.scheme, state0, z, dt,
                                          loads, newton.terms)
@@ -482,6 +498,8 @@ def step(blocks, data, state0, cfg, newton=None):
         iterations += 1
         krylov_iterations += krylov
         factorizations += factored
+        if factored:
+            factor_fill += newton.lu.nnz
 
     state1 = StateVector(t1, *_unpack(blocks, z))
     diag = StepDiagnostics(t=t1, iterations=iterations,
@@ -489,7 +507,8 @@ def step(blocks, data, state0, cfg, newton=None):
                            work=float(blocks.work(loads, stage)),
                            convection_power=float(stage.alpha @ nl),
                            krylov_iterations=krylov_iterations,
-                           factorizations=factorizations)
+                           factorizations=factorizations,
+                           factor_fill=factor_fill)
     return state1, diag
 
 

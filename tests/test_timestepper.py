@@ -434,7 +434,7 @@ def test_fresh_factor_is_single_precision_and_refined_in_double(scheme):
 
 class _CountedFactor:
     def __init__(self, lu):
-        self.lu, self.solves = lu, 0
+        self.lu, self.solves, self.nnz = lu, 0, lu.nnz
 
     def solve(self, b):
         self.solves += 1
@@ -492,6 +492,9 @@ def test_linear_trajectory_is_factored_once():
     traj = run(blocks, _driven_data(), cfg)
     assert [d.factorizations for d in traj.diagnostics] == [1, 0, 0, 0]
     assert all(d.krylov_iterations >= 1 for d in traj.diagnostics[1:])
+    # the factor's fill is recorded by the step that made it
+    assert [d.factor_fill > 0 for d in traj.diagnostics] \
+        == [True, False, False, False]
 
 
 def test_every_lu_solve_is_counted_once(monkeypatch):
@@ -509,6 +512,7 @@ def test_every_lu_solve_is_counted_once(monkeypatch):
     assert len(factors) == sum(d.factorizations for d in diags) >= 1
     assert sum(f.solves for f in factors) == sum(
         d.krylov_iterations for d in diags)
+    assert sum(f.nnz for f in factors) == sum(d.factor_fill for d in diags)
 
 
 def test_gmres_stall_refactors_and_converges(monkeypatch):
@@ -560,37 +564,72 @@ def test_nested_dissection_is_a_deterministic_permutation():
     assert np.array_equal(perm, timestepper._nested_dissection(blocks.dm, J))
 
 
-def test_nested_dissection_keeps_points_together_in_small_leaves():
-    blocks = _blocks(8, 8)
+def _dissection(nx, ny, split):
+    """The points, point graph (from a COO copy of J), point of each
+    unknown, unknowns per point and dissection paths of a zero-velocity
+    condensed matrix on an ``nx`` by ``ny`` mesh."""
+    blocks = assemble_system(build_rect_two_domain(nx, ny, split),
+                             PhysicalParams())
     J = _condensed_matrix(blocks)
     xy, point = timestepper._condensed_points(blocks.dm)
-    # the unknowns of each point are consecutive in the order
-    order = point[timestepper._nested_dissection(blocks.dm, J)]
-    assert np.count_nonzero(np.diff(order)) == len(xy) - 1
-    # the point graph, here from a COO copy of J
     coo = J.tocoo()
-    rows, cols = point[coo.row], point[coo.col]
-    graph = sp.coo_matrix((np.ones(J.nnz), (rows, cols)))
+    graph = sp.coo_matrix((np.ones(J.nnz), (point[coo.row], point[coo.col])))
     weights = np.bincount(point)
     paths = np.array(timestepper._dissection_paths(xy, graph, weights))
-    # points no cut put in a separator lie in leaves, one per path
-    in_leaf = ~np.any(paths == 2, axis=0)
-    _, leaf = np.unique(paths[:, in_leaf].T, axis=0, return_inverse=True)
-    sizes = np.bincount(leaf, weights=weights[in_leaf])
-    assert len(sizes) > 1
-    assert sizes.max() <= 32
-    # the separators split the graph: every edge between two leaf points
-    # stays inside one leaf
-    leaf_of = np.full(len(xy), -1)
-    leaf_of[in_leaf] = leaf
-    both = in_leaf[rows] & in_leaf[cols]
-    assert np.array_equal(leaf_of[rows[both]], leaf_of[cols[both]])
+    return blocks, J, xy, graph, point, weights, paths
+
+
+def test_nested_dissection_keeps_points_together_in_small_leaves():
+    # 15 x 20 at 0.35 is not dyadic; on both meshes some parts take the
+    # separator on their right side
+    for nx, ny, split in ((8, 8, 0.5), (15, 20, 0.35)):
+        blocks, J, xy, graph, point, weights, paths = _dissection(nx, ny,
+                                                                  split)
+        # the unknowns of each point are consecutive in the order
+        order = point[timestepper._nested_dissection(blocks.dm, J)]
+        assert np.count_nonzero(np.diff(order)) == len(xy) - 1
+        # points no cut put in a separator lie in leaves, one per path
+        in_leaf = ~np.any(paths == 2, axis=0)
+        _, leaf = np.unique(paths[:, in_leaf].T, axis=0, return_inverse=True)
+        sizes = np.bincount(leaf, weights=weights[in_leaf])
+        assert len(sizes) > 1
+        assert sizes.max() <= 32
+        # the separators split the graph: every edge between two leaf
+        # points stays inside one leaf
+        leaf_of = np.full(len(xy), -1)
+        leaf_of[in_leaf] = leaf
+        rows, cols = graph.row, graph.col
+        both = in_leaf[rows] & in_leaf[cols]
+        assert np.array_equal(leaf_of[rows[both]], leaf_of[cols[both]])
+
+
+def test_nested_dissection_cuts_on_one_line_away_from_the_interface():
+    # a median on a row of edge midpoints has a vertex row on one side and
+    # a midpoint row on the other; the lighter side is the vertex row alone.
+    # Only the interface terms couple points two rows apart, so a separator
+    # near it may bend
+    n = 16
+    _, _, xy, _, _, _, paths = _dissection(n, n, 0.5)
+    row = np.rint(xy[:, 1] * 2 * n)  # points lie on rows h / 2 apart
+    separators = 0
+    for level, digits in enumerate(paths):
+        on = np.flatnonzero(digits == 2)
+        # a separator's points share the digits of the levels above it
+        _, part = np.unique(paths[:level, on].T, axis=0, return_inverse=True)
+        for k in range(part.max() + 1):
+            points = on[part.ravel() == k]
+            separators += 1
+            if np.abs(row[points] - n).min() > 2:
+                assert min(len(np.unique(xy[points, 0])),
+                           len(np.unique(xy[points, 1]))) == 1
+    assert separators > 60
 
 
 def test_nested_dissection_factor_fills_less_than_colamd():
-    # 2.38M entries of L + U against COLAMD's 3.06M.  The check has teeth:
+    # 1.71M entries of L + U against COLAMD's 3.06M.  The check has teeth:
     # in the identity order the same factor fills far more than COLAMD's
-    # (4.04M against 0.44M already at n = 16, and takes minutes at n = 32)
+    # (4.04M against 0.44M already at n = 16, and takes minutes at n = 32),
+    # and separators always taken on the left side of the cut fill 2.38M
     case = manufactured_case("smooth-trig")
     blocks = assemble_system(build_rect_two_domain(32, 32, case.split),
                              case.params)
@@ -601,4 +640,5 @@ def test_nested_dissection_factor_fills_less_than_colamd():
                       stage_alpha)
     colamd = spla.splu(timestepper._jacobian(blocks, "midpoint", dt,
                                              stage_alpha).tocsc())
-    assert newton.lu.L.nnz + newton.lu.U.nnz < colamd.L.nnz + colamd.U.nnz
+    assert newton.lu.L.nnz + newton.lu.U.nnz \
+        < 0.65 * (colamd.L.nnz + colamd.U.nnz)
