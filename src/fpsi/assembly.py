@@ -9,18 +9,25 @@ pressure ``w`` (P2, poroelastic subdomain).  In coefficient vectors these are
 
 The semi-discrete block system reads::
 
-    Af alpha' + Bf alpha + N(alpha) + D gamma - E theta - Gdiv^T pi = a
-    beta' - theta                                                   = 0
-    Ap gamma' + Bp gamma + C^T theta - D^T alpha                    = c
-    As theta' + Bs beta - C gamma - E^T alpha + F theta             = b
-    Gdiv alpha                                                      = 0
+    rho_f Mu alpha' + (2 mu_f Vu + Su) alpha + N(alpha)
+                                  + D gamma - E theta - Gdiv^T pi = a
+    beta' - theta                                                 = 0
+    s0 Mp gamma' + Bp gamma + C^T theta - D^T alpha               = c
+    rho_s Md theta' + Bs beta - C gamma - E^T alpha + F theta     = b
+    Gdiv alpha                                                    = 0
 
-with ``Af = rho_f M_u``, ``Bf = 2 mu_f (D(u), D(v)) + beta (slip)``,
-``As = rho_s M_d``, ``Bs = 2 mu_s (D(.), D(.)) + lambda_s (div, div)``,
-``Ap = s0 M_p``, ``Bp = (K grad w, grad r)``, ``C = alpha_bw (r, div xi)
-+ <r n, xi>_I``, ``D = <r n, v>_I``, ``E = beta <(v.t)(xi.t)>_I`` and
+with the masses ``Mu``, ``Md``, ``Mp`` (``mass_u``, ``mass_d``,
+``mass_p``), ``Vu = (D(u), D(v))`` (``visc_u``), ``Su = beta <(u.t)(v.t)>_I``
+(``slip_u``), ``Bs = 2 mu_s (D(.), D(.)) + lambda_s (div, div)``,
+``Bp = (K grad w, grad r)``, ``C = alpha_bw (r, div xi) + <r n, xi>_I``,
+``D = <r n, v>_I``, ``E = beta <(v.t)(xi.t)>_I`` and
 ``F = beta <(xi.t)(zeta.t)>_I``, where ``n`` is the interface normal
-pointing out of the fluid subdomain and ``t`` the interface tangent.
+pointing out of the fluid subdomain and ``t`` the interface tangent.  Each
+form is stored once, without the coefficient (``rho_f``, ``mu_f``,
+``rho_s``, ``s0``) that multiplies it, so the time stepper, the constants
+and the certificate read the same matrices; the time stepper's table of
+linear terms and :class:`BlockSystem` apply the coefficients.  A block
+that sums forms keeps its parts' coefficients.
 
 Every operator and load is scattered straight onto the unconstrained
 (free) dofs of its spaces, its element dofs mapped through their
@@ -33,7 +40,7 @@ for its degree; quadrature of a fixed order remains only for the facet
 terms (:data:`FACET_ORDER`) and the data loads (:data:`LOAD_ORDER`).
 
 Every facet term (the interface blocks ``C``, ``D``, ``E``, ``F`` and the
-slip part of ``Bf``, and the inlet, outlet, interface and boundary loads)
+slip form ``slip_u``, and the inlet, outlet, interface and boundary loads)
 goes through one batched kernel, :func:`facet_trace`: for a batch of facets,
 each seen from one adjacent triangle, it gives the Gauss points, their
 reference coordinates in that triangle, the weights times the facet length
@@ -448,9 +455,10 @@ def _grad_products(space, g=None):
     cell ``c`` with the test function first.  On an affine triangle that is
     ``|det J| sum_kl Jinv[k, a] Jinv[l, b] S_kl`` with ``S_kl`` the exact
     reference gradient-product tables.  Every symmetric-gradient, div-div,
-    stiffness and ``K``-gradient form scatters a combination of these four;
-    those forms take them as ``g``, so one evaluation serves every form of
-    a space, and evaluate them themselves when ``g`` is omitted.
+    stiffness and ``K``-gradient form scatters a combination of these four.
+    The symmetric-gradient and div-div forms take them as ``g``, so one
+    evaluation serves both parts of ``Bs``, and evaluate them themselves
+    when ``g`` is omitted.
     """
     if g is not None:
         return g
@@ -487,10 +495,10 @@ def scalar_kgrad(space, K):
                                    for a in range(2) for b in range(2)])
 
 
-def stiffness(space, g=None):
+def stiffness(space):
     """(grad u, grad v), the H1 seminorm product (componentwise on a
     vector space)."""
-    g = _grad_products(space, g)
+    g = _grad_products(space)
     return _scatter(space, space, [(1.0, g[k][k], c, c)
                                    for c in _components(space)
                                    for k in range(2)])
@@ -789,35 +797,32 @@ class _Convection:
 
 # the operators that only the constants and the certificate read, built
 # together on the first read of any of them (see BlockSystem)
-CERTIFICATE_OPERATORS = (
-    "visc2", "slip_uu_beta", "mass_u", "mass_d", "mass_p", "mass_q",
-    "visc_u", "stiff_u", "stiff_d", "stiff_p", "h1_u", "h1_d", "h1_p")
+CERTIFICATE_OPERATORS = ("mass_q", "stiff_u", "stiff_d", "stiff_p")
 
 
 @dataclass
 class BlockSystem:
     """The assembled operators of the coupled problem on free dofs.
 
-    The fields are the eleven blocks of the time stepper (``Af`` to
+    The fields are the forms the time stepper reads (``mass_u`` to
     ``Gdiv``, see the module docstring) and the convection term, built by
-    :func:`assemble_system`.  The thirteen :data:`CERTIFICATE_OPERATORS` --
-    ``visc2 = 2 mu_f (D(u), D(v))`` and ``slip_uu_beta``, the two parts of
-    ``Bf``; the masses ``mass_u``, ``mass_d``, ``mass_p``, ``mass_q``; the
-    symmetric-gradient form ``visc_u``; the stiffnesses ``stiff_u``,
-    ``stiff_d``, ``stiff_p``; the H1 products ``h1_u``, ``h1_d``, ``h1_p`` --
-    are built together on the first read of any of them and then kept as
-    attributes of the same names, so a run that never reads them (a time
-    stepper alone) never holds them.
+    :func:`assemble_system`.  The four :data:`CERTIFICATE_OPERATORS` that no
+    solver term contains, ``mass_q`` and the stiffnesses ``stiff_u``,
+    ``stiff_d``, ``stiff_p``, are built together on the first read of any
+    of them and then kept as attributes of the same names, so a run that
+    never reads them (a time stepper alone) never holds them.  An H1
+    product is read as a mass plus a stiffness.
     """
 
     dm: object
     params: PhysicalParams
     convection_enabled: bool
-    Af: sp.csr_matrix
-    Bf: sp.csr_matrix
-    As: sp.csr_matrix
+    mass_u: sp.csr_matrix
+    visc_u: sp.csr_matrix
+    slip_u: sp.csr_matrix
+    mass_d: sp.csr_matrix
+    mass_p: sp.csr_matrix
     Bs: sp.csr_matrix
-    Ap: sp.csr_matrix
     Bp: sp.csr_matrix
     C: sp.csr_matrix
     D: sp.csr_matrix
@@ -831,20 +836,20 @@ class BlockSystem:
         if name not in CERTIFICATE_OPERATORS:
             raise AttributeError("%r object has no attribute %r"
                                  % (type(self).__name__, name))
-        vars(self).update(_certificate_operators(self.dm, self.params))
+        vars(self).update(_certificate_operators(self.dm))
         return vars(self)[name]
 
     @property
     def n_alpha(self):
-        return self.Af.shape[0]
+        return self.mass_u.shape[0]
 
     @property
     def n_beta(self):
-        return self.As.shape[0]
+        return self.mass_d.shape[0]
 
     @property
     def n_gamma(self):
-        return self.Ap.shape[0]
+        return self.mass_p.shape[0]
 
     @property
     def n_pi(self):
@@ -871,17 +876,18 @@ class BlockSystem:
         )
 
     def energy(self, state):
-        """E = (alpha'Af alpha + theta'As theta + gamma'Ap gamma + beta'Bs beta)/2."""
-        return 0.5 * (_dots(state.alpha, self.Af @ state.alpha)
-                      + _dots(state.theta, self.As @ state.theta)
-                      + _dots(state.gamma, self.Ap @ state.gamma)
+        """E = (rho_f |u|^2 + rho_s |eta_t|^2 + s0 |w|^2 + beta'Bs beta)/2."""
+        p, a, th, g = self.params, state.alpha, state.theta, state.gamma
+        return 0.5 * (p.rho_f * _dots(a, self.mass_u @ a)
+                      + p.rho_s * _dots(th, self.mass_d @ th)
+                      + p.s0 * _dots(g, self.mass_p @ g)
                       + _dots(state.beta, self.Bs @ state.beta))
 
     def dissipation(self, state):
         """2 mu_f |D(u)|^2 + beta |(u - eta_t).t|^2_I + |K^1/2 grad w|^2."""
         a, th, g = state.alpha, state.theta, state.gamma
-        visc = _dots(a, self.visc2 @ a)
-        slip = (_dots(a, self.slip_uu_beta @ a) - 2.0 * _dots(a, self.E @ th)
+        visc = 2.0 * self.params.mu_f * _dots(a, self.visc_u @ a)
+        slip = (_dots(a, self.slip_u @ a) - 2.0 * _dots(a, self.E @ th)
                 + _dots(th, self.F @ th))
         darcy = _dots(g, self.Bp @ g)
         return visc + slip + darcy
@@ -898,46 +904,36 @@ def _dots(x, y):
     return np.einsum("i...,i...->...", x, y)
 
 
-def _slip_uu_beta(V, params):
-    """``beta <(u.t)(v.t)>_I`` on the free velocity dofs, the slip part of
-    ``Bf``."""
-    mesh = V.mesh
-    iftri = mesh.interface_fluid_tri
-    return params.beta_slip * facet_matrix(
-        V, V, mesh.interface_facets, iftri, iftri,
-        interface_tangents(mesh.interface_normals))
-
-
 def assemble_system(mesh, params, convection=True, skew=False):
     """Assemble the operators of the coupled problem on ``mesh``.
 
-    Builds the eleven blocks the time stepper reads and the convection
-    term; the :data:`CERTIFICATE_OPERATORS` are built on their first read
-    (see :class:`BlockSystem`).  Every form is scattered on free dofs, and
-    each space's gradient products are evaluated once for all of its forms.
+    Builds the forms the time stepper reads and the convection term; the
+    :data:`CERTIFICATE_OPERATORS` are built on their first read (see
+    :class:`BlockSystem`).  Every form is scattered on free dofs, and each
+    space's gradient products are evaluated once for all of its forms.
     """
     dm = build_dofmaps(mesh)
     V, Q = dm.velocity, dm.pressure_f
     W, R = dm.displacement, dm.pressure_p
     p = params
 
-    Bf = sparse_sum(2.0 * p.mu_f * vector_symgrad(V), _slip_uu_beta(V, p))
-    Af = p.rho_f * mass(V)
+    ifacets, normals = mesh.interface_facets, mesh.interface_normals
+    iftri, iptri = mesh.interface_fluid_tri, mesh.interface_poro_tri
+    tangents = interface_tangents(normals)
+
+    visc_u = vector_symgrad(V)
+    slip_u = p.beta_slip * facet_matrix(V, V, ifacets, iftri, iftri, tangents)
+    mass_u = mass(V)
     Gdiv = mixed_div(Q, V)
 
     g = _grad_products(W)
     Bs = sparse_sum(2.0 * p.mu_s * vector_symgrad(W, g),
                     p.lambda_s * vector_divdiv(W, g))
     del g
-    As = p.rho_s * mass(W)
-    Ap = p.s0 * mass(R)
+    mass_d = mass(W)
+    mass_p = mass(R)
     Bp = scalar_kgrad(R, p.K)
 
-    ifacets = mesh.interface_facets
-    iftri = mesh.interface_fluid_tri
-    iptri = mesh.interface_poro_tri
-    normals = mesh.interface_normals
-    tangents = interface_tangents(normals)
     C = sparse_sum(p.alpha_bw * div_pressure(W, R),
                    facet_matrix(W, R, ifacets, iptri, iptri, normals))
     D = facet_matrix(V, R, ifacets, iftri, iptri, normals)
@@ -946,30 +942,19 @@ def assemble_system(mesh, params, convection=True, skew=False):
 
     blocks = BlockSystem(
         dm=dm, params=params, convection_enabled=convection,
-        Af=Af, Bf=Bf, As=As, Bs=Bs, Ap=Ap, Bp=Bp,
-        C=C, D=D, E=E, F=F, Gdiv=Gdiv,
+        mass_u=mass_u, visc_u=visc_u, slip_u=slip_u, mass_d=mass_d,
+        mass_p=mass_p, Bs=Bs, Bp=Bp, C=C, D=D, E=E, F=F, Gdiv=Gdiv,
     )
     if convection:
         blocks._convection = _Convection(V, p.rho_f, skew)
     return blocks
 
 
-def _certificate_operators(dm, params):
-    """The :data:`CERTIFICATE_OPERATORS` of ``dm`` and ``params`` by name,
-    the gradient products of each space evaluated once."""
-    V, Q = dm.velocity, dm.pressure_f
-    ops = {"mass_q": mass(Q),
-           "slip_uu_beta": _slip_uu_beta(V, params)}
-    for suffix, space in (("u", V), ("d", dm.displacement),
-                          ("p", dm.pressure_p)):
-        g = _grad_products(space)
-        m, stiff = mass(space), stiffness(space, g)
-        if space is V:
-            ops["visc_u"] = vector_symgrad(V, g)
-        ops.update({"mass_" + suffix: m, "stiff_" + suffix: stiff,
-                    "h1_" + suffix: m + stiff})
-    ops["visc2"] = 2.0 * params.mu_f * ops["visc_u"]
-    return ops
+def _certificate_operators(dm):
+    """The :data:`CERTIFICATE_OPERATORS` of ``dm`` by name."""
+    return {"mass_q": mass(dm.pressure_f), "stiff_u": stiffness(dm.velocity),
+            "stiff_d": stiffness(dm.displacement),
+            "stiff_p": stiffness(dm.pressure_p)}
 
 
 # the (dof-map space, facet tag) each ExtraLoads field loads

@@ -4,8 +4,9 @@ Every constant is realised as the square root of an extremal generalised
 eigenvalue ``A x = lambda B x`` over a discrete space, except ``Sf`` (a
 quartic/quadratic quotient maximised by projected gradient ascent).  Every
 pencil on a mesh-sized space is solved by one Lanczos routine (ARPACK
-``eigsh``); only ``Cj``, whose pencil lives on the inlet trace dofs (one of
-them on a 2 x 2 mesh, too few for ARPACK), is solved by LAPACK ``eigh``.
+``eigsh``, ``B`` inverted through one sparse LU factor); only ``Cj``, whose
+pencil lives on the inlet trace dofs (one of them on a 2 x 2 mesh, too few
+for ARPACK), is solved by LAPACK ``eigh``.
 
 ========  ==================================================================
 kind      quotient (constant = sqrt of extremal value)
@@ -97,19 +98,24 @@ class ConstantEstimate:
             raise ValueError(f"unknown constant kind {self.kind!r}")
 
 
-def _lanczos(A, B, which, Binv=None):
+def _lanczos(A, B, which, Binv):
     """One extremal lambda of A x = lambda B x by Lanczos (ARPACK mode 2).
 
-    ``A`` may be a matrix or a LinearOperator; ARPACK factors ``B`` unless
-    ``Binv`` applies its inverse.  The iteration starts from the constant
-    vector, and ARPACK restarts from a random vector once the Krylov space
-    fills a tiny pencil (2 x 2 mesh), so its seed is fixed to keep reruns
-    bitwise equal.
+    ``A`` may be a matrix or a LinearOperator, and ``Binv`` applies the
+    inverse of ``B`` (see :func:`_inverse`).  The iteration starts from the
+    constant vector, and ARPACK restarts from a random vector once the
+    Krylov space fills a tiny pencil (2 x 2 mesh), so its seed is fixed to
+    keep reruns bitwise equal.
     """
     vals = spla.eigsh(A, k=1, M=B, Minv=Binv, which=which,
                       v0=np.ones(B.shape[0]), rng=0,
                       return_eigenvectors=False)
     return float(vals[0])
+
+
+def _inverse(B):
+    """``B^-1`` as a LinearOperator, from one sparse LU factor of ``B``."""
+    return spla.LinearOperator(B.shape, spla.splu(sp.csc_matrix(B)).solve)
 
 
 def quotient_max(A, B):
@@ -119,7 +125,7 @@ def quotient_max(A, B):
     """
     if A.shape != B.shape:
         raise ValueError("pencil matrices must have matching shapes")
-    return _lanczos(A.tocsc(), B.tocsc(), "LA")
+    return _lanczos(A.tocsc(), B.tocsc(), "LA", _inverse(B))
 
 
 ZERO_MODE_TOL = 1e-12  # quotient_min's zero-mode bound, relative to its scale
@@ -135,8 +141,7 @@ def quotient_min(A, B):
     """
     ones = np.ones(B.shape[0])
     scale = float(ones @ (A @ ones)) / float(ones @ (B @ ones))
-    Binv = spla.LinearOperator(B.shape, spla.splu(sp.csc_matrix(B)).solve)
-    lo = _lanczos(A, B, "SA", Binv) if scale > 0.0 else 0.0
+    lo = _lanczos(A, B, "SA", _inverse(B)) if scale > 0.0 else 0.0
     if not lo > ZERO_MODE_TOL * scale:
         raise ConstantError(
             f"pencil has a numerically zero mode (min {lo:.3e}, "
@@ -375,7 +380,7 @@ def infsup_constant(blocks):
     """
     G = blocks.Gdiv
     GT = G.T
-    H = spla.splu(blocks.h1_u.tocsc())
+    H = spla.splu((blocks.mass_u + blocks.stiff_u).tocsc())
     S = spla.LinearOperator((G.shape[0], G.shape[0]), dtype=float,
                             matvec=lambda v: G @ H.solve(GT @ v))
     return float(np.sqrt(quotient_min(S, blocks.mass_q)))
@@ -389,14 +394,17 @@ def _trace_pencil(blocks, kind):
     ifacets = mesh.interface_facets
     inlet = mesh.facets_with_tag(meshmod.FLUID_INLET)
     traces = {
-        "T1": (V, ifacets, mesh.interface_fluid_tri, blocks.h1_u),
-        "T2": (V, inlet, _boundary_facet_tris(mesh, inlet), blocks.h1_u),
-        "T4": (R, ifacets, mesh.interface_poro_tri, blocks.h1_p),
-        "T5": (W, ifacets, mesh.interface_poro_tri, blocks.h1_d),
+        "T1": (V, ifacets, mesh.interface_fluid_tri, "u"),
+        "T2": (V, inlet, _boundary_facet_tris(mesh, inlet), "u"),
+        "T4": (R, ifacets, mesh.interface_poro_tri, "p"),
+        "T5": (W, ifacets, mesh.interface_poro_tri, "d"),
     }
     if kind in traces:
-        space, facets, tris, h1 = traces[kind]
-        return _facet_mass(space, facets, tris), h1
+        # the H1 product, formed at use as mass plus stiffness
+        space, facets, tris, suffix = traces[kind]
+        return _facet_mass(space, facets, tris), (
+            getattr(blocks, "mass_" + suffix)
+            + getattr(blocks, "stiff_" + suffix))
     if kind == "P1c":
         return blocks.mass_u, blocks.stiff_u
     if kind == "P2c":
@@ -437,8 +445,9 @@ def estimate(kind, blocks, level=0, seed=0, sf_starts=0, sf_maxit=400):
         # the trace energy of t is the least pore stiffness energy over the
         # extensions of t, so the interface mass against the whole free
         # pore stiffness has the top eigenvalue of the trace pencil
-        dofs = _free_interface_dof_count(dm.pressure_p)
-        A = _trace_pencil(blocks, "T4")[0]
+        R, mesh = dm.pressure_p, dm.mesh
+        dofs = _free_interface_dof_count(R)
+        A = _facet_mass(R, mesh.interface_facets, mesh.interface_poro_tri)
         value = float(np.sqrt(1.0 + quotient_max(A, blocks.stiff_p)))
     else:
         A, B = _trace_pencil(blocks, kind)

@@ -415,14 +415,16 @@ def _window_forms(blocks, scheme, states):
     # the stage at which the scheme evaluates its right-hand side
     stage = cur if scheme == "euler" else _map(
         lambda a, b: 0.5 * (a + b), prev, cur, t=0.5 * (prev.t + cur.t))
-    return ({"energy": blocks.energy(every),
-             "visc": _form(blocks.visc2, every.alpha),
-             "zeta": _form(blocks.mass_d, every.theta),
-             "mass_q": _form(blocks.mass_q, every.pi),
-             "stiff_u": _form(blocks.stiff_u, every.alpha),
-             "h1_u": _form(blocks.h1_u, every.alpha),
-             "h1_p": _form(blocks.h1_p, every.gamma),
-             "h1_d": _form(blocks.h1_d, every.theta)},
+    # an H1 form is the sum of the mass and the stiffness forms
+    zeta = _form(blocks.mass_d, every.theta)
+    stiff_u = _form(blocks.stiff_u, every.alpha)
+    return ({"energy": blocks.energy(every), "zeta": zeta,
+             "visc": _form(blocks.visc_u, every.alpha),
+             "mass_q": _form(blocks.mass_q, every.pi), "stiff_u": stiff_u,
+             "h1_u": _form(blocks.mass_u, every.alpha) + stiff_u,
+             "h1_p": (_form(blocks.mass_p, every.gamma)
+                      + _form(blocks.stiff_p, every.gamma)),
+             "h1_d": zeta + _form(blocks.stiff_d, every.theta)},
             {"diss": blocks.dissipation(stage),
              "delta_energy": blocks.energy(delta),
              "delta_diss": blocks.dissipation(delta),
@@ -541,7 +543,7 @@ def energy_report(traj, blocks, data, constants, funcs=None,
         return np.sqrt(np.maximum(x, 0.0))
 
     energy, zeta = at_state["energy"], at_state["zeta"]
-    du_norm = root(at_state["visc"] / (2.0 * p.mu_f))
+    du_norm = root(at_state["visc"])
     gron_premise = gron_b + gron_c * np.concatenate(
         [[0.0], np.cumsum(dt * zeta[1:])])
     gron_conclusion = gron_b * np.exp(gron_c * times)

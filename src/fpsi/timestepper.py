@@ -9,13 +9,13 @@ one satisfies ``Gdiv alpha = 0`` to solver precision; for the midpoint rule
 the stored multiplier is the stage multiplier.
 
 Each step solves the nonlinear system with an exact-Jacobian Newton
-iteration.  The linear part of the five block rows is one table of signed
-terms, each a matrix applied to the difference quotient, the stage or the
-new level of one unknown, that the residual, the Newton matrix and the row
-scales read.  Convergence is measured in the infinity norm of every block
-row divided by the largest diagonal entry of its own unknown's terms (the
-constraint row by max |Gdiv|), so the tolerance is meaningful across
-parameter regimes and mesh sizes.
+iteration.  The linear part of the five block rows is one table of terms,
+each a stored form times its coefficient applied to the difference
+quotient, the stage or the new level of one unknown, that the residual,
+the Newton matrix and the row scales read.  Convergence is measured in the
+infinity norm of every block row divided by the largest diagonal entry of
+its own unknown's terms (the constraint row by max |Gdiv|), so the
+tolerance is meaningful across parameter regimes and mesh sizes.
 
 The structure displacement enters the Newton system only through the
 kinematic row, an identity block, and the structure row, so each correction
@@ -140,32 +140,35 @@ def _pack(state):
 
 def _linear_terms(blocks):
     """The linear terms of the rows (momentum, kinematic, Darcy, structure,
-    constraint) on (alpha, beta, gamma, theta, pi): ``(row, column, sign,
-    matrix, value)`` adds ``sign * matrix @ value[column]``, the value being
+    constraint) on (alpha, beta, gamma, theta, pi): ``(row, column, coef,
+    matrix, value)`` adds ``coef * matrix @ value[column]``, the value being
     the unknown's ``"rate"`` (difference quotient), ``"stage"`` or ``"new"``
-    level.  Transposes are views and signs a field, so no matrix is copied;
-    a Newton matrix cell sums its terms in table order (theta's: As, F, Bs)."""
-    b, eye = blocks, sp.identity(blocks.n_beta, format="csr")
-    return ((0, 0, 1, b.Af, "rate"), (0, 0, 1, b.Bf, "stage"),
-            (0, 2, 1, b.D, "stage"), (0, 3, -1, b.E, "stage"),
-            (0, 4, -1, b.Gdiv.T, "new"),
+    level, ``coef`` the term's sign times the physical coefficient of its
+    form (see :mod:`fpsi.assembly`).  Transposes are views and coefficients
+    a field, so no matrix is copied; a Newton matrix cell sums its terms in
+    table order (theta's: mass_d, F, Bs)."""
+    b, p = blocks, blocks.params
+    eye = sp.identity(b.n_beta, format="csr")
+    return ((0, 0, p.rho_f, b.mass_u, "rate"),
+            (0, 0, 2.0 * p.mu_f, b.visc_u, "stage"),
+            (0, 0, 1, b.slip_u, "stage"), (0, 2, 1, b.D, "stage"),
+            (0, 3, -1, b.E, "stage"), (0, 4, -1, b.Gdiv.T, "new"),
             (1, 1, 1, eye, "rate"), (1, 3, -1, eye, "stage"),
-            (2, 0, -1, b.D.T, "stage"), (2, 2, 1, b.Ap, "rate"),
+            (2, 0, -1, b.D.T, "stage"), (2, 2, p.s0, b.mass_p, "rate"),
             (2, 2, 1, b.Bp, "stage"), (2, 3, 1, b.C.T, "stage"),
             (3, 0, -1, b.E.T, "stage"), (3, 2, -1, b.C, "stage"),
-            (3, 3, 1, b.As, "rate"), (3, 3, 1, b.F, "stage"),
-            (3, 1, 1, b.Bs, "stage"),
-            (4, 0, 1, b.Gdiv, "new"))
+            (3, 3, p.rho_s, b.mass_d, "rate"), (3, 3, 1, b.F, "stage"),
+            (3, 1, 1, b.Bs, "stage"), (4, 0, 1, b.Gdiv, "new"))
 
 
 def _row_scales(blocks, dt, terms=None):
     """The largest absolute diagonal entry of each row's own-column rate and
-    stage terms, at coefficients 1/dt and 1; ``max |Gdiv|`` for the
-    constraint row."""
+    stage terms, each times its ``coef`` at 1/dt and 1; ``max |Gdiv|`` for
+    the constraint row."""
     diagonals = [0.0] * 4
-    for row, col, sign, matrix, value in terms or _linear_terms(blocks):
+    for row, col, coef, matrix, value in terms or _linear_terms(blocks):
         if row == col:
-            diagonals[row] += sign * matrix.diagonal() / (
+            diagonals[row] += coef * matrix.diagonal() / (
                 dt if value == "rate" else 1.0)
     s_con = abs(blocks.Gdiv).max() if blocks.Gdiv.nnz else 1.0
     return np.array([np.abs(d).max() for d in diagonals] + [s_con])
@@ -186,8 +189,8 @@ def _residual_rows(blocks, scheme, state0, z1, dt, loads, terms=None):
     values = {"rate": [(x1 - x0) / dt for x1, x0 in zip(new, old)],
               "stage": stage, "new": new}
     rows = [np.zeros(len(x)) for x in new]
-    for row, col, sign, matrix, value in terms or _linear_terms(blocks):
-        rows[row] += sign * (matrix @ values[value][col])
+    for row, col, coef, matrix, value in terms or _linear_terms(blocks):
+        rows[row] += coef * (matrix @ values[value][col])
     nl, _ = blocks.convection(stage[0])
     rows[0] += nl
     for row, load in zip((0, 3, 2), loads):  # (a, b, c)
@@ -197,13 +200,13 @@ def _residual_rows(blocks, scheme, state0, z1, dt, loads, terms=None):
 
 def _cell(terms, s, dt, shape):
     """A Newton matrix cell in CSR, empty without terms, its parts freed on
-    return: each term at 1/dt (rate), s (stage) or 1 (new), beta's times
-    ``s dt``, uncopied at 1 unless a transpose."""
+    return: each term times its ``coef`` at 1/dt (rate), s (stage) or 1
+    (new), beta's times ``s dt``, uncopied at 1 unless a transpose."""
     parts = []
-    for _, col, sign, matrix, value in terms:
-        c = (sign * (s if value == "stage" else 1.0)
+    for _, col, coef, matrix, value in terms:
+        c = (coef * (s if value == "stage" else 1.0)
              * (s * dt if col == 1 else 1.0))
-        parts.append(matrix / (sign * dt) if value == "rate" else
+        parts.append(coef * matrix / dt if value == "rate" else
                      matrix if c == 1.0 else c * matrix)
     if len(parts) < 2:
         return parts[0].tocsr() if parts else sp.csr_matrix(shape)
@@ -400,10 +403,10 @@ class NewtonSolver:
         rows = _unpack(blocks, rhs)
         r_kin = rows[1]
         # the beta-column stage terms that _jacobian folds into theta take
-        # -sign s dt matrix r_kin into their rows
-        for row, col, sign, matrix, value in self.terms:
+        # -coef s dt matrix r_kin into their rows
+        for row, col, coef, matrix, value in self.terms:
             if col == 1 and row != 1 and value == "stage":
-                rows[row] = rows[row] - (sign * s * dt) * (matrix @ r_kin)
+                rows[row] = rows[row] - (coef * s * dt) * (matrix @ r_kin)
         b = np.concatenate([rows[0], rows[2], rows[3], rows[4]])
         x, krylov, factored = self._solve(b, stage_alpha)
         na, ng, nb = blocks.n_alpha, blocks.n_gamma, blocks.n_beta

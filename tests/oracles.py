@@ -311,7 +311,8 @@ def dense_pore_trace_constant(blocks):
 def dense_infsup_constant(blocks):
     """Kappa from the dense pressure Schur complement ``G H^-1 G^T``."""
     G = blocks.Gdiv.toarray()
-    S = G @ la.solve(blocks.h1_u.toarray(), G.T)
+    H = blocks.mass_u.toarray() + blocks.stiff_u.toarray()
+    S = G @ la.solve(H, G.T)
     Mq = blocks.mass_q.toarray()
     lam = la.eigh(0.5 * (S + S.T), Mq, eigvals_only=True)[0]
     return float(np.sqrt(lam))
@@ -519,16 +520,22 @@ def rowwise_energy_report(traj, blocks, data, constants, funcs,
     """
     p = blocks.params
     dm = blocks.dm
+    Af, As, Ap = (p.rho_f * blocks.mass_u, p.rho_s * blocks.mass_d,
+                  p.s0 * blocks.mass_p)
+    visc2 = 2.0 * p.mu_f * blocks.visc_u
+    # H1 products as matrix sums, where the package sums forms
+    h1_u = blocks.mass_u + blocks.stiff_u
+    h1_d = blocks.mass_d + blocks.stiff_d
+    h1_p = blocks.mass_p + blocks.stiff_p
 
     def energy(s):
-        return 0.5 * (s.alpha @ (blocks.Af @ s.alpha)
-                      + s.theta @ (blocks.As @ s.theta)
-                      + s.gamma @ (blocks.Ap @ s.gamma)
+        return 0.5 * (s.alpha @ (Af @ s.alpha) + s.theta @ (As @ s.theta)
+                      + s.gamma @ (Ap @ s.gamma)
                       + s.beta @ (blocks.Bs @ s.beta))
 
     def dissipation(s):
         a, th, g = s.alpha, s.theta, s.gamma
-        return (a @ (blocks.visc2 @ a) + a @ (blocks.slip_uu_beta @ a)
+        return (a @ (visc2 @ a) + a @ (blocks.slip_u @ a)
                 - 2.0 * (a @ (blocks.E @ th)) + th @ (blocks.F @ th)
                 + g @ (blocks.Bp @ g))
 
@@ -561,7 +568,7 @@ def rowwise_energy_report(traj, blocks, data, constants, funcs,
     for n, state in enumerate(states):
         row = CertificateRow(n=n, t=state.t, energy=energy(state))
         row.du_norm = np.sqrt(max(
-            state.alpha @ (blocks.visc2 @ state.alpha), 0.0) / (2.0 * p.mu_f))
+            state.alpha @ (visc2 @ state.alpha), 0.0) / (2.0 * p.mu_f))
         row.dumbound_ok = bool(row.du_norm < du_limit)
         row.uniqueness_ok = bool(row.du_norm <= uniq_limit)
 
@@ -641,11 +648,9 @@ def rowwise_energy_report(traj, blocks, data, constants, funcs,
                           + 2.0 * p.mu_f * row.du_norm
                           + p.rho_f * sf ** 2
                           * (state.alpha @ (stiff_u @ state.alpha))
-                          + t1 * t3 * norm(blocks.h1_p, state.gamma)
-                          + p.beta_slip * t1 ** 2
-                          * norm(blocks.h1_u, state.alpha)
-                          + p.beta_slip * t1 * t5
-                          * norm(blocks.h1_d, state.theta)
+                          + t1 * t3 * norm(h1_p, state.gamma)
+                          + p.beta_slip * t1 ** 2 * norm(h1_u, state.alpha)
+                          + p.beta_slip * t1 * t5 * norm(h1_d, state.theta)
                           + t2 * np.sqrt(funcs.pin_sq(state.t))
                           + np.sqrt(funcs.ff_sq(state.t))) / kappa
             row.pf_ok = bool(row.pf_lhs <= row.pf_rhs)
@@ -695,13 +700,17 @@ def residual(blocks, state, state_dot, loads, nl):
     momentum, kinematic, Darcy, structure, constraint.
     """
     a, b, c = loads
-    r_mom = (blocks.Af @ state_dot.alpha + blocks.Bf @ state.alpha + nl
-             + blocks.D @ state.gamma - blocks.E @ state.theta
+    p = blocks.params
+    Bf = 2.0 * p.mu_f * blocks.visc_u + blocks.slip_u
+    r_mom = (p.rho_f * (blocks.mass_u @ state_dot.alpha) + Bf @ state.alpha
+             + nl + blocks.D @ state.gamma - blocks.E @ state.theta
              - blocks.Gdiv.T @ state.pi - a)
     r_kin = state_dot.beta - state.theta
-    r_dar = (blocks.Ap @ state_dot.gamma + blocks.Bp @ state.gamma
+    r_dar = (p.s0 * (blocks.mass_p @ state_dot.gamma)
+             + blocks.Bp @ state.gamma
              + blocks.C.T @ state.theta - blocks.D.T @ state.alpha - c)
-    r_str = (blocks.As @ state_dot.theta + blocks.Bs @ state.beta
+    r_str = (p.rho_s * (blocks.mass_d @ state_dot.theta)
+             + blocks.Bs @ state.beta
              - blocks.C @ state.gamma - blocks.E.T @ state.alpha
              + blocks.F @ state.theta - b)
     r_con = blocks.Gdiv @ state.alpha
@@ -744,7 +753,7 @@ def restrict(matrix, test_space, trial_space):
 
 
 def eager_operators(mesh, params):
-    """All 24 operators of :class:`~fpsi.assembly.BlockSystem` by name,
+    """All 16 operators of :class:`~fpsi.assembly.BlockSystem` by name,
     every one assembled up front on unconstrained copies of the production
     spaces: a symmetric-gradient, div-div, stiffness or ``K``-gradient form
     evaluates its own gradient products, and each form on all dofs is
@@ -773,32 +782,22 @@ def eager_operators(mesh, params):
     cvol = asm.div_pressure(W0, R0)
 
     p = params
-    visc_u = restrict(visc_u, V, V)
-    visc2 = 2.0 * p.mu_f * visc_u
-    slip_uu_beta = restrict(p.beta_slip * slip_uu, V, V)
     return {
-        "Af": restrict(p.rho_f * mass_u, V, V),
-        "Bf": asm.sparse_sum(visc2, slip_uu_beta),
-        "As": restrict(p.rho_s * mass_d, W, W),
+        "mass_u": restrict(mass_u, V, V), "visc_u": restrict(visc_u, V, V),
+        "slip_u": restrict(p.beta_slip * slip_uu, V, V),
+        "mass_d": restrict(mass_d, W, W), "mass_p": restrict(mass_p, R, R),
         "Bs": restrict(asm.sparse_sum(2.0 * p.mu_s * symgrad_d,
                                       p.lambda_s * divdiv_d), W, W),
-        "Ap": restrict(p.s0 * mass_p, R, R),
         "Bp": restrict(kgrad_p, R, R),
         "C": restrict(asm.sparse_sum(p.alpha_bw * cvol, cface), W, R),
         "D": restrict(dface, V, R),
         "E": restrict(p.beta_slip * slip_ud, V, W),
         "F": restrict(p.beta_slip * slip_dd, W, W),
         "Gdiv": restrict(gdiv, Q, V),
-        "visc2": visc2, "slip_uu_beta": slip_uu_beta,
-        "mass_u": restrict(mass_u, V, V), "mass_d": restrict(mass_d, W, W),
-        "mass_p": restrict(mass_p, R, R), "mass_q": restrict(mass_q, Q, Q),
-        "visc_u": visc_u,
+        "mass_q": restrict(mass_q, Q, Q),
         "stiff_u": restrict(stiff_u, V, V),
         "stiff_d": restrict(stiff_d, W, W),
         "stiff_p": restrict(stiff_p, R, R),
-        "h1_u": restrict(mass_u + stiff_u, V, V),
-        "h1_d": restrict(mass_d + stiff_d, W, W),
-        "h1_p": restrict(mass_p + stiff_p, R, R),
     }
 
 
@@ -806,16 +805,18 @@ def full_newton_matrix(blocks, scheme, dt, stage_alpha):
     """The Newton matrix on all five unknowns (alpha, beta, gamma, theta,
     pi), kinematic row included, with the five residual rows in order."""
     s = 1.0 if scheme == "euler" else 0.5
+    p = blocks.params
     _, Jn = blocks.convection(stage_alpha, jac=True)
     I = sp.identity(blocks.n_beta, format="csr")
     rows = [
-        [blocks.Af / dt + s * blocks.Bf + s * Jn, None, s * blocks.D,
+        [p.rho_f / dt * blocks.mass_u + 2.0 * p.mu_f * s * blocks.visc_u
+         + s * blocks.slip_u + s * Jn, None, s * blocks.D,
          -s * blocks.E, -blocks.Gdiv.T],
         [None, I / dt, None, -s * I, None],
-        [-s * blocks.D.T, None, blocks.Ap / dt + s * blocks.Bp,
+        [-s * blocks.D.T, None, p.s0 / dt * blocks.mass_p + s * blocks.Bp,
          s * blocks.C.T, None],
         [-s * blocks.E.T, s * blocks.Bs, -s * blocks.C,
-         blocks.As / dt + s * blocks.F, None],
+         p.rho_s / dt * blocks.mass_d + s * blocks.F, None],
         [blocks.Gdiv, None, None, None, None],
     ]
     return sp.bmat(rows, format="csc")
@@ -823,9 +824,9 @@ def full_newton_matrix(blocks, scheme, dt, stage_alpha):
 
 def newton_matrix_from_terms(blocks, scheme, dt, stage_alpha, terms):
     """The five-block Newton matrix of :func:`full_newton_matrix`, dense,
-    built from a table of linear terms ``(row, column, sign, matrix,
-    value)``: each term at 1/dt (rate), s (stage) or 1 (new), and ``s Jn``
-    in the momentum row's alpha column."""
+    built from a table of linear terms ``(row, column, coef, matrix,
+    value)``: each term times ``coef`` at 1/dt (rate), s (stage) or 1
+    (new), and ``s Jn`` in the momentum row's alpha column."""
     s = 1.0 if scheme == "euler" else 0.5
     coefficient = {"rate": 1.0 / dt, "stage": s, "new": 1.0}
     _, Jn = blocks.convection(stage_alpha, jac=True)
@@ -833,9 +834,9 @@ def newton_matrix_from_terms(blocks, scheme, dt, stage_alpha, terms):
     edges = np.cumsum([0, blocks.n_alpha, nb, blocks.n_gamma, nb,
                        blocks.n_pi])
     J = np.zeros((edges[-1], edges[-1]))
-    for row, col, sign, matrix, value in (*terms, (0, 0, 1, Jn, "stage")):
+    for row, col, coef, matrix, value in (*terms, (0, 0, 1, Jn, "stage")):
         J[edges[row]:edges[row + 1], edges[col]:edges[col + 1]] += (
-            sign * coefficient[value] * matrix.toarray())
+            coef * coefficient[value] * matrix.toarray())
     return J
 
 

@@ -85,7 +85,7 @@ def test_criterion_02_interface_cross_terms_cancel(criterion):
     for _ in range(5):
         a = rng.standard_normal(blocks.n_alpha)
         th = rng.standard_normal(blocks.n_beta)
-        quad = (a @ (blocks.slip_uu_beta @ a) - a @ (blocks.E @ th)
+        quad = (a @ (blocks.slip_u @ a) - a @ (blocks.E @ th)
                 - th @ (blocks.E.T @ a) + th @ (blocks.F @ th))
         u_full = np.zeros(dm.velocity.ndof)
         u_full[dm.velocity.free] = a
@@ -110,11 +110,13 @@ def test_criterion_03_energy_nonincreasing_with_zero_data(criterion):
     traj = oracles.recorded_run(blocks, ProblemData(), cfg,
                                 initial_state=state0)
 
+    p = case.params
+
     def energy(st):
-        return 0.5 * (st.alpha @ (blocks.Af @ st.alpha)
-                      + st.theta @ (blocks.As @ st.theta)
+        return 0.5 * (p.rho_f * (st.alpha @ (blocks.mass_u @ st.alpha))
+                      + p.rho_s * (st.theta @ (blocks.mass_d @ st.theta))
                       + st.beta @ (blocks.Bs @ st.beta)
-                      + st.gamma @ (blocks.Ap @ st.gamma))
+                      + p.s0 * (st.gamma @ (blocks.mass_p @ st.gamma)))
 
     levels = [energy(st) for st in traj.states]
     rise = max(max(b - a for a, b in zip(levels, levels[1:])), 0.0)

@@ -1,9 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import oracles
 from fpsi import mesh as meshmod
 from fpsi.assembly import (
+    CERTIFICATE_OPERATORS,
     ExtraLoads,
     _boundary_facet_tris,
     ParameterError,
@@ -88,7 +92,8 @@ def test_operator_symmetry():
     m = build_rect_two_domain(4, 4, 0.5)
     params = PhysicalParams()
     blocks = assemble_system(m, params, convection=False)
-    for name in ("Af", "Bf", "As", "Bs", "Ap", "Bp", "F"):
+    for name in ("mass_u", "visc_u", "slip_u", "mass_d", "Bs", "mass_p",
+                 "Bp", "F"):
         A = getattr(blocks, name)
         assert abs(A - A.T).max() < 1e-13, name
 
@@ -158,7 +163,7 @@ def test_interface_slip_matrices_against_direct_quadrature():
         df[dm.displacement.free] = rng.standard_normal(dm.displacement.n_free)
         alpha = uf[dm.velocity.free]
         theta = df[dm.displacement.free]
-        quad = (alpha @ (blocks.slip_uu_beta @ alpha)
+        quad = (alpha @ (blocks.slip_u @ alpha)
                 - 2.0 * alpha @ (blocks.E @ theta)
                 + theta @ (blocks.F @ theta))
         ref = oracles.interface_slip_energy(m, dm, uf, df, params.beta_slip)
@@ -458,9 +463,7 @@ def test_extra_loads_are_applied_where_stated():
 # the block system: solver blocks up front, the certificate's on first read
 # ---------------------------------------------------------------------------
 
-_CERTIFICATE_OPERATORS = (
-    "visc2", "slip_uu_beta", "mass_u", "mass_d", "mass_p", "mass_q",
-    "visc_u", "stiff_u", "stiff_d", "stiff_p", "h1_u", "h1_d", "h1_p")
+_CERTIFICATE_OPERATORS = ("mass_q", "stiff_u", "stiff_d", "stiff_p")
 
 
 def _built(blocks):
@@ -474,11 +477,36 @@ def test_time_stepping_builds_no_certificate_operator():
                SchemeConfig(dt=0.05, t_final=0.1))
     assert np.abs(traj.state.alpha).max() > 0.0
     assert _built(blocks) == set()
-    # one read builds all thirteen
-    blocks.h1_u
+    assert set(CERTIFICATE_OPERATORS) == set(_CERTIFICATE_OPERATORS)
+    # one read builds all four
+    blocks.stiff_d
     assert _built(blocks) == set(_CERTIFICATE_OPERATORS)
-    with pytest.raises(AttributeError):
-        blocks.h2_u
+    # an H1 product is a mass plus a stiffness, not an operator of its own
+    for name in ("h1_u", "h2_u"):
+        with pytest.raises(AttributeError):
+            getattr(blocks, name)
+
+
+def test_first_certificate_read_scatters_each_lazy_operator_once(
+        monkeypatch):
+    # the forms the solver holds are not scattered again: the first read
+    # scatters the four operators no solver term contains, one each
+    import fpsi.assembly as asm
+    blocks = assemble_system(build_rect_two_domain(4, 4, 0.5),
+                             PhysicalParams())
+    calls = []
+    scatter = asm._scatter
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return scatter(*args, **kwargs)
+    monkeypatch.setattr(asm, "_scatter", counted)
+    blocks.mass_q
+    assert len(calls) == 4
+    for name in _CERTIFICATE_OPERATORS:
+        getattr(blocks, name)
+    assert len(calls) == 4
+    assert _built(blocks) == set(_CERTIFICATE_OPERATORS)
 
 
 _SETTINGS = {
@@ -497,17 +525,20 @@ _MESHES = {4: (4, 4, 0.5), 8: (8, 8, 0.5), "6x10": (6, 10, 0.3)}
 @pytest.mark.parametrize("setting", list(_SETTINGS))
 @pytest.mark.parametrize("n", list(_MESHES))
 def test_operators_equal_the_eager_assembly_bitwise(n, setting):
-    # every operator is scattered on free dofs, and the thirteen
-    # certificate operators are built on first read from shared gradient
-    # products; every one still equals the eager assembly of each form on
-    # all dofs, sliced to the free dofs, bit for bit
+    # every operator is scattered on free dofs, and the four certificate
+    # operators are built on first read; every one the system holds, or
+    # builds, still equals the eager assembly of each form on all dofs,
+    # sliced to the free dofs, bit for bit
     params, kwargs = _SETTINGS[setting]
     params = PhysicalParams(**params)
     mesh = build_rect_two_domain(*_MESHES[n])
     blocks = assemble_system(mesh, params, **kwargs)
     assert _built(blocks) == set()
     eager = oracles.eager_operators(mesh, params)
-    assert len(eager) == 24
+    held = {f.name for f in dataclasses.fields(blocks)
+            if sp.issparse(getattr(blocks, f.name))}
+    assert set(eager) == held | set(CERTIFICATE_OPERATORS)
+    assert len(eager) == 16
     for name, expected in eager.items():
         got = getattr(blocks, name)
         assert (got.format, got.shape) == (expected.format, expected.shape)

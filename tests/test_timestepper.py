@@ -176,8 +176,11 @@ def _jump_energy(blocks, s0, s1):
     db = s1.beta - s0.beta
     dg = s1.gamma - s0.gamma
     dth = s1.theta - s0.theta
-    return 0.5 * (da @ (blocks.Af @ da) + dth @ (blocks.As @ dth)
-                  + dg @ (blocks.Ap @ dg) + db @ (blocks.Bs @ db))
+    p = blocks.params
+    return 0.5 * (p.rho_f * (da @ (blocks.mass_u @ da))
+                  + p.rho_s * (dth @ (blocks.mass_d @ dth))
+                  + p.s0 * (dg @ (blocks.mass_p @ dg))
+                  + db @ (blocks.Bs @ db))
 
 
 def test_backward_euler_energy_identity():
@@ -399,15 +402,15 @@ def test_direct_solve_that_cannot_be_polished_is_a_step_error(monkeypatch):
 
 def _condensed_residual(blocks, scheme, dt, stage_alpha, rhs, dz):
     """Relative true residual of a correction in the condensed system,
-    whose right-hand side takes -sign s dt matrix r_kin into the row of
+    whose right-hand side takes -coef s dt matrix r_kin into the row of
     every beta-column stage term of the linear-term table (in the unchanged
     table, the structure row's Bs)."""
     from fpsi.timestepper import _jacobian, _linear_terms, _unpack
     s = 1.0 if scheme == "euler" else 0.5
     rows = _unpack(blocks, rhs)
-    for row, col, sign, matrix, value in _linear_terms(blocks):
+    for row, col, coef, matrix, value in _linear_terms(blocks):
         if col == 1 and row != 1 and value == "stage":
-            rows[row] = rows[row] - sign * s * dt * (matrix @ rows[1])
+            rows[row] = rows[row] - coef * s * dt * (matrix @ rows[1])
     b = np.concatenate([rows[0], rows[2], rows[3], rows[4]])
     da, _, dg, dth, dp = _unpack(blocks, dz)
     J = _jacobian(blocks, scheme, dt, stage_alpha)
