@@ -21,13 +21,14 @@ The structure displacement enters the Newton system only through the
 kinematic row, an identity block, and the structure row, so each correction
 eliminates it exactly (Benzi, Golub & Liesen 2005) and recovers it by one
 axpy.  A :class:`NewtonSolver`, built once per trajectory, factors the
-condensed matrix with sparse LU only on its first correction; the factor
-right-preconditions one GMRES(30) cycle per correction, one LU solve per
-iteration, with the matrix applied as its linear part plus the current
-convection Jacobian.  Unless the cycle's estimate and the correction's true
-residual both fall below 1e-12 relative (an exact Newton method), the
-current matrix is factored and becomes the new preconditioner (Saad 2003,
-9.3; Knoll & Keyes 2004).
+condensed matrix with sparse LU only on its first correction and keeps the
+matrix it factored; the factor right-preconditions one GMRES(30) cycle per
+correction, one LU solve per iteration, with the matrix applied as the
+factored one plus the convection Jacobian of the velocity change since it
+was built, exact because the convection term is trilinear.  Unless the
+cycle's estimate and the correction's true residual both fall below 1e-12
+relative (an exact Newton method), the current matrix is factored and
+becomes the new preconditioner (Saad 2003, 9.3; Knoll & Keyes 2004).
 
 The factor is only a preconditioner, so it is made in single precision, in
 a geometric nested-dissection order computed once per trajectory (George
@@ -371,15 +372,10 @@ class NewtonSolver:
 
     Holds the table of linear terms (:func:`_linear_terms`); the row scales
     of the convergence test; the nested-dissection order ``perm`` of the
-    condensed unknowns, computed at the first factorisation; the
-    single-precision sparse LU factor of the last condensed Newton matrix
-    it factored, in that order, which right-preconditions GMRES for the
-    correction that made it and for later ones; and the linear part of that
-    matrix (assembled at zero velocity, so its stored pattern is the full
-    dof coupling graph).  The old factor is released before a new one is
-    made, and the linear part is assembled only at the first GMRES solve on
-    an old factor: the first ``splu``, which sets the memory peak of a run,
-    runs with neither alive.
+    condensed unknowns, computed at the first factorisation; and one Newton
+    matrix, the condensed ``J_f`` (CSC) it last factored, its stage
+    velocity ``alpha_f`` and its single-precision sparse LU factor in that
+    order, which right-preconditions GMRES for later corrections too.
     """
 
     def __init__(self, blocks, scheme, dt):
@@ -390,8 +386,7 @@ class NewtonSolver:
         self.terms = _linear_terms(blocks)
         self.scales = _row_scales(blocks, dt, self.terms)
         self.perm = None
-        self.lu = None
-        self.J_lin = None
+        self.lu = self.J_f = self.alpha_f = None
 
     def correction(self, rhs, stage_alpha):
         """Solve J(stage) dz = rhs; returns (dz, GMRES iterations, factored).
@@ -413,6 +408,37 @@ class NewtonSolver:
         d_beta = dt * (r_kin + s * x[na + ng:na + ng + nb])
         return np.concatenate([x[:na], d_beta, x[na:]]), krylov, factored
 
+    def _factor(self, stage_alpha):
+        # the old matrix and factor go first, so that none is alive at the
+        # first splu, which sets the memory peak of a run
+        self.lu = self.J_f = None
+        J = self.J_f = _jacobian(self.blocks, self.scheme, self.dt,
+                                 stage_alpha, self.terms).tocsc()
+        self.alpha_f = stage_alpha.copy()
+        if self.perm is None:
+            self.perm = _nested_dissection(self.blocks.dm, J)
+        # the order fixes the fill for given values: a pivot threshold of
+        # 1e-3 fills as little as 0 does at n = 16, 32 and 64, 0.01 1.25
+        # times as much at n = 32 and 2.8 times at n = 64; at n = 16, 1e-3
+        # fills 456,466 with rho_f = 1e4 against 331,700 with the defaults
+        self.lu = spla.splu(J.astype(np.float32)[self.perm][:, self.perm],
+                            permc_spec="NATURAL", diag_pivot_thresh=1e-3,
+                            options={"SymmetricMode": True})
+
+    def _matvec(self, stage_alpha):
+        """``v -> J(stage) v``: ``J_f v`` plus ``s Jn(stage - alpha_f)`` on
+        the velocity block, Jn being linear; ``J_f`` alone at alpha_f."""
+        if np.array_equal(stage_alpha, self.alpha_f):
+            return self.J_f.__matmul__
+        _, dJn = self.blocks.convection(stage_alpha - self.alpha_f, jac=True)
+        na = self.blocks.n_alpha
+
+        def matvec(v):
+            out = self.J_f @ v
+            out[:na] += self.s * (dJn @ v[:na])
+            return out
+        return matvec
+
     def _precondition(self, r):
         """``M^-1 r = P^T lu.solve(P r)``: one single-precision solve of
         ``r`` scaled to unit norm, so that float32 neither overflows nor
@@ -422,50 +448,24 @@ class NewtonSolver:
         x[self.perm] = self.lu.solve((r[self.perm] / scale).astype(np.float32))
         return scale * x
 
-    def _gmres(self, matvec, b, tol):
-        """One GMRES(``GMRES_RESTART``) cycle preconditioned by the factor;
-        returns ``(x, iterations)``, x None unless the cycle's estimate and
-        the true residual ``|b - J x|`` both reach ``tol`` (NaN fails)."""
-        x, krylov = _gmres_cycle(matvec, self._precondition, b,
-                                 GMRES_RESTART, tol)
-        if x is not None and not np.linalg.norm(b - matvec(x)) <= tol:
-            x = None
-        return x, krylov
-
     def _solve(self, b, stage_alpha):
-        krylov = 0
+        """GMRES(``GMRES_RESTART``) cycles preconditioned by the factor until
+        the estimate and the true residual reach the tolerance (NaN fails):
+        a miss refactors, and a fresh factor's miss is a :class:`StepError`."""
         tol = GMRES_RTOL * np.linalg.norm(b)
-        if self.lu is not None:
-            if self.J_lin is None:  # CSR: the GMRES matvecs are row sums
-                self.J_lin = _jacobian(self.blocks, self.scheme, self.dt,
-                                       np.zeros(self.blocks.n_alpha),
-                                       self.terms)
-            _, Jn = self.blocks.convection(stage_alpha, jac=True)
-            na, s, J_lin = self.blocks.n_alpha, self.s, self.J_lin
-
-            def matvec(v):
-                out = J_lin @ v
-                out[:na] += s * (Jn @ v[:na])
-                return out
-            x, krylov = self._gmres(matvec, b, tol)
-            if x is not None:
-                return x, krylov, False
-        self.lu = None  # see the class docstring
-        J = _jacobian(self.blocks, self.scheme, self.dt, stage_alpha,
-                      self.terms).tocsc()
-        if self.perm is None:
-            self.perm = _nested_dissection(self.blocks.dm, J)
-        # the order fixes the fill: a pivot threshold of 1e-3 fills as
-        # little as 0 does at n = 16, 32 and 64, 0.01 1.25 times as much at
-        # n = 32 and 2.8 times at n = 64
-        self.lu = spla.splu(J.astype(np.float32)[self.perm][:, self.perm],
-                            permc_spec="NATURAL", diag_pivot_thresh=1e-3,
-                            options={"SymmetricMode": True})
-        x, fresh = self._gmres(J.__matmul__, b, tol)
-        if x is None:
-            raise StepError("GMRES on a fresh factor missed its residual "
-                            "test after %d iterations" % fresh, np.nan, 0)
-        return x, krylov + fresh, True
+        krylov = 0
+        for fresh in (self.lu is None, True):
+            if fresh:
+                self._factor(stage_alpha)
+            matvec = self._matvec(stage_alpha)
+            x, k = _gmres_cycle(matvec, self._precondition, b,
+                                GMRES_RESTART, tol)
+            krylov += k
+            if x is not None and np.linalg.norm(b - matvec(x)) <= tol:
+                return x, krylov, fresh
+            if fresh:
+                raise StepError("GMRES on a fresh factor missed its residual "
+                                "test in %d iterations" % k, np.nan, 0)
 
 
 def step(blocks, data, state0, cfg, newton=None):
@@ -495,8 +495,14 @@ def step(blocks, data, state0, cfg, newton=None):
                 "Newton iteration did not converge at t = %.6g "
                 "(residual %.3e after %d iterations)"
                 % (t1, norms[-1], iterations), norms[-1], iterations)
-        dz, krylov, factored = newton.correction(np.concatenate(rows),
-                                                 stage.alpha)
+        try:
+            dz, krylov, factored = newton.correction(np.concatenate(rows),
+                                                     stage.alpha)
+        except StepError as exc:
+            raise StepError(
+                "%s, at t = %.6g (residual %.3e after %d Newton iterations)"
+                % (exc, t1, norms[-1], iterations), norms[-1],
+                iterations) from exc
         z = z - dz
         iterations += 1
         krylov_iterations += krylov

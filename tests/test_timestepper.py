@@ -75,6 +75,20 @@ def test_newton_matrix_pattern_does_not_depend_on_the_state():
                        rng.standard_normal(blocks.n_alpha))
     assert np.array_equal(at_rest.indptr, moving.indptr)
     assert np.array_equal(at_rest.indices, moving.indices)
+    # the convection Jacobian is linear in the velocity, which the solver's
+    # matvec on an old factor rests on: Jn(a) - Jn(b) is Jn(a - b), stored
+    # on the same pattern (an inlet lift inside the term would break this)
+    for skew in (False, True):
+        blocks = assemble_system(build_rect_two_domain(4, 4, 0.5),
+                                 PhysicalParams(rho_f=1.3), skew=skew)
+        a, b = rng.standard_normal((2, blocks.n_alpha))
+        Ja, Jb, Jd = (blocks.convection(x, jac=True)[1]
+                      for x in (a, b, a - b))
+        for J in (Jb, Jd):
+            assert np.array_equal(J.indptr, Ja.indptr)
+            assert np.array_equal(J.indices, Ja.indices)
+        assert np.abs(Ja.data - Jb.data - Jd.data).max() \
+            <= 1e-13 * np.abs(Ja.data).max()
 
 
 @pytest.mark.parametrize("scheme", ["euler", "midpoint"])
@@ -370,6 +384,11 @@ def _perturbed_splu(monkeypatch, perturb):
                             perturb(J).tocsc(), *args, **kwargs))
 
 
+def _diagonal(J):
+    """J's diagonal, its zeros replaced by 1."""
+    return sp.diags(np.where(J.diagonal() != 0.0, J.diagonal(), 1.0))
+
+
 @pytest.mark.parametrize("scheme", ["euler", "midpoint"])
 def test_direct_solve_polishes_a_factor_that_misses(monkeypatch, scheme):
     # the factor of 1.001 J solves the correction 0.1% short: GMRES on it
@@ -392,12 +411,33 @@ def test_direct_solve_that_cannot_be_polished_is_a_step_error(monkeypatch):
     # one GMRES cycle on it misses the tolerance
     blocks = _blocks(4, 4)
     rng = np.random.default_rng(11)
-    _perturbed_splu(monkeypatch, lambda J: sp.diags(
-        np.where(J.diagonal() != 0.0, J.diagonal(), 1.0)))
+    _perturbed_splu(monkeypatch, _diagonal)
     newton = timestepper.NewtonSolver(blocks, "euler", 0.05)
     with pytest.raises(StepError, match="fresh factor missed"):
         newton.correction(_random_rows(blocks, rng),
                           rng.standard_normal(blocks.n_alpha))
+
+
+def test_fresh_factor_miss_in_a_step_says_where(monkeypatch):
+    # the failure carries the step's time, Newton count and last scaled
+    # residual, as a Newton iteration that does not converge does
+    blocks, cfg = _blocks(4, 4), SchemeConfig(scheme="euler", dt=0.05)
+    rng = np.random.default_rng(11)
+    state0 = StateVector(0.1, *(rng.standard_normal(n) for n in (
+        blocks.n_alpha, blocks.n_beta, blocks.n_gamma, blocks.n_beta,
+        blocks.n_pi)))
+    data = _driven_data()
+    newton = timestepper.NewtonSolver(blocks, "euler", cfg.dt)
+    rows, _, _ = timestepper._residual_rows(
+        blocks, "euler", state0, timestepper._pack(state0), cfg.dt,
+        assemble_loads(state0.t + cfg.dt, data, blocks.dm))
+    residual = timestepper._scaled_norm(rows, newton.scales)
+    _perturbed_splu(monkeypatch, _diagonal)
+    message = r"fresh factor missed .*, at t = 0.15 \(residual .* after 0 N"
+    with pytest.raises(StepError, match=message) as err:
+        step(blocks, data, state0, cfg, newton=newton)
+    assert err.value.iterations == 0
+    assert err.value.residual_norm == residual > cfg.newton_tol
 
 
 def _condensed_residual(blocks, scheme, dt, stage_alpha, rhs, dz):
@@ -461,6 +501,45 @@ def test_gmres_cycle_makes_one_solve_per_iteration(scheme):
         <= timestepper.GMRES_RTOL
     full = oracles.full_newton_matrix(blocks, scheme, dt, stage_alpha)
     assert max(_block_errors(blocks, dz, spla.splu(full).solve(rhs))) <= 1e-9
+
+
+@pytest.mark.parametrize("scheme", ["euler", "midpoint"])
+def test_old_factor_applies_the_newton_matrix_at_the_new_stage(scheme):
+    # the solver holds the matrix it factored and adds the convection
+    # Jacobian of the velocity change: at a new stage that is the Newton
+    # matrix built there, and at the factored stage the factored matrix
+    from fpsi.timestepper import _jacobian
+    blocks, dt = _blocks(4, 4), 0.05
+    rng = np.random.default_rng(15)
+    stage_alpha = rng.standard_normal(blocks.n_alpha)
+    newton = timestepper.NewtonSolver(blocks, scheme, dt)
+    newton.correction(_random_rows(blocks, rng), stage_alpha)
+    v = rng.standard_normal(newton.J_f.shape[0])
+    assert np.array_equal(newton._matvec(stage_alpha)(v), newton.J_f @ v)
+    new_alpha = stage_alpha + rng.standard_normal(blocks.n_alpha)
+    reference = _jacobian(blocks, scheme, dt, new_alpha) @ v
+    assert np.linalg.norm(newton._matvec(new_alpha)(v) - reference) \
+        <= 1e-13 * np.linalg.norm(reference)
+
+
+@pytest.mark.parametrize("restart", [timestepper.GMRES_RESTART, 3])
+@pytest.mark.parametrize("scheme", ["euler", "midpoint"])
+def test_newton_matrix_is_built_once_per_factor(monkeypatch, scheme,
+                                                 restart):
+    # a cycle of three iterations stalls on an old factor, so the short
+    # restart refactors within the trajectory
+    builds = []
+    jacobian = timestepper._jacobian
+
+    def counted(*args, **kwargs):
+        builds.append(1)
+        return jacobian(*args, **kwargs)
+    monkeypatch.setattr(timestepper, "_jacobian", counted)
+    monkeypatch.setattr(timestepper, "GMRES_RESTART", restart)
+    traj = run(_blocks(convection=True), _driven_data(),
+               SchemeConfig(scheme=scheme, dt=0.1, t_final=0.3))
+    factorizations = sum(d.factorizations for d in traj.diagnostics)
+    assert len(builds) == factorizations >= (1 if restart > 3 else 2)
 
 
 def _max_relative_difference(states, reference):
