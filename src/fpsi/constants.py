@@ -4,7 +4,9 @@ Every constant is realised as the square root of an extremal generalised
 eigenvalue ``A x = lambda B x`` over a discrete space, except ``Sf`` (a
 quartic/quadratic quotient maximised by projected gradient ascent).  Every
 pencil on a mesh-sized space is solved by one Lanczos routine (ARPACK
-``eigsh``, ``B`` inverted through one sparse LU factor); only ``Cj``, whose
+``eigsh``, ``B`` inverted through one sparse LU factor in a symmetric
+order, which :func:`estimate_all` shares between the estimators that
+invert the same matrix); only ``Cj``, whose
 pencil lives on the inlet trace dofs (one of them on a 2 x 2 mesh, too few
 for ARPACK), is solved by LAPACK ``eigh``.
 
@@ -98,40 +100,69 @@ class ConstantEstimate:
             raise ValueError(f"unknown constant kind {self.kind!r}")
 
 
-def _lanczos(A, B, which, Binv):
+def _factor(B):
+    """One sparse LU factor of the symmetric positive definite ``B``.
+
+    Every matrix the estimators invert is SPD, so the factor takes a
+    minimum-degree order of ``B + B^T`` and its diagonal pivots, which
+    fills about half as much as a general column order.
+    """
+    return spla.splu(sp.csc_matrix(B), permc_spec="MMD_AT_PLUS_A",
+                     diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+
+
+def _operator(blocks, name):
+    """The assembled operator ``name``; ``h1_<s>`` is the H1 product of
+    space ``s``, formed at use as its mass plus its stiffness."""
+    if name.startswith("h1_"):
+        suffix = name[3:]
+        return (getattr(blocks, "mass_" + suffix)
+                + getattr(blocks, "stiff_" + suffix))
+    return getattr(blocks, name)
+
+
+def _factored(blocks, name, factors):
+    """The factor of operator ``name``, made on first use and kept in the
+    dict ``factors`` (None: a factor for this call alone)."""
+    if factors is None:
+        return _factor(_operator(blocks, name))
+    if name not in factors:
+        factors[name] = _factor(_operator(blocks, name))
+    return factors[name]
+
+
+def _lanczos(A, B, which, lu=None):
     """One extremal lambda of A x = lambda B x by Lanczos (ARPACK mode 2).
 
-    ``A`` may be a matrix or a LinearOperator, and ``Binv`` applies the
-    inverse of ``B`` (see :func:`_inverse`).  The iteration starts from the
-    constant vector, and ARPACK restarts from a random vector once the
-    Krylov space fills a tiny pencil (2 x 2 mesh), so its seed is fixed to
-    keep reruns bitwise equal.
+    ``A`` may be a matrix or a LinearOperator, and ``lu``, a factor of
+    ``B`` (see :func:`_factor`, made here when not given), applies
+    ``B^-1``.  The iteration starts from the constant vector, and ARPACK
+    restarts from a random vector once the Krylov space fills a tiny pencil
+    (2 x 2 mesh), so its seed is fixed to keep reruns bitwise equal.
     """
+    lu = _factor(B) if lu is None else lu
+    Binv = spla.LinearOperator(B.shape, lu.solve)
     vals = spla.eigsh(A, k=1, M=B, Minv=Binv, which=which,
                       v0=np.ones(B.shape[0]), rng=0,
                       return_eigenvectors=False)
     return float(vals[0])
 
 
-def _inverse(B):
-    """``B^-1`` as a LinearOperator, from one sparse LU factor of ``B``."""
-    return spla.LinearOperator(B.shape, spla.splu(sp.csc_matrix(B)).solve)
-
-
-def quotient_max(A, B):
+def quotient_max(A, B, lu=None):
     """Largest lambda of the sparse pencil A x = lambda B x.
 
-    A is symmetric positive semidefinite and B symmetric positive definite.
+    A is symmetric positive semidefinite and B symmetric positive definite;
+    ``lu`` is a factor of B, made here when not given.
     """
     if A.shape != B.shape:
         raise ValueError("pencil matrices must have matching shapes")
-    return _lanczos(A.tocsc(), B.tocsc(), "LA", _inverse(B))
+    return _lanczos(A.tocsc(), B.tocsc(), "LA", lu)
 
 
 ZERO_MODE_TOL = 1e-12  # quotient_min's zero-mode bound, relative to its scale
 
 
-def quotient_min(A, B):
+def quotient_min(A, B, lu=None):
     """Smallest lambda of the pencil A x = lambda B x (A may be matrix-free).
 
     Raises ConstantError when the pencil has a (numerically) zero mode,
@@ -141,7 +172,7 @@ def quotient_min(A, B):
     """
     ones = np.ones(B.shape[0])
     scale = float(ones @ (A @ ones)) / float(ones @ (B @ ones))
-    lo = _lanczos(A, B, "SA", _inverse(B)) if scale > 0.0 else 0.0
+    lo = _lanczos(A, B, "SA", lu) if scale > 0.0 else 0.0
     if not lo > ZERO_MODE_TOL * scale:
         raise ConstantError(
             f"pencil has a numerically zero mode (min {lo:.3e}, "
@@ -199,7 +230,7 @@ class InletLifting:
 
         Z = np.zeros((space.ndof, len(inlet)))
         Z[inlet, np.arange(len(inlet))] = 1.0
-        Kii = spla.splu(stiffness(interior).tocsc())
+        Kii = _factor(stiffness(interior))
         Z[interior.free] = -Kii.solve((K @ Z)[interior.free])
 
         S00 = Z.T @ (K @ Z)
@@ -305,7 +336,7 @@ def _top_curvature(form, K, Kinv, z, q):
     return float(vals[0]), vecs[:, 0]
 
 
-def sobolev_l4_constant(blocks, seed=0, starts=0, maxit=400):
+def sobolev_l4_constant(blocks, seed=0, starts=0, maxit=400, factors=None):
     """max |v|_{L4} / |grad v|_{L2} over the discrete velocity space.
 
     The quartic functional Q(z) = |v|_{L4}^4 is convex, so the
@@ -320,10 +351,11 @@ def sobolev_l4_constant(blocks, seed=0, starts=0, maxit=400):
     always used; ``starts > 0`` adds that many random states from ``seed``.
     The best value gives ``Sf = Q^(1/4)``, a certified lower bound of the
     discrete supremum, returned with its start's ``best_iterations`` and
-    final ``curvature``.
+    final ``curvature``.  The stiffness factor is taken from ``factors``
+    (see :func:`estimate`).
     """
     V, K = blocks.dm.velocity, blocks.stiff_u
-    lu = spla.splu(K.tocsc())
+    lu = _factored(blocks, "stiff_u", factors)
     Kinv = spla.LinearOperator(K.shape, lu.solve)
     form = _QuarticForm(V)
 
@@ -371,19 +403,32 @@ def sobolev_l4_constant(blocks, seed=0, starts=0, maxit=400):
     return float(best ** 0.25), info
 
 
-def infsup_constant(blocks):
+def infsup_constant(blocks, factors=None):
     """Smallest eigenvalue sqrt of the pressure Schur complement pencil.
 
     The Schur complement ``G H^-1 G^T`` of the divergence coupling against
     the full H1 velocity matrix is applied matrix-free, from one
     factorisation of ``H``, and compared with the pressure mass matrix.
+    Both factors are taken from ``factors`` (see :func:`estimate`).
     """
     G = blocks.Gdiv
     GT = G.T
-    H = spla.splu((blocks.mass_u + blocks.stiff_u).tocsc())
+    H = _factored(blocks, "h1_u", factors)
     S = spla.LinearOperator((G.shape[0], G.shape[0]), dtype=float,
                             matvec=lambda v: G @ H.solve(GT @ v))
-    return float(np.sqrt(quotient_min(S, blocks.mass_q)))
+    return float(np.sqrt(quotient_min(
+        S, blocks.mass_q, _factored(blocks, "mass_q", factors))))
+
+
+# the operators each estimator factors (see _operator), in the order
+# estimate_all runs the kinds: estimators that share a factor run next to
+# each other, and each factor is freed after the last one that reads it;
+# Cj factors a matrix of its own lifting space
+_FACTORED = {"T1": ("h1_u",), "T2": ("h1_u",), "Kappa": ("h1_u", "mass_q"),
+             "P1c": ("stiff_u",), "Sf": ("stiff_u",),
+             "T3": ("stiff_p",), "P3c": ("stiff_p",),
+             "T4": ("h1_p",), "T5": ("h1_d",), "P2c": ("stiff_d",),
+             "Kf": ("visc_u",), "Cj": ()}
 
 
 def _trace_pencil(blocks, kind):
@@ -394,29 +439,24 @@ def _trace_pencil(blocks, kind):
     ifacets = mesh.interface_facets
     inlet = mesh.facets_with_tag(meshmod.FLUID_INLET)
     traces = {
-        "T1": (V, ifacets, mesh.interface_fluid_tri, "u"),
-        "T2": (V, inlet, _boundary_facet_tris(mesh, inlet), "u"),
-        "T4": (R, ifacets, mesh.interface_poro_tri, "p"),
-        "T5": (W, ifacets, mesh.interface_poro_tri, "d"),
+        "T1": (V, ifacets, mesh.interface_fluid_tri),
+        "T2": (V, inlet, _boundary_facet_tris(mesh, inlet)),
+        "T4": (R, ifacets, mesh.interface_poro_tri),
+        "T5": (W, ifacets, mesh.interface_poro_tri),
     }
+    numerators = {"P1c": "mass_u", "P2c": "mass_d", "P3c": "mass_p",
+                  "Kf": "stiff_u"}
     if kind in traces:
-        # the H1 product, formed at use as mass plus stiffness
-        space, facets, tris, suffix = traces[kind]
-        return _facet_mass(space, facets, tris), (
-            getattr(blocks, "mass_" + suffix)
-            + getattr(blocks, "stiff_" + suffix))
-    if kind == "P1c":
-        return blocks.mass_u, blocks.stiff_u
-    if kind == "P2c":
-        return blocks.mass_d, blocks.stiff_d
-    if kind == "P3c":
-        return blocks.mass_p, blocks.stiff_p
-    if kind == "Kf":
-        return blocks.stiff_u, blocks.visc_u
-    raise ValueError(f"unknown constant kind {kind!r}")
+        A = _facet_mass(*traces[kind])
+    elif kind in numerators:
+        A = getattr(blocks, numerators[kind])
+    else:
+        raise ValueError(f"unknown constant kind {kind!r}")
+    return A, _operator(blocks, _FACTORED[kind][0])
 
 
-def estimate(kind, blocks, level=0, seed=0, sf_starts=0, sf_maxit=400):
+def estimate(kind, blocks, level=0, seed=0, sf_starts=0, sf_maxit=400,
+             factors=None):
     """Estimate one constant on an assembled system.
 
     ``meta["method"]`` records the path taken: ``eigsh`` (Lanczos on a
@@ -425,6 +465,9 @@ def estimate(kind, blocks, level=0, seed=0, sf_starts=0, sf_maxit=400):
     and the final sphere-Hessian ``curvature``, negative at a local
     maximum).  ``Cj`` also leaves its
     :class:`InletLifting` in ``meta["lifting"]`` for the certificate.
+    ``factors`` is a dict of the operator factors estimators share, keyed
+    by operator name: a factor missing from it is made and kept there.
+    Without it, the estimate makes its own factors.
     """
     if kind not in CONSTANT_KINDS:
         raise ValueError(f"unknown constant kind {kind!r}")
@@ -432,11 +475,12 @@ def estimate(kind, blocks, level=0, seed=0, sf_starts=0, sf_maxit=400):
     meta = {"description": KIND_DESCRIPTIONS[kind], "method": "eigsh"}
     if kind == "Sf":
         value, info = sobolev_l4_constant(blocks, seed=seed,
-                                          starts=sf_starts, maxit=sf_maxit)
+                                          starts=sf_starts, maxit=sf_maxit,
+                                          factors=factors)
         dofs = dm.velocity.n_free
         meta.update(method="ascent", starts=sf_starts, **info)
     elif kind == "Kappa":
-        value, dofs = infsup_constant(blocks), dm.pressure_f.n_free
+        value, dofs = infsup_constant(blocks, factors), dm.pressure_f.n_free
     elif kind == "Cj":
         lifting = InletLifting(dm.mesh)
         value, dofs = lifting.cj, len(lifting.inlet_dofs)
@@ -448,16 +492,33 @@ def estimate(kind, blocks, level=0, seed=0, sf_starts=0, sf_maxit=400):
         R, mesh = dm.pressure_p, dm.mesh
         dofs = _free_interface_dof_count(R)
         A = _facet_mass(R, mesh.interface_facets, mesh.interface_poro_tri)
-        value = float(np.sqrt(1.0 + quotient_max(A, blocks.stiff_p)))
+        value = float(np.sqrt(1.0 + quotient_max(
+            A, blocks.stiff_p, _factored(blocks, "stiff_p", factors))))
     else:
         A, B = _trace_pencil(blocks, kind)
-        value, dofs = float(np.sqrt(quotient_max(A, B))), B.shape[0]
+        lu = _factored(blocks, _FACTORED[kind][0], factors)
+        value, dofs = float(np.sqrt(quotient_max(A, B, lu))), B.shape[0]
     return ConstantEstimate(kind, value, level, dofs, meta)
 
 
 def estimate_all(blocks, level=0, kinds=CONSTANT_KINDS, seed=0,
                  sf_starts=0, sf_maxit=400):
-    """Estimate several constants on one assembled system."""
-    return [estimate(kind, blocks, level=level, seed=seed,
-                     sf_starts=sf_starts, sf_maxit=sf_maxit)
-            for kind in kinds]
+    """Estimate several constants on one assembled system.
+
+    The kinds run in ``_FACTORED`` order and share one factor per
+    operator, each freed after the last estimator that reads it; the
+    estimates come back in the order of ``kinds``.
+    """
+    for kind in kinds:
+        if kind not in _FACTORED:
+            raise ValueError(f"unknown constant kind {kind!r}")
+    order = [kind for kind in _FACTORED if kind in kinds]
+    last_reader = {name: kind for kind in order for name in _FACTORED[kind]}
+    factors, done = {}, {}
+    for kind in order:
+        done[kind] = estimate(kind, blocks, level=level, seed=seed,
+                              sf_starts=sf_starts, sf_maxit=sf_maxit,
+                              factors=factors)
+        for name in [n for n, k in last_reader.items() if k == kind]:
+            del factors[name]
+    return [done[kind] for kind in kinds]

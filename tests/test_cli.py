@@ -495,6 +495,63 @@ def test_run_solver_failure_exits_two(tmp_path, monkeypatch, capsys):
     assert not (out / "certificate.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["run", "constants"])
+def test_constant_error_exits_two(command, tmp_path, monkeypatch, capsys):
+    def failing_estimate(kind, *args, **kwargs):
+        raise cst.ConstantError("pencil has a numerically zero mode")
+
+    monkeypatch.setattr(cst, "estimate", failing_estimate)
+    out = tmp_path / "out"
+    assert main([command, _config(tmp_path, TINY % out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "constant error: pencil has a numerically zero mode\n"
+    assert not (out / "manifest.json").exists()
+
+
+def test_run_estimates_the_constants_after_the_solve(tmp_path, monkeypatch,
+                                                     capsys):
+    """The constants' factors are made once the trajectory's factor is
+    gone, so the two never sit in memory together."""
+    events = []
+
+    def recorded(name):
+        fn = getattr(cli, name)
+
+        def wrapper(*args, **kwargs):
+            events.append((name, "start"))
+            result = fn(*args, **kwargs)
+            events.append((name, "end"))
+            return result
+        monkeypatch.setattr(cli, name, wrapper)
+    recorded("run_scheme")
+    recorded("estimate_all")
+    assert main(["run", _config(tmp_path, TINY % (tmp_path / "out"))]) == 0
+    capsys.readouterr()
+    assert events == [("run_scheme", "start"), ("run_scheme", "end"),
+                      ("estimate_all", "start"), ("estimate_all", "end")]
+
+
+def test_missing_constants_table_fails_before_the_first_step(
+        tmp_path, monkeypatch, capsys):
+    steps = []
+    solve = cli.run_scheme
+
+    def watched(*args, on_step=None, **kwargs):
+        def seen(state, diag):
+            steps.append(state.t)
+            if on_step is not None:
+                on_step(state, diag)
+        return solve(*args, on_step=seen, **kwargs)
+    monkeypatch.setattr(cli, "run_scheme", watched)
+    out = tmp_path / "out"
+    path = _config(tmp_path, TINY % out + "constants_table = %s\n"
+                   % (tmp_path / "missing.csv"))
+    assert main(["run", path]) == 1
+    assert "run.constants_table" in capsys.readouterr().err
+    assert steps == []
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # golden values of the README example (16 x 16, Euler, 100 steps)
 # ---------------------------------------------------------------------------

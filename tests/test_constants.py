@@ -1,6 +1,7 @@
 """Tests for the stability-constant estimators."""
 
 import dataclasses
+import weakref
 
 import numpy as np
 import pytest
@@ -215,6 +216,57 @@ def test_estimate_all_takes_the_sparse_path_and_one_sobolev_start(
         **{k: "eigsh" for k in PENCIL_KINDS},
         "T3": "eigsh", "Kappa": "eigsh", "Cj": "eigh", "Sf": "ascent"}
     assert isinstance(ests["Cj"].meta["lifting"], cst.InletLifting)
+
+
+class _CountedFactor:
+    """A SuperLU factor behind an object that weak references can follow."""
+
+    def __init__(self, lu):
+        self.lu = lu
+
+    def solve(self, b):
+        return self.lu.solve(b)
+
+
+def test_estimate_all_factors_each_operator_once(blocks16, monkeypatch):
+    """Nine distinct SPD matrices, one factor each, shared by the
+    estimators that invert them: at most Kappa's two factors (H and the
+    pressure mass) are alive at once, none of them while Cj runs or after
+    estimate_all returns, and every value is the lone estimate's."""
+    refs, alive_at_splu, alive_at_entry = [], [], {}
+    current = [None]
+
+    def alive():
+        return sum(ref() is not None for ref in refs)
+
+    splu = cst.spla.splu
+
+    def counted_splu(*args, **kwargs):
+        factor = _CountedFactor(splu(*args, **kwargs))
+        refs.append(weakref.ref(factor))
+        alive_at_splu.append((current[0], alive()))
+        return factor
+    estimate = cst.estimate
+
+    def watched(kind, *args, **kwargs):
+        current[0] = kind
+        alive_at_entry[kind] = alive()
+        return estimate(kind, *args, **kwargs)
+    monkeypatch.setattr(cst.spla, "splu", counted_splu)
+    monkeypatch.setattr(cst, "estimate", watched)
+    ests = cst.estimate_all(blocks16, level=16)
+    assert alive() == 0
+    assert len(refs) == 9
+    assert max(count for _, count in alive_at_splu) == 2
+    assert [kind for kind, count in alive_at_splu if count == 2] == ["Kappa"]
+    # Cj factors its own lifting matrix and finds no other factor alive
+    assert alive_at_entry["Cj"] == 0
+    assert [count for kind, count in alive_at_splu if kind == "Cj"] == [1]
+    assert [e.kind for e in ests] == list(cst.CONSTANT_KINDS)
+    for est in ests:
+        alone = estimate(est.kind, blocks16, level=16)
+        assert est.value == pytest.approx(alone.value, rel=1e-12, abs=0.0)
+        assert est.dofs == alone.dofs
 
 
 @pytest.mark.parametrize("n", (2, 4, 8))
