@@ -19,8 +19,10 @@ headers; blank lines and ``#`` comments are skipped.  Sections and keys:
     ``scheme`` (``euler``/``midpoint``), ``dt``, ``t_final``,
     ``newton_tol``, ``newton_max``.
 ``[run]``
-    ``output_dir``, ``constants_table`` (CSV path; omitted means the
-    constants are estimated on the run mesh), and the boolean toggles
+    ``output_dir``, ``constants_table`` (CSV path, listing each constant
+    kind once; omitted means the constants are estimated on the run mesh,
+    at the generator's ``nx`` as level or level 0 for a mesh file), and
+    the boolean toggles
     ``skew_symmetric_convection`` (default off), ``emit_vtk`` (default
     on), ``emit_certificate`` (default on).
 
@@ -42,7 +44,7 @@ import scipy
 from . import __version__
 from . import io as fio
 from .assembly import ParameterError, PhysicalParams, ProblemData, assemble_system
-from .constants import ConstantError, estimate_all
+from .constants import CONSTANT_KINDS, ConstantError, estimate_all
 from .expressions import ExpressionError, parse_expression
 from .mesh import MeshFormatError, build_rect_two_domain, read_mesh, validate
 from .monitor import (CertificateStream, DataFunctionals, check_small_data,
@@ -292,16 +294,35 @@ def _build_mesh(cfg):
 
 def _read_table(cfg):
     """The config's constants table and its provenance; None when the
-    constants are estimated on the run mesh."""
+    constants are estimated on the run mesh.  The table must list each of
+    ``CONSTANT_KINDS`` once, as ``fpsi constants`` writes it."""
     if cfg.constants_table is None:
         return None
-    return (fio.read_constants(cfg.constants_table),
+    try:
+        constants = fio.read_constants(cfg.constants_table)
+    except ValueError as exc:
+        raise ConfigError("run.constants_table: %s" % exc) from None
+    kinds = [est.kind for est in constants]
+    missing = [kind for kind in CONSTANT_KINDS if kind not in kinds]
+    repeated = [kind for kind in CONSTANT_KINDS if kinds.count(kind) > 1]
+    problems = (["missing " + ", ".join(missing)] if missing else []) + (
+        ["repeated " + ", ".join(repeated)] if repeated else [])
+    if problems:
+        raise ConfigError(
+            "run.constants_table: %s: %s (a table lists each of the %d "
+            "kinds once)" % (cfg.constants_table, "; ".join(problems),
+                             len(CONSTANT_KINDS)))
+    return (constants,
             {"source": "file", "file": os.path.basename(cfg.constants_table),
              "sha256": fio.file_digest(cfg.constants_table)})
 
 
 def _estimated(cfg, blocks):
-    """The constants estimated on the run mesh and their provenance."""
+    """The constants estimated on the run mesh and their provenance.  A
+    mesh file has no generator level: its constants carry level 0, and the
+    manifest's mesh entry names the file."""
+    if cfg.mesh_file is not None:
+        return estimate_all(blocks), {"source": "computed"}
     return (estimate_all(blocks, level=cfg.nx),
             {"source": "computed", "mesh_level": cfg.nx})
 

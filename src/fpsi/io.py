@@ -66,17 +66,26 @@ def write_constants(path, estimates):
 
 
 def read_constants(path):
-    """Read a constants CSV back into :class:`ConstantEstimate` objects."""
+    """Read a constants CSV back into :class:`ConstantEstimate` objects.
+
+    Raises ``ValueError`` for a file without the table's header and for a
+    row that does not give a known kind, a value, a level and a dof count.
+    """
     out = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        if header[:4] != ["kind", "value", "mesh_level", "dofs"]:
+        if next(reader, [])[:4] != ["kind", "value", "mesh_level", "dofs"]:
             raise ValueError("%s: not a constants table" % path)
         for row in reader:
-            out.append(ConstantEstimate(
-                kind=row[0], value=float(row[1]),
-                mesh_level=int(row[2]), dofs=int(row[3])))
+            try:
+                if len(row) < 4:
+                    raise ValueError("expected kind, value, mesh_level, dofs")
+                out.append(ConstantEstimate(
+                    kind=row[0], value=float(row[1]),
+                    mesh_level=int(row[2]), dofs=int(row[3])))
+            except ValueError as exc:
+                raise ValueError("%s: line %d: %s"
+                                 % (path, reader.line_num, exc)) from None
     return out
 
 

@@ -17,6 +17,15 @@ Boundary tag layout (outward boundary of the unit square):
 
 Interface normals point from the Fluid triangle into the Poro one and are
 recomputed on construction (the file format does not store them).
+
+Connectivity comes from one edge table, ``_edge_table``: every edge is
+keyed by its sorted vertex pair, the facets' keys are made unique with
+``np.unique`` (first occurrences are the facets, the rest duplicates), a
+triangle's three edges are found among them with ``searchsorted``, and a
+stable sort of the (triangle, local edge) incidences by facet gives each
+facet's triangles.  The constructor keeps what a defective mesh leaves in
+that table, and :func:`validate` checks it with array masks.  The
+structured generator builds its arrays by index arithmetic.
 """
 
 from __future__ import annotations
@@ -47,7 +56,37 @@ BOUNDARY_TAGS_PORO = (PORO_SOLID, PORO_EXTERNAL)
 _TRI_TAG_CODE = {name: code for code, name in enumerate(TRIANGLE_TAG_NAMES)}
 _FACET_TAG_CODE = {name: code for code, name in enumerate(FACET_TAG_NAMES)}
 
-_LOCAL_EDGES = ((0, 1), (1, 2), (2, 0))
+_LOCAL_EDGES = np.array([(0, 1), (1, 2), (2, 0)])
+
+
+def _edge_table(triangles, facets, num_vertices):
+    """The edge table: ``tri_facets`` (nt, 3), the facet of each local edge
+    or -1; ``facet_tris`` (ne, 2), a facet's first two triangles in
+    (triangle, local edge) order or -1; the duplicate facets, ascending;
+    and the ``(facet, triangle)`` incidences past a facet's second, in
+    incidence order.  An edge's key is ``low * num_vertices + high``."""
+    def key(pairs):
+        return pairs.min(axis=-1) * num_vertices + pairs.max(axis=-1)
+
+    keys, first = np.unique(key(facets), return_index=True)
+    duplicates = np.setdiff1d(np.arange(len(facets)), first)
+    edges = key(triangles[:, _LOCAL_EDGES])
+    slot = np.searchsorted(keys, edges)
+    # a sentinel past the end stands for "no such facet"
+    found = np.append(keys, -1)[slot] == edges
+    tri_facets = np.where(found, np.append(first, -1)[slot], -1)
+
+    flat = tri_facets.ravel()
+    incidence = np.flatnonzero(flat >= 0)
+    incidence = incidence[np.argsort(flat[incidence], kind="stable")]
+    facet = flat[incidence]
+    rank = np.arange(len(facet)) - np.searchsorted(facet, facet)
+    facet_tris = np.full((len(facets), 2), -1, dtype=int)
+    kept = rank < 2
+    facet_tris[facet[kept], rank[kept]] = incidence[kept] // 3
+    over = np.sort(incidence[~kept])
+    return (tri_facets, facet_tris, duplicates,
+            np.column_stack([flat[over], over // 3]))
 
 
 class MeshFormatError(ValueError):
@@ -69,9 +108,12 @@ class Mesh:
         Vertex index pairs; must enumerate every triangulation edge once.
     facet_tags : (ne,) int array
 
-    Derived connectivity (triangle -> facet map, facet -> triangle map,
-    interface orientation) is computed here; semantic problems are tolerated
-    so :func:`validate` can report them.
+    Derived connectivity (triangle -> facet map ``tri_facets``, facet ->
+    triangle map ``facet_tris``, interface sides and orientation) is
+    computed here; semantic problems are tolerated so :func:`validate` can
+    report them: ``duplicate_facets`` lists the facets that repeat an
+    earlier edge and ``extra_adjacency`` the ``(facet, triangle)`` pairs
+    past a facet's second triangle.
     """
 
     def __init__(self, vertices, triangles, tri_tags, facets, facet_tags):
@@ -100,53 +142,28 @@ class Mesh:
 
         self._build_connectivity()
         for arr in (self.vertices, self.triangles, self.tri_tags, self.facets,
-                    self.facet_tags, self.tri_facets, self.facet_tris):
+                    self.facet_tags, self.tri_facets, self.facet_tris,
+                    self.duplicate_facets, self.extra_adjacency):
             arr.setflags(write=False)
 
     # -- construction of derived connectivity -------------------------------
 
     def _build_connectivity(self):
-        edge_index = {}
-        self.duplicate_facets = []
-        for f, (a, b) in enumerate(self.facets):
-            key = (min(a, b), max(a, b))
-            if key in edge_index:
-                self.duplicate_facets.append(f)
-            else:
-                edge_index[key] = f
+        (self.tri_facets, self.facet_tris, self.duplicate_facets,
+         self.extra_adjacency) = _edge_table(
+            self.triangles, self.facets, len(self.vertices))
 
-        nt = len(self.triangles)
-        ne = len(self.facets)
-        self.tri_facets = np.full((nt, 3), -1, dtype=int)
-        self.facet_tris = np.full((ne, 2), -1, dtype=int)
-        self.extra_adjacency = []
-        for c, tri in enumerate(self.triangles):
-            for loc, (i, j) in enumerate(_LOCAL_EDGES):
-                a, b = tri[i], tri[j]
-                key = (min(a, b), max(a, b))
-                f = edge_index.get(key, -1)
-                self.tri_facets[c, loc] = f
-                if f >= 0:
-                    if self.facet_tris[f, 0] < 0:
-                        self.facet_tris[f, 0] = c
-                    elif self.facet_tris[f, 1] < 0:
-                        self.facet_tris[f, 1] = c
-                    else:
-                        self.extra_adjacency.append((f, c))
-
+        # the sides of an interface facet: the first Fluid and the first
+        # Poro triangle of its two adjacency columns, -1 where there is none
         iface = np.flatnonzero(self.facet_tags == INTERFACE)
         self.interface_facets = iface
-        self.interface_fluid_tri = np.full(len(iface), -1, dtype=int)
-        self.interface_poro_tri = np.full(len(iface), -1, dtype=int)
+        sides = self.facet_tris[iface]
+        tags = np.append(self.tri_tags, -1)[sides]
+        self.interface_fluid_tri, self.interface_poro_tri = (
+            np.where(tags[:, 0] == sub, sides[:, 0],
+                     np.where(tags[:, 1] == sub, sides[:, 1], -1))
+            for sub in (FLUID, PORO))
         self.interface_normals = np.full((len(iface), 2), np.nan)
-        for k, f in enumerate(iface):
-            for c in self.facet_tris[f]:
-                if c < 0:
-                    continue
-                if self.tri_tags[c] == FLUID and self.interface_fluid_tri[k] < 0:
-                    self.interface_fluid_tri[k] = c
-                elif self.tri_tags[c] == PORO and self.interface_poro_tri[k] < 0:
-                    self.interface_poro_tri[k] = c
         has_fluid = self.interface_fluid_tri >= 0
         self.interface_normals[has_fluid] = self.facet_normals(
             iface[has_fluid], self.interface_fluid_tri[has_fluid])
@@ -219,53 +236,30 @@ def build_rect_two_domain(nx, ny, split):
         raise ValueError("split * ny must be an integer interior row, got %r * %d"
                          % (split, ny))
 
-    def vid(i, j):
-        return j * (nx + 1) + i
-
-    xs = np.arange(nx + 1) / nx
-    ys = np.arange(ny + 1) / ny
-    xv, yv = np.meshgrid(xs, ys)
+    # vid[j, i] is the vertex at (i / nx, j / ny); cells, rows and columns
+    # are numbered with i running fastest
+    vid = np.arange((nx + 1) * (ny + 1)).reshape(ny + 1, nx + 1)
+    xv, yv = np.meshgrid(np.arange(nx + 1) / nx, np.arange(ny + 1) / ny)
     vertices = np.column_stack([xv.ravel(), yv.ravel()])
 
-    triangles, tri_tags = [], []
-    for j in range(ny):
-        tag = PORO if j < j_if else FLUID
-        for i in range(nx):
-            a, b = vid(i, j), vid(i + 1, j)
-            c, d = vid(i + 1, j + 1), vid(i, j + 1)
-            triangles.append((a, b, c))
-            triangles.append((a, c, d))
-            tri_tags.extend((tag, tag))
+    a, b = vid[:-1, :-1], vid[:-1, 1:]
+    c, d = vid[1:, 1:], vid[1:, :-1]
+    triangles = np.stack([a, b, c, a, c, d], axis=-1).reshape(-1, 3)
+    below = np.arange(ny) < j_if  # per row of cells
+    tri_tags = np.repeat(np.where(below, PORO, FLUID), 2 * nx)
 
-    facets, facet_tags = [], []
-    for j in range(ny + 1):
-        if j == 0:
-            tag = PORO_SOLID
-        elif j == ny:
-            tag = FLUID_EXTERNAL
-        elif j == j_if:
-            tag = INTERFACE
-        else:
-            tag = INTERIOR_PORO if j < j_if else INTERIOR_FLUID
-        for i in range(nx):
-            facets.append((vid(i, j), vid(i + 1, j)))
-            facet_tags.append(tag)
-    for i in range(nx + 1):
-        for j in range(ny):
-            below = j < j_if
-            if i == 0:
-                tag = PORO_EXTERNAL if below else FLUID_INLET
-            elif i == nx:
-                tag = PORO_EXTERNAL if below else FLUID_OUTLET
-            else:
-                tag = INTERIOR_PORO if below else INTERIOR_FLUID
-            facets.append((vid(i, j), vid(i, j + 1)))
-            facet_tags.append(tag)
-    for j in range(ny):
-        tag = INTERIOR_PORO if j < j_if else INTERIOR_FLUID
-        for i in range(nx):
-            facets.append((vid(i, j), vid(i + 1, j + 1)))
-            facet_tags.append(tag)
+    interior = np.where(below, INTERIOR_PORO, INTERIOR_FLUID)
+    rows = np.append(interior, FLUID_EXTERNAL)
+    rows[[0, j_if]] = PORO_SOLID, INTERFACE
+    columns = np.tile(interior, (nx + 1, 1))
+    columns[0] = np.where(below, PORO_EXTERNAL, FLUID_INLET)
+    columns[nx] = np.where(below, PORO_EXTERNAL, FLUID_OUTLET)
+    facets = np.concatenate([
+        np.column_stack([vid[:, :-1].ravel(), vid[:, 1:].ravel()]),
+        np.column_stack([vid[:-1].T.ravel(), vid[1:].T.ravel()]),
+        np.column_stack([a.ravel(), c.ravel()])])
+    facet_tags = np.concatenate([np.repeat(rows, nx), columns.ravel(),
+                                 np.repeat(interior, nx)])
 
     return Mesh(vertices, triangles, tri_tags, facets, facet_tags)
 
@@ -303,37 +297,39 @@ def validate(mesh):
     for c in missing:
         problems.append("triangle %d has an edge missing from the facet list" % c)
 
-    for f in range(mesh.num_facets):
-        tag = mesh.facet_tags[f]
-        adj = [c for c in mesh.facet_tris[f] if c >= 0]
-        if not adj:
+    # each facet's tag against its adjacency: the boundary group of its one
+    # triangle's subdomain, Interface between Fluid and Poro, or the
+    # interior tag of the subdomain on both sides
+    tag = mesh.facet_tags
+    first, second = mesh.facet_tris.T
+    sub = np.append(mesh.tri_tags, -1)
+    low = np.minimum(sub[first], sub[second])
+    mixed = (low == FLUID) & (np.maximum(sub[first], sub[second]) == PORO)
+    expected = np.where(low == FLUID, INTERIOR_FLUID, INTERIOR_PORO)
+    ok = np.where(
+        second >= 0, np.where(mixed, tag == INTERFACE, tag == expected),
+        (first >= 0) & np.where(sub[first] == FLUID,
+                                np.isin(tag, BOUNDARY_TAGS_FLUID),
+                                np.isin(tag, BOUNDARY_TAGS_PORO)))
+    for f in np.flatnonzero(~ok):
+        if first[f] < 0:
             problems.append("facet %d is not an edge of any triangle" % f)
-            continue
-        if len(adj) == 1:
-            sub = mesh.tri_tags[adj[0]]
-            allowed = BOUNDARY_TAGS_FLUID if sub == FLUID else BOUNDARY_TAGS_PORO
-            if tag not in allowed:
-                problems.append(
-                    "boundary facet %d of a %s triangle carries tag %s"
-                    % (f, TRIANGLE_TAG_NAMES[sub], FACET_TAG_NAMES[tag]))
+        elif second[f] < 0:
+            problems.append(
+                "boundary facet %d of a %s triangle carries tag %s"
+                % (f, TRIANGLE_TAG_NAMES[sub[first[f]]],
+                   FACET_TAG_NAMES[tag[f]]))
+        elif mixed[f]:
+            problems.append(
+                "facet %d separates Fluid from Poro but carries tag %s"
+                % (f, FACET_TAG_NAMES[tag[f]]))
+        elif tag[f] == INTERFACE:
+            problems.append("interface facet %d is not shared by one Fluid "
+                            "and one Poro triangle" % f)
         else:
-            subs = sorted(mesh.tri_tags[c] for c in adj)
-            if subs == [FLUID, PORO]:
-                if tag != INTERFACE:
-                    problems.append(
-                        "facet %d separates Fluid from Poro but carries tag %s"
-                        % (f, FACET_TAG_NAMES[tag]))
-            else:
-                expected = INTERIOR_FLUID if subs[0] == FLUID else INTERIOR_PORO
-                if tag != expected:
-                    if tag == INTERFACE:
-                        problems.append(
-                            "interface facet %d is not shared by one Fluid and "
-                            "one Poro triangle" % f)
-                    else:
-                        problems.append(
-                            "interior facet %d carries tag %s, expected %s"
-                            % (f, FACET_TAG_NAMES[tag], FACET_TAG_NAMES[expected]))
+            problems.append(
+                "interior facet %d carries tag %s, expected %s"
+                % (f, FACET_TAG_NAMES[tag[f]], FACET_TAG_NAMES[expected[f]]))
 
     # the normal out of the Poro triangle must oppose the one out of the
     # Fluid triangle, i.e. the two lie on opposite sides of the facet

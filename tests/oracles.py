@@ -20,7 +20,9 @@ solves the saddle-point system, and every operator of the block system
 assembled eagerly on all dofs of unconstrained copies of the spaces and
 then sliced to the free dofs, each form with its own gradient products,
 where the package scatters straight onto the free dofs and builds the
-certificate's operators on first read.
+certificate's operators on first read, and the mesh's structured generator
+and edge table cell by cell, with a dict of vertex pairs, where the
+package uses index arithmetic and sorted edge keys.
 The module also holds the refinement helpers behind the constants
 criterion, the CSV reader of the result tables, which no command uses,
 ``recorded_run``, which collects every state of a run through its
@@ -162,6 +164,103 @@ def loop_facet_dofs(space, facet_ids):
         if space.kind == ElementKind.P2:
             dofs.add(int(space.facet_mid_dof[f]))
     return np.array(sorted(dofs - {-1}), dtype=int)
+
+
+def loop_rect_two_domain(nx, ny, split):
+    """The structured generator's five arrays cell by cell and facet by
+    facet: vertices, triangles, triangle tags, facets and facet tags."""
+    j_if = int(round(split * ny))
+
+    def vid(i, j):
+        return j * (nx + 1) + i
+
+    xv, yv = np.meshgrid(np.arange(nx + 1) / nx, np.arange(ny + 1) / ny)
+    vertices = np.column_stack([xv.ravel(), yv.ravel()])
+    triangles, tri_tags = [], []
+    for j in range(ny):
+        tag = meshmod.PORO if j < j_if else meshmod.FLUID
+        for i in range(nx):
+            a, b = vid(i, j), vid(i + 1, j)
+            c, d = vid(i + 1, j + 1), vid(i, j + 1)
+            triangles += [(a, b, c), (a, c, d)]
+            tri_tags += [tag, tag]
+
+    def interior(j):
+        return meshmod.INTERIOR_PORO if j < j_if else meshmod.INTERIOR_FLUID
+
+    facets, facet_tags = [], []
+    for j in range(ny + 1):
+        if j == 0:
+            tag = meshmod.PORO_SOLID
+        elif j == ny:
+            tag = meshmod.FLUID_EXTERNAL
+        elif j == j_if:
+            tag = meshmod.INTERFACE
+        else:
+            tag = interior(j)
+        for i in range(nx):
+            facets.append((vid(i, j), vid(i + 1, j)))
+            facet_tags.append(tag)
+    for i in range(nx + 1):
+        for j in range(ny):
+            if j < j_if and i in (0, nx):
+                tag = meshmod.PORO_EXTERNAL
+            elif i == 0:
+                tag = meshmod.FLUID_INLET
+            elif i == nx:
+                tag = meshmod.FLUID_OUTLET
+            else:
+                tag = interior(j)
+            facets.append((vid(i, j), vid(i, j + 1)))
+            facet_tags.append(tag)
+    for j in range(ny):
+        for i in range(nx):
+            facets.append((vid(i, j), vid(i + 1, j + 1)))
+            facet_tags.append(interior(j))
+    return (vertices, np.array(triangles, dtype=int),
+            np.array(tri_tags, dtype=int), np.array(facets, dtype=int),
+            np.array(facet_tags, dtype=int))
+
+
+def loop_connectivity(mesh):
+    """``Mesh``'s edge table with a dict of vertex pairs and a loop over
+    triangles x 3 edges, and the interface sides facet by facet: returns
+    ``tri_facets``, ``facet_tris``, the duplicate facets, the overflow
+    ``(facet, triangle)`` pairs and the interface Fluid and Poro sides."""
+    edge_index, duplicates = {}, []
+    for f, (a, b) in enumerate(mesh.facets):
+        key = (min(a, b), max(a, b))
+        if key in edge_index:
+            duplicates.append(f)
+        else:
+            edge_index[key] = f
+    tri_facets = np.full((mesh.num_triangles, 3), -1, dtype=int)
+    facet_tris = np.full((mesh.num_facets, 2), -1, dtype=int)
+    overflow = []
+    for c, tri in enumerate(mesh.triangles):
+        for loc, (i, j) in enumerate(((0, 1), (1, 2), (2, 0))):
+            a, b = tri[i], tri[j]
+            f = edge_index.get((min(a, b), max(a, b)), -1)
+            tri_facets[c, loc] = f
+            if f < 0:
+                continue
+            if facet_tris[f, 0] < 0:
+                facet_tris[f, 0] = c
+            elif facet_tris[f, 1] < 0:
+                facet_tris[f, 1] = c
+            else:
+                overflow.append((f, c))
+    iface = np.flatnonzero(mesh.facet_tags == meshmod.INTERFACE)
+    sides = np.full((2, len(iface)), -1, dtype=int)
+    for k, f in enumerate(iface):
+        for c in facet_tris[f]:
+            if c < 0:
+                continue
+            for s, sub in enumerate((meshmod.FLUID, meshmod.PORO)):
+                if mesh.tri_tags[c] == sub and sides[s, k] < 0:
+                    sides[s, k] = c
+    return (tri_facets, facet_tris, np.array(duplicates, dtype=int),
+            np.array(overflow, dtype=int).reshape(-1, 2), sides[0], sides[1])
 
 
 def facet_length(mesh, facet):

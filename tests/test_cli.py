@@ -552,6 +552,70 @@ def test_missing_constants_table_fails_before_the_first_step(
     assert not out.exists()
 
 
+def _table_lacking_kinds(path):
+    fio.write_constants(path, [ConstantEstimate("T1", 1.0, 2, 10)])
+
+
+def _table_repeating_a_kind(path):
+    fio.write_constants(path, [ConstantEstimate(kind, 1.0, 2, 10)
+                               for kind in CONSTANT_KINDS + ("T1",)])
+
+
+def _table_with_a_foreign_header(path):
+    path.write_text("kind,value,level,dofs\nT1,1.0,2,10\n")
+
+
+@pytest.mark.parametrize("command", ["run", "check-small-data"])
+@pytest.mark.parametrize("write,needle", [
+    (_table_lacking_kinds, "missing T2, T3, T4, T5, P1c, P2c, P3c, Sf, Kf, "
+                           "Kappa, Cj"),
+    (_table_repeating_a_kind, "repeated T1"),
+    (_table_with_a_foreign_header, "not a constants table"),
+], ids=["missing-kind", "duplicate-kind", "bad-header"])
+def test_bad_constants_table_is_a_config_error(tmp_path, monkeypatch, capsys,
+                                               command, write, needle):
+    steps = []
+    solve = cli.run_scheme
+
+    def watched(*args, on_step=None, **kwargs):
+        def seen(state, diag):
+            steps.append(state.t)
+            if on_step is not None:
+                on_step(state, diag)
+        return solve(*args, on_step=seen, **kwargs)
+    monkeypatch.setattr(cli, "run_scheme", watched)
+    table = tmp_path / "table.csv"
+    write(table)
+    out = tmp_path / "out"
+    path = _config(tmp_path, TINY % out + "constants_table = %s\n" % table)
+    assert main([command, path]) == 1
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("config error: run.constants_table: %s"
+                               % table)
+    assert needle in lines[0]
+    assert steps == []
+    assert not out.exists()
+
+
+def test_file_mesh_constants_carry_no_generator_level(tmp_path, capsys):
+    mesh_path = tmp_path / "four.mesh"
+    write_mesh(build_rect_two_domain(4, 4, 0.5), mesh_path)
+    out = tmp_path / "c"
+    path = _config(tmp_path, "[mesh]\nfile = %s\n\n[run]\noutput_dir = %s\n"
+                   % (mesh_path, out))
+    assert main(["constants", path]) == 0
+    text = capsys.readouterr().out
+    assert "(level 8," not in text
+    assert text.count("(level 0,") == len(CONSTANT_KINDS)
+    assert {e.mesh_level for e in
+            fio.read_constants(out / "constants.csv")} == {0}
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["constants"] == {"source": "computed"}
+    assert manifest["mesh"]["file"] == "four.mesh"
+
+
 # ---------------------------------------------------------------------------
 # golden values of the README example (16 x 16, Euler, 100 steps)
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from fpsi import mesh as meshmod
 from fpsi.mesh import (
     FLUID,
@@ -8,6 +9,8 @@ from fpsi.mesh import (
     FLUID_INLET,
     FLUID_OUTLET,
     INTERFACE,
+    INTERIOR_FLUID,
+    INTERIOR_PORO,
     PORO,
     PORO_EXTERNAL,
     PORO_SOLID,
@@ -161,6 +164,120 @@ def test_validate_flags_constructed_defects():
     bad = Mesh(m.vertices, m.triangles, m.tri_tags, m.facets[keep],
                m.facet_tags[keep])
     assert any("missing from the facet list" in p for p in validate(bad))
+
+
+def _defective(name):
+    """A 2 x 4 mesh with one constructed defect."""
+    m = build_rect_two_domain(2, 4, 0.5)
+    arrays = dict(vertices=m.vertices, triangles=m.triangles,
+                  tri_tags=m.tri_tags, facets=m.facets,
+                  facet_tags=m.facet_tags)
+
+    def retag(tag, new):
+        tags = m.facet_tags.copy()
+        tags[m.facets_with_tag(tag)[0]] = new
+        return dict(facet_tags=tags)
+
+    if name == "non-finite vertex":
+        vertices = m.vertices.copy()
+        vertices[13] = (np.nan, 1.0)
+        arrays.update(vertices=vertices)
+    elif name == "flipped triangle":
+        tris = m.triangles.copy()
+        tris[3] = tris[3][::-1]
+        arrays.update(triangles=tris)
+    elif name == "unused vertex":
+        arrays.update(vertices=np.vstack([m.vertices, [0.5, 0.5]]))
+    elif name == "reversed duplicate facet":
+        arrays.update(facets=np.vstack([m.facets, m.facets[7][::-1]]),
+                      facet_tags=np.append(m.facet_tags, m.facet_tags[7]))
+    elif name == "facet of three triangles":
+        arrays.update(triangles=np.vstack([m.triangles, m.triangles[5]]),
+                      tri_tags=np.append(m.tri_tags, m.tri_tags[5]))
+    elif name == "missing facet":
+        keep = np.delete(np.arange(m.num_facets), 9)
+        arrays.update(facets=m.facets[keep], facet_tags=m.facet_tags[keep])
+    elif name == "facet of no triangle":
+        arrays.update(facets=np.vstack([m.facets, [1, 3]]),
+                      facet_tags=np.append(m.facet_tags, INTERIOR_PORO))
+    elif name == "boundary tag of the other subdomain":
+        arrays.update(retag(PORO_SOLID, FLUID_EXTERNAL))
+    elif name == "untagged interface":
+        arrays.update(retag(INTERFACE, INTERIOR_FLUID))
+    elif name == "interface tag inside the fluid":
+        arrays.update(retag(INTERIOR_FLUID, INTERFACE))
+    elif name == "interior tag of the other subdomain":
+        arrays.update(retag(INTERIOR_FLUID, INTERIOR_PORO))
+    elif name == "repeated vertex":
+        tris = m.triangles.copy()
+        tris[2] = (tris[2][0], tris[2][0], tris[2][1])
+        arrays.update(triangles=tris)
+    else:
+        raise KeyError(name)
+    return Mesh(**arrays)
+
+
+# recorded from the facet-by-facet implementation of validate
+_DEFECT_MESSAGES = {
+    "non-finite vertex": ["non-finite vertex coordinates"],
+    "flipped triangle": ["triangle 3 has non-positive area -0.0625"],
+    "unused vertex": ["vertex 15 belongs to no triangle"],
+    "reversed duplicate facet": [
+        "facet 30 duplicates an earlier facet",
+        "facet 30 is not an edge of any triangle"],
+    "facet of three triangles": [
+        "facet 24 touches more than two triangles (e.g. triangle 16)",
+        "facet 4 touches more than two triangles (e.g. triangle 16)",
+        "interior facet 11 carries tag PoroExternal, expected InteriorPoro"],
+    "missing facet": [
+        "triangle 15 has an edge missing from the facet list"],
+    "facet of no triangle": ["facet 30 is not an edge of any triangle"],
+    "boundary tag of the other subdomain": [
+        "boundary facet 0 of a Poro triangle carries tag FluidExternal"],
+    "untagged interface": [
+        "facet 4 separates Fluid from Poro but carries tag InteriorFluid"],
+    "interface tag inside the fluid": [
+        "interface facet 6 is not shared by one Fluid and one Poro triangle"],
+    "interior tag of the other subdomain": [
+        "interior facet 6 carries tag InteriorPoro, expected InteriorFluid"],
+    "repeated vertex": [
+        "triangle 2 has non-positive area 0",
+        "triangle 2 has an edge missing from the facet list",
+        "interior facet 1 carries tag PoroSolid, expected InteriorPoro",
+        "facet 18 is not an edge of any triangle",
+        "boundary facet 23 of a Poro triangle carries tag InteriorPoro"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_DEFECT_MESSAGES))
+def test_validate_reports_each_defect_exactly(name):
+    assert validate(_defective(name)) == _DEFECT_MESSAGES[name]
+
+
+_GRIDS = [(1, 2, 0.5), (5, 8, 0.25), (16, 16, 0.5), (15, 20, 0.35)]
+
+
+@pytest.mark.parametrize("nx,ny,split", _GRIDS)
+def test_generator_matches_the_loop_oracle_bitwise(nx, ny, split):
+    m = build_rect_two_domain(nx, ny, split)
+    names = ("vertices", "triangles", "tri_tags", "facets", "facet_tags")
+    for name, ref in zip(names, oracles.loop_rect_two_domain(nx, ny, split)):
+        got = getattr(m, name)
+        assert got.dtype == ref.dtype and got.shape == ref.shape, name
+        assert got.tobytes() == ref.tobytes(), name
+
+
+@pytest.mark.parametrize("case", _GRIDS + [
+    "reversed duplicate facet", "repeated vertex",
+    "facet of three triangles", "missing facet"], ids=str)
+def test_edge_table_matches_the_loop_oracle(case):
+    m = (_defective(case) if isinstance(case, str)
+         else build_rect_two_domain(*case))
+    got = (m.tri_facets, m.facet_tris, m.duplicate_facets, m.extra_adjacency,
+           m.interface_fluid_tri, m.interface_poro_tri)
+    for a, b in zip(got, oracles.loop_connectivity(m)):
+        assert a.shape == b.shape
+        np.testing.assert_array_equal(a, b)
 
 
 def test_constructor_rejects_malformed_arrays():
