@@ -1,7 +1,12 @@
 """Command-line surface: configuration files, runs, studies and reports.
 
 Configuration files are line-oriented ``key = value`` under ``[section]``
-headers; blank lines and ``#`` comments are skipped.  Sections and keys:
+headers; blank lines and ``#`` comments are skipped.  ``_SECTIONS`` is the
+schema: each section's keys and the converter of each key's text.  A key
+that is not given keeps the default of the field it fills in
+:class:`RunConfig`, :class:`~fpsi.assembly.PhysicalParams` or
+:class:`~fpsi.timestepper.SchemeConfig`; the dataclasses are the one home
+of the defaults.  Sections and keys:
 
 ``[mesh]``
     ``nx``, ``ny``, ``split`` for the structured generator, or ``file``
@@ -58,18 +63,34 @@ STRICT_FLAGS = ("identity_ok", "mainbound1_ok", "dumbound_ok",
                 "uniqueness_ok", "mb2_root_ok", "gronwall_premise_ok",
                 "gronwall_conclusion_ok")
 
+
+def _bool(text):
+    low = text.lower()
+    if low in ("true", "yes", "on", "1"):
+        return True
+    if low in ("false", "no", "off", "0"):
+        return False
+    raise ValueError("expected a boolean, got %r" % text)
+
+
+# the schema: each section's keys, in the order they are checked, and the
+# converter of each key's text; a key not given keeps its field's default
 _SECTIONS = {
-    "mesh": ("nx", "ny", "split", "file"),
-    "params": ("rho_f", "mu_f", "rho_s", "mu_s", "lambda_s", "s0",
-               "alpha_bw", "beta_slip", "k", "k11", "k12", "k22"),
-    "data": ("f_f_x", "f_f_y", "f_s_x", "f_s_y", "f_p", "p_in", "scale"),
-    "scheme": ("scheme", "dt", "t_final", "newton_tol", "newton_max"),
-    "run": ("output_dir", "constants_table", "skew_symmetric_convection",
-            "emit_vtk", "emit_certificate"),
+    "mesh": {"nx": int, "ny": int, "split": float, "file": str},
+    "params": dict.fromkeys(("rho_f", "mu_f", "rho_s", "mu_s", "lambda_s",
+                             "s0", "alpha_bw", "beta_slip",
+                             "k", "k11", "k12", "k22"), float),
+    "data": {**dict.fromkeys(("f_f_x", "f_f_y", "f_s_x", "f_s_y", "f_p",
+                              "p_in"), parse_expression), "scale": float},
+    "scheme": {"scheme": str, "dt": float, "t_final": float,
+               "newton_tol": float, "newton_max": int},
+    "run": {"output_dir": str, "constants_table": str,
+            "skew_symmetric_convection": _bool, "emit_vtk": _bool,
+            "emit_certificate": _bool},
 }
 
-_PARAM_KEYS = ("rho_f", "mu_f", "rho_s", "mu_s", "lambda_s", "s0",
-               "alpha_bw", "beta_slip")
+# the permeability tensor's entries named by the params keys
+_K_ENTRIES = {"k11": (0, 0), "k12": (0, 1), "k22": (1, 1)}
 
 
 class ConfigError(ValueError):
@@ -140,15 +161,6 @@ def _read_entries(path):
     return entries
 
 
-def _bool(text):
-    low = text.lower()
-    if low in ("true", "yes", "on", "1"):
-        return True
-    if low in ("false", "no", "off", "0"):
-        return False
-    raise ValueError("expected a boolean, got %r" % text)
-
-
 def _keyed_error(section, exc):
     """Prefix a dataclass validation message with its best key path."""
     message = str(exc)
@@ -158,38 +170,46 @@ def _keyed_error(section, exc):
     return ConfigError("%s: %s" % (section, message))
 
 
-def parse_config(path):
-    """Read and fully validate a configuration file into a RunConfig."""
-    entries = _read_entries(path)
-
-    def take(section, key, conv, default):
+def _converted(entries, section):
+    """The section's given keys, in schema order, each converted by the
+    schema; a failed conversion names its key path and line (and column,
+    for an expression)."""
+    values = {}
+    for key, conv in _SECTIONS[section].items():
         if (section, key) not in entries:
-            return default
-        text, no, col = entries.pop((section, key))
+            continue
+        text, no, col = entries[(section, key)]
         try:
-            return conv(text)
+            values[key] = conv(text)
         except ExpressionError as exc:
-            column = col + (exc.position or 0)
-            raise ConfigError("%s.%s: %s" % (section, key, exc),
-                              line=no, column=column) from None
+            raise ConfigError("%s.%s: %s" % (section, key, exc), line=no,
+                              column=col + (exc.position or 0)) from None
         except ValueError as exc:
             raise ConfigError("%s.%s: %s" % (section, key, exc),
                               line=no) from None
+    return values
 
-    generator_keys = [k for k in ("nx", "ny", "split")
-                      if ("mesh", k) in entries]
-    nx = take("mesh", "nx", int, 8)
-    ny = take("mesh", "ny", int, 8)
-    split = take("mesh", "split", float, 0.5)
-    mesh_file = take("mesh", "file", str, None)
-    if mesh_file is not None:
+
+def parse_config(path):
+    """Read and fully validate a configuration file into a RunConfig.
+
+    The sections are read in schema order, each converted and then checked
+    across its keys, so the first faulty section is the one reported."""
+    entries = _read_entries(path)
+
+    mesh = _converted(entries, "mesh")
+    if "file" in mesh:
+        generator_keys = [key for key in mesh if key != "file"]
         if generator_keys:
             raise ConfigError(
                 "mesh.file: excludes the generator keys (%s given)"
                 % ", ".join(generator_keys))
-        if not os.path.exists(mesh_file):
-            raise ConfigError("mesh.file: no such file %r" % mesh_file)
+        if not os.path.exists(mesh["file"]):
+            raise ConfigError("mesh.file: no such file %r" % mesh["file"])
+        mesh["mesh_file"] = mesh.pop("file")
     else:
+        nx, ny, split = (mesh.get(key, getattr(RunConfig, key))
+                         for key in ("nx", "ny", "split"))
         if nx < 1:
             raise ConfigError("mesh.nx: must be at least 1, got %d" % nx)
         if ny < 2:
@@ -198,87 +218,67 @@ def parse_config(path):
             raise ConfigError(
                 "mesh.split: must lie strictly inside (0, 1), got %r" % split)
 
-    pkw = {}
-    for name in _PARAM_KEYS:
-        value = take("params", name, float, None)
-        if value is not None:
-            pkw[name] = value
-    k_scalar = take("params", "k", float, None)
-    k11 = take("params", "k11", float, None)
-    k12 = take("params", "k12", float, None)
-    k22 = take("params", "k22", float, None)
-    if k_scalar is not None and (k11, k12, k22) != (None, None, None):
+    params = _converted(entries, "params")
+    tensor = [key for key in _K_ENTRIES if key in params]
+    if "k" in params and tensor:
         raise ConfigError(
             "params.k: give either scalar k or k11/k12/k22, not both")
-    if k_scalar is not None:
-        pkw["K"] = k_scalar
-    elif (k11, k12, k22) != (None, None, None):
-        k11 = 1.0 if k11 is None else k11
-        k12 = 0.0 if k12 is None else k12
-        k22 = 1.0 if k22 is None else k22
-        pkw["K"] = np.array([[k11, k12], [k12, k22]])
+    if "k" in params:
+        params["K"] = params.pop("k")
+    elif tensor:
+        # the entries not given keep those of the default tensor
+        K = params["K"] = np.array(PhysicalParams().K)
+        for key in tensor:
+            i, j = _K_ENTRIES[key]
+            K[i, j] = K[j, i] = params.pop(key)
     try:
-        params = PhysicalParams(**pkw)
+        physical = PhysicalParams(**params)
     except ParameterError as exc:
         raise _keyed_error("params", exc) from None
 
-    def expr(text):
-        return parse_expression(text)
-
-    ffx = take("data", "f_f_x", expr, None)
-    ffy = take("data", "f_f_y", expr, None)
-    if (ffx is None) != (ffy is None):
-        raise ConfigError("data.f_f_x: f_f_x and f_f_y must be given together")
-    fsx = take("data", "f_s_x", expr, None)
-    fsy = take("data", "f_s_y", expr, None)
-    if (fsx is None) != (fsy is None):
-        raise ConfigError("data.f_s_x: f_s_x and f_s_y must be given together")
-    f_p = take("data", "f_p", expr, None)
-    p_in = take("data", "p_in", expr, None)
-    scale = take("data", "scale", float, 1.0)
-    data = ProblemData(
-        f_f=None if ffx is None else (ffx, ffy),
-        f_s=None if fsx is None else (fsx, fsy),
-        f_p=f_p, P_in=p_in)
+    data = _converted(entries, "data")
+    fields = {}
+    for name in ("f_f", "f_s"):
+        pair = [data.pop(name + axis) for axis in ("_x", "_y")
+                if name + axis in data]
+        if len(pair) == 1:
+            raise ConfigError("data.%s_x: %s_x and %s_y must be given "
+                              "together" % (name, name, name))
+        if pair:
+            fields[name] = tuple(pair)
+    if "p_in" in data:
+        fields["P_in"] = data.pop("p_in")
+    scale = data.pop("scale", 1.0)
+    problem = ProblemData(**fields, **data)
     if scale != 1.0:
         try:
-            data = data.scaled(scale)
+            problem = problem.scaled(scale)
         except ExpressionError as exc:
             raise ConfigError("data.scale: %s" % exc) from None
 
-    skw = {}
-    for name, conv in (("scheme", str), ("dt", float), ("t_final", float),
-                       ("newton_tol", float), ("newton_max", int)):
-        value = take("scheme", name, conv, None)
-        if value is not None:
-            skw[name] = value
+    scheme = _converted(entries, "scheme")
     try:
-        scheme = SchemeConfig(**skw)
+        stepping = SchemeConfig(**scheme)
     except ValueError as exc:
         raise _keyed_error("scheme", exc) from None
 
-    constants_table = take("run", "constants_table", str, None)
-    if constants_table is not None and not os.path.exists(constants_table):
-        raise ConfigError(
-            "run.constants_table: no such file %r" % constants_table)
-
-    return RunConfig(
-        nx=nx, ny=ny, split=split, mesh_file=mesh_file,
-        params=params, data=data, scheme=scheme,
-        output_dir=take("run", "output_dir", str, "out"),
-        constants_table=constants_table,
-        skew_symmetric_convection=take(
-            "run", "skew_symmetric_convection", _bool, False),
-        emit_vtk=take("run", "emit_vtk", _bool, True),
-        emit_certificate=take("run", "emit_certificate", _bool, True),
-    )
+    run = _converted(entries, "run")
+    table = run.get("constants_table")
+    if table is not None and not os.path.exists(table):
+        raise ConfigError("run.constants_table: no such file %r" % table)
+    return RunConfig(**mesh, params=physical, data=problem, scheme=stepping,
+                     **run)
 
 
 # ---------------------------------------------------------------------------
 # subcommand helpers
 # ---------------------------------------------------------------------------
 
-def _build_mesh(cfg):
+def _set_up(ns, convection=False):
+    """Parse the subcommand's config, build and validate its mesh, assemble
+    the system and read the constants table (None when the constants are
+    to be estimated), so a bad input fails before any solve."""
+    cfg = parse_config(ns.config)
     if cfg.mesh_file is not None:
         mesh = read_mesh(cfg.mesh_file)
     else:
@@ -289,7 +289,9 @@ def _build_mesh(cfg):
     problems = validate(mesh)
     if problems:
         raise MeshFormatError("; ".join(problems))
-    return mesh
+    blocks = assemble_system(mesh, cfg.params, convection=convection,
+                             skew=cfg.skew_symmetric_convection)
+    return cfg, mesh, blocks, _read_table(cfg)
 
 
 def _read_table(cfg):
@@ -344,7 +346,8 @@ def _write_manifest(outdir, inputs, outputs):
     return path
 
 
-def _mesh_entry(cfg, mesh):
+def _inputs(ns, cfg, mesh, provenance):
+    """The manifest's config, mesh and constants entries."""
     entry = {"sha256": fio.mesh_digest(mesh),
              "vertices": mesh.num_vertices,
              "triangles": mesh.num_triangles}
@@ -354,7 +357,10 @@ def _mesh_entry(cfg, mesh):
     else:
         entry.update(source="generated", nx=cfg.nx, ny=cfg.ny,
                      split=cfg.split)
-    return entry
+    return {"config": {"file": os.path.basename(ns.config),
+                       "sha256": fio.file_digest(ns.config)},
+            "mesh": entry,
+            "constants": provenance}
 
 
 # ---------------------------------------------------------------------------
@@ -362,12 +368,7 @@ def _mesh_entry(cfg, mesh):
 # ---------------------------------------------------------------------------
 
 def _cmd_run(ns):
-    cfg = parse_config(ns.config)
-    mesh = _build_mesh(cfg)
-    blocks = assemble_system(mesh, cfg.params, convection=True,
-                             skew=cfg.skew_symmetric_convection)
-    # a table is read before the first step, so a bad one costs no solve
-    table = _read_table(cfg)
+    cfg, mesh, blocks, table = _set_up(ns, convection=True)
 
     # the certificate's window forms are computed as the states come, so
     # the run holds one window of states, not the trajectory
@@ -405,14 +406,9 @@ def _cmd_run(ns):
                           report.summary)
         outputs += ["certificate.csv", "certificate_summary.json"]
 
-    inputs = {
-        "config": {"file": os.path.basename(ns.config),
-                   "sha256": fio.file_digest(ns.config)},
-        "mesh": _mesh_entry(cfg, mesh),
-        "constants": provenance,
-        "scheme": {"scheme": cfg.scheme.scheme, "dt": cfg.scheme.dt,
-                   "t_final": cfg.scheme.t_final},
-    }
+    inputs = _inputs(ns, cfg, mesh, provenance)
+    inputs["scheme"] = {"scheme": cfg.scheme.scheme, "dt": cfg.scheme.dt,
+                        "t_final": cfg.scheme.t_final}
     _write_manifest(outdir, inputs, outputs)
 
     print("completed %d steps of %r to t = %s"
@@ -473,20 +469,13 @@ def _cmd_mms(ns):
 
 
 def _cmd_constants(ns):
-    cfg = parse_config(ns.config)
-    mesh = _build_mesh(cfg)
-    blocks = assemble_system(mesh, cfg.params, convection=False)
-    constants, provenance = _read_table(cfg) or _estimated(cfg, blocks)
+    cfg, mesh, blocks, table = _set_up(ns)
+    constants, provenance = table or _estimated(cfg, blocks)
     outdir = cfg.output_dir
     os.makedirs(outdir, exist_ok=True)
     fio.write_constants(os.path.join(outdir, "constants.csv"), constants)
-    inputs = {
-        "config": {"file": os.path.basename(ns.config),
-                   "sha256": fio.file_digest(ns.config)},
-        "mesh": _mesh_entry(cfg, mesh),
-        "constants": provenance,
-    }
-    _write_manifest(outdir, inputs, ["constants.csv"])
+    _write_manifest(outdir, _inputs(ns, cfg, mesh, provenance),
+                    ["constants.csv"])
     for est in constants:
         print("%-6s %-22s (level %d, %d dofs)"
               % (est.kind, repr(float(est.value)), est.mesh_level, est.dofs))
@@ -495,10 +484,8 @@ def _cmd_constants(ns):
 
 
 def _cmd_check_small_data(ns):
-    cfg = parse_config(ns.config)
-    mesh = _build_mesh(cfg)
-    blocks = assemble_system(mesh, cfg.params, convection=False)
-    constants, _ = _read_table(cfg) or _estimated(cfg, blocks)
+    cfg, mesh, blocks, table = _set_up(ns)
+    constants, _ = table or _estimated(cfg, blocks)
     report = check_small_data(mesh, cfg.params, cfg.data,
                               cfg.scheme.t_final, constants)
     print("small-data condition satisfied: %s" % report.ok)

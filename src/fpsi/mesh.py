@@ -268,6 +268,7 @@ def validate(mesh):
     """Check the structural invariants; return a list of violation strings.
 
     An empty list means the mesh is valid: positive triangle orientation,
+    every tag one of :data:`TRIANGLE_TAG_NAMES` or :data:`FACET_TAG_NAMES`,
     every edge listed exactly once with a tag consistent with its adjacency
     (interior / boundary / interface), interface facets shared by exactly one
     Fluid and one Poro triangle, and interface normals pointing out of the
@@ -297,10 +298,20 @@ def validate(mesh):
     for c in missing:
         problems.append("triangle %d has an edge missing from the facet list" % c)
 
+    # a tag outside the names is reported here and its entry left out of
+    # the checks below, which name the tags they find
+    odd_tri = ~np.isin(mesh.tri_tags, (FLUID, PORO))
+    for c in np.flatnonzero(odd_tri):
+        problems.append("triangle %d carries unknown subdomain tag %d"
+                        % (c, mesh.tri_tags[c]))
+    tag = mesh.facet_tags
+    odd_facet = (tag < 0) | (tag >= len(FACET_TAG_NAMES))
+    for f in np.flatnonzero(odd_facet):
+        problems.append("facet %d carries unknown tag %d" % (f, tag[f]))
+
     # each facet's tag against its adjacency: the boundary group of its one
     # triangle's subdomain, Interface between Fluid and Poro, or the
     # interior tag of the subdomain on both sides
-    tag = mesh.facet_tags
     first, second = mesh.facet_tris.T
     sub = np.append(mesh.tri_tags, -1)
     low = np.minimum(sub[first], sub[second])
@@ -311,6 +322,8 @@ def validate(mesh):
         (first >= 0) & np.where(sub[first] == FLUID,
                                 np.isin(tag, BOUNDARY_TAGS_FLUID),
                                 np.isin(tag, BOUNDARY_TAGS_PORO)))
+    odd = np.append(odd_tri, False)
+    ok |= odd_facet | odd[first] | odd[second]
     for f in np.flatnonzero(~ok):
         if first[f] < 0:
             problems.append("facet %d is not an edge of any triangle" % f)
@@ -364,39 +377,44 @@ def write_mesh(mesh, path):
             fh.write("%d %d %s\n" % (a, b, FACET_TAG_NAMES[tag]))
 
 
-class _LineReader:
-    def __init__(self, path):
-        with open(path) as fh:
-            self.raw = fh.readlines()
-        self.pos = 0
-
-    def next_content(self):
-        while self.pos < len(self.raw):
-            lineno = self.pos + 1
-            line = self.raw[self.pos].split("#", 1)[0].strip()
-            self.pos += 1
-            if line:
-                return lineno, line
-        return None, None
+# the file's sections in order: name, fields per row before the tag, their
+# converter and what a bad one is, the row layout, and the tag codes and
+# what their tags name (None for an untagged section)
+_FILE_SECTIONS = (
+    ("vertices", 2, float, "coordinate", "two coordinates", None, None),
+    ("triangles", 3, int, "vertex index", "'i j k subdomain'",
+     _TRI_TAG_CODE, "subdomain"),
+    ("facets", 2, int, "vertex index", "'i j tag'",
+     _FACET_TAG_CODE, "facet"),
+)
 
 
 def read_mesh(path):
     """Read a mesh written by :func:`write_mesh`.
+
+    After the header, the sections of ``_FILE_SECTIONS`` are read by one
+    row loop: each section's header gives its row count, and each row holds
+    the section's fields, converted by its converter, and then the name of
+    its tag, if the section is tagged.
 
     Raises
     ------
     MeshFormatError
         With the offending line number for any malformed content.
     """
-    reader = _LineReader(path)
+    # the content lines, numbered from 1, without comments and blank lines
+    with open(path) as fh:
+        content = iter([(lineno, line) for lineno, line in enumerate(
+            (raw.split("#", 1)[0].strip() for raw in fh), start=1) if line])
 
-    lineno, line = reader.next_content()
+    lineno, line = next(content, (None, None))
     if line is None or line != MESH_FORMAT_HEADER:
         raise MeshFormatError("line %s: expected header %r, found %r"
                               % (lineno or 1, MESH_FORMAT_HEADER, line))
 
-    def section(name):
-        lineno, line = reader.next_content()
+    arrays = []
+    for name, width, conv, bad, layout, codes, tagged in _FILE_SECTIONS:
+        lineno, line = next(content, (None, None))
         if line is None:
             raise MeshFormatError("unexpected end of file, expected %r section" % name)
         parts = line.split()
@@ -409,63 +427,32 @@ def read_mesh(path):
             raise MeshFormatError("line %d: bad count %r" % (lineno, parts[1])) from None
         if count < 0:
             raise MeshFormatError("line %d: negative count" % lineno)
-        return count
 
-    nv = section("vertices")
-    vertices = np.empty((nv, 2))
-    for k in range(nv):
-        lineno, line = reader.next_content()
-        if line is None:
-            raise MeshFormatError("unexpected end of file inside vertices")
-        parts = line.split()
-        if len(parts) != 2:
-            raise MeshFormatError("line %d: expected two coordinates" % lineno)
-        try:
-            vertices[k] = [float(parts[0]), float(parts[1])]
-        except ValueError:
-            raise MeshFormatError("line %d: bad coordinate in %r" % (lineno, line)) from None
+        rows = np.empty((count, width), dtype=conv)
+        tags = np.empty(count, dtype=int)
+        for k in range(count):
+            lineno, line = next(content, (None, None))
+            if line is None:
+                raise MeshFormatError("unexpected end of file inside %s" % name)
+            parts = line.split()
+            if len(parts) != width + (codes is not None):
+                raise MeshFormatError("line %d: expected %s" % (lineno, layout))
+            try:
+                rows[k] = [conv(part) for part in parts[:width]]
+            except (ValueError, OverflowError):
+                raise MeshFormatError("line %d: bad %s in %r" % (lineno, bad, line)) from None
+            if codes is not None:
+                if parts[-1] not in codes:
+                    raise MeshFormatError("line %d: unknown %s tag %r"
+                                          % (lineno, tagged, parts[-1]))
+                tags[k] = codes[parts[-1]]
+        arrays += [rows] if codes is None else [rows, tags]
 
-    nt = section("triangles")
-    triangles = np.empty((nt, 3), dtype=int)
-    tri_tags = np.empty(nt, dtype=int)
-    for k in range(nt):
-        lineno, line = reader.next_content()
-        if line is None:
-            raise MeshFormatError("unexpected end of file inside triangles")
-        parts = line.split()
-        if len(parts) != 4:
-            raise MeshFormatError("line %d: expected 'i j k subdomain'" % lineno)
-        try:
-            triangles[k] = [int(parts[0]), int(parts[1]), int(parts[2])]
-        except ValueError:
-            raise MeshFormatError("line %d: bad vertex index in %r" % (lineno, line)) from None
-        if parts[3] not in _TRI_TAG_CODE:
-            raise MeshFormatError("line %d: unknown subdomain tag %r" % (lineno, parts[3]))
-        tri_tags[k] = _TRI_TAG_CODE[parts[3]]
-
-    ne = section("facets")
-    facets = np.empty((ne, 2), dtype=int)
-    facet_tags = np.empty(ne, dtype=int)
-    for k in range(ne):
-        lineno, line = reader.next_content()
-        if line is None:
-            raise MeshFormatError("unexpected end of file inside facets")
-        parts = line.split()
-        if len(parts) != 3:
-            raise MeshFormatError("line %d: expected 'i j tag'" % lineno)
-        try:
-            facets[k] = [int(parts[0]), int(parts[1])]
-        except ValueError:
-            raise MeshFormatError("line %d: bad vertex index in %r" % (lineno, line)) from None
-        if parts[2] not in _FACET_TAG_CODE:
-            raise MeshFormatError("line %d: unknown facet tag %r" % (lineno, parts[2]))
-        facet_tags[k] = _FACET_TAG_CODE[parts[2]]
-
-    lineno, line = reader.next_content()
+    lineno, line = next(content, (None, None))
     if line is not None:
         raise MeshFormatError("line %d: unexpected trailing content %r" % (lineno, line))
 
     try:
-        return Mesh(vertices, triangles, tri_tags, facets, facet_tags)
+        return Mesh(*arrays)
     except ValueError as exc:
         raise MeshFormatError(str(exc)) from None

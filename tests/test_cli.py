@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import inspect
 import json
 import math
@@ -15,10 +16,11 @@ import pytest
 import oracles
 import fpsi
 from fpsi import cli, constants as cst, io as fio, monitor as mon
+from fpsi.assembly import PhysicalParams
 from fpsi.cli import ConfigError, RunConfig, main, parse_config
 from fpsi.constants import CONSTANT_KINDS, ConstantEstimate
 from fpsi.mesh import Mesh, build_rect_two_domain, write_mesh
-from fpsi.timestepper import StepError
+from fpsi.timestepper import SchemeConfig, StepError
 from fpsi.verify import ERROR_KEYS, RESIDUAL_KEYS, ConvergenceTable, LevelRun, StudyError
 
 
@@ -48,6 +50,16 @@ def test_empty_config_gives_documented_defaults(tmp_path):
     # default data is identically zero
     assert cfg.data.f_p(0.3, 0.7, 2.0) == 0.0
     assert cfg.data.f_f[1](0.3, 0.7, 2.0) == 0.0
+    # every other field is its dataclass's default
+    for got, ref in ((cfg, RunConfig()), (cfg.params, PhysicalParams()),
+                     (cfg.scheme, SchemeConfig())):
+        for spec in dataclasses.fields(ref):
+            if spec.name in ("params", "data", "scheme"):
+                continue
+            a, b = getattr(got, spec.name), getattr(ref, spec.name)
+            assert type(a) is type(b), spec.name
+            assert (np.array_equal(a, b) if isinstance(b, np.ndarray)
+                    else a == b), spec.name
 
 
 def test_full_config_round_trip(tmp_path):
@@ -160,6 +172,278 @@ def test_mesh_file_and_generator_keys_conflict(tmp_path):
             tmp_path, "[mesh]\nnx = 4\nfile = %s\n" % mesh_path))
     with pytest.raises(ConfigError, match="no such file"):
         parse_config(_config(tmp_path, "[mesh]\nfile = missing.mesh\n"))
+
+
+# where each schema key's value arrives, read at this point of (x, y, t),
+# and the value a config below sets it to; scale 2 doubles every datum
+_AT = (0.5, 0.25, 2.0)
+_ARRIVALS = {
+    ("mesh", "nx"): ("6", lambda c: c.nx, 6),
+    ("mesh", "ny"): ("4", lambda c: c.ny, 4),
+    ("mesh", "split"): ("0.25", lambda c: c.split, 0.25),
+    ("mesh", "file"): ("{mesh}", lambda c: c.mesh_file, "{mesh}"),
+    ("params", "rho_f"): ("2.0", lambda c: c.params.rho_f, 2.0),
+    ("params", "mu_f"): ("0.5", lambda c: c.params.mu_f, 0.5),
+    ("params", "rho_s"): ("3.0", lambda c: c.params.rho_s, 3.0),
+    ("params", "mu_s"): ("0.25", lambda c: c.params.mu_s, 0.25),
+    ("params", "lambda_s"): ("4.0", lambda c: c.params.lambda_s, 4.0),
+    ("params", "s0"): ("0.125", lambda c: c.params.s0, 0.125),
+    ("params", "alpha_bw"): ("0.75", lambda c: c.params.alpha_bw, 0.75),
+    ("params", "beta_slip"): ("1.5", lambda c: c.params.beta_slip, 1.5),
+    ("params", "k"): ("2.5", lambda c: c.params.K.tolist(),
+                      [[2.5, 0.0], [0.0, 2.5]]),
+    ("params", "k11"): ("2.0", lambda c: c.params.K[0, 0], 2.0),
+    ("params", "k12"): ("0.5", lambda c: c.params.K[[0, 1], [1, 0]].tolist(),
+                        [0.5, 0.5]),
+    ("params", "k22"): ("3.0", lambda c: c.params.K[1, 1], 3.0),
+    ("data", "f_f_x"): ("x", lambda c: c.data.f_f[0](*_AT), 1.0),
+    ("data", "f_f_y"): ("y", lambda c: c.data.f_f[1](*_AT), 0.5),
+    ("data", "f_s_x"): ("t", lambda c: c.data.f_s[0](*_AT), 4.0),
+    ("data", "f_s_y"): ("x*t", lambda c: c.data.f_s[1](*_AT), 2.0),
+    ("data", "f_p"): ("x*y", lambda c: c.data.f_p(*_AT), 0.25),
+    ("data", "p_in"): ("1 + y", lambda c: c.data.P_in(*_AT), 2.5),
+    ("data", "scale"): ("2", lambda c: c.data.f_p(*_AT) / 0.125, 2.0),
+    ("scheme", "scheme"): ("midpoint", lambda c: c.scheme.scheme, "midpoint"),
+    ("scheme", "dt"): ("0.025", lambda c: c.scheme.dt, 0.025),
+    ("scheme", "t_final"): ("0.3", lambda c: c.scheme.t_final, 0.3),
+    ("scheme", "newton_tol"): ("1e-8", lambda c: c.scheme.newton_tol, 1e-8),
+    ("scheme", "newton_max"): ("12", lambda c: c.scheme.newton_max, 12),
+    ("run", "output_dir"): ("results", lambda c: c.output_dir, "results"),
+    ("run", "constants_table"): ("{table}", lambda c: c.constants_table,
+                                 "{table}"),
+    ("run", "skew_symmetric_convection"): (
+        "yes", lambda c: c.skew_symmetric_convection, True),
+    ("run", "emit_vtk"): ("off", lambda c: c.emit_vtk, False),
+    ("run", "emit_certificate"): ("no", lambda c: c.emit_certificate, False),
+}
+
+# a config cannot give both the generator and a mesh file, nor both the
+# scalar and the tensor permeability: the second config gives the latter
+_SECOND = {("mesh", "file"), ("params", "k11"), ("params", "k12"),
+           ("params", "k22")}
+
+
+def test_every_schema_key_reaches_its_field(tmp_path):
+    assert set(_ARRIVALS) == {(section, key) for section, keys
+                              in cli._SECTIONS.items() for key in keys}
+    mesh_path = tmp_path / "m.mesh"
+    write_mesh(build_rect_two_domain(2, 2, 0.5), mesh_path)
+    table_path = tmp_path / "table.csv"
+    table_path.write_text("")
+    paths = dict(mesh=str(mesh_path), table=str(table_path))
+    default = parse_config(_config(tmp_path, ""))
+    for second in (False, True):
+        chosen = [k for k in _ARRIVALS if (k in _SECOND) == second]
+        text = "".join("[%s]\n%s = %s\n" % (section, key,
+                                            _ARRIVALS[section, key][0])
+                       for section, key in chosen).format(**paths)
+        cfg = parse_config(_config(tmp_path, text))
+        for key in chosen:
+            _, where, value = _ARRIVALS[key]
+            if isinstance(value, str):
+                value = value.format(**paths)
+            assert where(default) != value, key
+            assert where(cfg) == value, key
+
+
+def test_readme_configuration_table_lists_the_schema():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = dict(re.findall(r"^\| `\[(\w+)\]` \| (.*) \|$", readme, re.M))
+    assert list(rows) == list(cli._SECTIONS)
+    for section, keys in cli._SECTIONS.items():
+        named = set(re.findall(r"`([^`]+)`", rows[section]))
+        # the row also names the scheme's values and a subcommand
+        assert named - {"euler", "midpoint", "fpsi constants"} == set(keys)
+
+
+# one fault per config and its message, recorded from the parser that
+# converted key by key before the schema table
+_CONFIG_FAULTS = {
+    # syntax
+    "unterminated header": (
+        "[mesh\n", "line 1, column 5: unterminated section header"),
+    "unknown section": (
+        "[magic]\n", "line 1: unknown section [magic]; expected one of "
+                     "data, mesh, params, run, scheme"),
+    "no equals sign": (
+        "[mesh]\nnx 4\n", "line 2, column 1: expected 'key = value'"),
+    "key outside a section": (
+        "nx = 4\n", "line 1, column 1: key outside any [section]"),
+    "unknown key": ("[mesh]\nnz = 4\n", "line 2: unknown key mesh.nz"),
+    "duplicate key": (
+        "[mesh]\nnx = 4\nnx = 8\n", "line 3: duplicate key mesh.nx"),
+    # mesh
+    "nx not an integer": (
+        "[mesh]\nnx = four\n",
+        "line 2: mesh.nx: invalid literal for int() with base 10: 'four'"),
+    "ny not an integer": (
+        "[mesh]\nny = 2.5\n",
+        "line 2: mesh.ny: invalid literal for int() with base 10: '2.5'"),
+    "split not a number": (
+        "[mesh]\nsplit = half\n",
+        "line 2: mesh.split: could not convert string to float: 'half'"),
+    "nx below one": ("[mesh]\nnx = 0\n", "mesh.nx: must be at least 1, got 0"),
+    "ny below two": ("[mesh]\nny = 1\n", "mesh.ny: must be at least 2, got 1"),
+    "split above one": (
+        "[mesh]\nsplit = 1.5\n",
+        "mesh.split: must lie strictly inside (0, 1), got 1.5"),
+    "split zero": (
+        "[mesh]\nsplit = 0\n",
+        "mesh.split: must lie strictly inside (0, 1), got 0.0"),
+    "file with nx": (
+        "[mesh]\nnx = 4\nfile = missing.mesh\n",
+        "mesh.file: excludes the generator keys (nx given)"),
+    "file with every generator key": (
+        "[mesh]\nsplit = 0.5\nfile = missing.mesh\nny = 4\nnx = 4\n",
+        "mesh.file: excludes the generator keys (nx, ny, split given)"),
+    "missing mesh file": (
+        "[mesh]\nfile = missing.mesh\n",
+        "mesh.file: no such file 'missing.mesh'"),
+    # params
+    **{"%s not a number" % key: (
+        "[params]\n%s = wet\n" % key,
+        "line 2: params.%s: could not convert string to float: 'wet'" % key)
+       for key in ("rho_f", "mu_f", "rho_s", "mu_s", "lambda_s", "s0",
+                   "alpha_bw", "beta_slip", "k", "k11", "k12", "k22")},
+    **{"%s not positive" % key: (
+        "[params]\n%s = 0\n" % key,
+        "params.%s: %s must be positive" % (key, key))
+       for key in ("rho_f", "mu_f", "rho_s", "mu_s", "s0", "beta_slip")},
+    "lambda_s negative": (
+        "[params]\nlambda_s = -1\n",
+        "params.lambda_s: lambda_s must be nonnegative"),
+    "alpha_bw negative": (
+        "[params]\nalpha_bw = -0.5\n",
+        "params.alpha_bw: alpha_bw must be nonnegative"),
+    "scalar k not positive": (
+        "[params]\nk = -1\n", "params.k: K must be positive definite"),
+    "tensor k indefinite": (
+        "[params]\nk12 = 2\n", "params.k: K must be positive definite"),
+    "tensor k22 not positive": (
+        "[params]\nk22 = 0\n", "params.k: K must be positive definite"),
+    "scalar and tensor k": (
+        "[params]\nk = 1.0\nk11 = 2.0\n",
+        "params.k: give either scalar k or k11/k12/k22, not both"),
+    # data
+    **{"%s bad expression" % key: (
+        "[data]\n%s = sin(pi*x) +* 2\n" % key,
+        "line 2, column %d: data.%s: position 11: expected a value, "
+        "found '*'" % (len(key) + 15, key))
+       for key in ("f_f_x", "f_f_y", "f_s_x", "f_s_y", "f_p", "p_in")},
+    "f_p unknown name": (
+        "[data]\nf_p = z + 1\n",
+        "line 2, column 7: data.f_p: position 0: unknown name 'z'"),
+    "f_p division by zero": (
+        "[data]\nf_p = 2*x/(3-3)\n",
+        "line 2, column 10: data.f_p: position 3: division by zero"),
+    "p_in overflows": (
+        "[data]\np_in =   1e200*1e200\n",
+        "line 2, column 15: data.p_in: position 5: the constant inf is not "
+        "finite"),
+    "scale not a number": (
+        "[data]\nscale = big\n",
+        "line 2: data.scale: could not convert string to float: 'big'"),
+    "scale overflows the data": (
+        "[data]\nf_p = 1e200\nscale = 1e200\n",
+        "data.scale: the constant inf is not finite"),
+    **{"%s alone" % key: (
+        "[data]\n%s = 1\n" % key,
+        "data.%s_x: %s_x and %s_y must be given together"
+        % ((key[:3],) * 3))
+       for key in ("f_f_x", "f_f_y", "f_s_x", "f_s_y")},
+    # scheme
+    "unknown scheme": (
+        "[scheme]\nscheme = rk4\n",
+        "scheme: unknown scheme 'rk4'; expected one of euler, midpoint"),
+    "dt not a number": (
+        "[scheme]\ndt = tiny\n",
+        "line 2: scheme.dt: could not convert string to float: 'tiny'"),
+    "t_final not a number": (
+        "[scheme]\nt_final = soon\n",
+        "line 2: scheme.t_final: could not convert string to float: 'soon'"),
+    "newton_tol not a number": (
+        "[scheme]\nnewton_tol = small\n",
+        "line 2: scheme.newton_tol: could not convert string to float: "
+        "'small'"),
+    "newton_max not an integer": (
+        "[scheme]\nnewton_max = 2.5\n",
+        "line 2: scheme.newton_max: invalid literal for int() with base 10: "
+        "'2.5'"),
+    "dt not positive": (
+        "[scheme]\ndt = -0.1\n", "scheme.dt: dt must be positive"),
+    "t_final not positive": (
+        "[scheme]\nt_final = 0\n", "scheme.t_final: t_final must be positive"),
+    "newton_tol not positive": (
+        "[scheme]\nnewton_tol = 0\n",
+        "scheme.newton_tol: newton_tol must be positive"),
+    "newton_max below one": (
+        "[scheme]\nnewton_max = 0\n",
+        "scheme.newton_max: newton_max must be at least 1"),
+    # run
+    "missing constants table": (
+        "[run]\nconstants_table = none.csv\n",
+        "run.constants_table: no such file 'none.csv'"),
+    **{"%s not a boolean" % key: (
+        "[run]\n%s = maybe\n" % key,
+        "line 2: run.%s: expected a boolean, got 'maybe'" % key)
+       for key in ("skew_symmetric_convection", "emit_vtk",
+                   "emit_certificate")},
+    # faults in two sections: the section read first is reported, and the
+    # syntax of the whole file is read before any section
+    "mesh range, params conversion": (
+        "[params]\nmu_f = abc\n[mesh]\nnx = 0\n",
+        "mesh.nx: must be at least 1, got 0"),
+    "params range, data pair": (
+        "[data]\nf_f_x = 1\n[params]\nmu_f = -1\n",
+        "params.mu_f: mu_f must be positive"),
+    "data expression, scheme range": (
+        "[scheme]\ndt = -1\n[data]\nf_p = 1/0\n",
+        "line 4, column 8: data.f_p: position 1: division by zero"),
+    "scheme name, run boolean": (
+        "[run]\nemit_vtk = maybe\n[scheme]\nscheme = rk4\n",
+        "scheme: unknown scheme 'rk4'; expected one of euler, midpoint"),
+    "mesh file, constants table": (
+        "[run]\nconstants_table = none.csv\n[mesh]\nfile = missing.mesh\n",
+        "mesh.file: no such file 'missing.mesh'"),
+    "params conflict, scheme conversion": (
+        "[scheme]\nnewton_max = x\n[params]\nk = 1\nk22 = 2\n",
+        "params.k: give either scalar k or k11/k12/k22, not both"),
+    "data scale, run table": (
+        "[run]\nconstants_table = none.csv\n[data]\nf_p = 1e200\n"
+        "scale = 1e200\n", "data.scale: the constant inf is not finite"),
+    "mesh range, later syntax": (
+        "[mesh]\nnx = 0\n[scheme]\ndt 1\n",
+        "line 4, column 1: expected 'key = value'"),
+    # two faults in one section: its keys are converted in schema order
+    # before its cross-key checks run
+    "mesh range, later conversion": (
+        "[mesh]\nnx = 0\nny = x\n",
+        "line 3: mesh.ny: invalid literal for int() with base 10: 'x'"),
+    "params conflict, later conversion": (
+        "[params]\nk = 1\nk11 = 2\nmu_f = x\n",
+        "line 4: params.mu_f: could not convert string to float: 'x'"),
+    "scheme two ranges": (
+        "[scheme]\nnewton_max = 0\ndt = 0\n", "scheme.dt: dt must be positive"),
+    "data pair, later expression": (
+        "[data]\nf_f_x = 1\nf_p = +\n",
+        "line 3, column 8: data.f_p: position 1: expected a value, found "
+        "'end of input'"),
+    "data pair, scale conversion": (
+        "[data]\nf_s_y = 1\nscale = x\n",
+        "line 3: data.scale: could not convert string to float: 'x'"),
+    "run table, boolean": (
+        "[run]\nconstants_table = none.csv\nemit_vtk = maybe\n",
+        "line 3: run.emit_vtk: expected a boolean, got 'maybe'"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CONFIG_FAULTS))
+def test_config_fault_message_is_exact(name, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    text, message = _CONFIG_FAULTS[name]
+    with pytest.raises(ConfigError) as err:
+        parse_config(_config(tmp_path, text))
+    assert str(err.value) == message
 
 
 # ---------------------------------------------------------------------------

@@ -254,6 +254,27 @@ def test_validate_reports_each_defect_exactly(name):
     assert validate(_defective(name)) == _DEFECT_MESSAGES[name]
 
 
+# the unknown tag is reported alone: the facets of a triangle with one, and
+# a facet with one, are left out of the adjacency checks
+@pytest.mark.parametrize("array,index,tag,message", [
+    ("tri_tags", 0, 2, "triangle 0 carries unknown subdomain tag 2"),
+    # -1 is also the "no triangle" entry of the edge table
+    ("tri_tags", 0, -1, "triangle 0 carries unknown subdomain tag -1"),
+    ("facet_tags", 0, 9, "facet 0 carries unknown tag 9"),
+    # a Fluid triangle on the inlet, a boundary facet, and on the interface
+    ("tri_tags", 7, 2, "triangle 7 carries unknown subdomain tag 2"),
+    ("tri_tags", 4, -1, "triangle 4 carries unknown subdomain tag -1"),
+], ids=["triangle tag 2", "triangle tag -1", "facet tag 9",
+        "fluid triangle tag 2", "fluid triangle tag -1"])
+def test_validate_reports_unknown_tags(array, index, tag, message):
+    m = build_rect_two_domain(2, 2, 0.5)
+    arrays = dict(vertices=m.vertices, triangles=m.triangles,
+                  tri_tags=m.tri_tags.copy(), facets=m.facets,
+                  facet_tags=m.facet_tags.copy())
+    arrays[array][index] = tag
+    assert validate(Mesh(**arrays)) == [message]
+
+
 _GRIDS = [(1, 2, 0.5), (5, 8, 0.25), (16, 16, 0.5), (15, 20, 0.35)]
 
 
@@ -354,3 +375,108 @@ def test_read_rejects_trailing_content(tmp_path):
         fh.write("extra stuff\n")
     with pytest.raises(MeshFormatError):
         read_mesh(path)
+
+
+# lines of the 2 x 2 file: the header, "vertices 9" at index 1 and its rows
+# at 2..10, "triangles 8" at 11 and its rows at 12..19, "facets 16" at 20
+# and its rows at 21..36
+def _line(index, text):
+    return lambda lines: lines[:index] + [text] + lines[index + 1:]
+
+
+# one fault per file and its message, recorded from the reader that wrote
+# one row loop per section
+_FILE_FAULTS = {
+    "empty file": (
+        lambda lines: [], "line 1: expected header 'fsimesh 1', found None"),
+    "only comments": (
+        lambda lines: ["# nothing", "", "  # here"],
+        "line 1: expected header 'fsimesh 1', found None"),
+    "wrong header": (
+        _line(0, "fsimesh 2"),
+        "line 1: expected header 'fsimesh 1', found 'fsimesh 2'"),
+    "no vertices section": (
+        lambda lines: lines[:1],
+        "unexpected end of file, expected 'vertices' section"),
+    "wrong section name": (
+        _line(1, "points 9"),
+        "line 2: expected 'vertices' section header, found 'points 9'"),
+    "section header of three fields": (
+        _line(1, "vertices 9 2"),
+        "line 2: expected 'vertices' section header, found 'vertices 9 2'"),
+    "bad count": (_line(1, "vertices x"), "line 2: bad count 'x'"),
+    "negative count": (_line(1, "vertices -1"), "line 2: negative count"),
+    "vertex of one coordinate": (
+        _line(2, "0.0"), "line 3: expected two coordinates"),
+    "vertex of three coordinates": (
+        _line(3, "0.5 0.0 0.0"), "line 4: expected two coordinates"),
+    "bad coordinate": (
+        _line(4, "1.0 nope"), "line 5: bad coordinate in '1.0 nope'"),
+    "end inside vertices": (
+        lambda lines: lines[:5], "unexpected end of file inside vertices"),
+    "too few vertices counted": (
+        _line(1, "vertices 8"),
+        "line 11: expected 'triangles' section header, found '1.0 1.0'"),
+    "no triangles section": (
+        lambda lines: lines[:11],
+        "unexpected end of file, expected 'triangles' section"),
+    "triangles header without count": (
+        _line(11, "triangles"),
+        "line 12: expected 'triangles' section header, found 'triangles'"),
+    "triangle of three fields": (
+        _line(12, "0 1 4"), "line 13: expected 'i j k subdomain'"),
+    "triangle of five fields": (
+        _line(13, "0 4 3 Fluid Poro"), "line 14: expected 'i j k subdomain'"),
+    "bad vertex index in a triangle": (
+        _line(14, "1 2 x Poro"), "line 15: bad vertex index in '1 2 x Poro'"),
+    "fractional vertex index": (
+        _line(15, "1 5.0 4 Poro"),
+        "line 16: bad vertex index in '1 5.0 4 Poro'"),
+    "unknown subdomain tag": (
+        _line(16, "3 4 7 Rock"), "line 17: unknown subdomain tag 'Rock'"),
+    "end inside triangles": (
+        lambda lines: lines[:15], "unexpected end of file inside triangles"),
+    "too many triangles counted": (
+        _line(11, "triangles 9"), "line 21: expected 'i j k subdomain'"),
+    "no facets section": (
+        lambda lines: lines[:20],
+        "unexpected end of file, expected 'facets' section"),
+    "bad facet count": (_line(20, "facets 16.0"), "line 21: bad count '16.0'"),
+    "facet of two fields": (_line(21, "0 1"), "line 22: expected 'i j tag'"),
+    "facet of four fields": (
+        _line(22, "1 2 PoroSolid PoroSolid"), "line 23: expected 'i j tag'"),
+    "bad vertex index in a facet": (
+        _line(23, "six 7 FluidExternal"),
+        "line 24: bad vertex index in 'six 7 FluidExternal'"),
+    "unknown facet tag": (
+        _line(24, "7 8 Bedrock"), "line 25: unknown facet tag 'Bedrock'"),
+    "end inside facets": (
+        lambda lines: lines[:30], "unexpected end of file inside facets"),
+    "trailing content": (
+        lambda lines: lines + ["extra stuff"],
+        "line 38: unexpected trailing content 'extra stuff'"),
+    "triangle vertex out of range": (
+        _line(12, "0 1 9 Poro"), "triangle vertex index out of range"),
+    "negative triangle vertex": (
+        _line(12, "-1 1 4 Poro"), "triangle vertex index out of range"),
+    "facet vertex out of range": (
+        _line(21, "0 10 PoroSolid"), "facet vertex index out of range"),
+    # an index past int64 was an uncaught OverflowError
+    "vertex index past int64": (
+        _line(12, "0 1 99999999999999999999 Poro"),
+        "line 13: bad vertex index in '0 1 99999999999999999999 Poro'"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FILE_FAULTS))
+def test_read_fault_message_is_exact(tmp_path, name):
+    mutate, message = _FILE_FAULTS[name]
+    path = tmp_path / "mesh.txt"
+    write_mesh(build_rect_two_domain(2, 2, 0.5), path)
+    lines = path.read_text().splitlines()
+    assert lines[1] == "vertices 9" and lines[11] == "triangles 8"
+    assert lines[20] == "facets 16" and len(lines) == 37
+    path.write_text("".join(line + "\n" for line in mutate(lines)))
+    with pytest.raises(MeshFormatError) as err:
+        read_mesh(path)
+    assert str(err.value) == message
