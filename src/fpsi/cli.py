@@ -162,11 +162,13 @@ def _read_entries(path):
 
 
 def _keyed_error(section, exc):
-    """Prefix a dataclass validation message with its best key path."""
+    """Prefix a dataclass validation message with its key path, the first
+    word of the message that names a key of the section."""
     message = str(exc)
-    token = message.split()[0].lower() if message else ""
-    if token in _SECTIONS[section]:
-        return ConfigError("%s.%s: %s" % (section, token, message))
+    key = next((word for word in message.lower().split()
+                if word in _SECTIONS[section]), None)
+    if key is not None:
+        return ConfigError("%s.%s: %s" % (section, key, message))
     return ConfigError("%s: %s" % (section, message))
 
 

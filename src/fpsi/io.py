@@ -8,12 +8,11 @@ same object produces byte-identical files.
 import csv
 import hashlib
 import json
-from dataclasses import fields as dataclass_fields
+import math
 
 import numpy as np
 
 from .constants import KIND_DESCRIPTIONS, ConstantEstimate
-from .monitor import CertificateRow
 from .verify import ERROR_KEYS, RESIDUAL_KEYS
 
 # convergence-table CSV columns per error norm, in table order
@@ -143,17 +142,20 @@ def format_convergence(table):
 # certificate table
 # ---------------------------------------------------------------------------
 
-_CERT_FIELDS = tuple(f.name for f in dataclass_fields(CertificateRow))
-
-
 def write_certificate(path, report):
-    """Write the per-step rows of a certificate report as CSV."""
+    """Write the columns of a certificate report as CSV, one row per step.
+
+    A column that starts after step 0 reads ``nan`` before its first step
+    if it holds floats, and is empty there if it holds flags or counts.
+    """
+    columns = report.columns
+    steps = max(map(len, columns.values()))
+    cells = [[math.nan if v.dtype.kind == "f" else None] * (steps - len(v))
+             + v.tolist() for v in columns.values()]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(_CERT_FIELDS)
-        for row in report.rows:
-            writer.writerow([_fmt(getattr(row, name))
-                             for name in _CERT_FIELDS])
+        writer.writerow(columns)
+        writer.writerows(map(_fmt, row) for row in zip(*cells))
 
 
 def write_summary(path, summary):

@@ -395,7 +395,10 @@ def read_mesh(path):
     After the header, the sections of ``_FILE_SECTIONS`` are read by one
     row loop: each section's header gives its row count, and each row holds
     the section's fields, converted by its converter, and then the name of
-    its tag, if the section is tagged.
+    its tag, if the section is tagged.  A count past numpy's largest
+    dimension is an error at its header; one past the lines that follow is
+    an early end of file, and no more rows are allocated than there are
+    lines.
 
     Raises
     ------
@@ -404,8 +407,9 @@ def read_mesh(path):
     """
     # the content lines, numbered from 1, without comments and blank lines
     with open(path) as fh:
-        content = iter([(lineno, line) for lineno, line in enumerate(
-            (raw.split("#", 1)[0].strip() for raw in fh), start=1) if line])
+        lines = [(lineno, line) for lineno, line in enumerate(
+            (raw.split("#", 1)[0].strip() for raw in fh), start=1) if line]
+    content = iter(lines)
 
     lineno, line = next(content, (None, None))
     if line is None or line != MESH_FORMAT_HEADER:
@@ -427,9 +431,12 @@ def read_mesh(path):
             raise MeshFormatError("line %d: bad count %r" % (lineno, parts[1])) from None
         if count < 0:
             raise MeshFormatError("line %d: negative count" % lineno)
+        if count > np.iinfo(np.intp).max:
+            raise MeshFormatError("line %d: count %d is too large"
+                                  % (lineno, count))
 
-        rows = np.empty((count, width), dtype=conv)
-        tags = np.empty(count, dtype=int)
+        rows = np.empty((min(count, len(lines)), width), dtype=conv)
+        tags = np.empty(len(rows), dtype=int)
         for k in range(count):
             lineno, line = next(content, (None, None))
             if line is None:

@@ -29,13 +29,15 @@ trajectory:
   reads, one number per state and per step; it holds one window of states,
   not the trajectory.
 
-- :func:`energy_report` turns those forms into one row per time step with
-  the discrete energy identity defect, the first and second energy bounds,
-  the dissipation smallness conditions, the multiplier bound and a Gronwall
+- :func:`energy_report` turns those forms into the certificate's columns,
+  one value per time step from each column's first step on: the discrete
+  energy identity defect, the first and second energy bounds, the
+  dissipation smallness conditions, the multiplier bound and a Gronwall
   self-check, plus a run-level summary of all flags with the first failing
-  step and worst margin of each.  The identity's load work and convection
-  power are the ones the solve recorded for each step.  A recorded
-  trajectory is fed through a stream first, so both take one code path.
+  step and worst margin of each; a flag's column, summary flag and detail
+  are read from one table of bounds.  The identity's load work and
+  convection power are the ones the solve recorded for each step.  A
+  recorded trajectory is fed through a stream first: one code path.
 """
 
 import math
@@ -334,52 +336,15 @@ def check_small_data(mesh, params, data, t_final, constants):
                            ok=bool(lhs < rhs), s_star=s_star, terms=terms)
 
 
-@dataclass
-class CertificateRow:
-    """Everything the monitor can say about one accepted time step."""
-
-    n: int
-    t: float
-    energy: float
-    dissipation: float = math.nan
-    cum_dissipation: float = 0.0
-    work: float = math.nan
-    identity_defect: float = math.nan
-    identity_scale: float = math.nan
-    identity_ok: bool = None
-    cum_c1_sq: float = 0.0
-    mb1_lhs: float = math.nan
-    mb1_rhs: float = math.nan
-    mb1_ok: bool = None
-    du_norm: float = math.nan
-    dumbound_ok: bool = None
-    uniqueness_ok: bool = None
-    dot_energy: float = math.nan
-    cum_dot_dissipation: float = math.nan
-    mb2_lhs: float = math.nan
-    mb2_rhs_root: float = math.nan
-    mb2_rhs_squared: float = math.nan
-    mb2_root_ok: bool = None
-    mb2_squared_ok: bool = None
-    pf_lhs: float = math.nan
-    pf_rhs: float = math.nan
-    pf_ok: bool = None
-    zeta: float = math.nan
-    gronwall_premise_rhs: float = math.nan
-    gronwall_conclusion_rhs: float = math.nan
-    gronwall_premise_ok: bool = None
-    gronwall_conclusion_ok: bool = None
-    # how the step's Newton iteration converged
-    newton_iterations: int = None
-    gmres_iterations: int = None
-    newton_residual: float = math.nan
-
-
 @dataclass(frozen=True)
 class CertificateReport:
-    """All per-step certificate rows plus the run-level summary."""
+    """The certificate's columns plus the run-level summary.
 
-    rows: list
+    ``columns`` maps each column, in CSV order, to its values, one per step
+    from its first step on; that step is ``len(times) - len(values)``.
+    """
+
+    columns: dict
     summary: dict
 
 
@@ -389,8 +354,6 @@ _STATE_FIELDS = ("alpha", "beta", "gamma", "theta", "pi")
 # a 16 x 16 mesh and the stream holds at most this many states plus one,
 # however long the trajectory is
 _STEP_BLOCK = 8
-# the row flags whose run-level summary flag has another name
-_SUMMARY_FLAG = {"mb1_ok": "mainbound1_ok", "pf_ok": "pfbound_ok"}
 
 
 def _map(fn, *states, t):
@@ -493,7 +456,7 @@ def _flag_detail(first, margin, ok):
 
 def energy_report(traj, blocks, data, constants, funcs=None,
                   newton_tol=1e-10):
-    """Certificate rows for every state of a computed trajectory.
+    """The certificate of a computed trajectory, as columns.
 
     ``traj`` is the :class:`CertificateStream` that took the trajectory's
     states as the solve made them, or a recorded trajectory (``scheme``,
@@ -510,9 +473,11 @@ def energy_report(traj, blocks, data, constants, funcs=None,
     diagnostics.  The load work and the convection power of each step are
     the ones its solve recorded in its diagnostics, at the stage of the
     accepted state; so are its Newton and GMRES counts and its final scaled
-    residual.  ``summary["flag_detail"]`` gives, per row flag, the first
-    failing step (or None), the worst step and the worst margin (the bound
-    minus the checked quantity, negative where the flag fails).
+    residual.  Each row flag is stated once, in a table of its summary
+    flag, checked quantity and bound; its column, its summary flag (the
+    column's all) and its ``summary["flag_detail"]`` entry are read from
+    it: the first failing step (or None), the worst step and the worst
+    margin (the bound minus the checked quantity, negative where it fails).
     """
     stream = traj
     if not isinstance(stream, CertificateStream):
@@ -553,10 +518,6 @@ def energy_report(traj, blocks, data, constants, funcs=None,
     diags = stream.diagnostics
     nterm = np.array([d.convection_power for d in diags])
     work = np.array([d.work for d in diags])
-    solves = dict(
-        newton_iterations=np.array([d.iterations for d in diags]),
-        gmres_iterations=np.array([d.krylov_iterations for d in diags]),
-        newton_residual=np.array([d.residual_norms[-1] for d in diags]))
     defect = (energy[1:] - energy[:-1] + jump) / dt + diss + nterm - work
     scale = ((np.abs(energy[1:]) + np.abs(energy[:-1]) + jump) / dt
              + np.abs(diss) + np.abs(nterm) + np.abs(work))
@@ -585,44 +546,46 @@ def energy_report(traj, blocks, data, constants, funcs=None,
               + t2 * np.sqrt(funcs.pin_sq(t))
               + np.sqrt(funcs.ff_sq(t))) / kappa
 
-    # row flag -> (first step, bound minus checked quantity, flag)
-    margins = {
-        "identity_ok": (1, identity_bound - np.abs(defect),
-                        np.abs(defect) <= identity_bound),
-        "mb1_ok": (0, mb1_rhs - mb1_lhs, mb1_lhs <= mb1_rhs),
-        "dumbound_ok": (0, du_limit - du_norm, du_norm < du_limit),
-        "uniqueness_ok": (0, uniq_limit - du_norm, du_norm <= uniq_limit),
-        "mb2_root_ok": (1, mb2_rhs_root - mb2_lhs, mb2_lhs <= mb2_rhs_root),
-        "mb2_squared_ok": (1, mb2_rhs_squared - mb2_lhs,
-                           mb2_lhs <= mb2_rhs_squared),
-        "pf_ok": (1, pf_rhs - pf_lhs, pf_lhs <= pf_rhs),
-        "gronwall_premise_ok": (0, gron_premise - zeta, zeta <= gron_premise),
-        "gronwall_conclusion_ok": (0, gron_conclusion - zeta,
-                                   zeta <= gron_conclusion),
+    # row flag -> (summary flag, checked quantity, bound, strict): the
+    # flag holds where the quantity is below the bound (or at it, unless
+    # strict), and its margin is the bound minus the quantity
+    bounds = {
+        "identity_ok": ("identity_ok", np.abs(defect), identity_bound, False),
+        "mb1_ok": ("mainbound1_ok", mb1_lhs, mb1_rhs, False),
+        "dumbound_ok": ("dumbound_ok", du_norm, du_limit, True),
+        "uniqueness_ok": ("uniqueness_ok", du_norm, uniq_limit, False),
+        "mb2_root_ok": ("mb2_root_ok", mb2_lhs, mb2_rhs_root, False),
+        "mb2_squared_ok": ("mb2_squared_ok", mb2_lhs, mb2_rhs_squared, False),
+        "pf_ok": ("pfbound_ok", pf_lhs, pf_rhs, False),
+        "gronwall_premise_ok": ("gronwall_premise_ok", zeta, gron_premise,
+                                False),
+        "gronwall_conclusion_ok": ("gronwall_conclusion_ok", zeta,
+                                   gron_conclusion, False),
     }
-    # CertificateRow field -> (first step, values)
-    columns = {name: (first, ok) for name, (first, _, ok) in margins.items()}
-    columns.update({name: (0, v) for name, v in dict(
-        t=times, energy=energy, cum_dissipation=cum_diss, cum_c1_sq=cum_c1,
-        mb1_lhs=mb1_lhs, mb1_rhs=mb1_rhs, du_norm=du_norm, zeta=zeta,
-        gronwall_premise_rhs=gron_premise,
-        gronwall_conclusion_rhs=gron_conclusion).items()})
-    columns.update({name: (1, v) for name, v in dict(
-        dissipation=diss, work=work, identity_defect=defect,
-        identity_scale=scale, dot_energy=dot_energy,
+    # the columns in CSV order, each from its first step on; a flag's
+    # column is filled from its bound below
+    columns = dict(
+        n=np.arange(len(times)), t=times, energy=energy, dissipation=diss,
+        cum_dissipation=cum_diss, work=work, identity_defect=defect,
+        identity_scale=scale, identity_ok=None, cum_c1_sq=cum_c1,
+        mb1_lhs=mb1_lhs, mb1_rhs=mb1_rhs, mb1_ok=None, du_norm=du_norm,
+        dumbound_ok=None, uniqueness_ok=None, dot_energy=dot_energy,
         cum_dot_dissipation=cum_dot_diss, mb2_lhs=mb2_lhs,
         mb2_rhs_root=mb2_rhs_root, mb2_rhs_squared=mb2_rhs_squared,
-        pf_lhs=pf_lhs, pf_rhs=pf_rhs, **solves).items()})
-    rows = [CertificateRow(n=n, **{name: v[n - first].item()
-                                   for name, (first, v) in columns.items()
-                                   if n >= first})
-            for n in range(len(times))]
-
+        mb2_root_ok=None, mb2_squared_ok=None, pf_lhs=pf_lhs, pf_rhs=pf_rhs,
+        pf_ok=None, zeta=zeta, gronwall_premise_rhs=gron_premise,
+        gronwall_conclusion_rhs=gron_conclusion, gronwall_premise_ok=None,
+        gronwall_conclusion_ok=None,
+        newton_iterations=np.array([d.iterations for d in diags], dtype=int),
+        gmres_iterations=np.array([d.krylov_iterations for d in diags],
+                                  dtype=int),
+        newton_residual=np.array([d.residual_norms[-1] for d in diags]))
     flags, detail = {}, {}
-    for name, (first, margin, ok) in margins.items():
-        flag = _SUMMARY_FLAG.get(name, name)
+    for name, (flag, checked, bound, strict) in bounds.items():
+        ok = columns[name] = checked < bound if strict else checked <= bound
         flags[flag] = bool(np.all(ok))
-        detail[flag.removesuffix("_ok")] = _flag_detail(first, margin, ok)
+        detail[flag.removesuffix("_ok")] = _flag_detail(
+            len(times) - len(ok), bound - checked, ok)
     summary = {
         "scheme": stream.scheme,
         "dt": dt,
@@ -641,4 +604,4 @@ def energy_report(traj, blocks, data, constants, funcs=None,
         "flag_detail": detail,
         **flags,
     }
-    return CertificateReport(rows=rows, summary=summary)
+    return CertificateReport(columns=columns, summary=summary)

@@ -26,8 +26,10 @@ matrix it factored; the factor right-preconditions one GMRES(30) cycle per
 correction, one LU solve per iteration, with the matrix applied as the
 factored one plus the convection Jacobian of the velocity change since it
 was built, exact because the convection term is trilinear.  Unless the
-cycle's estimate and the correction's true residual both fall below 1e-12
-relative (an exact Newton method), the current matrix is factored and
+cycle's estimate falls below 1e-12 relative and the correction's true
+residual does too or reaches a normwise backward error of 16 unit
+round-offs (an exact Newton method; the backward error is the floor that
+round-off leaves a stiff system), the current matrix is factored and
 becomes the new preconditioner (Saad 2003, 9.3; Knoll & Keyes 2004).
 
 The factor is only a preconditioner, so it is made in single precision, in
@@ -37,7 +39,7 @@ or the right points coupled across it, whichever hold fewer unknowns.
 GMRES, the residuals and the states stay in double.  A fresh factor
 preconditions the same GMRES cycle, applied with the matrix it was made
 from (GMRES-IR, Carson & Higham 2017), so every LU solve is one GMRES
-iteration; a fresh factor whose cycle misses the 1e-12 test is a
+iteration; a fresh factor whose cycle misses that test is a
 :class:`StepError`.
 """
 
@@ -58,6 +60,12 @@ SCHEMES = ("euler", "midpoint")
 # tolerance triggers a fresh factorisation
 GMRES_RESTART = 30
 GMRES_RTOL = 1e-12
+# a correction whose true residual misses GMRES_RTOL |b| is accepted when
+# its normwise backward error is at most 16 unit round-offs: it then solves
+# J dz = b with J and b perturbed by 1.8e-15 relative.  Where |J| |dz| >>
+# |b|, as with a nearly incompressible skeleton, round-off alone keeps the
+# residual near u |J| |dz|, above GMRES_RTOL |b|
+BACKWARD_ERROR_TOL = 16 * np.finfo(float).eps / 2
 # nested dissection stops cutting a part of at most this many unknowns
 LEAF_SIZE = 32
 
@@ -386,7 +394,7 @@ class NewtonSolver:
         self.terms = _linear_terms(blocks)
         self.scales = _row_scales(blocks, dt, self.terms)
         self.perm = None
-        self.lu = self.J_f = self.alpha_f = None
+        self.lu = self.J_f = self.alpha_f = self.norm_f = None
 
     def correction(self, rhs, stage_alpha):
         """Solve J(stage) dz = rhs; returns (dz, GMRES iterations, factored).
@@ -411,7 +419,7 @@ class NewtonSolver:
     def _factor(self, stage_alpha):
         # the old matrix and factor go first, so that none is alive at the
         # first splu, which sets the memory peak of a run
-        self.lu = self.J_f = None
+        self.lu = self.J_f = self.norm_f = None
         J = self.J_f = _jacobian(self.blocks, self.scheme, self.dt,
                                  stage_alpha, self.terms).tocsc()
         self.alpha_f = stage_alpha.copy()
@@ -426,10 +434,12 @@ class NewtonSolver:
                             options={"SymmetricMode": True})
 
     def _matvec(self, stage_alpha):
-        """``v -> J(stage) v``: ``J_f v`` plus ``s Jn(stage - alpha_f)`` on
-        the velocity block, Jn being linear; ``J_f`` alone at alpha_f."""
+        """``v -> J(stage) v`` and the convection change ``dJn`` it adds:
+        ``J_f v`` plus ``s dJn`` on the velocity block, with ``dJn =
+        Jn(stage - alpha_f)``, Jn being linear; ``J_f`` alone (and None) at
+        alpha_f."""
         if np.array_equal(stage_alpha, self.alpha_f):
-            return self.J_f.__matmul__
+            return self.J_f.__matmul__, None
         _, dJn = self.blocks.convection(stage_alpha - self.alpha_f, jac=True)
         na = self.blocks.n_alpha
 
@@ -437,7 +447,29 @@ class NewtonSolver:
             out = self.J_f @ v
             out[:na] += self.s * (dJn @ v[:na])
             return out
-        return matvec
+        return matvec, dJn
+
+    def _accepts(self, b, x, r, dJn):
+        """Whether ``x``, with residual ``r = b - J x``, solves ``J x = b``:
+        ``|r| <= GMRES_RTOL |b|``, or the normwise backward error
+        ``|r| / (|J| |x| + |b|)`` is at most ``BACKWARD_ERROR_TOL`` (Rigal &
+        Gaches 1967; Higham 2002, Thm 7.1), in the 2-norm throughout.
+
+        ``|J|`` is bounded below, so the error is bounded above: ``|J_f|``
+        is at least its largest column norm (``norm_f``, taken once per
+        factor and only when a residual misses), and ``|J|`` on an old
+        factor, ``J = J_f + s dJn``, at least ``|J_f| - s |dJn|_F``, the
+        Frobenius norm bounding the 2-norm of the convection change.
+        """
+        r_norm, b_norm = np.linalg.norm(r), np.linalg.norm(b)
+        if r_norm <= GMRES_RTOL * b_norm:
+            return True
+        if self.norm_f is None:
+            self.norm_f = spla.norm(self.J_f, axis=0).max()
+        j_norm = self.norm_f - (0.0 if dJn is None
+                                else self.s * spla.norm(dJn))
+        return bool(r_norm <= BACKWARD_ERROR_TOL
+                    * (max(j_norm, 0.0) * np.linalg.norm(x) + b_norm))
 
     def _precondition(self, r):
         """``M^-1 r = P^T lu.solve(P r)``: one single-precision solve of
@@ -450,18 +482,19 @@ class NewtonSolver:
 
     def _solve(self, b, stage_alpha):
         """GMRES(``GMRES_RESTART``) cycles preconditioned by the factor until
-        the estimate and the true residual reach the tolerance (NaN fails):
-        a miss refactors, and a fresh factor's miss is a :class:`StepError`."""
+        the estimate reaches the tolerance and :meth:`_accepts` the true
+        residual (NaN fails): a miss refactors, and a fresh factor's miss
+        is a :class:`StepError`."""
         tol = GMRES_RTOL * np.linalg.norm(b)
         krylov = 0
         for fresh in (self.lu is None, True):
             if fresh:
                 self._factor(stage_alpha)
-            matvec = self._matvec(stage_alpha)
+            matvec, dJn = self._matvec(stage_alpha)
             x, k = _gmres_cycle(matvec, self._precondition, b,
                                 GMRES_RESTART, tol)
             krylov += k
-            if x is not None and np.linalg.norm(b - matvec(x)) <= tol:
+            if x is not None and self._accepts(b, x, b - matvec(x), dJn):
                 return x, krylov, fresh
             if fresh:
                 raise StepError("GMRES on a fresh factor missed its residual "

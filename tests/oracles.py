@@ -34,6 +34,7 @@ Tests compare the production code against these.
 import csv
 import operator
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 import scipy.linalg as la
@@ -54,7 +55,7 @@ from fpsi.fem import (DofMap, ElementKind, VectorSpace, basis_eval,
                       build_dofmaps, make_scalar_space, make_vector_space,
                       triangle_rule)
 from fpsi.mesh import Mesh
-from fpsi.monitor import CertificateReport, CertificateRow
+from fpsi.monitor import CertificateReport
 from fpsi.timestepper import (SchemeConfig, _jacobian, _pack, _residual_rows,
                               _unpack, run, step)
 from fpsi.verify import CASE_IDS, manufactured_case
@@ -610,12 +611,14 @@ def recorded_run(blocks, data, cfg, initial_state=None):
 
 def rowwise_energy_report(traj, blocks, data, constants, funcs,
                           newton_tol=1e-10):
-    """The certificate rows and summary flags, one state at a time.
+    """The certificate columns and summary flags, one state at a time.
 
     Every quadratic form is a vector dot of one state, every data norm one
     scalar call per time (C1, C2 by :func:`scalar_cumulative`), and the
     identity is checked with the jump term for the implicit Euler scheme
-    and at the averaged stage for the midpoint scheme.
+    and at the averaged stage for the midpoint scheme.  Each row carries
+    the quantities its step has; a column holds a name's values over the
+    rows that carry it.
     """
     p = blocks.params
     dm = blocks.dm
@@ -665,7 +668,7 @@ def rowwise_energy_report(traj, blocks, data, constants, funcs,
     cum_dot_diss = 0.0
     gron_rightsum = 0.0
     for n, state in enumerate(states):
-        row = CertificateRow(n=n, t=state.t, energy=energy(state))
+        row = SimpleNamespace(n=n, t=state.t, energy=energy(state))
         row.du_norm = np.sqrt(max(
             state.alpha @ (visc2 @ state.alpha), 0.0) / (2.0 * p.mu_f))
         row.dumbound_ok = bool(row.du_norm < du_limit)
@@ -763,10 +766,9 @@ def rowwise_energy_report(traj, blocks, data, constants, funcs,
         rows.append(row)
 
     def all_of(attr):
-        return all(getattr(r, attr) for r in rows
-                   if getattr(r, attr) is not None)
+        return all(getattr(r, attr) for r in rows if hasattr(r, attr))
 
-    pf_rows = [r for r in rows if r.pf_ok is not None]
+    pf_rows = [r for r in rows if hasattr(r, "pf_ok")]
     summary = {
         "identity_ok": all_of("identity_ok"),
         "mainbound1_ok": all_of("mb1_ok"),
@@ -786,7 +788,10 @@ def rowwise_energy_report(traj, blocks, data, constants, funcs,
         "max_du_norm": max(r.du_norm for r in rows),
         "c3": c3,
     }
-    return CertificateReport(rows=rows, summary=summary)
+    names = dict.fromkeys(name for r in rows for name in vars(r))
+    columns = {name: np.array([getattr(r, name) for r in rows
+                               if hasattr(r, name)]) for name in names}
+    return CertificateReport(columns=columns, summary=summary)
 
 
 def residual(blocks, state, state_dot, loads, nl):

@@ -226,25 +226,25 @@ def test_criterion_08_certificate_flags_hold_for_small_data_run(criterion):
     traj = oracles.recorded_run(blocks, data, cfg)
     report = energy_report(traj, blocks, data, consts,
                            newton_tol=cfg.newton_tol)
-    rows = report.rows
+    cols = report.columns
 
-    mb1_fail = [r.n for r in rows if r.mb1_ok is False]
-    du_fail = [r.n for r in rows if r.dumbound_ok is False]
-    mb1_margin = min(r.mb1_rhs - r.mb1_lhs for r in rows[1:])
+    # both flags start at step 0
+    mb1_fail = np.flatnonzero(~cols["mb1_ok"]).tolist()
+    du_fail = np.flatnonzero(~cols["dumbound_ok"]).tolist()
+    mb1_margin = np.min((cols["mb1_rhs"] - cols["mb1_lhs"])[1:])
 
-    mb2_rows = [r for r in rows if not math.isnan(r.mb2_lhs)]
-    both_logged = mb2_rows and all(
-        not math.isnan(r.mb2_rhs_root)
-        and not math.isnan(r.mb2_rhs_squared) for r in mb2_rows)
-    root_margin = min(r.mb2_rhs_root - r.mb2_lhs for r in mb2_rows)
-    squared_margin = min(r.mb2_rhs_squared - r.mb2_lhs for r in mb2_rows)
-    pf_rows = [r for r in rows if r.pf_ok is not None]
+    mb2_lhs = cols["mb2_lhs"]
+    both_logged = len(mb2_lhs) > 0 and all(
+        len(cols[name]) == len(mb2_lhs) and not np.any(np.isnan(cols[name]))
+        for name in ("mb2_rhs_root", "mb2_rhs_squared"))
+    root_margin = np.min(cols["mb2_rhs_root"] - mb2_lhs)
+    squared_margin = np.min(cols["mb2_rhs_squared"] - mb2_lhs)
 
     criterion(8, "certificate flags on small-data run",
-              len(rows) == 101 and not mb1_fail and not du_fail
+              len(cols["n"]) == 101 and not mb1_fail and not du_fail
               and report.summary["mainbound1_ok"]
               and report.summary["dumbound_ok"] and bool(both_logged)
-              and bool(pf_rows),
+              and len(cols["pf_ok"]) > 0,
               "100 steps all mb1/du flags true (mb1 min margin %+.1e); "
               "second bound margins: rooted %+.1e, squared %+.1e; "
               "pressure bound flags %s/%s"

@@ -354,7 +354,8 @@ _CONFIG_FAULTS = {
     # scheme
     "unknown scheme": (
         "[scheme]\nscheme = rk4\n",
-        "scheme: unknown scheme 'rk4'; expected one of euler, midpoint"),
+        "scheme.scheme: unknown scheme 'rk4'; expected one of euler, "
+        "midpoint"),
     "dt not a number": (
         "[scheme]\ndt = tiny\n",
         "line 2: scheme.dt: could not convert string to float: 'tiny'"),
@@ -401,7 +402,8 @@ _CONFIG_FAULTS = {
         "line 4, column 8: data.f_p: position 1: division by zero"),
     "scheme name, run boolean": (
         "[run]\nemit_vtk = maybe\n[scheme]\nscheme = rk4\n",
-        "scheme: unknown scheme 'rk4'; expected one of euler, midpoint"),
+        "scheme.scheme: unknown scheme 'rk4'; expected one of euler, "
+        "midpoint"),
     "mesh file, constants table": (
         "[run]\nconstants_table = none.csv\n[mesh]\nfile = missing.mesh\n",
         "mesh.file: no such file 'missing.mesh'"),
@@ -566,6 +568,46 @@ def test_run_writes_outputs_and_manifest(tmp_path, capsys):
     capsys.readouterr()
     for name in ("constants.csv", "solution.vtk", "certificate.csv"):
         assert (out / name).read_bytes() == (out2 / name).read_bytes()
+
+
+# the certificate.csv header that fpsi run writes, in its order
+CERTIFICATE_HEADER = [
+    "n", "t", "energy", "dissipation", "cum_dissipation", "work",
+    "identity_defect", "identity_scale", "identity_ok", "cum_c1_sq",
+    "mb1_lhs", "mb1_rhs", "mb1_ok", "du_norm", "dumbound_ok",
+    "uniqueness_ok", "dot_energy", "cum_dot_dissipation", "mb2_lhs",
+    "mb2_rhs_root", "mb2_rhs_squared", "mb2_root_ok", "mb2_squared_ok",
+    "pf_lhs", "pf_rhs", "pf_ok", "zeta", "gronwall_premise_rhs",
+    "gronwall_conclusion_rhs", "gronwall_premise_ok",
+    "gronwall_conclusion_ok", "newton_iterations", "gmres_iterations",
+    "newton_residual",
+]
+# the columns that start at step 1: the float ones read nan at step 0, the
+# flags and counts are empty there
+FROM_STEP_1_FLOATS = {
+    "dissipation", "work", "identity_defect", "identity_scale",
+    "dot_energy", "cum_dot_dissipation", "mb2_lhs", "mb2_rhs_root",
+    "mb2_rhs_squared", "pf_lhs", "pf_rhs", "newton_residual"}
+FROM_STEP_1_FLAGS_AND_COUNTS = {
+    "identity_ok", "mb2_root_ok", "mb2_squared_ok", "pf_ok",
+    "newton_iterations", "gmres_iterations"}
+
+
+def test_certificate_layout_is_pinned(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["run", _config(tmp_path, TINY % out)]) == 0
+    capsys.readouterr()
+    with open(out / "certificate.csv", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert header == CERTIFICATE_HEADER
+    assert len(rows) == 3
+    step0 = dict(zip(header, rows[0]))
+    assert {k for k, v in step0.items() if v == "nan"} == FROM_STEP_1_FLOATS
+    assert {k for k, v in step0.items() if v == ""} \
+        == FROM_STEP_1_FLAGS_AND_COUNTS
+    for row in rows[1:]:
+        assert "" not in row and "nan" not in row
+        assert len(row) == len(header)
 
 
 def test_run_writes_the_sf_ascent_columns(tmp_path, capsys):
@@ -1010,6 +1052,26 @@ def test_readme_example_explains_its_failing_flags(tmp_path, monkeypatch,
     assert any(line.startswith("  dumbound fails from step %d,"
                                % du["first_fail_step"]) for line in lines)
     assert "  mb2_root fails from step 1," in "\n".join(lines)
+
+
+@pytest.mark.parametrize("stiff", ["lambda_s = 1e6", "beta_slip = 1e6"])
+def test_stiff_parameters_run_to_completion(stiff, tmp_path, monkeypatch,
+                                            capsys):
+    """A nearly incompressible skeleton or a stiff slip law on the README
+    data, at 8 x 8 to t = 0.1: round-off keeps the true residual of a
+    correction above 1e-12 relative, and the backward-error test accepts
+    it, on the run's one factor."""
+    monkeypatch.chdir(tmp_path)
+    text = (README_EXAMPLE.replace("nx = 16\nny = 16", "nx = 8\nny = 8")
+            .replace("t_final = 0.5", "t_final = 0.1")
+            + "\n[params]\n%s\n" % stiff)
+    assert main(["run", _config(tmp_path, text)]) == 0
+    out = capsys.readouterr().out
+    assert "completed 20 steps" in out
+    assert " 1 factorizations," in out
+    summary = json.loads(
+        (tmp_path / "out/certificate_summary.json").read_text())
+    assert summary["identity_ok"] is True
 
 
 # ---------------------------------------------------------------------------

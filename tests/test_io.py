@@ -11,7 +11,7 @@ from fpsi.assembly import StateVector
 from fpsi.constants import CONSTANT_KINDS, ConstantEstimate
 from fpsi.fem import build_dofmaps
 from fpsi.mesh import build_rect_two_domain
-from fpsi.monitor import CertificateReport, CertificateRow
+from fpsi.monitor import CertificateReport
 from fpsi.verify import ERROR_KEYS, RESIDUAL_KEYS, ConvergenceTable, LevelRun
 
 
@@ -86,15 +86,16 @@ def test_constants_reader_rejects_foreign_tables(tmp_path):
 # ---------------------------------------------------------------------------
 
 def _tiny_report():
-    rows = [
-        CertificateRow(n=0, t=0.0, energy=1.5),
-        CertificateRow(n=1, t=0.5, energy=1.25, dissipation=0.5,
-                       cum_dissipation=0.25, identity_defect=1e-16,
-                       identity_ok=True, mb1_lhs=1.5, mb1_rhs=2.0,
-                       mb1_ok=True, du_norm=0.1, dumbound_ok=True,
-                       uniqueness_ok=False),
-    ]
-    return CertificateReport(rows=rows, summary={"identity_ok": True})
+    columns = {
+        "n": np.array([0, 1]), "t": np.array([0.0, 0.5]),
+        "energy": np.array([1.5, 1.25]), "dissipation": np.array([0.5]),
+        "cum_dissipation": np.array([0.0, 0.25]),
+        "identity_defect": np.array([1e-16]), "identity_ok": np.array([True]),
+        "mb1_lhs": np.array([1.5]), "mb1_rhs": np.array([2.0]),
+        "mb1_ok": np.array([True]), "du_norm": np.array([0.1]),
+        "dumbound_ok": np.array([True]), "uniqueness_ok": np.array([False]),
+    }
+    return CertificateReport(columns=columns, summary={"identity_ok": True})
 
 
 def test_certificate_round_trip(tmp_path):

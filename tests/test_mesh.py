@@ -465,6 +465,15 @@ _FILE_FAULTS = {
     "vertex index past int64": (
         _line(12, "0 1 99999999999999999999 Poro"),
         "line 13: bad vertex index in '0 1 99999999999999999999 Poro'"),
+    # a count past numpy's largest dimension, and one that numpy could not
+    # allocate, were uncaught ValueErrors; the second is read as an early
+    # end of file, with no more rows allocated than the file has lines
+    "count past the largest array": (
+        _line(1, "vertices 99999999999999999999"),
+        "line 2: count 99999999999999999999 is too large"),
+    "count past the rows that follow": (
+        _line(20, "facets %d" % 2 ** 62),
+        "unexpected end of file inside facets"),
 }
 
 

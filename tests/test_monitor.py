@@ -197,32 +197,37 @@ def test_energy_report_flags_on_small_data_run(small_run):
     assert s["max_du_norm"] < s["du_limit"] < s["uniqueness_limit"]
 
 
+def _at(report, name, n):
+    """Column ``name`` of ``report`` at step ``n``, None before the column's
+    first step."""
+    column = report.columns[name]
+    k = n - (len(report.columns["t"]) - len(column))
+    return column[k].item() if k >= 0 else None
+
+
 def test_energy_report_row_structure(small_run):
     _, traj, report = small_run
-    rows = report.rows
-    assert [r.n for r in rows] == list(range(len(traj.states)))
-    first, later = rows[0], rows[1]
-    assert first.pf_ok is None and math.isnan(first.pf_lhs)
-    assert first.identity_ok is None
-    assert first.mb2_root_ok is None
-    assert isinstance(later.pf_ok, bool)
-    assert later.pf_lhs >= 0.0 and later.pf_rhs > 0.0
-    assert later.mb1_lhs <= later.mb1_rhs
+    columns = report.columns
+    assert list(columns["n"]) == list(range(len(traj.states)))
+    assert _at(report, "pf_ok", 0) is None and _at(report, "pf_lhs", 0) is None
+    assert _at(report, "identity_ok", 0) is None
+    assert _at(report, "mb2_root_ok", 0) is None
+    assert isinstance(_at(report, "pf_ok", 1), bool)
+    assert _at(report, "pf_lhs", 1) >= 0.0 and _at(report, "pf_rhs", 1) > 0.0
+    assert _at(report, "mb1_lhs", 1) <= _at(report, "mb1_rhs", 1)
     # cumulative quantities are monotone
-    cum = [r.cum_dissipation for r in rows]
-    assert all(b >= a for a, b in zip(cum, cum[1:]))
-    cumc1 = [r.cum_c1_sq for r in rows]
-    assert all(b > a for a, b in zip(cumc1, cumc1[1:]))
+    assert np.all(np.diff(columns["cum_dissipation"]) >= 0.0)
+    assert np.all(np.diff(columns["cum_c1_sq"]) > 0.0)
 
 
 def test_mb2_readings_ordered_by_c3(small_run):
     _, _, report = small_run
     c3 = report.summary["c3"]
     assert 0.0 < c3 < 1.0
-    for r in report.rows[1:]:
-        assert r.mb2_rhs_squared <= r.mb2_rhs_root
-        if r.mb2_squared_ok:
-            assert r.mb2_root_ok
+    columns = report.columns
+    assert len(columns["mb2_lhs"]) == len(columns["t"]) - 1
+    assert np.all(columns["mb2_rhs_squared"] <= columns["mb2_rhs_root"])
+    assert np.all(columns["mb2_root_ok"][columns["mb2_squared_ok"]])
 
 
 def test_identity_flag_detects_tampered_state(blocks, consts, small_run):
@@ -231,7 +236,7 @@ def test_identity_flag_detects_tampered_state(blocks, consts, small_run):
     tampered = copy.deepcopy(traj)
     tampered.states[2].alpha += 1e-3
     report = mon.energy_report(tampered, blocks, data, consts)
-    assert not report.rows[2].identity_ok
+    assert not _at(report, "identity_ok", 2)
     assert not report.summary["identity_ok"]
 
 
@@ -253,12 +258,12 @@ def gronwall_run(blocks, consts):
 def test_gronwall_fails_honestly_without_data(gronwall_run):
     """An energetic start with zero data violates the premise at n = 0."""
     _, report = gronwall_run
-    assert report.rows[0].zeta > 0.0
-    assert not report.rows[0].gronwall_premise_ok
-    assert not report.rows[0].gronwall_conclusion_ok
+    assert _at(report, "zeta", 0) > 0.0
+    assert not _at(report, "gronwall_premise_ok", 0)
+    assert not _at(report, "gronwall_conclusion_ok", 0)
     assert not report.summary["gronwall_premise_ok"]
     # both checks ran independently: the conclusion flag is a real boolean
-    assert report.rows[0].gronwall_conclusion_ok is False
+    assert _at(report, "gronwall_conclusion_ok", 0) is False
 
 
 def test_midpoint_identity_in_report(midpoint_run):
@@ -272,26 +277,27 @@ def test_midpoint_identity_in_report(midpoint_run):
 # ---------------------------------------------------------------------------
 
 def _assert_matches_rowwise_oracle(report, expected):
-    """Numeric columns within 1e-12 of their column maximum (the identity
-    defect within 1e-12 of its row's scale), every flag identical.  The
-    Newton residuals of both come from the same diagnostics, all below
-    ``newton_tol``, so their column maximum is the stricter reading."""
-    rows, ref = report.rows, expected.rows
-    assert len(rows) == len(ref)
-    for name in mon.CertificateRow.__dataclass_fields__:
-        got = [getattr(r, name) for r in rows]
-        want = [getattr(r, name) for r in ref]
-        if any(isinstance(v, bool) or v is None for v in want):
-            assert got == want, name
+    """Every column from the same first step; numeric columns within 1e-12
+    of their column maximum (the identity defect within 1e-12 of its row's
+    scale), every flag identical.  A column that no row of the oracle
+    carries is empty.  The Newton residuals of both come from the same
+    diagnostics, all below ``newton_tol``, so their column maximum is the
+    stricter reading."""
+    columns = report.columns
+    assert set(expected.columns) <= set(columns)
+    ref = {name: expected.columns.get(name, np.array([]))
+           for name in columns}
+    for name, got in columns.items():
+        want = ref[name]
+        assert len(got) == len(want), name
+        if want.dtype == bool:
+            assert got.dtype == bool and np.array_equal(got, want), name
             continue
-        got, want = np.array(got, float), np.array(want, float)
-        assert np.array_equal(np.isnan(got), np.isnan(want)), name
-        known = ~np.isnan(want)
         if name == "identity_defect":
-            tol = 1e-12 * np.array([r.identity_scale for r in ref])[known]
+            tol = 1e-12 * ref["identity_scale"]
         else:
-            tol = 1e-12 * np.max(np.abs(want[known]), initial=0.0)
-        assert np.all(np.abs(got[known] - want[known]) <= tol), name
+            tol = 1e-12 * np.max(np.abs(want), initial=0.0)
+        assert np.all(np.abs(got - want) <= tol), name
     for key, value in expected.summary.items():
         if key.endswith("_ok"):
             assert report.summary[key] is value, key
@@ -342,14 +348,50 @@ def test_flag_detail_locates_failures(gronwall_run, small_run):
     premise = detail["gronwall_premise"]
     assert premise["first_fail_step"] == 0
     assert premise["worst_margin"] < 0.0
-    worst = report.rows[premise["worst_step"]]
-    assert premise["worst_margin"] == worst.gronwall_premise_rhs - worst.zeta
+    worst = premise["worst_step"]
+    assert premise["worst_margin"] == (
+        _at(report, "gronwall_premise_rhs", worst) - _at(report, "zeta", worst))
     # a flag that holds everywhere has no failing step and a margin >= 0
     _, _, passing = small_run
     identity = passing.summary["flag_detail"]["identity"]
     assert identity["first_fail_step"] is None
     assert identity["worst_margin"] >= 0.0
     assert identity["worst_step"] >= 1
+
+
+# each row flag of the certificate and the run-level flag that sums it up
+ROW_FLAGS = {
+    "identity_ok": "identity_ok", "mb1_ok": "mainbound1_ok",
+    "dumbound_ok": "dumbound_ok", "uniqueness_ok": "uniqueness_ok",
+    "mb2_root_ok": "mb2_root_ok", "mb2_squared_ok": "mb2_squared_ok",
+    "pf_ok": "pfbound_ok", "gronwall_premise_ok": "gronwall_premise_ok",
+    "gronwall_conclusion_ok": "gronwall_conclusion_ok",
+}
+
+
+@pytest.mark.parametrize("run", ["small_run", "gronwall_run"])
+def test_every_bound_has_its_column_summary_flag_and_detail(request, run):
+    """Each bound gives one flag column, one run-level flag (the column's
+    all) and one ``flag_detail`` entry (its first failure), and nothing
+    else is a flag."""
+    report = request.getfixturevalue(run)[-1]
+    columns, summary = report.columns, report.summary
+    assert {name for name, values in columns.items()
+            if values is None or np.asarray(values).dtype == bool} \
+        == set(ROW_FLAGS)
+    assert set(summary["flag_detail"]) == {
+        flag.removesuffix("_ok") for flag in ROW_FLAGS.values()}
+    assert {k for k in summary if k.endswith("_ok")} \
+        == set(ROW_FLAGS.values()) | {"pfbound_linf_ok"}
+    for name, flag in ROW_FLAGS.items():
+        ok = columns[name]
+        first = len(columns["t"]) - len(ok)
+        assert summary[flag] is bool(np.all(ok)), name
+        failing = np.flatnonzero(~ok)
+        detail = summary["flag_detail"][flag.removesuffix("_ok")]
+        assert detail["first_fail_step"] == (
+            first + failing[0] if len(failing) else None), name
+        assert first <= detail["worst_step"] < len(columns["t"]), name
 
 
 # ---------------------------------------------------------------------------
@@ -436,5 +478,5 @@ def test_report_matches_rowwise_oracle_at_every_flush_edge(
     expected = oracles.rowwise_energy_report(part, blocks, data, consts,
                                              funcs)
     report = mon.energy_report(part, blocks, data, consts)
-    assert len(report.rows) == steps + 1
+    assert len(report.columns["n"]) == steps + 1
     _assert_matches_rowwise_oracle(report, expected)

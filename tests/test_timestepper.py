@@ -440,6 +440,33 @@ def test_fresh_factor_miss_in_a_step_says_where(monkeypatch):
     assert err.value.residual_norm == residual > cfg.newton_tol
 
 
+def test_backward_error_floor_accepts_only_below_its_tolerance():
+    # a residual above GMRES_RTOL |b| passes when its backward error, with
+    # |J| bounded below by the largest column norm of J_f less the
+    # Frobenius norm of s dJn, is at most BACKWARD_ERROR_TOL
+    blocks, rng = _blocks(4, 4), np.random.default_rng(5)
+    newton = timestepper.NewtonSolver(blocks, "midpoint", 0.05)
+    newton.correction(_random_rows(blocks, rng),
+                      rng.standard_normal(blocks.n_alpha))
+    J = newton.J_f.toarray()
+    x = rng.standard_normal(len(J))
+    b = 1e-6 * rng.standard_normal(len(J))
+    direction = rng.standard_normal(len(J))
+    direction /= np.linalg.norm(direction)
+    dJn = sp.random(blocks.n_alpha, blocks.n_alpha, density=0.01,
+                    random_state=5, format="csr")
+    tol = timestepper.BACKWARD_ERROR_TOL
+    for change, norm_j in (
+            (None, np.linalg.norm(J, axis=0).max()),
+            (dJn, np.linalg.norm(J, axis=0).max()
+             - 0.5 * np.linalg.norm(dJn.toarray()))):
+        floor = tol * (norm_j * np.linalg.norm(x) + np.linalg.norm(b))
+        assert floor > timestepper.GMRES_RTOL * np.linalg.norm(b)
+        assert newton._accepts(b, x, 0.99 * floor * direction, change)
+        assert not newton._accepts(b, x, 1.01 * floor * direction, change)
+    assert not newton._accepts(b, x, np.full(len(J), np.nan), None)
+
+
 def _condensed_residual(blocks, scheme, dt, stage_alpha, rhs, dz):
     """Relative true residual of a correction in the condensed system,
     whose right-hand side takes -coef s dt matrix r_kin into the row of
@@ -515,10 +542,11 @@ def test_old_factor_applies_the_newton_matrix_at_the_new_stage(scheme):
     newton = timestepper.NewtonSolver(blocks, scheme, dt)
     newton.correction(_random_rows(blocks, rng), stage_alpha)
     v = rng.standard_normal(newton.J_f.shape[0])
-    assert np.array_equal(newton._matvec(stage_alpha)(v), newton.J_f @ v)
+    matvec, change = newton._matvec(stage_alpha)
+    assert np.array_equal(matvec(v), newton.J_f @ v) and change is None
     new_alpha = stage_alpha + rng.standard_normal(blocks.n_alpha)
     reference = _jacobian(blocks, scheme, dt, new_alpha) @ v
-    assert np.linalg.norm(newton._matvec(new_alpha)(v) - reference) \
+    assert np.linalg.norm(newton._matvec(new_alpha)[0](v) - reference) \
         <= 1e-13 * np.linalg.norm(reference)
 
 
