@@ -322,6 +322,43 @@ def sparse_sum(*terms):
     return mat
 
 
+def pattern_sum(*terms):
+    """``sum_k c_k A_k`` of the terms ``(c_k, A_k)`` (sorted CSR of one
+    shape) on the pattern of the widest ``A_k``, the first on a tie.
+
+    The forms summed here share their element graph, or one's lies in
+    another's (a mass in its space's full coupling, an interface form in
+    its cells'), so the widest pattern holds every entry: each term's data
+    times its coefficient is added at its entries' slots, in term order,
+    and no term is copied whole.  The sum reuses the widest term's index
+    arrays.  A term with an entry outside that pattern raises ValueError.
+    """
+    first = max(range(len(terms)), key=lambda k: terms[k][1].nnz)
+    c0, wide = terms[first]
+    data = c0 * wide.data
+    keys = None
+    for c, matrix in terms[:first] + terms[first + 1:]:
+        if not matrix.nnz:
+            continue
+        if keys is None:
+            keys = _entry_keys(wide)
+        entries = _entry_keys(matrix)
+        slots = np.searchsorted(keys, entries)
+        if not np.array_equal(keys.take(slots, mode="clip"), entries):
+            raise ValueError("a term has entries outside the widest "
+                             "term's pattern")
+        data[slots] += c * matrix.data
+    return sp.csr_matrix((data, wide.indices, wide.indptr), shape=wide.shape)
+
+
+def _entry_keys(mat):
+    """``row * ncols + column`` of every stored entry of a CSR matrix, in
+    storage order (increasing if its indices are sorted)."""
+    rows = np.repeat(np.arange(mat.shape[0], dtype=np.int64) * mat.shape[1],
+                     np.diff(mat.indptr))
+    return rows + mat.indices
+
+
 CellQuadrature = namedtuple("CellQuadrature", "x y wdet jinv rule")
 _CELL_QUADRATURE = weakref.WeakKeyDictionary()
 
@@ -724,12 +761,13 @@ class _Convection:
     derivative through ``W``.
 
     The cell dofs go through the space's ``free_index``: a constrained dof
-    reads a zero appended to ``alpha``.  The Jacobian's free-dof CSR pattern
-    and the slot of every element entry in it are built once: the pattern
-    is the full velocity coupling graph, exact zeros included, so the LU
-    ordering of the Newton matrix never depends on the velocity, and a call
-    fills only ``data``.  An entry on a constrained dof goes to the dump
-    slot ``nnz`` past the pattern's end.
+    reads a zero appended to ``alpha``.  The Jacobian's free-dof CSR index
+    arrays (``indices``, ``indptr``) and the slot of every element entry in
+    them (``jac_slot``), all int32, are built once, with no data array: the
+    pattern is the full velocity coupling graph, exact zeros included, so
+    the LU ordering of the Newton matrix never depends on the velocity, and
+    a call makes only ``data``.  An entry on a constrained dof goes to the
+    dump slot ``nnz`` past the pattern's end.
     """
 
     def __init__(self, space, rho_f, skew):
@@ -753,19 +791,19 @@ class _Convection:
         # (nc, 2 * nloc) free numbers, -1 on a constrained dof
         fdofs = self.cell_dofs = space.free_index[space.cell_dofs_vector()]
 
-        n = space.n_free
+        n = self.n = space.n_free
         rows = np.repeat(fdofs[:, :, None], 2 * nloc, axis=2)
         cols = np.repeat(fdofs[:, None, :], 2 * nloc, axis=1)
         keep = (rows >= 0) & (cols >= 0)
-        keys, slot = np.unique(rows[keep] * n + cols[keep],
+        keys, slot = np.unique(rows[keep].astype(np.int64) * n + cols[keep],
                                return_inverse=True)
-        self.jac_slot = np.full(keep.size, len(keys))
+        self.jac_slot = np.full(keep.size, len(keys), dtype=np.int32)
         self.jac_slot[keep.ravel()] = slot
-        indptr = np.searchsorted(keys, np.arange(n + 1) * n)
-        self.pattern = sp.csr_matrix((np.zeros(len(keys)), keys % n, indptr),
-                                     shape=(n, n))
-        self.pattern.indices.setflags(write=False)
-        self.pattern.indptr.setflags(write=False)
+        self.indptr = np.searchsorted(keys, np.arange(n + 1) * n).astype(
+            np.int32)
+        self.indices = (keys % n).astype(np.int32)
+        self.indices.setflags(write=False)
+        self.indptr.setflags(write=False)
 
     def __call__(self, alpha, jac=False):
         """Return (N(alpha), J) on free dofs; J is None if not asked."""
@@ -787,11 +825,10 @@ class _Convection:
         for k in range(2):
             local[:, k, :, k, :] += op
         local = self.rho_f * local.reshape(nc, 4 * nloc * nloc)
-        nnz = self.pattern.nnz
+        nnz = len(self.indices)
         data = np.bincount(self.jac_slot, local.ravel(), minlength=nnz + 1)
-        data = data[:nnz]
-        jmat = sp.csr_matrix((data, self.pattern.indices, self.pattern.indptr),
-                             shape=self.pattern.shape)
+        jmat = sp.csr_matrix((data[:nnz], self.indices, self.indptr),
+                             shape=(self.n, self.n))
         return residual, jmat
 
 
@@ -927,15 +964,15 @@ def assemble_system(mesh, params, convection=True, skew=False):
     Gdiv = mixed_div(Q, V)
 
     g = _grad_products(W)
-    Bs = sparse_sum(2.0 * p.mu_s * vector_symgrad(W, g),
-                    p.lambda_s * vector_divdiv(W, g))
+    Bs = pattern_sum((2.0 * p.mu_s, vector_symgrad(W, g)),
+                     (p.lambda_s, vector_divdiv(W, g)))
     del g
     mass_d = mass(W)
     mass_p = mass(R)
     Bp = scalar_kgrad(R, p.K)
 
-    C = sparse_sum(p.alpha_bw * div_pressure(W, R),
-                   facet_matrix(W, R, ifacets, iptri, iptri, normals))
+    C = pattern_sum((p.alpha_bw, div_pressure(W, R)),
+                    (1.0, facet_matrix(W, R, ifacets, iptri, iptri, normals)))
     D = facet_matrix(V, R, ifacets, iftri, iptri, normals)
     E = p.beta_slip * facet_matrix(V, W, ifacets, iftri, iptri, tangents)
     F = p.beta_slip * facet_matrix(W, W, ifacets, iptri, iptri, tangents)
@@ -1030,6 +1067,8 @@ def _load_table(data, dm):
 
     Built on first use for a mesh and data set and kept as long as the mesh
     lives, like :func:`cell_quadrature`: the dof maps of a mesh are fixed.
+    When every term separates, the mesh's cached rules of
+    :data:`LOAD_ORDER` are dropped once the rows are built.
     """
     per_mesh = _LOAD_TABLES.setdefault(dm.mesh, {})
     if data not in per_mesh:
@@ -1047,6 +1086,13 @@ def _load_table(data, dm):
             np.array(list(rows[name].values())).reshape(
                 len(rows[name]), getattr(dm, name).n_free),
             mixed[name]) for name in _LOAD_SPACES}
+        if not any(mixed.values()):
+            # no load reads its rules again, so none is held through the
+            # solve; a space-time term evaluates on them at every step
+            for cache in (_CELL_QUADRATURE, _FACET_QUADRATURE):
+                rules = cache.get(dm.mesh, {})
+                for key in [k for k in rules if k[-1] == LOAD_ORDER]:
+                    del rules[key]
     return per_mesh[data]
 
 

@@ -204,7 +204,7 @@ class ScalarSpace:
     dof_coords : (ndof, 2) nodal coordinates
     fixed : boolean mask of essentially constrained dofs
     free : indices of unconstrained dofs
-    free_index : free number of each dof, -1 where it is constrained
+    free_index : free number of each dof (int32), -1 where it is constrained
     """
 
     mesh: object
@@ -296,7 +296,8 @@ def make_scalar_space(mesh, kind, subdomain=None, dirichlet_tags=()):
 def _constrain(space, fixed):
     """Record the constraint mask ``fixed`` of ``space`` and its free dofs."""
     space.fixed, space.free = fixed, np.flatnonzero(~fixed)
-    space.free_index = np.where(fixed, -1, np.cumsum(~fixed) - 1)
+    space.free_index = np.where(fixed, -1,
+                                np.cumsum(~fixed, dtype=np.int32) - 1)
     return space
 
 

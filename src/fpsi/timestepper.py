@@ -32,7 +32,8 @@ round-offs (an exact Newton method; the backward error is the floor that
 round-off leaves a stiff system), the current matrix is factored and
 becomes the new preconditioner (Saad 2003, 9.3; Knoll & Keyes 2004).
 
-The factor is only a preconditioner, so it is made in single precision, in
+The factor is only a preconditioner, so it is made in single precision,
+of the transpose of the CSR matrix GMRES applies and solved transposed, in
 a geometric nested-dissection order computed once per trajectory (George
 1973), each part's separator the lighter side of its median cut: the left
 or the right points coupled across it, whichever hold fewer unknowns.
@@ -52,7 +53,7 @@ import scipy.linalg as la
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .assembly import StateVector, assemble_loads, sparse_sum
+from .assembly import StateVector, assemble_loads, pattern_sum
 
 SCHEMES = ("euler", "midpoint")
 
@@ -208,18 +209,19 @@ def _residual_rows(blocks, scheme, state0, z1, dt, loads, terms=None):
 
 
 def _cell(terms, s, dt, shape):
-    """A Newton matrix cell in CSR, empty without terms, its parts freed on
-    return: each term times its ``coef`` at 1/dt (rate), s (stage) or 1
-    (new), beta's times ``s dt``, uncopied at 1 unless a transpose."""
-    parts = []
-    for _, col, coef, matrix, value in terms:
-        c = (coef * (s if value == "stage" else 1.0)
-             * (s * dt if col == 1 else 1.0))
-        parts.append(coef * matrix / dt if value == "rate" else
-                     matrix if c == 1.0 else c * matrix)
-    if len(parts) < 2:
-        return parts[0].tocsr() if parts else sp.csr_matrix(shape)
-    return sparse_sum(*parts)
+    """A Newton matrix cell in CSR, empty without terms: each term times its
+    ``coef`` at 1/dt (rate), s (stage) or 1 (new), beta's times ``s dt``,
+    summed on the pattern of its widest term (:func:`pattern_sum`); a lone
+    term at 1 is uncopied unless a transpose."""
+    parts = [(coef / dt if value == "rate" else
+              coef * (s if value == "stage" else 1.0)
+              * (s * dt if col == 1 else 1.0), matrix.tocsr())
+             for _, col, coef, matrix, value in terms]
+    if not parts:
+        return sp.csr_matrix(shape)
+    if len(parts) == 1 and parts[0][0] == 1.0:
+        return parts[0][1]
+    return pattern_sum(*parts)
 
 
 def _jacobian(blocks, scheme, dt, stage_alpha, terms=None):
@@ -232,7 +234,8 @@ def _jacobian(blocks, scheme, dt, stage_alpha, terms=None):
 
     CSR, one block row at a time: with every cell CSR, ``bmat`` stacks the
     compressed arrays and makes no COO copy, and a row's cells are freed as
-    soon as the row is stacked.  ``splu`` takes its CSC.
+    soon as the row is stacked.  GMRES applies this CSR, and the factor
+    takes a float32 copy of its values (see :meth:`NewtonSolver._factor`).
     """
     s = 1.0 if scheme == "euler" else 0.5
     _, Jn = blocks.convection(stage_alpha, jac=True)
@@ -360,11 +363,11 @@ def _nested_dissection(dm, J):
     separator, and the unknowns of one dof point consecutively."""
     xy, point = _condensed_points(dm)
     n = len(point)
-    S = sp.csr_matrix((np.ones(n), (point, np.arange(n))),
+    # boolean products: a sum of trues is true, so no coupling cancels
+    S = sp.csr_matrix((np.ones(n, dtype=bool), (point, np.arange(n))),
                       shape=(len(xy), n))
-    # J's pattern is symmetric, so its CSC arrays read as CSR give it
-    pattern = sp.csr_matrix((np.ones(J.nnz), J.indices, J.indptr),
-                            shape=J.shape)
+    pattern = sp.csr_matrix((np.ones(J.nnz, dtype=bool), J.indices,
+                             J.indptr), shape=J.shape)
     paths = _dissection_paths(xy, (S @ pattern @ S.T).tocoo(),
                               np.bincount(point))
     # lexsort sorts by its last key first; a system that is one leaf has
@@ -381,9 +384,10 @@ class NewtonSolver:
     Holds the table of linear terms (:func:`_linear_terms`); the row scales
     of the convergence test; the nested-dissection order ``perm`` of the
     condensed unknowns, computed at the first factorisation; and one Newton
-    matrix, the condensed ``J_f`` (CSC) it last factored, its stage
-    velocity ``alpha_f`` and its single-precision sparse LU factor in that
-    order, which right-preconditions GMRES for later corrections too.
+    matrix, the condensed ``J_f`` (CSR) it last factored, its stage
+    velocity ``alpha_f`` and the single-precision sparse LU factor of its
+    transpose in that order, solved transposed, which right-preconditions
+    GMRES for later corrections too.
     """
 
     def __init__(self, blocks, scheme, dt):
@@ -421,16 +425,25 @@ class NewtonSolver:
         # first splu, which sets the memory peak of a run
         self.lu = self.J_f = self.norm_f = None
         J = self.J_f = _jacobian(self.blocks, self.scheme, self.dt,
-                                 stage_alpha, self.terms).tocsc()
+                                 stage_alpha, self.terms)
         self.alpha_f = stage_alpha.copy()
         if self.perm is None:
             self.perm = _nested_dissection(self.blocks.dm, J)
+        # P J P^T in float32: a float32 copy of J's values on J's index
+        # arrays, its rows gathered once into the order and its columns
+        # relabelled.  Its transpose is a CSC on the same arrays, so SuperLU
+        # factors that with no further copy, and _precondition solves
+        # transposed
+        A = sp.csr_matrix((J.data.astype(np.float32), J.indices, J.indptr),
+                          shape=J.shape)[self.perm]
+        rank = np.empty(len(self.perm), dtype=A.indices.dtype)
+        rank[self.perm] = np.arange(len(self.perm))
+        A.indices = rank[A.indices]
         # the order fixes the fill for given values: a pivot threshold of
         # 1e-3 fills as little as 0 does at n = 16, 32 and 64, 0.01 1.25
         # times as much at n = 32 and 2.8 times at n = 64; at n = 16, 1e-3
         # fills 456,466 with rho_f = 1e4 against 331,700 with the defaults
-        self.lu = spla.splu(J.astype(np.float32)[self.perm][:, self.perm],
-                            permc_spec="NATURAL", diag_pivot_thresh=1e-3,
+        self.lu = spla.splu(A.T, permc_spec="NATURAL", diag_pivot_thresh=1e-3,
                             options={"SymmetricMode": True})
 
     def _matvec(self, stage_alpha):
@@ -472,12 +485,14 @@ class NewtonSolver:
                     * (max(j_norm, 0.0) * np.linalg.norm(x) + b_norm))
 
     def _precondition(self, r):
-        """``M^-1 r = P^T lu.solve(P r)``: one single-precision solve of
-        ``r`` scaled to unit norm, so that float32 neither overflows nor
-        underflows, with the result back in double."""
+        """``M^-1 r = P^T lu.solve(P r, trans="T")``, the factor being that
+        of ``(P J_f P^T)^T``: one single-precision solve of ``r`` scaled to
+        unit norm, so that float32 neither overflows nor underflows, with
+        the result back in double."""
         scale = np.linalg.norm(r) or 1.0  # r = 0 solves to 0
         x = np.empty_like(r)
-        x[self.perm] = self.lu.solve((r[self.perm] / scale).astype(np.float32))
+        x[self.perm] = self.lu.solve((r[self.perm] / scale).astype(np.float32),
+                                     trans="T")
         return scale * x
 
     def _solve(self, b, stage_alpha):

@@ -23,7 +23,9 @@ from fpsi.assembly import (
     load_volume,
     mixed_div,
     mass,
+    pattern_sum,
     scalar_kgrad,
+    sparse_sum,
     stiffness,
     vector_divdiv,
     vector_symgrad,
@@ -357,6 +359,21 @@ def test_convection_jacobian_matches_finite_differences():
             np.testing.assert_allclose(jac @ delta, fd, rtol=2e-7, atol=1e-8)
 
 
+def test_convection_holds_int32_index_tables_and_no_data():
+    blocks = assemble_system(build_rect_two_domain(4, 4, 0.5),
+                             PhysicalParams(), convection=True)
+    conv = blocks._convection
+    for table in (conv.jac_slot, conv.indices, conv.indptr, conv.cell_dofs):
+        assert table.dtype == np.int32
+    nnz = len(conv.indices)
+    assert not any(sp.issparse(v) or (isinstance(v, np.ndarray)
+                                      and v.dtype.kind == "f" and v.size == nnz)
+                   for v in vars(conv).values())
+    _, jac = blocks.convection(np.ones(blocks.n_alpha), jac=True)
+    assert jac.nnz == nnz
+    assert np.shares_memory(jac.indices, conv.indices)
+
+
 def test_trilinear_table_matches_symbolic_integration():
     table = _reference_table("trilinear", ElementKind.P2, ElementKind.P2)
     np.testing.assert_allclose(table, oracles.sympy_trilinear_table(),
@@ -547,6 +564,29 @@ def test_operators_equal_the_eager_assembly_bitwise(n, setting):
                                   getattr(expected, part)), (name, part)
 
 
+def test_pattern_sum_adds_every_term_on_the_widest_pattern():
+    dm = build_dofmaps(build_rect_two_domain(4, 4, 0.5))
+    W = dm.displacement
+    m, stiff = mass(W), vector_symgrad(W)
+    total = pattern_sum((2.0, m), (0.5, stiff))
+    assert np.shares_memory(total.indices, stiff.indices)
+    assert np.shares_memory(total.indptr, stiff.indptr)
+    # two terms add in either order alike, so the union sum is bitwise
+    union = sparse_sum(2.0 * m, 0.5 * stiff)
+    for part in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(total, part), getattr(union, part))
+
+
+def test_pattern_sum_rejects_a_term_outside_the_widest_pattern():
+    eye = sp.csr_matrix(np.eye(3))
+    with pytest.raises(ValueError, match="outside"):
+        pattern_sum((1.0, eye), (1.0, sp.csr_matrix(np.fliplr(np.eye(3)))))
+    # an entry past the pattern's last one
+    with pytest.raises(ValueError, match="outside"):
+        pattern_sum((1.0, sp.csr_matrix([[1.0, 1.0], [0.0, 0.0]])),
+                    (1.0, sp.csr_matrix([[0.0, 0.0], [0.0, 1.0]])))
+
+
 # ---------------------------------------------------------------------------
 # loads from per-mesh tables of time factors times space loads
 # ---------------------------------------------------------------------------
@@ -583,6 +623,20 @@ def test_a_later_load_evaluates_only_the_terms_that_mix_space_and_time(
     # hold one term that does not separate
     assemble_loads(0.2, space_time, dm)
     assert sorted(calls) == ["load_facet"] + ["load_volume"] * 3
+
+
+@pytest.mark.parametrize("name,kept", [("readme", False),
+                                       ("space-time", True)])
+def test_load_rules_are_dropped_once_every_term_separates(name, kept):
+    # the table's rows are built on the load-order rules; only a term that
+    # mixes space and time reads them again, at every step
+    import fpsi.assembly as asm
+    dm = build_dofmaps(build_rect_two_domain(4, 4, 0.5))
+    assemble_loads(0.1, oracles.data_set(name), dm)
+    orders = [key[-1] for cache in (asm._CELL_QUADRATURE,
+                                    asm._FACET_QUADRATURE)
+              for key in cache.get(dm.mesh, {})]
+    assert (asm.LOAD_ORDER in orders) == kept
 
 
 def test_reference_tables_reject_a_rule_one_degree_too_low(monkeypatch):

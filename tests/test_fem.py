@@ -129,6 +129,16 @@ def test_dof_counts_on_reference_mesh():
     assert counts["pressure_p"] == (45, 35)
 
 
+def test_free_index_is_int32_and_numbers_the_free_dofs():
+    dm = build_dofmaps(build_rect_two_domain(4, 4, 0.5))
+    for space in (dm.velocity, dm.pressure_f, dm.displacement,
+                  dm.pressure_p):
+        assert space.free_index.dtype == np.int32
+        np.testing.assert_array_equal(space.free_index[space.free],
+                                      np.arange(len(space.free)))
+        assert (space.free_index[space.fixed] == -1).all()
+
+
 def test_velocity_constraints_sit_on_top_boundary():
     m = build_rect_two_domain(4, 4, 0.5)
     dm = build_dofmaps(m)

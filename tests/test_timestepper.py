@@ -506,9 +506,28 @@ class _CountedFactor:
     def __init__(self, lu):
         self.lu, self.solves, self.nnz = lu, 0, lu.nnz
 
-    def solve(self, b):
+    def solve(self, b, trans="N"):
         self.solves += 1
-        return self.lu.solve(b)
+        return self.lu.solve(b, trans=trans)
+
+
+def test_newton_matrix_is_kept_in_csr_and_its_transpose_factored():
+    # GMRES applies J_f as stacked; the float32 factor is that of
+    # (P J_f P^T)^T, so a transposed solve inverts P J_f P^T
+    blocks = _blocks(4, 4)
+    rng = np.random.default_rng(16)
+    newton = timestepper.NewtonSolver(blocks, "euler", 0.05)
+    newton.correction(_random_rows(blocks, rng),
+                      rng.standard_normal(blocks.n_alpha))
+    assert newton.J_f.format == "csr"
+    ordered = newton.J_f[newton.perm][:, newton.perm]
+    y = rng.standard_normal(ordered.shape[0])
+    z = newton.lu.solve(y.astype(np.float32), trans="T")
+    assert np.linalg.norm(ordered @ z - y) <= 1e-3 * np.linalg.norm(y)
+    # solved as it is, the factor inverts the transpose instead
+    z = newton.lu.solve(y.astype(np.float32))
+    assert np.linalg.norm(ordered.T @ z - y) <= 1e-3 * np.linalg.norm(y) \
+        < np.linalg.norm(ordered @ z - y)
 
 
 @pytest.mark.parametrize("scheme", ["euler", "midpoint"])
